@@ -13,7 +13,7 @@ from .spines import (SPHERE_SPINE, Spine, admissible, module_iso_check,
                      pairing_categorical, pairing_table, parse_spine,
                      sixj_categorical, sixj_table, t_epsilon, tv)
 from .tangles import (EventKind, LinkDiagram, LinkEvent, build_hopf_chain,
-                      evaluate, evaluate_all_a, parse_link, writhe)
+                      evaluate, evaluate_all_a, parse_link)
 
 __all__ = [
     "ALL_THEORIES", "EventKind", "FramedLink", "LinkDiagram", "LinkEvent",
@@ -27,7 +27,7 @@ __all__ = [
     "parse_spine", "parse_word", "reassociate", "right_comb", "s_matrix",
     "scale_identity", "signature", "sixj_categorical", "sixj_table",
     "t_epsilon", "tensor_morphisms", "tensor_words", "tr_link", "tr_manifold",
-    "tv", "twist", "word_of_tree", "writhe",
+    "tv", "twist", "word_of_tree",
 ]
 
 __version__ = "0.1.0"

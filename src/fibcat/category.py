@@ -119,6 +119,8 @@ def _positions(word: Word) -> dict[SimpleObject, list[int]]:
 
 def _matmul(a: Matrix, b: Matrix, rows: int, cols: int, zero: Scalar) -> Matrix:
     """a . b for a: rows x k, b: k x cols, skipping zero entries."""
+    if not cols:
+        return ((),) * rows
     out = [[zero] * cols for _ in range(rows)]
     for i in range(rows):
         row = out[i]

@@ -213,8 +213,8 @@ def _dispatch(args, theory: Theory) -> int:
 
     if args.command == "tr-link":
         diagram = tg.parse_link(_read(args.file))
-        per, total = tg.writhe(diagram)
-        print(f"components: {diagram.n_components}, writhe: {total} {per}")
+        per = diagram.self_writhes()
+        print(f"components: {diagram.n_components}, writhe: {sum(per)} {per}")
         print(f"tr: {_render(inv.tr_link(diagram, theory), mode)}")
         return 0
 
@@ -229,13 +229,14 @@ def _dispatch(args, theory: Theory) -> int:
 
     if args.command == "hopf":
         framings = _parse_int_list(args.framings) if args.framings else None
-        diagram = tg.build_hopf_chain(args.k, framings)
+        diagram = tg.build_hopf_chain(args.k)
         if framings is None:
             value = inv.tr_link(diagram, theory)
             closed = inv.hopf_tr_closed_form(args.k, theory)
             label = "tr (link)"
         else:
-            value = inv.tr_manifold(inv.FramedLink.from_diagram(diagram), theory)
+            framed = inv.FramedLink.from_diagram(diagram, framings)
+            value = inv.tr_manifold(framed, theory)
             closed = inv.lens_tr_closed_form(framings, theory)
             label = "tr (manifold)"
         if value != closed:

@@ -5,21 +5,24 @@ diagram, normalized by the writhe so that kinks cancel.  ``tr_manifold``
 is the surgery invariant of the closed 3-manifold presented by a framed
 link: a sum of the colored evaluations over all colorings, weighted by
 eps per A-colored component and normalized by the signature of the
-linking matrix.  Closed forms for chains of linked circles (hence for
-lens spaces) are provided as independent oracles.
+linking matrix.  ``FramedLink`` keeps its diagram unchanged; where a
+framing differs from the drawn self-writhe, the missing kinks enter
+``tr_manifold`` as one power of beta per coloring, never as events.
+Closed forms for chains of linked circles (hence for lens spaces) are
+provided as independent oracles; the lens closed form takes time linear
+in the number of framings.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 from itertools import product
 
 from .category import A, ONE
 from .scalars import Scalar, Theory
-from .tangles import (EventKind, LinkDiagram, LinkEvent, count_a_colors,
-                      evaluate, evaluate_all_a)
+from .tangles import (LinkDiagram, build_hopf_chain, count_a_colors, evaluate,
+                      evaluate_all_a)
 
 
 def tr_link(diagram: LinkDiagram, theory: Theory) -> Scalar:
@@ -32,9 +35,9 @@ def tr_link(diagram: LinkDiagram, theory: Theory) -> Scalar:
 class FramedLink:
     """A diagram together with one integer framing per component.
 
-    The stored diagram is normalized so that every component's
-    self-writhe equals its framing, by appending kinks right after the
-    component's first cup when the raw diagram disagrees.
+    The diagram is stored as given; where a framing differs from the
+    component's self-writhe, ``tr_manifold`` applies the difference as a
+    scalar kink factor instead of drawing the kinks.
     """
 
     diagram: LinkDiagram
@@ -48,35 +51,7 @@ class FramedLink:
         if len(framings) != diagram.n_components:
             raise ValueError(f"expected {diagram.n_components} framings, "
                              f"got {len(framings)}")
-        return FramedLink(_normalize_writhes(diagram, framings), framings)
-
-    @cached_property
-    def _writhes(self) -> tuple[int, ...]:
-        return tuple(self.diagram.self_writhes())
-
-    def __post_init__(self):
-        if self._writhes != self.framings:
-            raise ValueError("diagram writhes do not realize the framings; "
-                             "build via FramedLink.from_diagram")
-
-
-def _normalize_writhes(diagram: LinkDiagram, framings: tuple[int, ...]) -> LinkDiagram:
-    deltas = [f - w for f, w in zip(framings, diagram.self_writhes())]
-    if not any(deltas):
-        return diagram
-    events = list(diagram.events)
-    # insertion point per component: right after its first cup
-    out: list[LinkEvent] = []
-    seen: set[int] = set()
-    for ev, comps in zip(events, diagram._analysis.event_components):
-        out.append(ev)
-        if ev.kind is EventKind.CUP and comps[0] not in seen:
-            c = comps[0]
-            seen.add(c)
-            delta = deltas[c]
-            kind = EventKind.TWIST_POS if delta > 0 else EventKind.TWIST_NEG
-            out.extend(LinkEvent(kind, ev.pos) for _ in range(abs(delta)))
-    return diagram.with_events(out)
+        return FramedLink(diagram, tuple(framings))
 
 
 def linking_matrix(framed: FramedLink) -> list[list[int]]:
@@ -131,13 +106,22 @@ def _congruence_signature(m: list[list[Fraction]]) -> int:
 
 
 def tr_manifold(framed: FramedLink, theory: Theory) -> Scalar:
-    """Surgery invariant of the closed manifold presented by the framed link."""
-    k = framed.diagram.n_components
+    """Surgery invariant of the closed manifold presented by the framed link.
+
+    Component i carries f_i - w_i kinks beyond those drawn, and each kink
+    scales an A-colored strand by beta^(-2 sign), so a coloring's
+    evaluation is multiplied by beta^(-2 sum over A-colored i of (f_i - w_i)).
+    """
+    diagram = framed.diagram
+    k = diagram.n_components
     sigma = signature(linking_matrix(framed))
+    excess = [f - w for f, w in zip(framed.framings, diagram.self_writhes())]
     total = theory.zero
     for colors in product((ONE, A), repeat=k):
-        weight = theory.epsilon ** count_a_colors(colors)
-        total = total + weight * evaluate(framed.diagram, colors, theory)
+        kinks = sum(d for d, c in zip(excess, colors) if c is A)
+        weight = (theory.epsilon ** count_a_colors(colors)
+                  * theory.beta ** (-2 * kinks))
+        total = total + weight * evaluate(diagram, colors, theory)
     return theory.delta ** sigma * theory.big_d ** (-sigma - k - 1) * total
 
 
@@ -177,23 +161,28 @@ def _chain_matrix(framings: tuple[int, ...]) -> list[list[int]]:
 
 def lens_tr_closed_form(framings: tuple[int, ...], theory: Theory) -> Scalar:
     """Closed form of tr for surgery on a chain of circles with the given
-    framings (i.e. for the lens space the chain presents)."""
+    framings (i.e. for the lens space the chain presents).
+
+    The sum over subsets S of the chain of eps^|S| c(S) beta^(-2 sum_S f)
+    is taken in one pass.  c is a product over the runs of S, where
+    opening a run contributes eps and extending one -1/eps, so with
+    w = eps beta^(-2f) two partial sums suffice, over the subsets that
+    leave out (``outside``) or contain (``inside``) the latest component:
+    outside, inside <- outside + inside, w (eps outside - inside / eps),
+    that is beta^(-2f) (eps^2 outside - inside).
+    """
     k = len(framings)
     if k == 0:
         return theory.big_d.invert()
     sigma = signature(_chain_matrix(framings))
-    total = theory.one
-    beta2 = theory.beta ** 2
-    for mask in range(1, 1 << k):
-        subset = tuple(i + 1 for i in range(k) if mask >> i & 1)
-        twist_power = sum(framings[i - 1] for i in subset)
-        term = (theory.epsilon ** len(subset)
-                * c_function(subset, theory)
-                / beta2 ** twist_power)
-        total = total + term
+    e2 = theory.epsilon ** 2
+    twist = {f: theory.beta_inv ** (2 * f) for f in set(framings)}
+    outside, inside = theory.one, theory.zero
+    for f in framings:
+        outside, inside = outside + inside, twist[f] * (e2 * outside - inside)
     return (theory.delta ** sigma
             * theory.big_d ** (-sigma - k - 1)
-            * total)
+            * (outside + inside))
 
 
 def continued_fraction_framings(p: int, q: int) -> tuple[int, ...]:
@@ -231,6 +220,5 @@ def expand_minus_continued_fraction(framings) -> Fraction:
 
 
 def lens_space_framed_link(p: int, q: int) -> FramedLink:
-    from .tangles import build_hopf_chain
     framings = continued_fraction_framings(p, q)
-    return FramedLink.from_diagram(build_hopf_chain(len(framings), framings))
+    return FramedLink.from_diagram(build_hopf_chain(len(framings)), framings)

@@ -11,7 +11,8 @@ pairing, and sums with a factor eps per A-colored component.  Both the
 6j-symbols and the pairings exist twice here: as the closed tables, and
 as explicit compositions of category morphisms that the tests play off
 against the tables.  ``t_epsilon`` is the classical golden-ratio state
-sum, which equals ``tv`` at unit parameters.
+sum: the ``tv`` sum with x = y = z = 1 and no edge factors, run by the
+same loop, so it equals ``tv`` at unit parameters.
 """
 
 from __future__ import annotations
@@ -136,6 +137,16 @@ def vertex_triples(colors: SixColors) -> tuple[Triple, Triple, Triple, Triple]:
     return ((x1, y1, z1), (x1, y2, z2), (y1, z2, x2), (z1, x2, y2))
 
 
+_PROFILES = ((0, 0, 0, 0), (0, 2, 2, 2), (2, 2, 2, 2), (2, 2, 3, 3), (3, 3, 3, 3))
+
+
+def _profile(colors: SixColors) -> tuple[int, ...] | None:
+    """The sorted per-triple A-counts of a vertex configuration, or None
+    when one of its four triples is not admissible."""
+    counts = sorted(_a_count(t) for t in vertex_triples(colors))
+    return None if 1 in counts else tuple(counts)
+
+
 @lru_cache(maxsize=None)
 def _sixj_unit(profile: tuple[int, ...], theory: Theory) -> Scalar:
     """Value on unit arguments, by the multiset of per-triple A-counts."""
@@ -159,10 +170,9 @@ def sixj_table(colors: SixColors, a1: Scalar, a2: Scalar, a3: Scalar,
                a4: Scalar, theory: Theory) -> Scalar:
     """Closed-form 6j-symbol; zero when any of the four triples fails
     admissibility, symmetric in the tetrahedral symmetries otherwise."""
-    triples = vertex_triples(colors)
-    if any(not admissible(*t) for t in triples):
+    profile = _profile(colors)
+    if profile is None:
         return theory.zero
-    profile = tuple(sorted(_a_count(t) for t in triples))
     return a1 * a2 * a3 * a4 * _sixj_unit(profile, theory)
 
 
@@ -370,58 +380,40 @@ def _spine_int(token: str, lineno: int) -> int:
 def tv(spine: Spine, theory: Theory) -> Scalar:
     """Sum over all colorings of eps^(#A) times the product of vertex
     6j-symbols and reciprocal triple-line pairings."""
-    unit_inv = {n: _pairing_unit(n, theory).invert() for n in (0, 2, 3)}
-    total = theory.zero
-    for colors in product((ONE, A), repeat=spine.n_components):
-        term = theory.epsilon ** _a_count(colors)
-        ok = True
-        for e in spine.edges:
-            wing = tuple(colors[c] for c in e)
-            n = _a_count(wing)
-            if n == 1:
-                ok = False
-                break
-            term = term * unit_inv[n]
-        if not ok:
-            continue
-        for v in spine.vertices:
-            cfg = tuple(colors[c] for c in v)
-            term = term * sixj_table(cfg, theory.one, theory.one,
-                                     theory.one, theory.one, theory)
-            if term.is_zero:
-                break
-        total = total + term
-    return total
+    edge_weights = {n: _pairing_unit(n, theory).invert() for n in (0, 2, 3)}
+    return _state_sum(spine, theory, edge_weights)
 
 
 def t_epsilon(spine: Spine, theory: Theory) -> Scalar:
-    """The golden-ratio state sum: component weights 1 and eps, vertex
-    weights from the primed 6j table, no edge factors."""
+    """The golden-ratio state sum: the ``tv`` sum with x = y = z = 1 and
+    no edge factors."""
+    return _state_sum(spine, Theory(epsilon_sign=theory.epsilon_sign), None)
+
+
+def _state_sum(spine: Spine, theory: Theory,
+               edge_weights: dict[int, Scalar] | None) -> Scalar:
+    """Sum over all colorings of eps^(#A) times the unit 6j-symbols at the
+    vertices and, unless ``edge_weights`` is None, the weight of each
+    triple line by its A-count.  A coloring with an inadmissible vertex,
+    or a triple line with one A, contributes zero."""
+    vertex_weights = {p: _sixj_unit(p, theory) for p in _PROFILES}
     total = theory.zero
     for colors in product((ONE, A), repeat=spine.n_components):
         term = theory.epsilon ** _a_count(colors)
+        if edge_weights is not None:
+            counts = [_a_count(colors[c] for c in e) for e in spine.edges]
+            if 1 in counts:
+                continue
+            for n in counts:
+                term = term * edge_weights[n]
         for v in spine.vertices:
-            cfg = tuple(colors[c] for c in v)
-            term = term * _primed_vertex_weight(cfg, theory)
-            if term.is_zero:
+            profile = _profile(tuple(colors[c] for c in v))
+            if profile is None:
                 break
-        total = total + term
+            term = term * vertex_weights[profile]
+        else:
+            total = total + term
     return total
-
-
-def _primed_vertex_weight(colors: SixColors, theory: Theory) -> Scalar:
-    triples = vertex_triples(colors)
-    if any(not admissible(*t) for t in triples):
-        return theory.zero
-    profile = tuple(sorted(_a_count(t) for t in triples))
-    e = theory.epsilon
-    if profile == (0, 0, 0, 0):
-        return theory.one
-    if profile == (0, 2, 2, 2):
-        return theory.s_inv
-    if profile in ((2, 2, 2, 2), (2, 2, 3, 3)):
-        return e.invert()
-    return -(e * e).invert()
 
 
 # The one-vertex spine of the 3-sphere: a small disk and a large

@@ -7,9 +7,16 @@ the positive/negative crossing of two adjacent strands, and ``tp``/``tn``
 are positive/negative kinks on one strand.
 
 Evaluation colors every component by a simple object, deletes the
-1-colored components, and composes one morphism per event, with the
-boundary bracket tree normalized to the right comb between events, so
-the re-bracketing isomorphisms are generated mechanically.
+1-colored components, and composes one morphism per event with
+``Morphism.then``, with the boundary bracket tree normalized to the right
+comb between events, so the re-bracketing isomorphisms are generated
+mechanically.
+
+Writhes are read off a diagram with ``LinkDiagram.self_writhes`` and
+``total_writhe``; there is no separate ``writhe`` function.
+``build_hopf_chain`` can draw framings as kinks, but surgery does not
+need them drawn: ``FramedLink`` in ``invariants`` keeps a diagram as it is
+and applies its framings as a scalar.
 """
 
 from __future__ import annotations
@@ -312,10 +319,7 @@ def parse_link(text: str) -> LinkDiagram:
         raise LinkParseError("empty link file")
     if state == "events":
         raise LinkParseError("missing 'end'")
-    try:
-        return LinkDiagram(tuple(events), tuple(framings))
-    except LinkValidationError:
-        raise
+    return LinkDiagram(tuple(events), tuple(framings))
 
 
 # ---------------------------------------------------------------------------
@@ -415,39 +419,19 @@ def _event_morphisms(events: Sequence[LinkEvent], theory: Theory):
             yield cat.scale_identity(cat.word_of_tree(_comb_tree(n)), value, theory)
 
 
-def evaluate(diagram: LinkDiagram, coloring: Coloring, theory: Theory,
-             blocks: str = "both") -> Scalar:
+def evaluate(diagram: LinkDiagram, coloring: Coloring, theory: Theory) -> Scalar:
     """The colored diagram evaluated to a scalar.
 
     1-colored components are removed first; the remaining strands are
-    composed event by event against a right-comb boundary.  ``blocks``
-    picks full two-block composition ("both") or the 1-block shortcut
-    ("one"); the two agree, which the test suite checks.
+    composed event by event against a right-comb boundary.
     """
     if len(coloring) != diagram.n_components:
         raise ValueError(f"coloring names {len(coloring)} of "
                          f"{diagram.n_components} components")
-    events = _filtered_events(diagram, coloring)
-    if blocks == "both":
-        m = cat.identity(cat.UNIT, theory)
-        for step in _event_morphisms(events, theory):
-            m = m.then(step)
-        return m.scalar()
-    if blocks == "one":
-        vec = [theory.one]
-        for step in _event_morphisms(events, theory):
-            new = []
-            for row in step.m1:
-                acc = theory.zero
-                for a, v in zip(row, vec):
-                    if not a.is_zero and not v.is_zero:
-                        acc = acc + a * v
-                new.append(acc)
-            vec = new
-        if len(vec) != 1:
-            raise AssertionError("evaluation did not land on the unit word")
-        return vec[0]
-    raise ValueError(f"unknown blocks mode {blocks!r}")
+    m = cat.identity(cat.UNIT, theory)
+    for step in _event_morphisms(_filtered_events(diagram, coloring), theory):
+        m = m.then(step)
+    return m.scalar()
 
 
 def evaluate_all_a(diagram: LinkDiagram, theory: Theory) -> Scalar:
@@ -455,13 +439,7 @@ def evaluate_all_a(diagram: LinkDiagram, theory: Theory) -> Scalar:
 
 
 # ---------------------------------------------------------------------------
-# writhe report and builders
-
-
-def writhe(diagram: LinkDiagram) -> tuple[list[int], int]:
-    """(per-component self-writhes, total writhe)."""
-    per = diagram.self_writhes()
-    return per, sum(per)
+# builders
 
 
 def build_hopf_chain(k: int, framings: Sequence[int] | None = None) -> LinkDiagram:

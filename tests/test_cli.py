@@ -34,6 +34,24 @@ def test_lens_4_1(capsys):
     assert out.splitlines()[-1] == out2.splitlines()[-1]
 
 
+def test_lens_long_chain(capsys):
+    code, out, _ = invoke(capsys, "lens", "30", "29")
+    assert code == 0
+    assert f"framings: {[2] * 29}" in out
+
+
+def test_tr_manifold_huge_framing(capsys, tmp_path):
+    lines = []
+    for framing in (1000000, 10):
+        path = tmp_path / "unknot.txt"
+        path.write_text(f"link\ncup 0\ncap 0\nend\nframing 0={framing}\n")
+        code, out, _ = invoke(capsys, "tr-manifold", str(path))
+        assert code == 0
+        lines.append(out.splitlines())
+    assert lines[0][0] == "framings: [1000000], signature: 1"
+    assert lines[0][1] == lines[1][1]
+
+
 def test_lens_requires_arguments(capsys):
     code, _, err = invoke(capsys, "lens")
     assert code == 1

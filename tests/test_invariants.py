@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import functools
 import itertools
 import random
 from fractions import Fraction
@@ -57,18 +58,25 @@ def test_tr_reidemeister_one_invariance(th, trefoil):
 
 # -- framed links and linking matrices ----------------------------------------------
 
-def test_framed_link_normalizes_writhes(unknot):
-    framed = FramedLink.from_diagram(unknot, (4,))
-    assert framed.diagram.self_writhes() == [4]
-    framed_neg = FramedLink.from_diagram(unknot, (-2,))
-    assert framed_neg.diagram.self_writhes() == [-2]
+def test_framing_scalar_matches_drawn_kinks(unknot, any_theory):
+    for framing, kinks in ((4, "tp 0\n" * 4), (-2, "tn 0\n" * 2)):
+        kinked = parse_link(f"link\ncup 0\n{kinks}cap 0\nend\n")
+        assert tr_manifold(FramedLink.from_diagram(unknot, (framing,)), any_theory) \
+            == tr_manifold(FramedLink.from_diagram(kinked), any_theory)
 
 
 def test_framed_link_from_file_framings():
     d = parse_link(read_fixture("links/trefoil_framed1.txt"))
     framed = FramedLink.from_diagram(d)
     assert framed.framings == (1,)
-    assert framed.diagram.self_writhes() == [1]
+    assert framed.diagram is d
+
+
+def test_huge_framing_is_a_scalar(unknot, any_theory):
+    # beta^2 has order 5, and the signature is 1 at both framings
+    value = tr_manifold(FramedLink.from_diagram(unknot, (1000000,)), any_theory)
+    assert value == tr_manifold(FramedLink.from_diagram(unknot, (10,)), any_theory)
+    assert value == lens_tr_closed_form((1000000,), any_theory)
 
 
 def test_linking_matrix_hopf():
@@ -224,6 +232,45 @@ def test_lens_closed_form_matches_surgery_sum(th):
         framings = tuple(rng.randint(-2, 4) for _ in range(3))
         framed = FramedLink.from_diagram(build_hopf_chain(3, framings))
         assert lens_tr_closed_form(framings, th) == tr_manifold(framed, th)
+
+
+def _subset_sum_closed_form(framings, theory):
+    """The closed form as the sum over all 2^k subsets S of the chain of
+    eps^|S| c(S) beta^(-2 sum_S f)."""
+    k = len(framings)
+    total = theory.one
+    for mask in range(1, 1 << k):
+        subset = tuple(i + 1 for i in range(k) if mask >> i & 1)
+        twist = sum(framings[i - 1] for i in subset)
+        total = total + _subset_weight(subset, theory) * _twist_factor(twist, theory)
+    sigma = signature([[f if i == j else int(abs(i - j) == 1)
+                        for j in range(k)] for i, f in enumerate(framings)])
+    return theory.delta ** sigma * theory.big_d ** (-sigma - k - 1) * total
+
+
+@functools.lru_cache(maxsize=None)
+def _subset_weight(subset, theory):
+    return theory.epsilon ** len(subset) * c_function(subset, theory)
+
+
+@functools.lru_cache(maxsize=None)
+def _twist_factor(twist, theory):
+    return theory.beta ** (-2 * twist)
+
+
+def test_lens_closed_form_matches_subset_sum(any_theory):
+    for k in range(1, 5):
+        for framings in itertools.product(range(-2, 4), repeat=k):
+            assert lens_tr_closed_form(framings, any_theory) \
+                == _subset_sum_closed_form(framings, any_theory), framings
+
+
+def test_lens_closed_form_long_chain(any_theory):
+    # L(30, 29) = L(30, -1): a chain of 29 framings against one circle
+    framings = continued_fraction_framings(30, 29)
+    assert len(framings) == 29
+    assert lens_tr_closed_form(framings, any_theory) \
+        == lens_tr_closed_form((-30,), any_theory)
 
 
 def test_equal_lenses(any_theory):

@@ -9,9 +9,8 @@ from conftest import read_fixture
 from fibcat import Theory
 from fibcat.category import A, ONE
 from fibcat.tangles import (EventKind, LinkDiagram, LinkEvent, LinkParseError,
-                            LinkValidationError, all_a_coloring,
-                            build_hopf_chain, evaluate, evaluate_all_a,
-                            parse_link, writhe)
+                            LinkValidationError, build_hopf_chain, evaluate,
+                            evaluate_all_a, parse_link)
 
 
 @pytest.fixture
@@ -96,9 +95,8 @@ def test_validation_errors():
 # -- writhe and linking data ------------------------------------------------------
 
 def test_trefoil_writhe(trefoil):
-    per, total = writhe(trefoil)
-    assert per == [3]
-    assert total == 3
+    assert trefoil.self_writhes() == [3]
+    assert trefoil.total_writhe() == 3
 
 
 def test_mirror_trefoil_writhe(trefoil):
@@ -106,7 +104,8 @@ def test_mirror_trefoil_writhe(trefoil):
         LinkEvent(EventKind.CROSS_NEG, e.pos)
         if e.kind is EventKind.CROSS_POS else e
         for e in trefoil.events)
-    assert writhe(mirror) == ([-3], -3)
+    assert mirror.self_writhes() == [-3]
+    assert mirror.total_writhe() == -3
 
 
 def test_hopf_pair_counts():
@@ -176,13 +175,6 @@ def test_partial_coloring_drops_components(th):
 def test_coloring_length_checked(th):
     with pytest.raises(ValueError):
         evaluate(build_hopf_chain(2), (A,), th)
-
-
-def test_one_block_route_agrees(trefoil, th):
-    for diagram in (trefoil, build_hopf_chain(3), plat3([1, 2, -1])):
-        colors = all_a_coloring(diagram)
-        assert evaluate(diagram, colors, th, blocks="one") \
-            == evaluate(diagram, colors, th, blocks="both")
 
 
 def test_positive_kink_scales_by_inverse_beta_squared(th, unknot, trefoil):
