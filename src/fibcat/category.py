@@ -1,14 +1,16 @@
 """The rank-2 category: objects are ordered words over {1, A}, morphisms
-are pairs of matrices, and the monoidal/braided/ribbon structure is built
-by extending a handful of 1x1 and 2x2 blocks by linearity.
+are maps of nonzero arrows between letters, and the monoidal/braided/ribbon
+structure is built by extending a handful of 1x1 and 2x2 blocks by
+linearity.
 
 Objects are non-commutative sums of the two simple objects, stored as
-tuples (words).  A morphism between two words is determined by a matrix
-[f]_1 acting on the 1-letters and a matrix [f]_A acting on the A-letters;
-letters of different type are never connected.  The single nontrivial
-fusion rule A (x) A = 1 + A makes iterated tensor products depend on the
-bracketing, which is why the associator machinery below tracks, for every
-letter of an expansion, the simple letters it descends from.
+tuples (words).  A morphism between two words is determined by its arrows,
+one scalar per pair (dom letter, cod letter) of the same simple type;
+letters of different type are never connected, and absent arrows are zero.
+The single nontrivial fusion rule A (x) A = 1 + A makes iterated tensor
+products depend on the bracketing, which is why the associator machinery
+below tracks, for every letter of an expansion, the simple letters it
+descends from.
 """
 
 from __future__ import annotations
@@ -37,7 +39,6 @@ ONE = SimpleObject.ONE
 A = SimpleObject.A
 
 Word = tuple[SimpleObject, ...]
-Matrix = tuple[tuple[Scalar, ...], ...]
 
 UNIT: Word = (ONE,)
 
@@ -99,101 +100,64 @@ def tensor_words(x_word: Word, y_word: Word) -> Word:
 # ---------------------------------------------------------------------------
 # morphisms
 
-
-def _block_index(word: Word) -> dict[int, tuple[SimpleObject, int]]:
-    """word position -> (letter, index within its type block)."""
-    out = {}
-    counters = {ONE: 0, A: 0}
-    for p, x in enumerate(word):
-        out[p] = (x, counters[x])
-        counters[x] += 1
-    return out
-
-
-def _positions(word: Word) -> dict[SimpleObject, list[int]]:
-    pos: dict[SimpleObject, list[int]] = {ONE: [], A: []}
-    for p, x in enumerate(word):
-        pos[x].append(p)
-    return pos
-
-
-def _matmul(a: Matrix, b: Matrix, rows: int, cols: int, zero: Scalar) -> Matrix:
-    """a . b for a: rows x k, b: k x cols, skipping zero entries."""
-    if not cols:
-        return ((),) * rows
-    out = [[zero] * cols for _ in range(rows)]
-    for i in range(rows):
-        row = out[i]
-        for k, aik in enumerate(a[i]):
-            if aik.is_zero:
-                continue
-            brow = b[k]
-            for j in range(cols):
-                bkj = brow[j]
-                if not bkj.is_zero:
-                    row[j] = row[j] + aik * bkj
-    return tuple(tuple(r) for r in out)
+Arrows = dict[tuple[int, int], Scalar]
 
 
 @dataclass(frozen=True)
 class Morphism:
-    """A morphism between words, as the matrix pair ([f]_1, [f]_A).
+    """A morphism between words, as the map of its nonzero arrows.
 
-    Matrix shapes are (letters of cod) x (letters of dom), blockwise per
-    simple type.  Values are exact scalars of one theory.
+    ``arrows[(dom_pos, cod_pos)]`` is the value carried from letter
+    dom_pos of dom to letter cod_pos of cod; both letters have the same
+    simple type.  An absent key is a zero arrow and no zero value is
+    stored, so equal maps are equal morphisms.  Values are exact scalars
+    of one theory.  Cached constructors hand out the same map to every
+    caller, so it is never modified after construction.
     """
 
     dom: Word
     cod: Word
-    m1: Matrix
-    ma: Matrix
+    arrows: Arrows
     theory: Theory = field(compare=False)
 
     def __post_init__(self):
-        if len(self.m1) != count_one(self.cod) or any(
-                len(r) != count_one(self.dom) for r in self.m1):
-            raise ValueError("[f]_1 shape does not match dom/cod letter counts")
-        if len(self.ma) != count_a(self.cod) or any(
-                len(r) != count_a(self.dom) for r in self.ma):
-            raise ValueError("[f]_A shape does not match dom/cod letter counts")
+        dom, cod = self.dom, self.cod
+        for (dp, cp), v in self.arrows.items():
+            if not (0 <= dp < len(dom) and 0 <= cp < len(cod)):
+                raise ValueError(f"arrow ({dp}, {cp}) lies outside "
+                                 f"{word_str(dom)} -> {word_str(cod)}")
+            if dom[dp] is not cod[cp]:
+                raise ValueError(f"arrow between different simple types at ({dp}, {cp})")
+            if v.is_zero:
+                raise ValueError(f"zero arrow stored at ({dp}, {cp})")
 
     def then(self, other: Morphism) -> Morphism:
         """Left-to-right composition: apply self first, then other."""
         if self.cod != other.dom:
             raise ValueError(
                 f"cannot compose: cod {word_str(self.cod)} != dom {word_str(other.dom)}")
-        zero = self.theory.zero
-        m1 = _matmul(other.m1, self.m1,
-                     count_one(other.cod), count_one(self.dom), zero)
-        ma = _matmul(other.ma, self.ma,
-                     count_a(other.cod), count_a(self.dom), zero)
-        return Morphism(self.dom, other.cod, m1, ma, self.theory)
+        onward: dict[int, list[tuple[int, Scalar]]] = {}
+        for (mid, cp), v in other.arrows.items():
+            onward.setdefault(mid, []).append((cp, v))
+        out: Arrows = {}
+        for (dp, mid), u in self.arrows.items():
+            for cp, v in onward.get(mid, ()):
+                key = (dp, cp)
+                out[key] = out[key] + u * v if key in out else u * v
+        return Morphism(self.dom, other.cod,
+                        {k: v for k, v in out.items() if not v.is_zero}, self.theory)
 
     def entry(self, dom_pos: int, cod_pos: int) -> Scalar | None:
         """Arrow value between word positions; None when types differ."""
-        xd, bd = _block_index(self.dom)[dom_pos]
-        xc, bc = _block_index(self.cod)[cod_pos]
-        if xd is not xc:
+        if self.dom[dom_pos] is not self.cod[cod_pos]:
             return None
-        m = self.m1 if xd is ONE else self.ma
-        return m[bc][bd]
-
-    def arrows(self):
-        """Yield (dom_pos, cod_pos, value) over nonzero arrows."""
-        dpos = _positions(self.dom)
-        cpos = _positions(self.cod)
-        for letter, m in ((ONE, self.m1), (A, self.ma)):
-            dl, cl = dpos[letter], cpos[letter]
-            for bc, row in enumerate(m):
-                for bd, v in enumerate(row):
-                    if not v.is_zero:
-                        yield dl[bd], cl[bc], v
+        return self.arrows.get((dom_pos, cod_pos), self.theory.zero)
 
     def scalar(self) -> Scalar:
         """The value of an endomorphism of the unit word."""
         if self.dom != UNIT or self.cod != UNIT:
             raise ValueError("not a unit-to-unit morphism")
-        return self.m1[0][0]
+        return self.arrows.get((0, 0), self.theory.zero)
 
     def __repr__(self) -> str:
         return f"Morphism({word_str(self.dom)} -> {word_str(self.cod)})"
@@ -206,46 +170,15 @@ def compose(first: Morphism, *rest: Morphism) -> Morphism:
     return m
 
 
-def morphism_from_entries(dom: Word, cod: Word,
-                          entries: dict[tuple[int, int], Scalar],
-                          theory: Theory) -> Morphism:
-    """Build a morphism from word-position arrows {(dom_pos, cod_pos): value}."""
-    zero = theory.zero
-    bd = _block_index(dom)
-    bc = _block_index(cod)
-    m1 = [[zero] * count_one(dom) for _ in range(count_one(cod))]
-    ma = [[zero] * count_a(dom) for _ in range(count_a(cod))]
-    for (dp, cp), v in entries.items():
-        xd, ibd = bd[dp]
-        xc, ibc = bc[cp]
-        if xd is not xc:
-            if v.is_zero:
-                continue
-            raise ValueError(f"arrow between different simple types at ({dp}, {cp})")
-        (m1 if xd is ONE else ma)[ibc][ibd] = v
-    return Morphism(dom, cod, tuple(map(tuple, m1)), tuple(map(tuple, ma)), theory)
-
-
-def _matrix_identity(n: int, theory: Theory) -> Matrix:
-    z, o = theory.zero, theory.one
-    return tuple(tuple(o if i == j else z for j in range(n)) for i in range(n))
-
-
 @lru_cache(maxsize=None)
 def identity(word: Word, theory: Theory) -> Morphism:
-    return Morphism(word, word,
-                    _matrix_identity(count_one(word), theory),
-                    _matrix_identity(count_a(word), theory),
-                    theory)
+    return scale_identity(word, theory.one, theory)
 
 
 def scale_identity(word: Word, value: Scalar, theory: Theory) -> Morphism:
-    """value times the identity, on both blocks."""
-    z = theory.zero
-    n1, na = count_one(word), count_a(word)
-    m1 = tuple(tuple(value if i == j else z for j in range(n1)) for i in range(n1))
-    ma = tuple(tuple(value if i == j else z for j in range(na)) for i in range(na))
-    return Morphism(word, word, m1, ma, theory)
+    """value times the identity, on every letter."""
+    arrows = {} if value.is_zero else {(p, p): value for p in range(len(word))}
+    return Morphism(word, word, arrows, theory)
 
 
 def tensor_morphisms(f: Morphism, g: Morphism) -> Morphism:
@@ -259,13 +192,13 @@ def tensor_morphisms(f: Morphism, g: Morphism) -> Morphism:
     cod, clab = expand_pair(f.cod, g.cod)
     dpos = {lab: p for p, lab in enumerate(dlab)}
     cpos = {lab: p for p, lab in enumerate(clab)}
-    entries: dict[tuple[int, int], Scalar] = {}
-    for di, ci, fv in f.arrows():
-        for dj, cj, gv in g.arrows():
+    arrows: Arrows = {}
+    for (di, ci), fv in f.arrows.items():
+        for (dj, cj), gv in g.arrows.items():
             v = fv * gv
             for t in range(len(_pair_letters(f.dom[di], g.dom[dj]))):
-                entries[(dpos[(di, dj, t)], cpos[(ci, cj, t)])] = v
-    return morphism_from_entries(dom, cod, entries, f.theory)
+                arrows[(dpos[(di, dj, t)], cpos[(ci, cj, t)])] = v
+    return Morphism(dom, cod, arrows, f.theory)
 
 
 # ---------------------------------------------------------------------------
@@ -299,7 +232,7 @@ def _right_t(x, y, z) -> dict[tuple[int, int], int]:
     return table
 
 
-def _assoc_block(x, y, z, theory: Theory) -> Matrix:
+def _assoc_block(x, y, z, theory: Theory) -> tuple[tuple[Scalar, ...], ...]:
     """Associator block on one simple triple, rows = target summand,
     cols = source summand of the triple product word."""
     if x is A and y is A and z is A:
@@ -311,7 +244,9 @@ def _assoc_block(x, y, z, theory: Theory) -> Matrix:
             (theory.zero, theory.one, theory.zero),
             (xs.invert() * s_inv, theory.zero, -e_inv),
         )
-    return _matrix_identity(len(_triple_word(x, y, z)), theory)
+    n = len(_triple_word(x, y, z))
+    return tuple(tuple(theory.one if i == j else theory.zero for j in range(n))
+                 for i in range(n))
 
 
 def _left_labels(x_word: Word, y_word: Word, z_word: Word):
@@ -350,8 +285,8 @@ def associator(x_word: Word, y_word: Word, z_word: Word,
     """
     left, llab = _left_labels(x_word, y_word, z_word)
     right, rlab = _right_labels(x_word, y_word, z_word)
-    blocks: dict[tuple[int, int, int], Matrix] = {}
-    entries: dict[tuple[int, int], Scalar] = {}
+    blocks: dict[tuple[int, int, int], tuple[tuple[Scalar, ...], ...]] = {}
+    arrows: Arrows = {}
     rindex = {lab: q for q, lab in enumerate(rlab)}
     for p, (i, j, k, tl) in enumerate(llab):
         key = (i, j, k)
@@ -362,14 +297,14 @@ def associator(x_word: Word, y_word: Word, z_word: Word,
             if inverse:
                 v = block[tl][tr]
                 if not v.is_zero:
-                    entries[(rindex[(i, j, k, tr)], p)] = v
+                    arrows[(rindex[(i, j, k, tr)], p)] = v
             else:
                 v = block[tr][tl]
                 if not v.is_zero:
-                    entries[(p, rindex[(i, j, k, tr)])] = v
+                    arrows[(p, rindex[(i, j, k, tr)])] = v
     if inverse:
-        return morphism_from_entries(right, left, entries, theory)
-    return morphism_from_entries(left, right, entries, theory)
+        return Morphism(right, left, arrows, theory)
+    return Morphism(left, right, arrows, theory)
 
 
 # ---------------------------------------------------------------------------
@@ -384,7 +319,7 @@ def braiding(x_word: Word, y_word: Word, theory: Theory,
     cod, clab = expand_pair(y_word, x_word)
     cpos = {lab: q for q, lab in enumerate(clab)}
     beta = theory.beta_inv if inverse else theory.beta
-    entries = {}
+    arrows: Arrows = {}
     for p, (i, j, t) in enumerate(dlab):
         q = cpos[(j, i, t)]
         if x_word[i] is A and y_word[j] is A:
@@ -392,22 +327,20 @@ def braiding(x_word: Word, y_word: Word, theory: Theory,
         else:
             v = theory.one
         if inverse:
-            entries[(q, p)] = v
+            arrows[(q, p)] = v
         else:
-            entries[(p, q)] = v
+            arrows[(p, q)] = v
     if inverse:
-        return morphism_from_entries(cod, dom, entries, theory)
-    return morphism_from_entries(dom, cod, entries, theory)
+        return Morphism(cod, dom, arrows, theory)
+    return Morphism(dom, cod, arrows, theory)
 
 
 def twist(word: Word, theory: Theory, sign: int = 1) -> Morphism:
     """Diagonal ribbon twist: 1 on 1-letters, beta^{-2 sign} on A-letters."""
     val = theory.beta_inv ** 2 if sign > 0 else theory.beta ** 2
-    z = theory.zero
-    n1, na = count_one(word), count_a(word)
-    m1 = _matrix_identity(n1, theory)
-    ma = tuple(tuple(val if i == j else z for j in range(na)) for i in range(na))
-    return Morphism(word, word, m1, ma, theory)
+    return Morphism(word, word,
+                    {(p, p): (val if x is A else theory.one) for p, x in enumerate(word)},
+                    theory)
 
 
 def _self_pair_firsts(word: Word) -> dict[int, int]:
@@ -421,9 +354,9 @@ def birth(word: Word, theory: Theory) -> Morphism:
     cod = tensor_words(word, word)
     y = theory.y_scalar
     ys = y * theory.s
-    entries = {(0, p): (y if word[i] is ONE else ys)
-               for i, p in _self_pair_firsts(word).items()}
-    return morphism_from_entries(UNIT, cod, entries, theory)
+    arrows = {(0, p): (y if word[i] is ONE else ys)
+              for i, p in _self_pair_firsts(word).items()}
+    return Morphism(UNIT, cod, arrows, theory)
 
 
 def death(word: Word, theory: Theory) -> Morphism:
@@ -431,9 +364,9 @@ def death(word: Word, theory: Theory) -> Morphism:
     dom = tensor_words(word, word)
     y_inv = theory.y_scalar.invert()
     sy = theory.s * y_inv
-    entries = {(p, 0): (y_inv if word[i] is ONE else sy)
-               for i, p in _self_pair_firsts(word).items()}
-    return morphism_from_entries(dom, UNIT, entries, theory)
+    arrows = {(p, 0): (y_inv if word[i] is ONE else sy)
+              for i, p in _self_pair_firsts(word).items()}
+    return Morphism(dom, UNIT, arrows, theory)
 
 
 # ---------------------------------------------------------------------------
@@ -566,14 +499,14 @@ def _random_word(rng: random.Random, max_len: int, min_len: int = 1) -> Word:
 
 
 def _random_morphism(rng: random.Random, dom: Word, cod: Word, theory: Theory) -> Morphism:
-    entries = {}
+    arrows: Arrows = {}
     for dp, x in enumerate(dom):
         for cp, y in enumerate(cod):
             if x is y:
                 q = Fraction(rng.randint(-3, 3), rng.randint(1, 3))
                 if q:
-                    entries[(dp, cp)] = theory.rational(q)
-    return morphism_from_entries(dom, cod, entries, theory)
+                    arrows[(dp, cp)] = theory.rational(q)
+    return Morphism(dom, cod, arrows, theory)
 
 
 def _pentagon_holds(x: Word, y: Word, z: Word, w: Word, theory: Theory) -> bool:

@@ -209,12 +209,18 @@ class Scalar:
     def __pow__(self, n: int) -> Scalar:
         if n < 0:
             return self.invert() ** (-n)
-        result = Scalar.from_rational(self.field, 1)
+        if n == 0:
+            return Scalar.from_rational(self.field, 1)
         base = self
+        while not n & 1:
+            base = base * base
+            n >>= 1
+        result = base
+        n >>= 1
         while n:
+            base = base * base
             if n & 1:
                 result = result * base
-            base = base * base
             n >>= 1
         return result
 

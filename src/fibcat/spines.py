@@ -56,8 +56,8 @@ def _hom_unit_basis(x: SimpleObject, y: SimpleObject, z: SimpleObject,
     if len(ones) > 1:
         raise AssertionError(f"unexpected multiplicity for {(x, y, z)}")
     value = coeff * theory.y_scalar ** _a_count((x, y, z))
-    entries = {(0, p): value for p in ones}
-    return cat.morphism_from_entries(cat.UNIT, cod, entries, theory)
+    arrows = {} if value.is_zero else {(0, p): value for p in ones}
+    return Morphism(cat.UNIT, cod, arrows, theory)
 
 
 def _w_scale(x: SimpleObject, theory: Theory) -> Morphism:
@@ -302,6 +302,9 @@ class Spine:
     vertices: tuple[tuple[int, int, int, int, int, int], ...]
 
     def __post_init__(self):
+        if self.n_components < 0:
+            raise SpineParseError(
+                f"component count must be non-negative, got {self.n_components}")
         for e in self.edges:
             if len(e) != 3 or any(not 0 <= c < self.n_components for c in e):
                 raise SpineParseError(f"edge {e} references unknown components")

@@ -9,7 +9,7 @@ from fibcat import Theory, axiom_suite, s_matrix
 from fibcat.category import (A, ONE, UNIT, Morphism, _random_morphism,
                              associator, birth, braiding, compose, count_a,
                              count_one, death, expand_pair, identity,
-                             morphism_from_entries, parse_word, reassociate,
+                             parse_word, reassociate,
                              right_comb, scale_identity, tensor_morphisms,
                              tensor_words, twist, word_of_tree)
 
@@ -56,14 +56,37 @@ def test_expansion_labels_are_positional():
 def test_two_layer_composition_figure(th):
     rng = random.Random(5)
     f1, f2, f3, g1, g2, g3 = (th.rational(rng.randint(1, 9)) for _ in range(6))
-    f = morphism_from_entries(parse_word("1A1A"), parse_word("A1A1"),
-                              {(1, 0): f1, (1, 2): f2, (2, 3): f3}, th)
-    g = morphism_from_entries(parse_word("A1A1"), parse_word("A1"),
-                              {(0, 0): g1, (2, 0): g2, (3, 1): g3}, th)
+    f = Morphism(parse_word("1A1A"), parse_word("A1A1"),
+                 {(1, 0): f1, (1, 2): f2, (2, 3): f3}, th)
+    g = Morphism(parse_word("A1A1"), parse_word("A1"),
+                 {(0, 0): g1, (2, 0): g2, (3, 1): g3}, th)
     fg = f.then(g)
     assert fg.entry(1, 0) == f1 * g1 + f2 * g2
     assert fg.entry(2, 1) == f3 * g3
     assert fg.entry(3, 0) == th.zero
+
+
+def test_then_matches_dense_product(th):
+    # Reference for the sparse composition: the dense matrix product over
+    # entry(), summed over every middle letter of the matching type.
+    rng = random.Random(13)
+    for _ in range(30):
+        x, y, z = (tuple(rng.choice((ONE, A)) for _ in range(rng.randint(0, 5)))
+                   for _ in range(3))
+        f = _random_morphism(rng, x, y, th)
+        g = _random_morphism(rng, y, z, th)
+        fg = f.then(g)
+        for p, a in enumerate(x):
+            for q, c in enumerate(z):
+                if a is not c:
+                    assert fg.entry(p, q) is None
+                    continue
+                expect = th.zero
+                for m, b in enumerate(y):
+                    if b is a:
+                        expect = expect + f.entry(p, m) * g.entry(m, q)
+                assert fg.entry(p, q) == expect
+        assert not any(v.is_zero for v in fg.arrows.values())
 
 
 def test_identity_laws(th):
@@ -78,7 +101,7 @@ def test_identity_laws(th):
 
 def test_identity_of_empty_word(th):
     empty = identity((), th)
-    assert empty.m1 == () and empty.ma == ()
+    assert empty.arrows == {}
     assert empty.then(empty) == empty
 
 
@@ -90,8 +113,15 @@ def test_composition_requires_matching_words(th):
 
 
 def test_shape_validation(th):
-    with pytest.raises(ValueError):
-        Morphism((A,), (A,), (), ((th.one, th.one),), th)
+    with pytest.raises(ValueError):         # a 1-letter joined to an A-letter
+        Morphism((ONE, A), (A,), {(0, 0): th.one}, th)
+    with pytest.raises(ValueError):         # an arrow outside the words
+        Morphism((A,), (A,), {(0, 1): th.one}, th)
+    with pytest.raises(ValueError):         # a stored zero
+        Morphism((A,), (A,), {(0, 0): th.zero}, th)
+    f = Morphism((A,), (A, A), {(0, 0): th.one, (0, 1): th.one}, th)
+    g = Morphism((A, A), (A,), {(0, 0): th.one, (1, 0): -th.one}, th)
+    assert f.then(g) == Morphism((A,), (A,), {}, th)
 
 
 # -- tensor product of morphisms ---------------------------------------------
@@ -99,16 +129,13 @@ def test_shape_validation(th):
 def test_tensor_morphisms_example(th):
     f1, f2 = th.rational(Fraction(2, 3)), th.rational(5)
     g1, g2 = th.rational(7), th.rational(-2)
-    z = th.zero
-    f = morphism_from_entries((A, ONE, A), (ONE, A), {(0, 1): f1, (1, 0): f2}, th)
-    g = morphism_from_entries((ONE, A), (ONE, A), {(0, 0): g1, (1, 1): g2}, th)
+    f = Morphism((A, ONE, A), (ONE, A), {(0, 1): f1, (1, 0): f2}, th)
+    g = Morphism((ONE, A), (ONE, A), {(0, 0): g1, (1, 1): g2}, th)
     fg = tensor_morphisms(f, g)
     assert fg.dom == parse_word("A1A1AA1A")
     assert fg.cod == parse_word("1AA1A")
-    assert fg.m1 == ((z, f2 * g1, z), (f1 * g2, z, z))
-    assert fg.ma == ((z, z, f2 * g2, z, z),
-                     (f1 * g1, z, z, z, z),
-                     (z, f1 * g2, z, z, z))
+    assert fg.arrows == {(3, 0): f2 * g1, (1, 3): f1 * g2,
+                         (4, 1): f2 * g2, (0, 2): f1 * g1, (2, 4): f1 * g2}
 
 
 def test_tensor_of_identities_is_identity(th):
@@ -140,25 +167,30 @@ def test_associator_simple_triple(th):
     al = associator((A,), (A,), (A,), th)
     e_inv = th.epsilon.invert()
     xs, s_inv = th.x_scalar, th.s_inv
-    assert al.m1 == ((th.one,),)
-    assert al.ma == ((e_inv, xs * s_inv), (xs.invert() * s_inv, -e_inv))
+    assert al.dom == al.cod == parse_word("A1A")
+    assert al.arrows == {(1, 1): th.one,
+                         (0, 0): e_inv, (2, 0): xs * s_inv,
+                         (0, 2): xs.invert() * s_inv, (2, 2): -e_inv}
 
 
 def test_associator_extension_examples(th):
-    z, o = th.zero, th.one
+    o = th.one
     e_inv = th.epsilon.invert()
     xs, s_inv = th.x_scalar, th.s_inv
     a_z = associator((A,), (A,), (ONE, A), th)
-    assert a_z.m1 == ((o, z), (z, o))
-    assert a_z.ma == ((z, o, z),
-                      (e_inv, z, xs * s_inv),
-                      (xs.invert() * s_inv, z, -e_inv))
+    assert a_z.dom == a_z.cod == parse_word("1AA1A")
+    assert a_z.arrows == {(0, 0): o, (3, 3): o,
+                          (2, 1): o,
+                          (1, 2): e_inv, (4, 2): xs * s_inv,
+                          (1, 4): xs.invert() * s_inv, (4, 4): -e_inv}
     a_x = associator((ONE, A), (A,), (A,), th)
-    assert a_x.ma == ((o, z, z),
-                      (z, e_inv, xs * s_inv),
-                      (z, xs.invert() * s_inv, -e_inv))
+    assert a_x.dom == a_x.cod == parse_word("1AA1A")
+    assert {k: v for k, v in a_x.arrows.items() if a_x.dom[k[0]] is A} == {
+        (1, 1): o,
+        (2, 2): e_inv, (4, 2): xs * s_inv,
+        (2, 4): xs.invert() * s_inv, (4, 4): -e_inv}
     a_y = associator((A,), (ONE, A), (A,), th)
-    assert (a_y.m1, a_y.ma) == (a_x.m1, a_x.ma)
+    assert a_y.arrows == a_x.arrows
 
 
 def test_associator_unit_argument_is_identity(th):
@@ -210,14 +242,14 @@ def test_reassociate_leaf_mismatch(th):
 
 def test_braiding_matrices(th):
     b = th.beta
-    z, o = th.zero, th.one
     c = braiding((A,), (A,), th)
-    assert c.m1 == ((b * b,),) and c.ma == ((b,),)
+    assert c.dom == c.cod == parse_word("1A")
+    assert c.arrows == {(0, 0): b * b, (1, 1): b}
     c1a = braiding((ONE, A), (A,), th)
-    assert c1a.m1 == ((b * b,),)
-    assert c1a.ma == ((o, z), (z, b))
+    assert c1a.dom == c1a.cod == parse_word("A1A")
+    assert c1a.arrows == {(1, 1): b * b, (0, 0): th.one, (2, 2): b}
     ca1 = braiding((A,), (ONE, A), th)
-    assert (ca1.m1, ca1.ma) == (c1a.m1, c1a.ma)
+    assert ca1.arrows == c1a.arrows
 
 
 def test_braiding_with_unit_is_identity(th):
@@ -235,9 +267,9 @@ def test_braiding_inverse(th):
 
 def test_twist_values(th):
     tw = twist((A,), th)
-    assert tw.ma == ((th.beta_inv ** 2,),)
+    assert tw.arrows == {(0, 0): th.beta_inv ** 2}
     tw_neg = twist((A,), th, sign=-1)
-    assert tw_neg.ma == ((th.beta ** 2,),)
+    assert tw_neg.arrows == {(0, 0): th.beta ** 2}
     for w in (parse_word("A"), parse_word("1A1"), parse_word("AAA")):
         assert twist(w, th).then(twist(w, th, sign=-1)) == identity(w, th)
 
@@ -245,14 +277,14 @@ def test_twist_values(th):
 def test_birth_death_values(th):
     y, s = th.y_scalar, th.s
     b_a, d_a = birth((A,), th), death((A,), th)
-    assert b_a.m1 == ((y * s,),)
-    assert d_a.m1 == ((s / y,),)
+    assert b_a.arrows == {(0, 0): y * s}
+    assert d_a.arrows == {(0, 0): s / y}
     assert b_a.then(d_a).scalar() == th.epsilon
     b_mixed = birth((ONE, A), th)
     assert b_mixed.cod == parse_word("1AA1A")
-    assert b_mixed.m1 == ((y,), (y * s,))
+    assert b_mixed.arrows == {(0, 0): y, (0, 3): y * s}
     d_mixed = death((ONE, A), th)
-    assert d_mixed.m1 == ((y.invert(), s / y),)
+    assert d_mixed.arrows == {(0, 0): y.invert(), (3, 0): s / y}
 
 
 def test_scale_identity(th):
@@ -262,7 +294,7 @@ def test_scale_identity(th):
     lhs = scale_identity(w, a, th).then(scale_identity(w, b, th))
     assert lhs == scale_identity(w, a * b, th)
     two = scale_identity(parse_word("A1"), th.beta, th)
-    assert two.m1 == ((th.beta,),) and two.ma == ((th.beta,),)
+    assert two.arrows == {(0, 0): th.beta, (1, 1): th.beta}
 
 
 # -- S-matrix -------------------------------------------------------------------

@@ -185,6 +185,15 @@ def test_output_reproducible(capsys):
     assert one == two
 
 
+def test_negative_component_count(tmp_path, capsys):
+    bad = tmp_path / "negative.txt"
+    bad.write_text("spine\ncomponents -1\nend\n")
+    code, out, err = invoke(capsys, "tv-spine", str(bad), "--no-euler-check")
+    assert code == 1
+    assert out == ""
+    assert "component count must be non-negative" in err
+
+
 def test_euler_override(tmp_path, capsys):
     loose = tmp_path / "loose.txt"
     loose.write_text("spine\ncomponents 2\nedge 0 1 1\nend\n")

@@ -41,6 +41,21 @@ def test_beta_power_table(any_theory):
     assert b ** 5 == -any_theory.one
 
 
+@pytest.mark.parametrize("which", ["beta", "s", "dense"])
+def test_power_matches_repeated_multiplication(any_theory, which):
+    if which == "dense":
+        x = Scalar(any_theory.field,
+                   tuple(Fraction(k % 5 - 2, k % 3 + 1) for k in range(16)))
+    else:
+        x = getattr(any_theory, which)
+    for n in range(-4, 13):
+        factor = x if n >= 0 else x.invert()
+        expect = any_theory.one
+        for _ in range(abs(n)):
+            expect = expect * factor
+        assert x ** n == expect, n
+
+
 def test_invert_examples(theory):
     e, s, b = theory.epsilon, theory.s, theory.beta
     assert e.invert() == e - 1
