@@ -2,8 +2,8 @@
 
 from .category import (Morphism, SimpleObject, Word, associator, axiom_suite,
                        birth, braiding, compose, death, identity, parse_word,
-                       reassociate, right_comb, s_matrix, scale_identity,
-                       tensor_morphisms, tensor_words, twist, word_of_tree)
+                       s_matrix, scale_identity, tensor_morphisms, tensor_words,
+                       twist)
 from .invariants import (FramedLink, c_function, continued_fraction_framings,
                          expand_minus_continued_fraction, hopf_tr_closed_form,
                          lens_space_framed_link, lens_tr_closed_form,
@@ -24,10 +24,9 @@ __all__ = [
     "expand_minus_continued_fraction", "hopf_tr_closed_form", "identity",
     "lens_space_framed_link", "lens_tr_closed_form", "linking_matrix",
     "module_iso_check", "pairing_categorical", "pairing_table", "parse_link",
-    "parse_spine", "parse_word", "reassociate", "right_comb", "s_matrix",
-    "scale_identity", "signature", "sixj_categorical", "sixj_table",
-    "t_epsilon", "tensor_morphisms", "tensor_words", "tr_link", "tr_manifold",
-    "tv", "twist", "word_of_tree",
+    "parse_spine", "parse_word", "s_matrix", "scale_identity", "signature",
+    "sixj_categorical", "sixj_table", "t_epsilon", "tensor_morphisms",
+    "tensor_words", "tr_link", "tr_manifold", "tv", "twist",
 ]
 
 __version__ = "0.1.0"

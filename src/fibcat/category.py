@@ -170,7 +170,6 @@ def compose(first: Morphism, *rest: Morphism) -> Morphism:
     return m
 
 
-@lru_cache(maxsize=None)
 def identity(word: Word, theory: Theory) -> Morphism:
     return scale_identity(word, theory.one, theory)
 
@@ -367,72 +366,6 @@ def death(word: Word, theory: Theory) -> Morphism:
     arrows = {(p, 0): (y_inv if word[i] is ONE else sy)
               for i, p in _self_pair_firsts(word).items()}
     return Morphism(dom, UNIT, arrows, theory)
-
-
-# ---------------------------------------------------------------------------
-# bracket trees and re-association
-
-Tree = object  # a SimpleObject leaf, or a (left, right) tuple
-
-
-def leaf_word(tree: Tree) -> Word:
-    if isinstance(tree, SimpleObject):
-        return (tree,)
-    left, right = tree
-    return leaf_word(left) + leaf_word(right)
-
-
-def word_of_tree(tree: Tree) -> Word:
-    if isinstance(tree, SimpleObject):
-        return (tree,)
-    left, right = tree
-    return tensor_words(word_of_tree(left), word_of_tree(right))
-
-
-def right_comb(leaves) -> Tree:
-    """Right-comb bracketing a0 (x) (a1 (x) (... )); unit leaf when empty."""
-    items = list(leaves)
-    if not items:
-        return ONE
-    tree = items[-1]
-    for item in reversed(items[:-1]):
-        tree = (item, tree)
-    return tree
-
-
-@lru_cache(maxsize=None)
-def _comb_steps(tree: Tree, theory: Theory) -> tuple[tuple[Morphism, Morphism], ...]:
-    """Elementary rotations (forward, inverse) carrying tree to its right comb."""
-    if isinstance(tree, SimpleObject):
-        return ()
-    left, right = tree
-    if isinstance(left, tuple):
-        la, lb = left
-        wa, wb, wr = word_of_tree(la), word_of_tree(lb), word_of_tree(right)
-        fwd = associator(wa, wb, wr, theory)
-        inv = associator(wa, wb, wr, theory, inverse=True)
-        return ((fwd, inv),) + _comb_steps((la, (lb, right)), theory)
-    id_leaf = identity((left,), theory)
-    return tuple((tensor_morphisms(id_leaf, f), tensor_morphisms(id_leaf, g))
-                 for f, g in _comb_steps(right, theory))
-
-
-@lru_cache(maxsize=None)
-def reassociate(src: Tree, dst: Tree, theory: Theory) -> Morphism:
-    """Composite of elementary associator moves from one bracketing to another.
-
-    Both trees must carry the same leaf sequence; the route goes through
-    the right-comb normal form, and the pentagon relation (checked by the
-    axiom suite) makes the result path-independent.
-    """
-    if leaf_word(src) != leaf_word(dst):
-        raise ValueError("bracket trees have different leaf sequences")
-    m = identity(word_of_tree(src), theory)
-    for fwd, _ in _comb_steps(src, theory):
-        m = m.then(fwd)
-    for _, inv in reversed(_comb_steps(dst, theory)):
-        m = m.then(inv)
-    return m
 
 
 # ---------------------------------------------------------------------------

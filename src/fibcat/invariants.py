@@ -71,7 +71,11 @@ def linking_matrix(framed: FramedLink) -> list[list[int]]:
 def signature(matrix: list[list[int]]) -> int:
     """Signature of a symmetric integer matrix by exact rational
     congruence diagonalization (hyperbolic 2x2 split when every diagonal
-    entry vanishes; such a block contributes +1 and -1)."""
+    entry vanishes; such a block contributes +1 and -1).
+
+    Each remaining row is kept as the map of its nonzero entries, and
+    eliminating a pivot updates only the rows that meet it, so a chain of
+    k circles costs O(k) row updates and no recursion."""
     n = len(matrix)
     if any(len(row) != n for row in matrix):
         raise ValueError("matrix is not square")
@@ -79,30 +83,46 @@ def signature(matrix: list[list[int]]) -> int:
         for j in range(i + 1, n):
             if matrix[i][j] != matrix[j][i]:
                 raise ValueError("matrix is not symmetric")
-    m = [[Fraction(v) for v in row] for row in matrix]
-    return _congruence_signature(m)
+    rows = {i: {j: Fraction(v) for j, v in enumerate(row) if v}
+            for i, row in enumerate(matrix)}   # the rows still to eliminate
+    sigma = 0
+    while rows:
+        p = next((i for i, row in rows.items() if i in row), None)
+        if p is not None:
+            pivot = rows.pop(p)
+            a = pivot.pop(p)
+            sigma += 1 if a > 0 else -1
+            for v, x in pivot.items():
+                row = rows[v]
+                del row[p]
+                for w, y in pivot.items():
+                    _subtract(row, w, x * y / a)
+            continue
+        r = next((i for i, row in rows.items() if row), None)
+        if r is None:
+            break
+        c = next(iter(rows[r]))
+        hr, hc = rows.pop(r), rows.pop(c)
+        a = hr.pop(c)
+        del hc[r]
+        touched = hr.keys() | hc.keys()
+        for v in touched:
+            row = rows[v]
+            row.pop(r, None)
+            row.pop(c, None)
+            for w in touched:
+                _subtract(row, w, (hr.get(v, 0) * hc.get(w, 0)
+                                   + hc.get(v, 0) * hr.get(w, 0)) / a)
+    return sigma
 
 
-def _congruence_signature(m: list[list[Fraction]]) -> int:
-    n = len(m)
-    if n == 0:
-        return 0
-    p = next((i for i in range(n) if m[i][i] != 0), None)
-    if p is not None:
-        a = m[p][p]
-        rest = [i for i in range(n) if i != p]
-        sub = [[m[v][w] - m[v][p] * m[p][w] / a for w in rest] for v in rest]
-        return (1 if a > 0 else -1) + _congruence_signature(sub)
-    off = next(((i, j) for i in range(n) for j in range(i + 1, n)
-                if m[i][j] != 0), None)
-    if off is None:
-        return 0
-    r0, c0 = off
-    a = m[r0][c0]
-    rest = [i for i in range(n) if i not in (r0, c0)]
-    sub = [[m[v][w] - (m[v][r0] * m[w][c0] + m[v][c0] * m[w][r0]) / a
-            for w in rest] for v in rest]
-    return _congruence_signature(sub)
+def _subtract(row: dict[int, Fraction], w: int, value: Fraction) -> None:
+    """row[w] -= value, keeping only nonzero entries."""
+    new = row.get(w, 0) - value
+    if new:
+        row[w] = new
+    else:
+        row.pop(w, None)
 
 
 def tr_manifold(framed: FramedLink, theory: Theory) -> Scalar:

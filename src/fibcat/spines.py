@@ -18,7 +18,6 @@ same loop, so it equals ``tv`` at unit parameters.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from itertools import product
 
 from . import category as cat
@@ -87,7 +86,6 @@ def pairing_table(x: SimpleObject, y: SimpleObject, z: SimpleObject,
     return a * b * _pairing_unit(n, theory)
 
 
-@lru_cache(maxsize=None)
 def _pairing_unit(n_a: int, theory: Theory) -> Scalar:
     y2z2 = (theory.y_scalar * theory.z_scalar) ** 2
     if n_a == 0:
@@ -147,7 +145,6 @@ def _profile(colors: SixColors) -> tuple[int, ...] | None:
     return None if 1 in counts else tuple(counts)
 
 
-@lru_cache(maxsize=None)
 def _sixj_unit(profile: tuple[int, ...], theory: Theory) -> Scalar:
     """Value on unit arguments, by the multiset of per-triple A-counts."""
     e = theory.epsilon

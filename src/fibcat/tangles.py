@@ -8,9 +8,11 @@ are positive/negative kinks on one strand.
 
 Evaluation colors every component by a simple object, deletes the
 1-colored components, and composes one morphism per event with
-``Morphism.then``, with the boundary bracket tree normalized to the right
-comb between events, so the re-bracketing isomorphisms are generated
-mechanically.
+``Morphism.then``.  Between events the open strands always form the
+right-comb word A (x) (A (x) ...); an event's morphism is its local cup,
+cap or crossing on two strands, conjugated by the one associator that
+brings them into an (A, A) block (the F R F^-1 form), so no other
+re-bracketing is needed.
 
 Writhes are read off a diagram with ``LinkDiagram.self_writhes`` and
 ``total_writhe``; there is no separate ``writhe`` function.
@@ -23,11 +25,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Iterable, Sequence
 
 from . import category as cat
-from .category import A, SimpleObject, Morphism, Tree
+from .category import A, SimpleObject, Morphism
 from .scalars import Scalar, Theory
 
 
@@ -364,73 +366,67 @@ def _filtered_events(diagram: LinkDiagram, coloring: Coloring) -> list[LinkEvent
     return out
 
 
-def _comb_tree(n: int) -> Tree:
-    return cat.right_comb([A] * n)
+def _comb_word(n: int) -> cat.Word:
+    """The word of n A-strands bracketed as the right comb A (x) (A (x) ...);
+    the unit word when n is 0."""
+    word = cat.UNIT
+    for _ in range(n):
+        word = cat.tensor_words((A,), word)
+    return word
 
 
-def _comb_with_block(n: int, pos: int, block: Tree) -> Tree:
-    items: list[Tree] = [A] * pos + [block] + [A] * (n - pos - 2)
-    return cat.right_comb(items)
+@lru_cache(maxsize=None)
+def _step(kind: EventKind, n: int, pos: int, theory: Theory) -> Morphism:
+    """The morphism of one event at ``pos`` on ``n`` open strands, from the
+    right-comb word of the strands before it to the one after it.
 
-
-def _layer(n: int, pos: int, local: Morphism, theory: Theory,
-           dom_arity: int) -> Morphism:
-    """id^(x)pos (x) local (x) id^(x)rest, folded along the right comb."""
-    tail = n - pos - dom_arity
+    A kink scales the whole word.  Otherwise the local cup, cap or crossing
+    on strands pos, pos + 1 is tensored with the identity on the strands
+    after them, conjugated by the one associator that moves the pair into
+    an (A, A) block, and lifted past the pos strands before it by ``id_A``.
+    """
+    if kind in (EventKind.TWIST_POS, EventKind.TWIST_NEG):
+        value = theory.beta_inv ** 2 if kind is EventKind.TWIST_POS else theory.beta ** 2
+        return cat.scale_identity(_comb_word(n), value, theory)
+    a = (A,)
+    if kind is EventKind.CUP:
+        local, rest = cat.birth(a, theory), n - pos
+    elif kind is EventKind.CAP:
+        local, rest = cat.death(a, theory), n - pos - 2
+    else:
+        local = cat.braiding(a, a, theory, inverse=kind is EventKind.CROSS_NEG)
+        rest = n - pos - 2
     m = local
-    if tail:
-        tail_id = cat.identity(cat.word_of_tree(_comb_tree(tail)), theory)
-        m = cat.tensor_morphisms(m, tail_id)
-    id_a = cat.identity((A,), theory)
+    if rest:
+        rest_word = _comb_word(rest)
+        m = cat.tensor_morphisms(local, cat.identity(rest_word, theory))
+        if kind is not EventKind.CUP:
+            m = cat.associator(a, a, rest_word, theory, inverse=True).then(m)
+        if kind is not EventKind.CAP:
+            m = m.then(cat.associator(a, a, rest_word, theory))
+    id_a = cat.identity(a, theory)
     for _ in range(pos):
         m = cat.tensor_morphisms(id_a, m)
     return m
-
-
-def _event_morphisms(events: Sequence[LinkEvent], theory: Theory):
-    """Yield the per-event morphisms (re-bracketing included), so that the
-    full composite is the evaluation of the diagram."""
-    word_a = (A,)
-    c_fwd = cat.braiding(word_a, word_a, theory)
-    c_inv = cat.braiding(word_a, word_a, theory, inverse=True)
-    b = cat.birth(word_a, theory)
-    d = cat.death(word_a, theory)
-    n = 0
-    for ev in events:
-        if ev.kind is EventKind.CUP:
-            yield _layer(n, ev.pos, b, theory, 0)
-            n += 2
-            yield cat.reassociate(_comb_with_block(n, ev.pos, (A, A)),
-                                  _comb_tree(n), theory)
-        elif ev.kind is EventKind.CAP:
-            yield cat.reassociate(_comb_tree(n),
-                                  _comb_with_block(n, ev.pos, (A, A)), theory)
-            yield _layer(n, ev.pos, d, theory, 2)
-            n -= 2
-        elif ev.kind in (EventKind.CROSS_POS, EventKind.CROSS_NEG):
-            block = _comb_with_block(n, ev.pos, (A, A))
-            local = c_fwd if ev.kind is EventKind.CROSS_POS else c_inv
-            yield cat.reassociate(_comb_tree(n), block, theory)
-            yield _layer(n, ev.pos, local, theory, 2)
-            yield cat.reassociate(block, _comb_tree(n), theory)
-        else:
-            sign = 1 if ev.kind is EventKind.TWIST_POS else -1
-            value = theory.beta_inv ** 2 if sign > 0 else theory.beta ** 2
-            yield cat.scale_identity(cat.word_of_tree(_comb_tree(n)), value, theory)
 
 
 def evaluate(diagram: LinkDiagram, coloring: Coloring, theory: Theory) -> Scalar:
     """The colored diagram evaluated to a scalar.
 
     1-colored components are removed first; the remaining strands are
-    composed event by event against a right-comb boundary.
+    composed one ``_step`` per event against a right-comb boundary.
     """
     if len(coloring) != diagram.n_components:
         raise ValueError(f"coloring names {len(coloring)} of "
                          f"{diagram.n_components} components")
     m = cat.identity(cat.UNIT, theory)
-    for step in _event_morphisms(_filtered_events(diagram, coloring), theory):
-        m = m.then(step)
+    n = 0
+    for ev in _filtered_events(diagram, coloring):
+        m = m.then(_step(ev.kind, n, ev.pos, theory))
+        if ev.kind is EventKind.CUP:
+            n += 2
+        elif ev.kind is EventKind.CAP:
+            n -= 2
     return m.scalar()
 
 

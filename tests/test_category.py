@@ -9,9 +9,8 @@ from fibcat import Theory, axiom_suite, s_matrix
 from fibcat.category import (A, ONE, UNIT, Morphism, _random_morphism,
                              associator, birth, braiding, compose, count_a,
                              count_one, death, expand_pair, identity,
-                             parse_word, reassociate,
-                             right_comb, scale_identity, tensor_morphisms,
-                             tensor_words, twist, word_of_tree)
+                             parse_word, scale_identity, tensor_morphisms,
+                             tensor_words, twist)
 
 
 @pytest.fixture
@@ -37,11 +36,12 @@ def test_tensor_power_fibonacci_counts():
     fib = [1, 1]
     while len(fib) < 10:
         fib.append(fib[-1] + fib[-2])
+    w = UNIT
     for n in range(1, 9):
-        w = word_of_tree(right_comb([A] * n))
+        w = tensor_words((A,), w)
         assert (count_one(w), count_a(w)) == (fib[n - 2] if n >= 2 else 0, fib[n - 1])
-    w4 = word_of_tree(right_comb([A] * 4))
-    assert (count_one(w4), count_a(w4)) == (2, 3)
+        if n == 4:
+            assert (count_one(w), count_a(w)) == (2, 3)
 
 
 def test_expansion_labels_are_positional():
@@ -205,37 +205,6 @@ def test_associator_unit_argument_is_identity(th):
 def test_associator_self_composition_is_identity(th):
     al = associator((A,), (A,), (A,), th)
     assert al.then(al) == identity((A, ONE, A), th)
-
-
-# -- reassociate ---------------------------------------------------------------
-
-def _random_tree(rng: random.Random, n: int):
-    if n == 1:
-        return A
-    k = rng.randint(1, n - 1)
-    return (_random_tree(rng, k), _random_tree(rng, n - k))
-
-
-def test_reassociate_identity_and_single_move(th):
-    t1 = ((A, A), A)
-    t2 = (A, (A, A))
-    assert reassociate(t1, t1, th) == identity(word_of_tree(t1), th)
-    assert reassociate(t1, t2, th) == associator((A,), (A,), (A,), th)
-
-
-def test_reassociate_path_independence(th):
-    rng = random.Random(10)
-    for n in (3, 4, 5):
-        for _ in range(4):
-            t1, t2, t3 = (_random_tree(rng, n) for _ in range(3))
-            direct = reassociate(t1, t2, th)
-            via = reassociate(t1, t3, th).then(reassociate(t3, t2, th))
-            assert direct == via
-
-
-def test_reassociate_leaf_mismatch(th):
-    with pytest.raises(ValueError):
-        reassociate((A, A), (A, (A, A)), th)
 
 
 # -- braiding, twist, duality ---------------------------------------------------

@@ -109,6 +109,9 @@ def test_signature_examples():
     assert signature([[0, 1, 1], [1, 0, 1], [1, 1, 0]]) == -1
     assert signature([[0, 0], [0, 0]]) == 0
     assert signature([]) == 0
+    chain = [[2 if i == j else int(abs(i - j) == 1) for j in range(1100)]
+             for i in range(1100)]
+    assert signature(chain) == 1100
 
 
 def test_signature_input_validation():
@@ -266,11 +269,12 @@ def test_lens_closed_form_matches_subset_sum(any_theory):
 
 
 def test_lens_closed_form_long_chain(any_theory):
-    # L(30, 29) = L(30, -1): a chain of 29 framings against one circle
-    framings = continued_fraction_framings(30, 29)
-    assert len(framings) == 29
-    assert lens_tr_closed_form(framings, any_theory) \
-        == lens_tr_closed_form((-30,), any_theory)
+    # L(p, p - 1) = L(p, -1): a chain of p - 1 framings against one circle
+    for p in (30, 1101):
+        framings = continued_fraction_framings(p, p - 1)
+        assert len(framings) == p - 1
+        assert lens_tr_closed_form(framings, any_theory) \
+            == lens_tr_closed_form(continued_fraction_framings(p, -1), any_theory)
 
 
 def test_equal_lenses(any_theory):

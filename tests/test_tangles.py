@@ -1,6 +1,8 @@
 from __future__ import annotations
 
 import itertools
+import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -208,6 +210,75 @@ def test_evaluation_parameter_independence(trefoil):
         for y in (1, 2, Fraction(5, 3))
     }
     assert len(values) == 1
+
+
+def _random_plat(rng: random.Random, width: int, positions) -> LinkDiagram:
+    """Cups at random positions up to ``width`` strands, a crossing of random
+    sign at each of ``positions``, then caps at random positions."""
+    events = [LinkEvent(EventKind.CUP, rng.randint(0, n)) for n in range(0, width, 2)]
+    events += [LinkEvent(rng.choice((EventKind.CROSS_POS, EventKind.CROSS_NEG)), p)
+               for p in positions]
+    events += [LinkEvent(EventKind.CAP, rng.randrange(n - 1)) for n in range(width, 0, -2)]
+    return LinkDiagram(tuple(events))
+
+
+def _kauffman_states(events) -> Counter:
+    """Kauffman-bracket states counted by (E-smoothings at xp, at xn, loops).
+
+    A crossing is smoothed either as the identity (both strands pass
+    straight through) or as E (a cap followed by a cup at its position).
+    Arcs are joined by union-find; the loops are the classes left."""
+    crossings = [i for i, ev in enumerate(events)
+                 if ev.kind in (EventKind.CROSS_POS, EventKind.CROSS_NEG)]
+    states: Counter = Counter()
+    for choice in itertools.product((False, True), repeat=len(crossings)):
+        smoothed = {i for i, e in zip(crossings, choice) if e}
+        parent: list[int] = []
+
+        def find(i):
+            while parent[i] != i:
+                i = parent[i]
+            return i
+
+        slots: list[int] = []
+        for i, ev in enumerate(events):
+            if ev.kind is EventKind.CAP or i in smoothed:
+                parent[find(slots[ev.pos])] = find(slots[ev.pos + 1])
+                del slots[ev.pos:ev.pos + 2]
+            if ev.kind is EventKind.CUP or i in smoothed:
+                parent.append(len(parent))
+                slots[ev.pos:ev.pos] = [parent[-1]] * 2
+        loops = sum(1 for i in range(len(parent)) if parent[i] == i)
+        at_xp = sum(1 for i in smoothed if events[i].kind is EventKind.CROSS_POS)
+        states[(at_xp, len(smoothed) - at_xp, loops)] += 1
+    return states
+
+
+def _kauffman_bracket(events, theory: Theory):
+    """xp = b id + (b^2 - b)/e E, xn the same with 1/b, loop value e."""
+    b, b_inv, e = theory.beta, theory.beta_inv, theory.epsilon
+    n_xp = sum(1 for ev in events if ev.kind is EventKind.CROSS_POS)
+    n_xn = sum(1 for ev in events if ev.kind is EventKind.CROSS_NEG)
+    total = theory.zero
+    for (i, j, loops), count in _kauffman_states(events).items():
+        total = total + (count * b ** (n_xp - i) * ((b * b - b) / e) ** i
+                         * b_inv ** (n_xn - j) * ((b_inv * b_inv - b_inv) / e) ** j
+                         * e ** loops)
+    return total
+
+
+def test_evaluation_matches_kauffman_bracket(any_theory):
+    # cups, crossings and caps at every position of plats up to width 8,
+    # so every event is lifted past up to six strands
+    rng = random.Random(21)
+    for width in (2, 4, 6, 8):
+        for _ in range(2):
+            positions = list(range(width - 1))
+            positions += [rng.randrange(width - 1) for _ in range(width // 2)]
+            rng.shuffle(positions)
+            diagram = _random_plat(rng, width, positions)
+            assert evaluate_all_a(diagram, any_theory) \
+                == _kauffman_bracket(diagram.events, any_theory), diagram.render()
 
 
 # -- builders -----------------------------------------------------------------------
