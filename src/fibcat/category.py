@@ -75,7 +75,7 @@ def _pair_letters(x: SimpleObject, y: SimpleObject) -> tuple[SimpleObject, ...]:
     return (A,) if (x is A or y is A) else (ONE,)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=4096)
 def expand_pair(x_word: Word, y_word: Word) -> tuple[Word, tuple[tuple[int, int, int], ...]]:
     """Expansion of X (x) Y with, per letter, its origin (i, j, t).
 
@@ -272,7 +272,7 @@ def _right_labels(x_word: Word, y_word: Word, z_word: Word):
     return word, out
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=4096)
 def associator(x_word: Word, y_word: Word, z_word: Word,
                theory: Theory, inverse: bool = False) -> Morphism:
     """The isomorphism (X(x)Y)(x)Z -> X(x)(Y(x)Z) (or its inverse).
@@ -310,7 +310,7 @@ def associator(x_word: Word, y_word: Word, z_word: Word,
 # braiding, twist, duality
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=4096)
 def braiding(x_word: Word, y_word: Word, theory: Theory,
              inverse: bool = False) -> Morphism:
     """c_{X,Y}: X(x)Y -> Y(x)X (inverse: Y(x)X -> X(x)Y), by linearity."""

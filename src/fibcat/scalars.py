@@ -9,8 +9,12 @@ one negative); each gives its own field structure, selected by the sign
 carried in :class:`Theory`.
 
 Scalars are immutable, compared by exact coordinates over the basis
-{z20^i * s^j : 0 <= i <= 7, 0 <= j <= 1}; the complex embedding at
-z20 = exp(i*pi/10) is for display and diagnostics only.
+{z20^i * s^j : 0 <= i <= 7, 0 <= j <= 1}, stored as 16 integer
+numerators over one positive common denominator in lowest terms.  Each
+field carries one table of the integer coordinates of every product of
+two basis elements, which multiplication and inversion read, and one of
+their conjugates.  The complex embedding at z20 = exp(i*pi/10) is for
+display and diagnostics only.
 """
 
 from __future__ import annotations
@@ -19,66 +23,59 @@ import cmath
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
+from math import gcd, lcm
 from typing import Iterable, Union
 
 Rational = Union[int, Fraction]
-
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
 
 # z^8 = z^6 - z^4 + z^2 - 1, coefficients of z^0 .. z^7
 _PHI20_FOLD = (-1, 0, 1, 0, -1, 0, 1, 0)
 
 
-def _zeta_powers() -> list[tuple[Fraction, ...]]:
+def _zeta_powers() -> list[tuple[int, ...]]:
     """z20^k reduced mod the 20th cyclotomic polynomial, k = 0 .. 19."""
-    powers: list[list[Fraction]] = [[_ZERO] * 8 for _ in range(20)]
-    for k in range(8):
-        powers[k][k] = _ONE
+    powers = [[int(i == k) for i in range(8)] for k in range(8)]
     for k in range(8, 20):
         prev = powers[k - 1]
-        cur = [_ZERO] + prev[:7]
-        top = prev[7]
-        if top:
-            for i, c in enumerate(_PHI20_FOLD):
-                if c:
-                    cur[i] += top * c
-        powers[k] = cur
+        cur = [0] + prev[:7]
+        for i, c in enumerate(_PHI20_FOLD):
+            cur[i] += prev[7] * c
+        powers.append(cur)
     return [tuple(p) for p in powers]
 
 
-def _poly_mul_reduced(a: Iterable[Fraction], b: Iterable[Fraction],
-                      zpow: list[tuple[Fraction, ...]]) -> tuple[Fraction, ...]:
-    out = [_ZERO] * 8
-    for i, ai in enumerate(a):
-        if not ai:
-            continue
-        for j, bj in enumerate(b):
-            if not bj:
-                continue
-            for m, c in enumerate(zpow[i + j]):
-                if c:
-                    out[m] += ai * bj * c
-    return tuple(out)
-
-
 class _Field:
-    """Reduction tables for one choice of the sign of eps."""
+    """Multiplication and conjugation tables for one choice of the sign of eps.
+
+    Basis element p is z20^(p & 7) * s^(p >> 3).  ``table[p][q]`` lists the
+    nonzero integer coordinates ``(m, c)`` of basis_p * basis_q, and
+    ``conj[p]`` those of the complex conjugate of basis_p.
+    """
 
     def __init__(self, positive_eps: bool):
         self.positive_eps = positive_eps
         zpow = _zeta_powers()
         self.zpow = zpow
-        # eps = xi + xi^-1 (positive) or xi^3 + xi^-3 (negative), xi = z20^2
-        if positive_eps:
-            e = [x + y for x, y in zip(zpow[2], zpow[18])]
-        else:
-            e = [x + y for x, y in zip(zpow[6], zpow[14])]
-        self.eps_vec = tuple(e)
-        # z20^k * eps reduced, for the s*s = eps folding (k = 0 .. 14)
-        self.zpow_eps = [_poly_mul_reduced(zpow[k], self.eps_vec, zpow)
-                         for k in range(15)]
-        self.conj_sign = 1 if positive_eps else -1
+        # eps = xi + xi^-1 (positive) or xi^3 + xi^-3 (negative), xi = z20^2,
+        # so z20^k * s^2 = z20^(k + e) + z20^(k - e)
+        e = 2 if positive_eps else 6
+        self.eps_vec = tuple(x + y for x, y in zip(zpow[e], zpow[20 - e]))
+
+        def coords(k: int, j: int) -> list[tuple[int, int]]:
+            if j < 2:
+                vec = zpow[k % 20]
+            else:
+                j = 0
+                vec = [x + y for x, y in zip(zpow[(k + e) % 20], zpow[(k - e) % 20])]
+            return [(j * 8 + m, c) for m, c in enumerate(vec) if c]
+
+        self.table = [[coords((p & 7) + (q & 7), (p >> 3) + (q >> 3))
+                       for q in range(16)] for p in range(16)]
+        # z20 -> z20^-1; s is real for positive eps and imaginary otherwise
+        s_sign = 1 if positive_eps else -1
+        self.conj = [[(m, c * s_sign if p >> 3 else c)
+                      for m, c in coords(20 - (p & 7), p >> 3)]
+                     for p in range(16)]
         eps_float = (1 + 5 ** 0.5) / 2 if positive_eps else (1 - 5 ** 0.5) / 2
         zeta = cmath.exp(1j * cmath.pi / 10)
         s_embed = cmath.sqrt(complex(eps_float))
@@ -95,49 +92,65 @@ _FIELDS = {True: _Field(True), False: _Field(False)}
 class Scalar:
     """An element of Q(z20, s), canonical over the 16-element basis.
 
-    ``coeffs[j*8 + i]`` is the rational coordinate of z20^i * s^j.
+    Stored as 16 integer numerators ``nums`` over one positive common
+    denominator ``den``, in lowest terms (zero is all zeros over 1), so
+    equal values have equal ``(nums, den)``.  ``coeffs[j*8 + i]`` is the
+    rational coordinate of z20^i * s^j.
     """
 
-    __slots__ = ("field", "coeffs", "_is_zero")
+    __slots__ = ("field", "nums", "den")
 
-    def __init__(self, field: _Field, coeffs: tuple[Fraction, ...]):
+    def __init__(self, field: _Field, coeffs: Iterable[Rational]):
+        fracs = [Fraction(c) for c in coeffs]
+        den = lcm(*(f.denominator for f in fracs))
         self.field = field
-        self.coeffs = coeffs
-        self._is_zero = not any(coeffs)
+        self.nums = tuple(f.numerator * (den // f.denominator) for f in fracs)
+        self.den = den
+
+    @classmethod
+    def _reduced(cls, field: _Field, nums: Iterable[int], den: int) -> Scalar:
+        g = gcd(den, *nums)
+        if g != 1:
+            nums = [n // g for n in nums]
+            den //= g
+        self = object.__new__(cls)
+        self.field = field
+        self.nums = tuple(nums)
+        self.den = den
+        return self
 
     # -- constructors -------------------------------------------------
 
     @staticmethod
     def from_rational(field: _Field, q: Rational) -> Scalar:
-        c = [_ZERO] * 16
-        c[0] = Fraction(q)
-        return Scalar(field, tuple(c))
+        return Scalar._reduced(field, (q.numerator,) + (0,) * 15, q.denominator)
 
     @staticmethod
     def zeta_power(field: _Field, k: int) -> Scalar:
-        vec = field.zpow[k % 20]
-        return Scalar(field, vec + (_ZERO,) * 8)
+        return Scalar._reduced(field, field.zpow[k % 20] + (0,) * 8, 1)
 
     @staticmethod
     def sqrt_eps(field: _Field) -> Scalar:
-        c = [_ZERO] * 16
-        c[8] = _ONE
-        return Scalar(field, tuple(c))
+        return Scalar._reduced(field, (0,) * 8 + (1,) + (0,) * 7, 1)
 
     # -- predicates ----------------------------------------------------
 
     @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        return tuple(Fraction(n, self.den) for n in self.nums)
+
+    @property
     def is_zero(self) -> bool:
-        return self._is_zero
+        return not any(self.nums)
 
     @property
     def is_rational(self) -> bool:
-        return not any(self.coeffs[1:])
+        return not any(self.nums[1:])
 
     def as_rational(self) -> Fraction:
         if not self.is_rational:
             raise ValueError(f"not a rational scalar: {self}")
-        return self.coeffs[0]
+        return Fraction(self.nums[0], self.den)
 
     def _check(self, other: Scalar) -> None:
         if self.field is not other.field:
@@ -148,50 +161,35 @@ class Scalar:
     def __add__(self, other: Scalar | Rational) -> Scalar:
         other = self._coerce(other)
         self._check(other)
-        return Scalar(self.field,
-                      tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
+        d1, d2 = self.den, other.den
+        return Scalar._reduced(self.field, [a * d2 + b * d1 for a, b in
+                                            zip(self.nums, other.nums)], d1 * d2)
 
     def __sub__(self, other: Scalar | Rational) -> Scalar:
         other = self._coerce(other)
         self._check(other)
-        return Scalar(self.field,
-                      tuple(a - b for a, b in zip(self.coeffs, other.coeffs)))
+        d1, d2 = self.den, other.den
+        return Scalar._reduced(self.field, [a * d2 - b * d1 for a, b in
+                                            zip(self.nums, other.nums)], d1 * d2)
 
     def __neg__(self) -> Scalar:
-        return Scalar(self.field, tuple(-a for a in self.coeffs))
+        return Scalar._reduced(self.field, [-a for a in self.nums], self.den)
 
     def __mul__(self, other: Scalar | Rational) -> Scalar:
         other = self._coerce(other)
         self._check(other)
-        if self._is_zero or other._is_zero:
-            return Scalar(self.field, (_ZERO,) * 16)
-        zpow = self.field.zpow
-        zpow_eps = self.field.zpow_eps
-        out = [_ZERO] * 16
-        a, b = self.coeffs, other.coeffs
-        for p in range(16):
-            ap = a[p]
-            if not ap:
+        table = self.field.table
+        bs = [(q, b) for q, b in enumerate(other.nums) if b]
+        out = [0] * 16
+        for p, a in enumerate(self.nums):
+            if not a:
                 continue
-            i1, j1 = p & 7, p >> 3
-            for q in range(16):
-                bq = b[q]
-                if not bq:
-                    continue
-                i2, j2 = q & 7, q >> 3
-                coef = ap * bq
-                k = i1 + i2
-                if j1 + j2 < 2:
-                    base = j1 + j2
-                    vec = zpow[k]
-                else:
-                    base = 0
-                    vec = zpow_eps[k]
-                off = base * 8
-                for m, c in enumerate(vec):
-                    if c:
-                        out[off + m] += coef * c
-        return Scalar(self.field, tuple(out))
+            row = table[p]
+            for q, b in bs:
+                ab = a * b
+                for m, c in row[q]:
+                    out[m] += ab * c
+        return Scalar._reduced(self.field, out, self.den * other.den)
 
     __radd__ = __add__
     __rmul__ = __mul__
@@ -233,31 +231,24 @@ class Scalar:
 
     def invert(self) -> Scalar:
         """Exact multiplicative inverse, by solving the 16x16 rational system."""
-        if self._is_zero:
+        if self.is_zero:
             raise ZeroDivisionError("scalar division by zero")
         return _invert_cached(self)
 
     def conjugate(self) -> Scalar:
         """Complex conjugation of the chosen embedding: z20 -> z20^-1."""
-        field = self.field
-        out = [_ZERO] * 16
-        sgn = field.conj_sign
-        for p, c in enumerate(self.coeffs):
-            if not c:
-                continue
-            i, j = p & 7, p >> 3
-            vec = field.zpow[(20 - i) % 20]
-            coef = c if (j == 0 or sgn == 1) else -c
-            off = j * 8
-            for m, v in enumerate(vec):
-                if v:
-                    out[off + m] += coef * v
-        return Scalar(field, tuple(out))
+        conj = self.field.conj
+        out = [0] * 16
+        for p, a in enumerate(self.nums):
+            if a:
+                for m, c in conj[p]:
+                    out[m] += a * c
+        return Scalar._reduced(self.field, out, self.den)
 
     def embed(self) -> complex:
         """Float image at z20 = exp(i*pi/10); display only, never for equality."""
-        return sum((complex(c) * e for c, e in
-                    zip(self.coeffs, self.field.basis_embed)), 0j)
+        return sum((complex(n / self.den) * e for n, e in
+                    zip(self.nums, self.field.basis_embed)), 0j)
 
     # -- comparisons / rendering ----------------------------------------
 
@@ -266,35 +257,34 @@ class Scalar:
             other = Scalar.from_rational(self.field, other)
         if not isinstance(other, Scalar):
             return NotImplemented
-        return self.field is other.field and self.coeffs == other.coeffs
+        return (self.field is other.field and self.nums == other.nums
+                and self.den == other.den)
 
     def __hash__(self) -> int:
-        return hash((self.field.positive_eps, self.coeffs))
+        return hash((self.field.positive_eps, self.nums, self.den))
 
     def __bool__(self) -> bool:
-        return not self._is_zero
+        return any(self.nums)
 
     def render(self) -> str:
         """Canonical text form: terms q*z20^i*s^j ordered by (j, i)."""
         terms = []
-        for j in range(2):
-            for i in range(8):
-                q = self.coeffs[j * 8 + i]
-                if not q:
-                    continue
-                factors = []
-                if i:
-                    factors.append(f"z20^{i}")
-                if j:
-                    factors.append("s")
-                mag = abs(q)
-                if not factors:
-                    body = str(mag)
-                elif mag == 1:
-                    body = "*".join(factors)
-                else:
-                    body = "*".join([str(mag)] + factors)
-                terms.append((q < 0, body))
+        for p, n in enumerate(self.nums):
+            if not n:
+                continue
+            factors = []
+            if p & 7:
+                factors.append(f"z20^{p & 7}")
+            if p >> 3:
+                factors.append("s")
+            mag = abs(Fraction(n, self.den))
+            if not factors:
+                body = str(mag)
+            elif mag == 1:
+                body = "*".join(factors)
+            else:
+                body = "*".join([str(mag)] + factors)
+            terms.append((n < 0, body))
         if not terms:
             return "0"
         parts = [("-" if terms[0][0] else "") + terms[0][1]]
@@ -315,15 +305,14 @@ class Scalar:
 
 @lru_cache(maxsize=4096)
 def _invert_cached(a: Scalar) -> Scalar:
-    field = a.field
-    # column k of the system matrix is a * basis_k
-    cols = []
-    for k in range(16):
-        basis = [_ZERO] * 16
-        basis[k] = _ONE
-        cols.append((a * Scalar(field, tuple(basis))).coeffs)
-    m = [[cols[k][r] for k in range(16)] + [_ONE if r == 0 else _ZERO]
-         for r in range(16)]
+    # column q of the system is sum_p nums_p * table[p][q]; it solves
+    # (den * a) * y = 1, so the inverse is den * y
+    m = [[Fraction(0)] * 16 + [Fraction(int(r == 0))] for r in range(16)]
+    for p, ap in enumerate(a.nums):
+        if ap:
+            for q, entries in enumerate(a.field.table[p]):
+                for r, c in entries:
+                    m[r][q] += ap * c
     for col in range(16):
         pivot = next(r for r in range(col, 16) if m[r][col])
         m[col], m[pivot] = m[pivot], m[col]
@@ -333,7 +322,7 @@ def _invert_cached(a: Scalar) -> Scalar:
             if r != col and m[r][col]:
                 f = m[r][col]
                 m[r] = [v - f * w for v, w in zip(m[r], m[col])]
-    return Scalar(field, tuple(m[r][16] for r in range(16)))
+    return Scalar(a.field, [a.den * m[r][16] for r in range(16)])
 
 
 @dataclass(frozen=True)
@@ -349,9 +338,9 @@ class Theory:
 
     epsilon_sign: str = "positive"
     beta_sign: str = "plus"
-    x: Fraction = _ONE
-    y: Fraction = _ONE
-    z: Fraction = _ONE
+    x: Fraction = Fraction(1)
+    y: Fraction = Fraction(1)
+    z: Fraction = Fraction(1)
 
     def __post_init__(self):
         if self.epsilon_sign not in ("positive", "negative"):
@@ -388,7 +377,7 @@ class Theory:
 
     @cached_property
     def epsilon(self) -> Scalar:
-        return Scalar(self.field, self.field.eps_vec + (_ZERO,) * 8)
+        return Scalar._reduced(self.field, self.field.eps_vec + (0,) * 8, 1)
 
     @cached_property
     def beta(self) -> Scalar:

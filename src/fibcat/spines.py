@@ -397,9 +397,12 @@ def _state_sum(spine: Spine, theory: Theory,
     triple line by its A-count.  A coloring with an inadmissible vertex,
     or a triple line with one A, contributes zero."""
     vertex_weights = {p: _sixj_unit(p, theory) for p in _PROFILES}
+    eps_powers = [theory.one]
+    for _ in range(spine.n_components):
+        eps_powers.append(eps_powers[-1] * theory.epsilon)
     total = theory.zero
     for colors in product((ONE, A), repeat=spine.n_components):
-        term = theory.epsilon ** _a_count(colors)
+        term = eps_powers[_a_count(colors)]
         if edge_weights is not None:
             counts = [_a_count(colors[c] for c in e) for e in spine.edges]
             if 1 in counts:

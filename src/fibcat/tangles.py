@@ -375,7 +375,7 @@ def _comb_word(n: int) -> cat.Word:
     return word
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=4096)
 def _step(kind: EventKind, n: int, pos: int, theory: Theory) -> Morphism:
     """The morphism of one event at ``pos`` on ``n`` open strands, from the
     right-comb word of the strands before it to the one after it.

@@ -1,10 +1,13 @@
 from __future__ import annotations
 
+import importlib
+import pkgutil
 import random
 from fractions import Fraction
 
 import pytest
 
+import fibcat
 from fibcat import Theory, axiom_suite, s_matrix
 from fibcat.category import (A, ONE, UNIT, Morphism, _random_morphism,
                              associator, birth, braiding, compose, count_a,
@@ -299,3 +302,17 @@ def test_axiom_suite_reproducible(th):
     first = axiom_suite(th, seed=12, naturality_samples=10)
     second = axiom_suite(th, seed=12, naturality_samples=10)
     assert first.summary() == second.summary()
+
+
+def test_every_cache_is_bounded():
+    # a long-lived process that varies x, y, z builds new theories, and
+    # every cache keyed on them must stop growing
+    caches = 0
+    for info in pkgutil.iter_modules(fibcat.__path__):
+        module = importlib.import_module(f"fibcat.{info.name}")
+        for name, obj in vars(module).items():
+            if hasattr(obj, "cache_info"):
+                caches += 1
+                assert obj.cache_parameters()["maxsize"] is not None, \
+                    f"{info.name}.{name}"
+    assert caches >= 5

@@ -183,3 +183,59 @@ def test_rational_predicates(theory):
     assert not theory.s.is_rational
     with pytest.raises(ValueError):
         theory.s.as_rational()
+
+
+# The product as the field's definition states it: multiply polynomials in
+# z20 and s with rational coordinates, replace s^2 by eps, and fold
+# z20^8 = z20^6 - z20^4 + z20^2 - 1 from the top degree down.
+_EPS_POSITIVE = {0: 1, 4: 1, 6: -1}   # 1 + z20^4 - z20^6
+_EPS_NEGATIVE = {4: -1, 6: 1}         # 1 - eps+, the other root
+
+
+def reference_product(theory: Theory, a: Scalar, b: Scalar) -> tuple[Fraction, ...]:
+    eps = _EPS_POSITIVE if theory.epsilon_sign == "positive" else _EPS_NEGATIVE
+    poly = [[Fraction(0)] * 21 for _ in range(2)]
+    for p, x in enumerate(a.coeffs):
+        for q, y in enumerate(b.coeffs):
+            i, j = p % 8 + q % 8, p // 8 + q // 8
+            if j < 2:
+                poly[j][i] += x * y
+            else:
+                for k, e in eps.items():
+                    poly[0][i + k] += x * y * e
+    for coords in poly:
+        for d in range(20, 7, -1):
+            top, coords[d] = coords[d], Fraction(0)
+            for k, c in ((2, 1), (4, -1), (6, 1), (8, -1)):
+                coords[d - k] += c * top
+    return tuple(poly[0][:8] + poly[1][:8])
+
+
+def dense_scalar(rng: random.Random, theory: Theory) -> Scalar:
+    return Scalar(theory.field, [Fraction(rng.randint(-20, 20), rng.randint(1, 9))
+                                 for _ in range(16)])
+
+
+def test_product_matches_polynomial_reference(any_theory):
+    rng = random.Random(5)
+    for _ in range(40):
+        a, b = dense_scalar(rng, any_theory), dense_scalar(rng, any_theory)
+        assert (a * b).coeffs == reference_product(any_theory, a, b)
+
+
+def test_equal_values_share_one_key(any_theory):
+    rng = random.Random(6)
+    a, b = dense_scalar(rng, any_theory), dense_scalar(rng, any_theory)
+    half = Scalar(any_theory.field, [Fraction(1, 2)] + [0] * 15)
+    routes = [
+        (Scalar(any_theory.field, [Fraction(2, 4)] + [0] * 15), half),
+        (any_theory.one / 2, half),
+        ((a * b) / b, a),
+        (a - a, any_theory.zero),
+    ]
+    for left, right in routes:
+        assert left == right
+        assert hash(left) == hash(right)
+        assert len({left: 0, right: 1}) == 1
+        assert left.coeffs == right.coeffs
+        assert left.render() == right.render()
