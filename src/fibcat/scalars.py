@@ -160,6 +160,8 @@ class Scalar:
 
     def __add__(self, other: Scalar | Rational) -> Scalar:
         other = self._coerce(other)
+        if other is NotImplemented:
+            return NotImplemented
         self._check(other)
         d1, d2 = self.den, other.den
         return Scalar._reduced(self.field, [a * d2 + b * d1 for a, b in
@@ -167,6 +169,8 @@ class Scalar:
 
     def __sub__(self, other: Scalar | Rational) -> Scalar:
         other = self._coerce(other)
+        if other is NotImplemented:
+            return NotImplemented
         self._check(other)
         d1, d2 = self.den, other.den
         return Scalar._reduced(self.field, [a * d2 - b * d1 for a, b in
@@ -177,6 +181,8 @@ class Scalar:
 
     def __mul__(self, other: Scalar | Rational) -> Scalar:
         other = self._coerce(other)
+        if other is NotImplemented:
+            return NotImplemented
         self._check(other)
         table = self.field.table
         bs = [(q, b) for q, b in enumerate(other.nums) if b]
@@ -199,10 +205,15 @@ class Scalar:
 
     def __truediv__(self, other: Scalar | Rational) -> Scalar:
         other = self._coerce(other)
+        if other is NotImplemented:
+            return NotImplemented
         return self * other.invert()
 
     def __rtruediv__(self, other: Rational) -> Scalar:
-        return self._coerce(other) * self.invert()
+        other = self._coerce(other)
+        if other is NotImplemented:
+            return NotImplemented
+        return other * self.invert()
 
     def __pow__(self, n: int) -> Scalar:
         if n < 0:

@@ -12,11 +12,18 @@ pairing, and sums with a factor eps per A-colored component.  Both the
 as explicit compositions of category morphisms that the tests play off
 against the tables.  ``t_epsilon`` is the classical golden-ratio state
 sum: the ``tv`` sum with x = y = z = 1 and no edge factors, run by the
-same loop, so it equals ``tv`` at unit parameters.
+same engine, so it equals ``tv`` at unit parameters.
+
+The engine does not enumerate the 2^C colorings.  It treats the sum as a
+factor graph with one variable per component and sums the components out
+one at a time (bucket elimination), so its cost is exponential in the
+elimination width of the spine, not in its number of components.  A spine
+whose planned width exceeds ``MAX_ELIMINATION_WIDTH`` is refused.
 """
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 from itertools import product
 
@@ -379,15 +386,26 @@ def _spine_int(token: str, lineno: int) -> int:
 
 def tv(spine: Spine, theory: Theory) -> Scalar:
     """Sum over all colorings of eps^(#A) times the product of vertex
-    6j-symbols and reciprocal triple-line pairings."""
+    6j-symbols and reciprocal triple-line pairings, by variable
+    elimination: the cost is exponential in the elimination width, not in
+    the number of components."""
     edge_weights = {n: _pairing_unit(n, theory).invert() for n in (0, 2, 3)}
     return _state_sum(spine, theory, edge_weights)
 
 
 def t_epsilon(spine: Spine, theory: Theory) -> Scalar:
     """The golden-ratio state sum: the ``tv`` sum with x = y = z = 1 and
-    no edge factors."""
+    no edge factors, by the same elimination."""
     return _state_sum(spine, Theory(epsilon_sign=theory.epsilon_sign), None)
+
+
+# The state sums refuse a spine whose planned elimination order joins more
+# than this many components into one table, which would have 2^width entries.
+MAX_ELIMINATION_WIDTH = 16
+
+# A factor is (scope, table): a sorted tuple of component ids and a dict
+# of its nonzero values, keyed by an int mask whose bit i set means
+# scope[i] is colored A.
 
 
 def _state_sum(spine: Spine, theory: Theory,
@@ -395,28 +413,142 @@ def _state_sum(spine: Spine, theory: Theory,
     """Sum over all colorings of eps^(#A) times the unit 6j-symbols at the
     vertices and, unless ``edge_weights`` is None, the weight of each
     triple line by its A-count.  A coloring with an inadmissible vertex,
-    or a triple line with one A, contributes zero."""
+    or a triple line with one A, contributes zero.
+
+    The sum is a product of factors, one per component, triple line and
+    vertex, summed over the colors of their components.  It is evaluated
+    by bucket elimination: the components are summed out one at a time in
+    a greedy order planned from the scopes alone, each step joining the
+    factors that contain the component.  The cost is exponential in the
+    elimination width (the largest joined scope), which is at most
+    ``MAX_ELIMINATION_WIDTH``."""
+    lines = spine.edges if edge_weights is not None else ()
+    order, width = _elimination_order(spine.n_components,
+                                      [*lines, *spine.vertices])
+    if width > MAX_ELIMINATION_WIDTH:
+        raise SpineValidationError(
+            f"elimination width {width} exceeds {MAX_ELIMINATION_WIDTH}")
     vertex_weights = {p: _sixj_unit(p, theory) for p in _PROFILES}
-    eps_powers = [theory.one]
-    for _ in range(spine.n_components):
-        eps_powers.append(eps_powers[-1] * theory.epsilon)
-    total = theory.zero
-    for colors in product((ONE, A), repeat=spine.n_components):
-        term = eps_powers[_a_count(colors)]
-        if edge_weights is not None:
-            counts = [_a_count(colors[c] for c in e) for e in spine.edges]
-            if 1 in counts:
-                continue
-            for n in counts:
-                term = term * edge_weights[n]
-        for v in spine.vertices:
-            profile = _profile(tuple(colors[c] for c in v))
-            if profile is None:
-                break
-            term = term * vertex_weights[profile]
+    edge_weight = lambda colors: (
+        None if (n := _a_count(colors)) == 1 else edge_weights[n])
+    vertex_weight = lambda colors: (
+        None if (p := _profile(colors)) is None else vertex_weights[p])
+    # edge patterns have three slots and vertex patterns six, so they
+    # share one cache of tables
+    tables: dict[tuple[int, ...], dict[int, Scalar]] = {}
+    factors = [((c,), {0: theory.one, 1: theory.epsilon})
+               for c in range(spine.n_components)]
+    factors += [_local_factor(e, edge_weight, tables) for e in lines]
+    factors += [_local_factor(v, vertex_weight, tables) for v in spine.vertices]
+    position = {c: i for i, c in enumerate(order)}
+    buckets: list[list] = [[] for _ in order]
+    total = theory.one
+    for scope, table in factors:
+        buckets[min(position[c] for c in scope)].append((scope, table))
+    for i, c in enumerate(order):
+        bucket, buckets[i] = buckets[i], []
+        scope, table = bucket[0]
+        for other_scope, other_table in bucket[1:]:
+            scope, table = _join(scope, table, other_scope, other_table)
+        scope, table = _sum_out(scope, table, scope.index(c))
+        if not table:
+            return theory.zero
+        if scope:
+            buckets[min(position[d] for d in scope)].append((scope, table))
         else:
-            total = total + term
+            total = total * table[0]
     return total
+
+
+def _local_factor(slots: tuple[int, ...], weigh, tables: dict) -> tuple:
+    """The factor of one triple line or vertex.  ``weigh(colors)`` gives
+    the weight of the slot colors, or None when it is zero.  A component
+    repeated among the slots is one scope bit read at each of its slots,
+    and slot tuples with the same pattern of repeats share one table."""
+    scope = tuple(sorted(set(slots)))
+    pattern = tuple(scope.index(c) for c in slots)
+    table = tables.get(pattern)
+    if table is None:
+        table = {}
+        for mask in range(1 << len(scope)):
+            colors = tuple(A if mask >> i & 1 else ONE for i in pattern)
+            value = weigh(colors)
+            if value is not None:
+                table[mask] = value
+        tables[pattern] = table
+    return scope, table
+
+
+def _elimination_order(n_components: int,
+                       scopes: list[tuple[int, ...]]) -> tuple[list[int], int]:
+    """Plan the elimination from the factor scopes (component ids, repeats
+    allowed) alone.  Each step takes the component whose bucket has the
+    smallest union scope (one plus its degree in the graph of components
+    that share a factor), ties to the lowest id.  Returns the order and
+    its width, the largest union scope."""
+    neighbors = [set() for _ in range(n_components)]
+    for scope in scopes:
+        for c in scope:
+            neighbors[c].update(scope)
+    for c, nb in enumerate(neighbors):
+        nb.discard(c)
+    heap = [(len(nb), c) for c, nb in enumerate(neighbors)]
+    heapq.heapify(heap)
+    done = [False] * n_components
+    order, width = [], 0
+    while heap:
+        degree, c = heapq.heappop(heap)
+        if done[c] or degree != len(neighbors[c]):
+            continue
+        done[c] = True
+        order.append(c)
+        width = max(width, degree + 1)
+        nb = neighbors[c]
+        for d in nb:
+            neighbors[d] |= nb
+            neighbors[d] -= {c, d}
+            heapq.heappush(heap, (len(neighbors[d]), d))
+    return order, width
+
+
+def _spread(mask: int, positions: list[int]) -> int:
+    """Move bit i of ``mask`` to bit ``positions[i]``."""
+    out = 0
+    for i, p in enumerate(positions):
+        if mask >> i & 1:
+            out |= 1 << p
+    return out
+
+
+def _join(scope_a: tuple[int, ...], table_a: dict[int, Scalar],
+          scope_b: tuple[int, ...], table_b: dict[int, Scalar]) -> tuple:
+    """The product of two factors, matching entries on their shared bits."""
+    scope = tuple(sorted(set(scope_a) | set(scope_b)))
+    pos_a = [scope.index(c) for c in scope_a]
+    pos_b = [scope.index(c) for c in scope_b]
+    shared = sum(1 << scope.index(c) for c in set(scope_a) & set(scope_b))
+    index: dict[int, list] = {}
+    for m, value in table_b.items():
+        u = _spread(m, pos_b)
+        index.setdefault(u & shared, []).append((u, value))
+    table = {}
+    for m, value in table_a.items():
+        u = _spread(m, pos_a)
+        for w, other in index.get(u & shared, ()):
+            table[u | w] = value * other
+    return scope, table
+
+
+def _sum_out(scope: tuple[int, ...], table: dict[int, Scalar], j: int) -> tuple:
+    """Sum over both colors of scope[j], dropping entries that cancel."""
+    low = (1 << j) - 1
+    sums: dict[int, Scalar] = {}
+    for m, value in table.items():
+        key = m & low | (m >> (j + 1)) << j
+        prev = sums.get(key)
+        sums[key] = value if prev is None else prev + value
+    return (scope[:j] + scope[j + 1:],
+            {key: value for key, value in sums.items() if not value.is_zero})
 
 
 # The one-vertex spine of the 3-sphere: a small disk and a large

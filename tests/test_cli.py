@@ -202,3 +202,25 @@ def test_euler_override(tmp_path, capsys):
     code2, out, _ = invoke(capsys, "tv-spine", str(loose), "--no-euler-check")
     assert code2 == 0
     assert "tv:" in out
+
+
+def test_many_components_without_vertices(tmp_path, capsys):
+    # 2^26 colorings, but no factor joins two components
+    empty = tmp_path / "empty26.txt"
+    empty.write_text("spine\ncomponents 26\nend\n")
+    code, out, err = invoke(capsys, "tv-spine", str(empty), "--no-euler-check")
+    assert code == 0, err
+    assert out.startswith("tv:")
+
+
+def test_elimination_width_limit(tmp_path, capsys):
+    # a triple line on every pair of 17 components makes them one clique,
+    # so any elimination order joins all 17
+    lines = ["spine", "components 17"]
+    lines += [f"edge {i} {j} {j}" for i in range(17) for j in range(i + 1, 17)]
+    dense = tmp_path / "clique17.txt"
+    dense.write_text("\n".join(lines + ["end"]) + "\n")
+    code, out, err = invoke(capsys, "tv-spine", str(dense), "--no-euler-check")
+    assert code == 1
+    assert out == ""
+    assert "elimination width 17 exceeds 16" in err

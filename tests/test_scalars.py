@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import operator
 import random
 from fractions import Fraction
 
@@ -163,6 +164,18 @@ def test_mixing_theories_rejected():
     pos, neg = Theory(), Theory(epsilon_sign="negative")
     with pytest.raises(ValueError):
         pos.epsilon + neg.epsilon
+
+
+@pytest.mark.parametrize("other", (1.5, "a", None, 1j))
+@pytest.mark.parametrize("op", (operator.add, operator.sub, operator.mul,
+                                operator.truediv))
+def test_foreign_operand_raises_type_error(theory, op, other):
+    # each operator returns NotImplemented, so Python raises TypeError in
+    # either order (the reflected division is __rtruediv__)
+    with pytest.raises(TypeError):
+        op(theory.one, other)
+    with pytest.raises(TypeError):
+        op(other, theory.one)
 
 
 def test_render():

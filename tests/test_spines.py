@@ -7,10 +7,10 @@ from itertools import product
 import pytest
 
 from conftest import read_fixture
-from fibcat import Theory
+from fibcat import ALL_THEORIES, Theory
 from fibcat.category import A, ONE
-from fibcat.spines import (SPHERE_SPINE, Spine, SpineParseError,
-                           SpineValidationError, admissible,
+from fibcat.spines import (MAX_ELIMINATION_WIDTH, SPHERE_SPINE, Spine,
+                           SpineParseError, SpineValidationError, admissible,
                            module_iso_check, pairing_categorical,
                            pairing_table, parse_spine, sixj_categorical,
                            sixj_table, t_epsilon, tv, vertex_triples)
@@ -220,3 +220,95 @@ def test_non_admissible_coloring_contributes_zero(th):
                 + e / yz ** 2                             # (1, A)
                 + e ** 2 / (th.x_scalar * yz ** 3))       # (A, A)
     assert tv(spine, th) == expected
+
+
+# -- the elimination engine against the coloring sum --------------------------------------
+
+def _random_spine(n_components, rng):
+    """n-1 vertices with random slots; two of each vertex's four triples
+    become triple lines, so every triple line is one of its vertices'
+    triples and tv = t at unit parameters."""
+    vertices, edges = [], []
+    for _ in range(n_components - 1):
+        v = tuple(rng.randrange(n_components) for _ in range(6))
+        vertices.append(v)
+        edges.extend(rng.sample(vertex_triples(v), 2))
+    return Spine(n_components, tuple(edges), tuple(vertices))
+
+
+def _banded_spine(n_components, rng):
+    """Like ``_random_spine``, but each vertex's slots come from a window
+    of four consecutive components, so the elimination width stays small."""
+    vertices, edges = [], []
+    for _ in range(n_components - 1):
+        low = rng.randrange(n_components - 3)
+        v = tuple(low + rng.randrange(4) for _ in range(6))
+        vertices.append(v)
+        edges.extend(rng.sample(vertex_triples(v), 2))
+    return Spine(n_components, tuple(edges), tuple(vertices))
+
+
+def _coloring_sum(spine, theory, with_edges):
+    """The state sum as the plain loop over all 2^C colorings."""
+    one = theory.one
+    sixj = {cfg: sixj_table(cfg, one, one, one, one, theory)
+            for cfg in product((ONE, A), repeat=6)}
+    pairing = {t: pairing_table(*t, one, one, theory)
+               for t in product((ONE, A), repeat=3) if admissible(*t)}
+    total = theory.zero
+    for colors in product((ONE, A), repeat=spine.n_components):
+        term = theory.epsilon ** colors.count(A)
+        for v in spine.vertices:
+            term = term * sixj[tuple(colors[c] for c in v)]
+        for e in spine.edges if with_edges else ():
+            triple = tuple(colors[c] for c in e)
+            if triple not in pairing:
+                break
+            term = term / pairing[triple]
+        else:
+            total = total + term
+    return total
+
+
+def test_state_sums_match_coloring_sum():
+    rng = random.Random(6)
+    spines = [_random_spine(rng.randint(0, 9), rng) for _ in range(20)]
+    repeated = [s for s in spines
+                if any(len(set(slots)) < len(slots) for slots in s.edges + s.vertices)]
+    assert len(repeated) >= 15
+    xyz = dict(x=Fraction(rng.randint(1, 9), rng.randint(1, 9)),
+               y=Fraction(-rng.randint(1, 9), rng.randint(1, 9)),
+               z=Fraction(rng.randint(1, 9), rng.randint(1, 9)))
+    for base in ALL_THEORIES:
+        theory = Theory(base.epsilon_sign, base.beta_sign, **xyz)
+        unit = Theory(base.epsilon_sign, base.beta_sign)
+        for spine in spines:
+            t = t_epsilon(spine, theory)
+            assert tv(spine, theory) == _coloring_sum(spine, theory, True), spine
+            assert t == _coloring_sum(spine, unit, False), spine
+            assert tv(spine, unit) == t, spine
+
+
+def test_state_sums_without_vertices(any_theory):
+    # 2^40 colorings, each weighted eps^#A: the binomial sum
+    spine = Spine(40, (), ())
+    expected = (any_theory.one + any_theory.epsilon) ** 40
+    assert tv(spine, any_theory) == expected
+    assert t_epsilon(spine, any_theory) == expected
+
+
+def test_banded_spine_tv_equals_t():
+    theory = Theory(epsilon_sign="negative")
+    spine = _banded_spine(48, random.Random(48))
+    assert tv(spine, theory) == t_epsilon(spine, theory)
+
+
+def test_elimination_width_limit():
+    # dense random incidence whose planned width is 17; the plan alone
+    # refuses it, so no table of 2^17 entries is ever built
+    spine = _random_spine(23, random.Random(0))
+    message = f"elimination width 17 exceeds {MAX_ELIMINATION_WIDTH}"
+    with pytest.raises(SpineValidationError, match=message):
+        tv(spine, Theory())
+    with pytest.raises(SpineValidationError, match=message):
+        t_epsilon(spine, Theory())
