@@ -231,6 +231,7 @@ def _right_t(x, y, z) -> dict[tuple[int, int], int]:
     return table
 
 
+@lru_cache(maxsize=4096)
 def _assoc_block(x, y, z, theory: Theory) -> tuple[tuple[Scalar, ...], ...]:
     """Associator block on one simple triple, rows = target summand,
     cols = source summand of the triple product word."""

@@ -18,6 +18,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
+from math import gcd
+from typing import Iterable, Mapping, Sequence
 
 from .category import A, ONE
 from .scalars import Scalar, Theory
@@ -54,73 +56,115 @@ class FramedLink:
         return FramedLink(diagram, tuple(framings))
 
 
-def linking_matrix(framed: FramedLink) -> list[list[int]]:
-    """Symmetric integer matrix: framings on the diagonal, linking numbers
-    (half the signed inter-component crossing count) off it."""
-    k = framed.diagram.n_components
-    m = [[0] * k for _ in range(k)]
-    for i, f in enumerate(framed.framings):
-        m[i][i] = f
-    for (i, j), signed in framed.diagram.pair_counts().items():
-        if signed % 2:
-            raise ValueError("odd signed crossing count between components")
-        m[i][j] = m[j][i] = signed // 2
-    return m
+def linking_matrix(framed: FramedLink) -> list[dict[int, int]]:
+    """The symmetric integer linking matrix as sparse rows (see
+    ``signature``): framings on the diagonal, linking numbers (half the
+    signed inter-component crossing count) off it."""
+    counts = framed.diagram.pair_counts()
+    if any(signed % 2 for signed in counts.values()):
+        raise ValueError("odd signed crossing count between components")
+    return _symmetric_rows(framed.framings,
+                           ((pair, signed // 2) for pair, signed in counts.items()))
 
 
-def signature(matrix: list[list[int]]) -> int:
-    """Signature of a symmetric integer matrix by exact rational
-    congruence diagonalization (hyperbolic 2x2 split when every diagonal
-    entry vanishes; such a block contributes +1 and -1).
+def _symmetric_rows(diagonal: Sequence[int],
+                    off_diagonal: Iterable[tuple[tuple[int, int], int]]
+                    ) -> list[dict[int, int]]:
+    """Sparse rows with the given diagonal and entries ((i, j), v) at both
+    (i, j) and (j, i); zero entries are left out."""
+    rows = [{i: d} if d else {} for i, d in enumerate(diagonal)]
+    for (i, j), v in off_diagonal:
+        if v:
+            rows[i][j] = rows[j][i] = v
+    return rows
 
-    Each remaining row is kept as the map of its nonzero entries, and
-    eliminating a pivot updates only the rows that meet it, so a chain of
-    k circles costs O(k) row updates and no recursion."""
-    n = len(matrix)
-    if any(len(row) != n for row in matrix):
-        raise ValueError("matrix is not square")
-    for i in range(n):
-        for j in range(i + 1, n):
-            if matrix[i][j] != matrix[j][i]:
+
+def signature(rows: Sequence[Mapping[int, int]]) -> int:
+    """Signature of a symmetric integer matrix, given as sparse rows:
+    ``rows[i]`` maps a column j to the entry (i, j), and zero entries may
+    be left out.
+
+    Exact congruence diagonalization over the rationals, taking the rows
+    in order.  A row with a nonzero diagonal entry is eliminated on it.
+    When the diagonal entry vanishes, the row's first partner c is
+    eliminated first if its own diagonal entry is nonzero (which makes
+    the row's nonzero), and otherwise the pair splits off as a hyperbolic
+    2x2 block, contributing +1 and -1.  Elimination updates only the rows
+    that meet the pivot, so a chain of k circles costs O(k).  An entry is
+    kept as a pair (numerator, denominator) in lowest terms with a
+    positive denominator.
+    """
+    n = len(rows)
+    for i, row in enumerate(rows):
+        for j, v in row.items():
+            if not 0 <= j < n:
+                raise ValueError(f"row {i} has column {j} outside a {n}x{n} matrix")
+            if rows[j].get(i, 0) != v:
                 raise ValueError("matrix is not symmetric")
-    rows = {i: {j: Fraction(v) for j, v in enumerate(row) if v}
-            for i, row in enumerate(matrix)}   # the rows still to eliminate
+    live = {i: {j: (v, 1) for j, v in row.items() if v}
+            for i, row in enumerate(rows)}   # the rows still to eliminate
     sigma = 0
-    while rows:
-        p = next((i for i, row in rows.items() if i in row), None)
-        if p is not None:
-            pivot = rows.pop(p)
-            a = pivot.pop(p)
-            sigma += 1 if a > 0 else -1
-            for v, x in pivot.items():
-                row = rows[v]
-                del row[p]
-                for w, y in pivot.items():
-                    _subtract(row, w, x * y / a)
+    for r in range(n):
+        row = live.get(r)
+        if row is None:
             continue
-        r = next((i for i, row in rows.items() if row), None)
-        if r is None:
-            break
-        c = next(iter(rows[r]))
-        hr, hc = rows.pop(r), rows.pop(c)
-        a = hr.pop(c)
-        del hc[r]
-        touched = hr.keys() | hc.keys()
-        for v in touched:
-            row = rows[v]
-            row.pop(r, None)
-            row.pop(c, None)
-            for w in touched:
-                _subtract(row, w, (hr.get(v, 0) * hc.get(w, 0)
-                                   + hc.get(v, 0) * hr.get(w, 0)) / a)
+        if row and r not in row:
+            c = next(iter(row))
+            if c not in live[c]:
+                _split(live, r, c)
+                continue
+            sigma += _pivot(live, c)
+        if row:
+            sigma += _pivot(live, r)
+        else:
+            del live[r]
     return sigma
 
 
-def _subtract(row: dict[int, Fraction], w: int, value: Fraction) -> None:
-    """row[w] -= value, keeping only nonzero entries."""
-    new = row.get(w, 0) - value
-    if new:
-        row[w] = new
+_Rows = dict[int, dict[int, tuple[int, int]]]
+_ZERO = (0, 1)
+
+
+def _pivot(live: _Rows, p: int) -> int:
+    """Eliminate row p on its nonzero diagonal entry a: each entry (v, w)
+    of the rows that meet p loses x_v x_w / a.  Returns the sign of a."""
+    pivot = live.pop(p)
+    an, ad = pivot.pop(p)
+    for v, (xn, xd) in pivot.items():
+        row = live[v]
+        del row[p]
+        for w, (yn, yd) in pivot.items():
+            _subtract(row, w, xn * yn * ad, xd * yd * an)
+    return 1 if an > 0 else -1
+
+
+def _split(live: _Rows, r: int, c: int) -> None:
+    """Eliminate rows r and c, whose diagonal entries vanish and whose
+    entry a = (r, c) does not, as one hyperbolic block: each entry (v, w)
+    of the rows that meet them loses (x_v y_w + y_v x_w) / a, with x and
+    y the entries of rows r and c."""
+    hr, hc = live.pop(r), live.pop(c)
+    an, ad = hr.pop(c)
+    del hc[r]
+    touched = hr.keys() | hc.keys()
+    for v in touched:
+        row = live[v]
+        row.pop(r, None)
+        row.pop(c, None)
+        (xvn, xvd), (yvn, yvd) = hr.get(v, _ZERO), hc.get(v, _ZERO)
+        for w in touched:
+            (xwn, xwd), (ywn, ywd) = hr.get(w, _ZERO), hc.get(w, _ZERO)
+            _subtract(row, w, (xvn * ywn * yvd * xwd + yvn * xwn * xvd * ywd) * ad,
+                      xvd * ywd * yvd * xwd * an)
+
+
+def _subtract(row: dict[int, tuple[int, int]], w: int, num: int, den: int) -> None:
+    """row[w] -= num / den (den nonzero), keeping only nonzero entries."""
+    on, od = row.get(w, _ZERO)
+    new_num, new_den = on * den - num * od, od * den
+    if new_num:
+        g = gcd(new_num, new_den)
+        row[w] = (new_num // g, new_den // g) if new_den > 0 else (-new_num // g, -new_den // g)
     else:
         row.pop(w, None)
 
@@ -169,14 +213,9 @@ def hopf_tr_closed_form(k: int, theory: Theory) -> Scalar:
     return ((-theory.one) ** (k - 1)) * theory.epsilon ** (1 - k)
 
 
-def _chain_matrix(framings: tuple[int, ...]) -> list[list[int]]:
-    k = len(framings)
-    m = [[0] * k for _ in range(k)]
-    for i, f in enumerate(framings):
-        m[i][i] = f
-        if i + 1 < k:
-            m[i][i + 1] = m[i + 1][i] = 1
-    return m
+def _chain_matrix(framings: tuple[int, ...]) -> list[dict[int, int]]:
+    """The linking matrix of a chain of circles, as sparse rows."""
+    return _symmetric_rows(framings, (((i, i + 1), 1) for i in range(len(framings) - 1)))
 
 
 def lens_tr_closed_form(framings: tuple[int, ...], theory: Theory) -> Scalar:
@@ -210,7 +249,6 @@ def continued_fraction_framings(p: int, q: int) -> tuple[int, ...]:
     by the greedy ceiling expansion; the result is re-expanded and checked."""
     if q == 0:
         raise ValueError("q must be nonzero")
-    from math import gcd
     if gcd(p, q) != 1:
         raise ValueError("p/q must be in lowest terms")
     if q < 0:

@@ -184,6 +184,13 @@ class Scalar:
         if other is NotImplemented:
             return NotImplemented
         self._check(other)
+        den = self.den * other.den
+        if not any(other.nums[1:]):
+            b = other.nums[0]
+            return Scalar._reduced(self.field, [a * b for a in self.nums], den)
+        if not any(self.nums[1:]):
+            a = self.nums[0]
+            return Scalar._reduced(self.field, [a * b for b in other.nums], den)
         table = self.field.table
         bs = [(q, b) for q, b in enumerate(other.nums) if b]
         out = [0] * 16
@@ -195,7 +202,7 @@ class Scalar:
                 ab = a * b
                 for m, c in row[q]:
                     out[m] += ab * c
-        return Scalar._reduced(self.field, out, self.den * other.den)
+        return Scalar._reduced(self.field, out, den)
 
     __radd__ = __add__
     __rmul__ = __mul__
@@ -241,9 +248,12 @@ class Scalar:
         return NotImplemented
 
     def invert(self) -> Scalar:
-        """Exact multiplicative inverse, by solving the 16x16 rational system."""
+        """Exact multiplicative inverse: den / num for a rational scalar,
+        otherwise by solving the 16x16 rational system."""
         if self.is_zero:
             raise ZeroDivisionError("scalar division by zero")
+        if self.is_rational:
+            return Scalar.from_rational(self.field, Fraction(self.den, self.nums[0]))
         return _invert_cached(self)
 
     def conjugate(self) -> Scalar:

@@ -7,12 +7,16 @@ the positive/negative crossing of two adjacent strands, and ``tp``/``tn``
 are positive/negative kinks on one strand.
 
 Evaluation colors every component by a simple object, deletes the
-1-colored components, and composes one morphism per event with
-``Morphism.then``.  Between events the open strands always form the
-right-comb word A (x) (A (x) ...); an event's morphism is its local cup,
-cap or crossing on two strands, conjugated by the one associator that
-brings them into an (A, A) block (the F R F^-1 form), so no other
-re-bracketing is needed.
+1-colored components, and applies the events one by one to a vector.
+Between events the open strands always form the right-comb word
+A (x) (A (x) ...), whose basis vectors are fusion paths: strings of
+labels 1 or A, one per tail of the strands (the golden-chain basis).
+By naturality of the associator, an event on two adjacent strands reads
+and rewrites at most three adjacent labels, so each theory has one small
+table per event kind, read off the category's single-letter cup, cap,
+braiding and associator (the F R F^-1 form for a crossing).  No lifted
+morphism is built, and the work per event is proportional to the
+vector's nonzero entries.
 
 Writhes are read off a diagram with ``LinkDiagram.self_writhes`` and
 ``total_writhe``; there is no separate ``writhe`` function.
@@ -29,7 +33,7 @@ from functools import cached_property, lru_cache
 from typing import Iterable, Sequence
 
 from . import category as cat
-from .category import A, SimpleObject, Morphism
+from .category import A, ONE, SimpleObject
 from .scalars import Scalar, Theory
 
 
@@ -366,68 +370,125 @@ def _filtered_events(diagram: LinkDiagram, coloring: Coloring) -> list[LinkEvent
     return out
 
 
-def _comb_word(n: int) -> cat.Word:
-    """The word of n A-strands bracketed as the right comb A (x) (A (x) ...);
-    the unit word when n is 0."""
-    word = cat.UNIT
-    for _ in range(n):
-        word = cat.tensor_words((A,), word)
-    return word
+_Table = dict[str, tuple[tuple[str, Scalar], ...]]
+
+# Labels of the path window an event reads: one for a cup or a kink, the
+# three around the pair for a cap or a crossing.
+_WINDOW = {EventKind.CUP: 1, EventKind.TWIST_POS: 1, EventKind.TWIST_NEG: 1,
+           EventKind.CAP: 3, EventKind.CROSS_POS: 3, EventKind.CROSS_NEG: 3}
 
 
-@lru_cache(maxsize=4096)
-def _step(kind: EventKind, n: int, pos: int, theory: Theory) -> Morphism:
-    """The morphism of one event at ``pos`` on ``n`` open strands, from the
-    right-comb word of the strands before it to the one after it.
+def _f_move(c: SimpleObject, theory: Theory,
+            inverse: bool = False) -> dict:
+    """``associator((A,), (A,), (c,))`` between fusion labels.
 
-    A kink scales the whole word.  Otherwise the local cup, cap or crossing
-    on strands pos, pos + 1 is tensored with the identity on the strands
-    after them, conjugated by the one associator that moves the pair into
-    an (A, A) block, and lifted past the pos strands before it by ``id_A``.
+    A letter of (A (x) A) (x) c is the pair (s, t) of the charge s of the
+    two A's and the total t; a letter of A (x) (A (x) c) is the window
+    t m c of labels, m the charge of A (x) c.  The map sends each letter
+    to the letters it reaches and their values (the inverse: windows to
+    pairs).
+    """
+    a, cw = (A,), (c,)
+    aa, ac = cat.tensor_words(a, a), cat.tensor_words(a, cw)
+    left_word, left_lab = cat.expand_pair(aa, cw)
+    right_word, right_lab = cat.expand_pair(a, ac)
+    left = [(aa[i].value, t.value) for (i, _, _), t in zip(left_lab, left_word)]
+    right = [t.value + ac[j].value + c.value
+             for (_, j, _), t in zip(right_lab, right_word)]
+    src, dst = (right, left) if inverse else (left, right)
+    out: dict = {}
+    for (p, q), v in cat.associator(a, a, cw, theory, inverse).arrows.items():
+        out.setdefault(src[p], {})[dst[q]] = v
+    return out
+
+
+@lru_cache(maxsize=256)
+def _table(kind: EventKind, theory: Theory) -> _Table:
+    """Window of labels -> (new window, value) pairs for one event kind,
+    read off the category's single-letter morphisms, so the x, y, z gauge
+    is the category's own.
+
+    A kink scales every window.  Otherwise the event is the local cup,
+    cap or crossing on the two A's, tensored with the one letter c after
+    them and conjugated by the associator, as in the category: each
+    window t m c is carried to its pairs (s, t) by the inverse F-move (a
+    cup starts from the single pair (1, c)), the local morphism changes
+    s, and the F-move carries the pairs back to windows (a cap ends at
+    the window t, with s = 1 and so t = c).
     """
     if kind in (EventKind.TWIST_POS, EventKind.TWIST_NEG):
         value = theory.beta_inv ** 2 if kind is EventKind.TWIST_POS else theory.beta ** 2
-        return cat.scale_identity(_comb_word(n), value, theory)
+        return {x.value: ((x.value, value),) for x in (ONE, A)}
     a = (A,)
     if kind is EventKind.CUP:
-        local, rest = cat.birth(a, theory), n - pos
+        local = cat.birth(a, theory)
     elif kind is EventKind.CAP:
-        local, rest = cat.death(a, theory), n - pos - 2
+        local = cat.death(a, theory)
     else:
         local = cat.braiding(a, a, theory, inverse=kind is EventKind.CROSS_NEG)
-        rest = n - pos - 2
-    m = local
-    if rest:
-        rest_word = _comb_word(rest)
-        m = cat.tensor_morphisms(local, cat.identity(rest_word, theory))
-        if kind is not EventKind.CUP:
-            m = cat.associator(a, a, rest_word, theory, inverse=True).then(m)
-        if kind is not EventKind.CAP:
-            m = m.then(cat.associator(a, a, rest_word, theory))
-    id_a = cat.identity(a, theory)
-    for _ in range(pos):
-        m = cat.tensor_morphisms(id_a, m)
-    return m
+    moves: dict[str, dict[str, Scalar]] = {}
+    for (p, q), v in local.arrows.items():
+        moves.setdefault(local.dom[p].value, {})[local.cod[q].value] = v
+    table: _Table = {}
+    for c in (ONE, A):
+        f_move = _f_move(c, theory)
+        if kind is EventKind.CUP:
+            starts = {c.value: {(ONE.value, c.value): theory.one}}
+        else:
+            starts = _f_move(c, theory, inverse=True)
+        for window, pairs in starts.items():
+            out: dict[str, Scalar] = {}
+            for (s, t), u in pairs.items():
+                for s2, v in moves.get(s, {}).items():
+                    ends = {t: theory.one} if kind is EventKind.CAP else f_move[(s2, t)]
+                    for new, w in ends.items():
+                        term = u * v * w
+                        out[new] = out[new] + term if new in out else term
+            entries = tuple((new, v) for new, v in out.items() if v)
+            if entries:
+                table[window] = entries
+    return table
+
+
+def _apply(vector: dict[str, Scalar], event: LinkEvent,
+           table: _Table) -> dict[str, Scalar]:
+    """One event, with its kind's table, applied to a vector of fusion
+    paths (see ``evaluate``)."""
+    lo = event.pos
+    hi = lo + _WINDOW[event.kind]
+    out: dict[str, Scalar] = {}
+    for path, u in vector.items():
+        head, tail = path[:lo], path[hi:]
+        for window, v in table.get(path[lo:hi], ()):
+            key = head + window + tail
+            term = u * v
+            out[key] = out[key] + term if key in out else term
+    return {key: v for key, v in out.items() if v}
 
 
 def evaluate(diagram: LinkDiagram, coloring: Coloring, theory: Theory) -> Scalar:
     """The colored diagram evaluated to a scalar.
 
-    1-colored components are removed first; the remaining strands are
-    composed one ``_step`` per event against a right-comb boundary.
+    1-colored components are removed first.  The remaining events act on
+    a vector over fusion paths: the basis vectors of the right-comb word
+    of the n open strands, each the string of labels l_0 .. l_n, where
+    l_k is the charge (1 or A) of the strands k .. n-1, so l_n = 1, and
+    l_0 = 1 on every path reached from the unit.  An event on strands
+    pos, pos + 1 reads only the labels l_pos .. l_pos+2 (just l_pos for a
+    cup or a kink) and rewrites them from its theory's table: a cup
+    inserts two labels, a cap removes two, a crossing rewrites the middle
+    one and a kink scales by beta^(-+2).  The work per event is
+    proportional to the vector's nonzero entries.
     """
     if len(coloring) != diagram.n_components:
         raise ValueError(f"coloring names {len(coloring)} of "
                          f"{diagram.n_components} components")
-    m = cat.identity(cat.UNIT, theory)
-    n = 0
-    for ev in _filtered_events(diagram, coloring):
-        m = m.then(_step(ev.kind, n, ev.pos, theory))
-        if ev.kind is EventKind.CUP:
-            n += 2
-        elif ev.kind is EventKind.CAP:
-            n -= 2
-    return m.scalar()
+    events = _filtered_events(diagram, coloring)
+    tables = {kind: _table(kind, theory) for kind in {ev.kind for ev in events}}
+    vector = {ONE.value: theory.one}
+    for ev in events:
+        vector = _apply(vector, ev, tables[ev.kind])
+    return vector.get(ONE.value, theory.zero)
 
 
 def evaluate_all_a(diagram: LinkDiagram, theory: Theory) -> Scalar:

@@ -1,7 +1,13 @@
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+
 from conftest import FIXTURES
 from fibcat.cli import run
+
+SRC = FIXTURES.parent / "src"
 
 
 def invoke(capsys, *argv):
@@ -38,6 +44,27 @@ def test_lens_long_chain(capsys):
     code, out, _ = invoke(capsys, "lens", "30", "29")
     assert code == 0
     assert f"framings: {[2] * 29}" in out
+
+
+def test_lens_very_long_chain(capsys):
+    code, out, _ = invoke(capsys, "lens", "20001", "20000", "--output", "float")
+    assert code == 0
+    assert out.startswith(f"framings: {[2] * 20000}\ntr: (")
+
+
+def test_closed_stdout_exits_without_traceback():
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    proc = subprocess.Popen([sys.executable, "-m", "fibcat.cli", "lens", "3001", "3000"],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    assert proc.stdout.read(100).startswith(b"framings: [2, 2")
+    proc.stdout.close()
+    try:
+        assert proc.wait(timeout=60) == 1
+    finally:
+        proc.kill()
+    err = proc.stderr.read().decode()
+    proc.stderr.close()
+    assert "Traceback" not in err and "BrokenPipeError" not in err, err
 
 
 def test_tr_manifold_huge_framing(capsys, tmp_path):

@@ -9,14 +9,15 @@ from math import gcd
 import pytest
 
 from conftest import read_fixture
-from fibcat import Theory
-from fibcat.invariants import (FramedLink, c_function,
+from fibcat import ALL_THEORIES, Theory
+from fibcat.invariants import (FramedLink, _chain_matrix, c_function,
                                continued_fraction_framings,
                                expand_minus_continued_fraction,
                                hopf_tr_closed_form, lens_space_framed_link,
                                lens_tr_closed_form, linking_matrix, signature,
                                tr_link, tr_manifold)
-from fibcat.tangles import build_hopf_chain, parse_link
+from fibcat.tangles import (EventKind, LinkDiagram, LinkEvent, build_hopf_chain,
+                            evaluate_all_a, parse_link)
 
 
 @pytest.fixture
@@ -56,6 +57,117 @@ def test_tr_reidemeister_one_invariance(th, trefoil):
     assert tr_link(kinked, th) == tr_link(trefoil, th)
 
 
+# -- randomized move invariance ---------------------------------------------------------
+
+CUP, CAP = EventKind.CUP, EventKind.CAP
+XP, XN = EventKind.CROSS_POS, EventKind.CROSS_NEG
+INVERSE = {XP: XN, XN: XP}
+
+
+def _random_morse_word(rng: random.Random) -> list[LinkEvent]:
+    """A valid event list of at most 12 strands: cups up to a random width
+    of 4 to 12, then cups, caps, crossings and kinks at random, then caps
+    until no strand is open."""
+    events, n = [], 0
+    target = rng.randrange(4, 13, 2)
+    while n < target:
+        events.append(LinkEvent(CUP, rng.randint(0, n)))
+        n += 2
+    for _ in range(rng.randint(target, 3 * target)):
+        kinds = [CUP] if n < 12 else []
+        if n >= 2:
+            kinds += [CAP, XP, XP, XN, XN, EventKind.TWIST_POS, EventKind.TWIST_NEG]
+        kind = rng.choice(kinds)
+        if kind is CUP:
+            pos = rng.randint(0, n)
+            n += 2
+        elif kind is CAP:
+            pos = rng.randrange(n - 1)
+            n -= 2
+        elif kind in INVERSE:
+            pos = rng.randrange(n - 1)
+        else:
+            pos = rng.randrange(n)
+        events.append(LinkEvent(kind, pos))
+    while n:
+        events.append(LinkEvent(CAP, rng.randrange(n - 1)))
+        n -= 2
+    return events
+
+
+def _insert(events: list[LinkEvent], rng: random.Random, width: int, *moves):
+    """One copy of ``events`` per move, each with the move's events for
+    strands p .. p + width - 1 inserted at the same random point and p.
+    A move is a list of (kind, offset from p)."""
+    spots, n = [], 0
+    for i, ev in enumerate(events):
+        n += 2 if ev.kind is CUP else -2 if ev.kind is CAP else 0
+        if n >= width:
+            spots.append((i + 1, n))
+    i, n = rng.choice(spots)
+    p = rng.randrange(n - width + 1)
+    return [events[:i] + [LinkEvent(k, p + d) for k, d in move] + events[i:]
+            for move in moves]
+
+
+def _random_r3(rng: random.Random):
+    """The two sides of a braid relation on three strands: s1 s2 s1 =
+    s2 s1 s2 with one crossing kind for s, or s1^e s2^d s1^-e =
+    s2^-e s1^d s2^e with e and d each either kind."""
+    e, d = rng.choice((XP, XN)), rng.choice((XP, XN))
+    if rng.random() < 0.5:
+        return [(e, 0), (e, 1), (e, 0)], [(e, 1), (e, 0), (e, 1)]
+    return [(e, 0), (d, 1), (INVERSE[e], 0)], [(INVERSE[e], 1), (d, 0), (e, 1)]
+
+
+MOVE_THEORIES = ALL_THEORIES + (Theory(x=Fraction(2, 3), y=Fraction(-5, 7), z=3),)
+
+
+def _move_rng(name: str, theory: Theory) -> random.Random:
+    return random.Random(f"{name}-{theory.epsilon_sign}-{theory.beta_sign}-{theory.x}")
+
+
+@pytest.mark.parametrize("theory", MOVE_THEORIES,
+                         ids=lambda t: f"{t.epsilon_sign}-{t.beta_sign}-{t.x}")
+def test_tr_link_invariant_under_random_moves(theory):
+    # R-II pairs and zigzags (the cup/cap move) inserted at random points
+    # of random words up to 12 strands wide, and the two sides of an R-III
+    # move inserted at the same point of a word
+    rng = _move_rng("moves", theory)
+    for _ in range(20):
+        events = _random_morse_word(rng)
+        base = tr_link(LinkDiagram(tuple(events)), theory)
+        moved = events
+        for _ in range(3):
+            x = rng.choice((XP, XN))
+            (moved,) = _insert(moved, rng, 2, [(x, 0), (INVERSE[x], 0)])
+            zigzag = rng.choice(([(CUP, 1), (CAP, 0)], [(CUP, 0), (CAP, 1)]))
+            (moved,) = _insert(moved, rng, 1, zigzag)
+        assert tr_link(LinkDiagram(tuple(moved)), theory) == base, moved
+        one, other = _insert(events, rng, 3, *_random_r3(rng))
+        assert tr_link(LinkDiagram(tuple(one)), theory) \
+            == tr_link(LinkDiagram(tuple(other)), theory), one
+
+
+@pytest.mark.parametrize("theory", MOVE_THEORIES,
+                         ids=lambda t: f"{t.epsilon_sign}-{t.beta_sign}-{t.x}")
+def test_curl_scales_evaluation(theory):
+    # an R-I curl is one crossing of sign +-1 on one strand, and scales
+    # the evaluation by beta^-+2
+    rng = _move_rng("curl", theory)
+    for _ in range(20):
+        events = _random_morse_word(rng)
+        x = rng.choice((XP, XN))
+        curl = rng.choice(([(CUP, 1), (x, 0), (CAP, 1)], [(CUP, 0), (x, 1), (CAP, 0)]))
+        diagram = LinkDiagram(tuple(events))
+        (curled,) = _insert(events, rng, 1, curl)
+        curled = LinkDiagram(tuple(curled))
+        sign = curled.total_writhe() - diagram.total_writhe()
+        assert sign in (1, -1)
+        assert evaluate_all_a(curled, theory) \
+            == evaluate_all_a(diagram, theory) * theory.beta ** (-2 * sign)
+
+
 # -- framed links and linking matrices ----------------------------------------------
 
 def test_framing_scalar_matches_drawn_kinks(unknot, any_theory):
@@ -82,14 +194,14 @@ def test_huge_framing_is_a_scalar(unknot, any_theory):
 def test_linking_matrix_hopf():
     framed = FramedLink.from_diagram(build_hopf_chain(2, (0, 0)))
     m = linking_matrix(framed)
-    assert m[0][0] == 0 and m[1][1] == 0
+    assert 0 not in m[0] and 1 not in m[1]
     assert abs(m[0][1]) == 1 and m[0][1] == m[1][0]
 
 
 def test_linking_matrix_split_unlink():
     d = parse_link("link\ncup 0\ncup 1\ncap 1\ncap 0\nend\nframing 0=1\nframing 1=-2\n")
     framed = FramedLink.from_diagram(d)
-    assert linking_matrix(framed) == [[1, 0], [0, -2]]
+    assert linking_matrix(framed) == [{0: 1}, {1: -2}]
 
 
 def test_linking_matrix_chain_tridiagonal():
@@ -97,28 +209,93 @@ def test_linking_matrix_chain_tridiagonal():
     m = linking_matrix(framed)
     assert [m[i][i] for i in range(3)] == [5, -1, 2]
     assert abs(m[0][1]) == 1 and abs(m[1][2]) == 1
-    assert m[0][2] == 0 and m[2][0] == 0
+    assert 2 not in m[0] and 0 not in m[2]
 
 
 # -- signature -----------------------------------------------------------------------
 
+def _rows(matrix):
+    """The sparse rows of a dense matrix."""
+    return [{j: v for j, v in enumerate(row) if v} for row in matrix]
+
+
+def _chain(framings):
+    """The dense linking matrix of a chain of circles."""
+    m = [[0] * len(framings) for _ in framings]
+    for i, f in enumerate(framings):
+        m[i][i] = f
+        if i:
+            m[i][i - 1] = m[i - 1][i] = 1
+    return m
+
+
 def test_signature_examples():
-    assert signature([[1]]) == 1
-    assert signature([[0, 1], [1, 0]]) == 0
-    assert signature([[1, 0, 0], [0, -2, 0], [0, 0, 3]]) == 1
-    assert signature([[0, 1, 1], [1, 0, 1], [1, 1, 0]]) == -1
-    assert signature([[0, 0], [0, 0]]) == 0
+    assert signature(_rows([[1]])) == 1
+    assert signature(_rows([[0, 1], [1, 0]])) == 0
+    assert signature(_rows([[1, 0, 0], [0, -2, 0], [0, 0, 3]])) == 1
+    assert signature(_rows([[0, 1, 1], [1, 0, 1], [1, 1, 0]])) == -1
+    assert signature(_rows([[0, 0], [0, 0]])) == 0
+    assert signature([{0: 0}, {}]) == 0
     assert signature([]) == 0
-    chain = [[2 if i == j else int(abs(i - j) == 1) for j in range(1100)]
-             for i in range(1100)]
-    assert signature(chain) == 1100
+    assert signature(_rows(_chain([2] * 1100))) == 1100
 
 
 def test_signature_input_validation():
     with pytest.raises(ValueError):
-        signature([[0, 1], [2, 0]])
+        signature(_rows([[0, 1], [2, 0]]))
     with pytest.raises(ValueError):
-        signature([[0, 1]])
+        signature(_rows([[0, 1]]))
+    with pytest.raises(ValueError):
+        signature([{-1: 1}])
+
+
+def _dense_signature(matrix) -> int:
+    """Signature by dense symmetric elimination over the integers.
+
+    Pivoting on a nonzero diagonal entry a turns every other entry m_ij
+    into a m_ij - m_ip m_pj, which is a times the Schur complement, so
+    each later pivot's sign is read against the sign of the product of
+    the pivots so far.  With no nonzero diagonal entry left, adding row
+    and column c to row and column r (a congruence) makes entry (r, r)
+    equal to 2 m_rc."""
+    m = [list(row) for row in matrix]
+    live = list(range(len(m)))
+    sigma, sign = 0, 1
+    while live:
+        p = next((i for i in live if m[i][i]), None)
+        if p is None:
+            pair = next(((i, j) for i in live for j in live if m[i][j]), None)
+            if pair is None:
+                break
+            r, c = pair
+            for j in live:
+                m[r][j] += m[c][j]
+            for i in live:
+                m[i][r] += m[i][c]
+            continue
+        live.remove(p)
+        a, mp = m[p][p], m[p]
+        sigma += sign if a > 0 else -sign
+        sign = sign if a > 0 else -sign
+        for i in live:
+            mi, x = m[i], mp[i]
+            for j in live:
+                mi[j] = a * mi[j] - x * mp[j]
+    return sigma
+
+
+def test_signature_matches_dense_elimination_on_chains():
+    for k in range(1, 7):
+        for framings in itertools.product(range(-3, 4), repeat=k):
+            assert signature(_chain_matrix(framings)) \
+                == _dense_signature(_chain(framings)), framings
+
+
+def test_signature_matches_dense_elimination_on_random_matrices():
+    rng = random.Random(5)
+    for _ in range(300):
+        m = _random_symmetric(rng, rng.randint(1, 7))
+        assert signature(_rows(m)) == _dense_signature(m), m
 
 
 def _random_symmetric(rng, n):
@@ -134,18 +311,18 @@ def test_signature_invariance_under_reorientation_and_permutation():
     for _ in range(20):
         n = rng.randint(1, 5)
         m = _random_symmetric(rng, n)
-        base = signature(m)
+        base = signature(_rows(m))
         i = rng.randrange(n)
         flipped = [row[:] for row in m]
         for j in range(n):
             flipped[i][j] = -flipped[i][j]
         for j in range(n):
             flipped[j][i] = -flipped[j][i]
-        assert signature(flipped) == base
+        assert signature(_rows(flipped)) == base
         perm = list(range(n))
         rng.shuffle(perm)
         permuted = [[m[perm[i]][perm[j]] for j in range(n)] for i in range(n)]
-        assert signature(permuted) == base
+        assert signature(_rows(permuted)) == base
 
 
 # -- tr for manifolds ----------------------------------------------------------------
@@ -246,8 +423,7 @@ def _subset_sum_closed_form(framings, theory):
         subset = tuple(i + 1 for i in range(k) if mask >> i & 1)
         twist = sum(framings[i - 1] for i in subset)
         total = total + _subset_weight(subset, theory) * _twist_factor(twist, theory)
-    sigma = signature([[f if i == j else int(abs(i - j) == 1)
-                        for j in range(k)] for i, f in enumerate(framings)])
+    sigma = signature(_rows(_chain(framings)))
     return theory.delta ** sigma * theory.big_d ** (-sigma - k - 1) * total
 
 

@@ -71,6 +71,8 @@ def test_invert_random(any_theory):
         if a.is_zero:
             continue
         assert a * a.invert() == any_theory.one
+    for q in (Fraction(1), Fraction(-1), Fraction(3, 7), Fraction(-12, 5)):
+        assert any_theory.rational(q).invert() == any_theory.rational(1 / q)
 
 
 def test_divide_by_zero():
@@ -234,6 +236,12 @@ def test_product_matches_polynomial_reference(any_theory):
     for _ in range(40):
         a, b = dense_scalar(rng, any_theory), dense_scalar(rng, any_theory)
         assert (a * b).coeffs == reference_product(any_theory, a, b)
+        # a rational operand, on either side, multiplies the numerators through
+        r = any_theory.rational(Fraction(rng.randint(-20, 20), rng.randint(1, 9)))
+        for x, y in ((a, r), (r, b), (r, r)):
+            product = x * y
+            assert product.coeffs == reference_product(any_theory, x, y)
+            assert product == Scalar(any_theory.field, product.coeffs)
 
 
 def test_equal_values_share_one_key(any_theory):

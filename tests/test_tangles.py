@@ -8,11 +8,12 @@ from fractions import Fraction
 import pytest
 
 from conftest import read_fixture
-from fibcat import Theory
+from fibcat import ALL_THEORIES, Theory
+from fibcat import category as cat
 from fibcat.category import A, ONE
 from fibcat.tangles import (EventKind, LinkDiagram, LinkEvent, LinkParseError,
-                            LinkValidationError, build_hopf_chain, evaluate,
-                            evaluate_all_a, parse_link)
+                            LinkValidationError, _apply, _table, build_hopf_chain,
+                            evaluate, evaluate_all_a, parse_link)
 
 
 @pytest.fixture
@@ -279,6 +280,78 @@ def test_evaluation_matches_kauffman_bracket(any_theory):
             diagram = _random_plat(rng, width, positions)
             assert evaluate_all_a(diagram, any_theory) \
                 == _kauffman_bracket(diagram.events, any_theory), diagram.render()
+
+
+# -- the local tables against the lifted morphisms ------------------------------------
+
+
+def _comb(n: int):
+    """The right-comb word of n A-strands and the fusion path of each of
+    its letters: the letter's type, then the path of the letter of the
+    inner comb it comes from; the unit word's one letter is the path 1."""
+    word, paths = cat.UNIT, ["1"]
+    for _ in range(n):
+        new, labels = cat.expand_pair((A,), word)
+        paths = [letter.value + paths[j] for letter, (_, j, _) in zip(new, labels)]
+        word = new
+    return word, paths
+
+
+def _local_step(kind: EventKind, r: int, theory: Theory) -> cat.Morphism:
+    """The event's morphism at position 0 of r strands, composed in the
+    category: the local cup, cap or crossing tensored with the identity
+    on the strands after it and conjugated by the one associator."""
+    a = (A,)
+    if kind in (EventKind.TWIST_POS, EventKind.TWIST_NEG):
+        value = theory.beta_inv ** 2 if kind is EventKind.TWIST_POS else theory.beta ** 2
+        return cat.scale_identity(_comb(r)[0], value, theory)
+    if kind is EventKind.CUP:
+        local, rest = cat.birth(a, theory), r
+    elif kind is EventKind.CAP:
+        local, rest = cat.death(a, theory), r - 2
+    else:
+        local = cat.braiding(a, a, theory, inverse=kind is EventKind.CROSS_NEG)
+        rest = r - 2
+    if not rest:
+        return local
+    rest_word = _comb(rest)[0]
+    m = cat.tensor_morphisms(local, cat.identity(rest_word, theory))
+    if kind is not EventKind.CUP:
+        m = cat.associator(a, a, rest_word, theory, inverse=True).then(m)
+    if kind is not EventKind.CAP:
+        m = m.then(cat.associator(a, a, rest_word, theory))
+    return m
+
+
+@pytest.mark.parametrize("theory", ALL_THEORIES + (
+    Theory(x=Fraction(2, 3), y=Fraction(-5, 7), z=3),),
+    ids=lambda t: f"{t.epsilon_sign}-{t.beta_sign}-{t.x}-{t.y}-{t.z}")
+def test_tables_match_lifted_steps(theory):
+    # every event kind at every position of n <= 8 strands: the table
+    # update of each basis path equals its row of the materialized step,
+    # id_A^pos (x) (the local step), built with tensor_morphisms
+    id_a = cat.identity((A,), theory)
+    grow = {EventKind.CUP: 2, EventKind.CAP: -2}
+    cases = 0
+    for kind in EventKind:
+        table = _table(kind, theory)
+        smallest = {EventKind.CUP: 0, EventKind.TWIST_POS: 1,
+                    EventKind.TWIST_NEG: 1}.get(kind, 2)
+        for r in range(smallest, 9):
+            m = _local_step(kind, r, theory)
+            for pos in range(9 - r):
+                n = r + pos
+                dom_paths = _comb(n)[1]
+                cod_paths = _comb(n + grow.get(kind, 0))[1]
+                rows: dict = {}
+                for (p, q), v in m.arrows.items():
+                    rows.setdefault(p, {})[cod_paths[q]] = v
+                for p, path in enumerate(dom_paths):
+                    got = _apply({path: theory.one}, LinkEvent(kind, pos), table)
+                    assert got == rows.get(p, {}), (kind, n, pos, path)
+                    cases += 1
+                m = cat.tensor_morphisms(id_a, m)
+    assert cases == 3253
 
 
 # -- builders -----------------------------------------------------------------------
