@@ -221,10 +221,11 @@ def _dispatch(args, theory: Theory) -> int:
     if args.command == "tr-manifold":
         diagram = tg.parse_link(_read(args.file))
         framed = inv.FramedLink.from_diagram(diagram)
-        matrix = inv.linking_matrix(framed)
-        print(f"framings: {list(framed.framings)}, "
-              f"signature: {inv.signature(matrix)}")
-        print(f"tr: {_render(inv.tr_manifold(framed, theory), mode)}")
+        sigma = inv.signature(inv.linking_matrix(framed))
+        # before any output, since it may refuse the diagram
+        value = inv.tr_manifold(framed, theory)
+        print(f"framings: {list(framed.framings)}, signature: {sigma}")
+        print(f"tr: {_render(value, mode)}")
         return 0
 
     if args.command == "hopf":

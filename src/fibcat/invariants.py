@@ -3,11 +3,15 @@
 ``tr_link`` is the unoriented-link invariant: the all-A evaluation of a
 diagram, normalized by the writhe so that kinks cancel.  ``tr_manifold``
 is the surgery invariant of the closed 3-manifold presented by a framed
-link: a sum of the colored evaluations over all colorings, weighted by
+link: the colored evaluations summed over all colorings, weighted by
 eps per A-colored component and normalized by the signature of the
-linking matrix.  ``FramedLink`` keeps its diagram unchanged; where a
-framing differs from the drawn self-writhe, the missing kinks enter
-``tr_manifold`` as one power of beta per coloring, never as events.
+linking matrix.  The sum is one sweep over the events
+(``tangles.colored_sum``) that branches on a component's color when it
+opens and merges when it closes, so a chain of any length costs time
+linear in its length.  ``FramedLink`` keeps its diagram unchanged; where
+a framing differs from the drawn self-writhe, the missing kinks enter
+``tr_manifold`` as one power of beta in the component's A weight, never
+as events.
 Closed forms for chains of linked circles (hence for lens spaces) are
 provided as independent oracles; the lens closed form takes time linear
 in the number of framings.
@@ -17,14 +21,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
 from math import gcd
 from typing import Iterable, Mapping, Sequence
 
-from .category import A, ONE
 from .scalars import Scalar, Theory
-from .tangles import (LinkDiagram, build_hopf_chain, count_a_colors, evaluate,
-                      evaluate_all_a)
+from .tangles import LinkDiagram, build_hopf_chain, colored_sum, evaluate_all_a
 
 
 def tr_link(diagram: LinkDiagram, theory: Theory) -> Scalar:
@@ -172,20 +173,20 @@ def _subtract(row: dict[int, tuple[int, int]], w: int, num: int, den: int) -> No
 def tr_manifold(framed: FramedLink, theory: Theory) -> Scalar:
     """Surgery invariant of the closed manifold presented by the framed link.
 
+    The sum over all colorings of the colored evaluation, weighted by
+    eps per A-colored component, taken in one sweep by
+    ``tangles.colored_sum`` (a ``ValueError`` when more than
+    ``tangles.MAX_OPEN_COMPONENTS`` components are open at once).
     Component i carries f_i - w_i kinks beyond those drawn, and each kink
-    scales an A-colored strand by beta^(-2 sign), so a coloring's
-    evaluation is multiplied by beta^(-2 sum over A-colored i of (f_i - w_i)).
+    scales an A-colored strand by beta^(-2 sign), so the weight of an
+    A-colored component i is eps beta^(-2 (f_i - w_i)).
     """
     diagram = framed.diagram
     k = diagram.n_components
     sigma = signature(linking_matrix(framed))
     excess = [f - w for f, w in zip(framed.framings, diagram.self_writhes())]
-    total = theory.zero
-    for colors in product((ONE, A), repeat=k):
-        kinks = sum(d for d, c in zip(excess, colors) if c is A)
-        weight = (theory.epsilon ** count_a_colors(colors)
-                  * theory.beta ** (-2 * kinks))
-        total = total + weight * evaluate(diagram, colors, theory)
+    weight = {d: theory.epsilon * theory.beta ** (-2 * d) for d in set(excess)}
+    total = colored_sum(diagram, [weight[d] for d in excess], theory)
     return theory.delta ** sigma * theory.big_d ** (-sigma - k - 1) * total
 
 

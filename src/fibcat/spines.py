@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import product
 
 from . import category as cat
@@ -429,17 +430,13 @@ def _state_sum(spine: Spine, theory: Theory,
         raise SpineValidationError(
             f"elimination width {width} exceeds {MAX_ELIMINATION_WIDTH}")
     vertex_weights = {p: _sixj_unit(p, theory) for p in _PROFILES}
-    edge_weight = lambda colors: (
-        None if (n := _a_count(colors)) == 1 else edge_weights[n])
-    vertex_weight = lambda colors: (
-        None if (p := _profile(colors)) is None else vertex_weights[p])
     # edge patterns have three slots and vertex patterns six, so they
     # share one cache of tables
     tables: dict[tuple[int, ...], dict[int, Scalar]] = {}
     factors = [((c,), {0: theory.one, 1: theory.epsilon})
                for c in range(spine.n_components)]
-    factors += [_local_factor(e, edge_weight, tables) for e in lines]
-    factors += [_local_factor(v, vertex_weight, tables) for v in spine.vertices]
+    factors += [_local_factor(e, edge_weights, tables) for e in lines]
+    factors += [_local_factor(v, vertex_weights, tables) for v in spine.vertices]
     position = {c: i for i, c in enumerate(order)}
     buckets: list[list] = [[] for _ in order]
     total = theory.one
@@ -460,23 +457,37 @@ def _state_sum(spine: Spine, theory: Theory,
     return total
 
 
-def _local_factor(slots: tuple[int, ...], weigh, tables: dict) -> tuple:
-    """The factor of one triple line or vertex.  ``weigh(colors)`` gives
-    the weight of the slot colors, or None when it is zero.  A component
-    repeated among the slots is one scope bit read at each of its slots,
-    and slot tuples with the same pattern of repeats share one table."""
+def _local_factor(slots: tuple[int, ...], weights: dict, tables: dict) -> tuple:
+    """The factor of one triple line or vertex, its weights looked up by
+    the keys of ``_pattern_keys``.  A component repeated among the slots
+    is one scope bit read at each of its slots, and slot tuples with the
+    same pattern of repeats share one table."""
     scope = tuple(sorted(set(slots)))
     pattern = tuple(scope.index(c) for c in slots)
     table = tables.get(pattern)
     if table is None:
-        table = {}
-        for mask in range(1 << len(scope)):
-            colors = tuple(A if mask >> i & 1 else ONE for i in pattern)
-            value = weigh(colors)
-            if value is not None:
-                table[mask] = value
+        table = {mask: weights[key] for mask, key in _pattern_keys(pattern)}
         tables[pattern] = table
     return scope, table
+
+
+@lru_cache(maxsize=4096)
+def _pattern_keys(pattern: tuple[int, ...]) -> tuple[tuple[int, object], ...]:
+    """(mask, key) for each coloring of a slot pattern's scope whose
+    weight is not zero: the A-count of a triple line's three slots (not
+    1), or the profile of a vertex's six.  Bit ``pattern[i]`` of the mask
+    is the color of slot i; the map does not depend on the theory."""
+    keys = []
+    for mask in range(1 << (max(pattern) + 1)):
+        colors = tuple(A if mask >> i & 1 else ONE for i in pattern)
+        if len(pattern) == 3:
+            n = _a_count(colors)
+            key = None if n == 1 else n
+        else:
+            key = _profile(colors)
+        if key is not None:
+            keys.append((mask, key))
+    return tuple(keys)
 
 
 def _elimination_order(n_components: int,

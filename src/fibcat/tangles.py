@@ -8,8 +8,8 @@ are positive/negative kinks on one strand.
 
 Evaluation colors every component by a simple object, deletes the
 1-colored components, and applies the events one by one to a vector.
-Between events the open strands always form the right-comb word
-A (x) (A (x) ...), whose basis vectors are fusion paths: strings of
+Between events the open A-colored strands always form the right-comb
+word A (x) (A (x) ...), whose basis vectors are fusion paths: strings of
 labels 1 or A, one per tail of the strands (the golden-chain basis).
 By naturality of the associator, an event on two adjacent strands reads
 and rewrites at most three adjacent labels, so each theory has one small
@@ -17,6 +17,14 @@ table per event kind, read off the category's single-letter cup, cap,
 braiding and associator (the F R F^-1 form for a crossing).  No lifted
 morphism is built, and the work per event is proportional to the
 vector's nonzero entries.
+
+One sweep over the events serves a single coloring (``evaluate``) and
+the weighted sum over all colorings (``colored_sum``, the surgery sum of
+``invariants.tr_manifold``).  Its state maps the set of open A-colored
+components to a vector: a component branches into its colors at its
+first cup and is merged away after its last cap, so the sum costs
+2^(most components open at once) times the vector work, a peak bounded
+by ``MAX_OPEN_COMPONENTS``.
 
 Writhes are read off a diagram with ``LinkDiagram.self_writhes`` and
 ``total_writhe``; there is no separate ``writhe`` function.
@@ -86,6 +94,21 @@ class _Analysis:
     event_components: tuple[tuple[int, ...], ...]
     crossings: tuple[Crossing, ...]
     kinks: tuple[tuple[int, int], ...]  # (component, sign)
+    # per component, the index of its first event (a cup) and of its last
+    # (a cap); it holds strands in between
+    first_events: tuple[int, ...]
+    last_events: tuple[int, ...]
+
+    def peak_open(self) -> int:
+        """The most components that hold strands at once."""
+        peak = now = 0
+        for idx, comps in enumerate(self.event_components):
+            if self.first_events[comps[0]] == idx:
+                now += 1
+                peak = max(peak, now)
+            elif self.last_events[comps[0]] == idx:
+                now -= 1
+        return peak
 
     def self_writhes(self) -> list[int]:
         w = [0] * self.n_components
@@ -281,7 +304,15 @@ def _analyze(events: Sequence[LinkEvent]) -> _Analysis:
     kinks = tuple((component[s], sign) for s, sign in raw_kinks)
     event_components = tuple(tuple(component[s] for s in segs)
                              for segs in event_segments)
-    return _Analysis(n_components, event_components, crossings, kinks)
+    first: list[int | None] = [None] * n_components
+    last = [0] * n_components
+    for idx, comps in enumerate(event_components):
+        for c in comps:
+            if first[c] is None:
+                first[c] = idx
+            last[c] = idx
+    return _Analysis(n_components, event_components, crossings, kinks,
+                     tuple(first), tuple(last))
 
 
 # ---------------------------------------------------------------------------
@@ -338,39 +369,12 @@ def all_a_coloring(diagram: LinkDiagram) -> tuple[SimpleObject, ...]:
     return (A,) * diagram.n_components
 
 
-def count_a_colors(coloring: Coloring) -> int:
-    return sum(1 for c in coloring if c is A)
-
-
-def _filtered_events(diagram: LinkDiagram, coloring: Coloring) -> list[LinkEvent]:
-    """Drop every event that touches a 1-colored component and re-index
-    the positions of the surviving events."""
-    kept = [c is A for c in coloring]
-    out: list[LinkEvent] = []
-    slots: list[int] = []
-    for ev, comps in zip(diagram.events, diagram._analysis.event_components):
-        visible = sum(1 for c in slots[:ev.pos] if kept[c])
-        if ev.kind is EventKind.CUP:
-            c = comps[0]
-            if kept[c]:
-                out.append(LinkEvent(ev.kind, visible))
-            slots[ev.pos:ev.pos] = [c, c]
-        elif ev.kind is EventKind.CAP:
-            if kept[comps[0]]:
-                out.append(LinkEvent(ev.kind, visible))
-            del slots[ev.pos:ev.pos + 2]
-        elif ev.kind in (EventKind.CROSS_POS, EventKind.CROSS_NEG):
-            ca, cb = slots[ev.pos], slots[ev.pos + 1]
-            if kept[ca] and kept[cb]:
-                out.append(LinkEvent(ev.kind, visible))
-            slots[ev.pos], slots[ev.pos + 1] = cb, ca
-        else:
-            if kept[slots[ev.pos]]:
-                out.append(LinkEvent(ev.kind, visible))
-    return out
-
-
+_Vector = dict[str, Scalar]
 _Table = dict[str, tuple[tuple[str, Scalar], ...]]
+
+# The most components a colored sum lets hold strands at once; its keys
+# number up to 2 to this power (as ``spines.MAX_ELIMINATION_WIDTH``).
+MAX_OPEN_COMPONENTS = 16
 
 # Labels of the path window an event reads: one for a cup or a kink, the
 # three around the pair for a cap or a crossing.
@@ -450,26 +454,111 @@ def _table(kind: EventKind, theory: Theory) -> _Table:
     return table
 
 
-def _apply(vector: dict[str, Scalar], event: LinkEvent,
-           table: _Table) -> dict[str, Scalar]:
-    """One event, with its kind's table, applied to a vector of fusion
-    paths (see ``evaluate``)."""
-    lo = event.pos
-    hi = lo + _WINDOW[event.kind]
-    out: dict[str, Scalar] = {}
+def _apply(vector: _Vector, kind: EventKind, pos: int, table: _Table) -> _Vector:
+    """One event of the given kind at ``pos``, with its kind's table,
+    applied to a vector of fusion paths (see ``evaluate``)."""
+    hi = pos + _WINDOW[kind]
+    out: _Vector = {}
     for path, u in vector.items():
-        head, tail = path[:lo], path[hi:]
-        for window, v in table.get(path[lo:hi], ()):
+        head, tail = path[:pos], path[hi:]
+        for window, v in table.get(path[pos:hi], ()):
             key = head + window + tail
             term = u * v
             out[key] = out[key] + term if key in out else term
     return {key: v for key, v in out.items() if v}
 
 
+def _merge(states: dict[int, _Vector], key: int, vector: _Vector) -> None:
+    """Add ``vector`` to the vector of ``key`` in ``states``."""
+    old = states.get(key)
+    if old is None:
+        states[key] = vector
+        return
+    total = dict(old)
+    for path, v in vector.items():
+        total[path] = total[path] + v if path in total else v
+    total = {path: v for path, v in total.items() if v}
+    if total:
+        states[key] = total
+    else:
+        del states[key]
+
+
+# The colors a component may take when it opens: (A-colored, weight), a
+# weight of None standing for 1.
+_Branches = Sequence[tuple[bool, Scalar | None]]
+
+
+def _sweep(diagram: LinkDiagram, branches: Sequence[_Branches],
+           theory: Theory) -> Scalar:
+    """The sum over the colorings that ``branches`` allows of the weighted
+    colored evaluations, in one pass over the events.
+
+    The state maps a key, the bit set of the open A-colored components,
+    to a vector over fusion paths of their strands.  At a component's
+    first event (a cup) every key branches into the component's colors,
+    each branch scaled by its weight.  An event acts on the keys that
+    hold all the components it touches, at its position among their
+    strands.  After a component's last event (a cap) it is dropped from
+    the keys, and the vectors whose keys become equal are added; they are
+    over the same paths, since only open A-colored components hold
+    strands.
+    """
+    analysis = diagram._analysis
+    first, last = analysis.first_events, analysis.last_events
+    bit = [1 << c for c in range(analysis.n_components)]
+    tables = {kind: _table(kind, theory) for kind in {ev.kind for ev in diagram.events}}
+    states: dict[int, _Vector] = {0: {ONE.value: theory.one}}
+    slots: list[int] = []    # the bit of each open strand's component
+    for idx, (ev, comps) in enumerate(zip(diagram.events, analysis.event_components)):
+        kind, pos, table = ev.kind, ev.pos, tables[ev.kind]
+        c = comps[0]
+        bits = bit[c] | bit[comps[-1]]
+        # strands left of pos per component bit, counted once for all keys
+        counts: dict[int, int] = {}
+        for b in slots[:pos]:
+            counts[b] = counts.get(b, 0) + 1
+        left = counts.items()
+        out: dict[int, _Vector] = {}
+        if first[c] == idx:
+            # the cup opens c: every key branches into c's colors, and the
+            # weight of an A branch scales the cup's table, not each vector
+            for is_a, weight in branches[c]:
+                if not is_a:
+                    out.update(states)
+                    continue
+                cup = table if weight is None else \
+                    {window: tuple((new, v * weight) for new, v in entries)
+                     for window, entries in table.items()}
+                for key, vector in states.items():
+                    at = sum(n for b, n in left if key & b)
+                    out[key | bits] = _apply(vector, kind, at, cup)
+        else:
+            for key, vector in states.items():
+                if key & bits == bits:
+                    at = sum(n for b, n in left if key & b)
+                    vector = _apply(vector, kind, at, table)
+                    if not vector:
+                        continue
+                if last[c] == idx:
+                    _merge(out, key & ~bits, vector)
+                else:
+                    out[key] = vector
+        states = out
+        if kind is EventKind.CUP:
+            slots[pos:pos] = [bits, bits]
+        elif kind is EventKind.CAP:
+            del slots[pos:pos + 2]
+        elif kind in (EventKind.CROSS_POS, EventKind.CROSS_NEG):
+            slots[pos], slots[pos + 1] = slots[pos + 1], slots[pos]
+    final = states.get(0)
+    return final.get(ONE.value, theory.zero) if final else theory.zero
+
+
 def evaluate(diagram: LinkDiagram, coloring: Coloring, theory: Theory) -> Scalar:
     """The colored diagram evaluated to a scalar.
 
-    1-colored components are removed first.  The remaining events act on
+    1-colored components are removed.  The events of the others act on
     a vector over fusion paths: the basis vectors of the right-comb word
     of the n open strands, each the string of labels l_0 .. l_n, where
     l_k is the charge (1 or A) of the strands k .. n-1, so l_n = 1, and
@@ -478,17 +567,34 @@ def evaluate(diagram: LinkDiagram, coloring: Coloring, theory: Theory) -> Scalar
     cup or a kink) and rewrites them from its theory's table: a cup
     inserts two labels, a cap removes two, a crossing rewrites the middle
     one and a kink scales by beta^(-+2).  The work per event is
-    proportional to the vector's nonzero entries.
+    proportional to the vector's nonzero entries.  This is the sweep of
+    ``colored_sum`` with every component's color fixed, so it keeps one
+    key.
     """
     if len(coloring) != diagram.n_components:
         raise ValueError(f"coloring names {len(coloring)} of "
                          f"{diagram.n_components} components")
-    events = _filtered_events(diagram, coloring)
-    tables = {kind: _table(kind, theory) for kind in {ev.kind for ev in events}}
-    vector = {ONE.value: theory.one}
-    for ev in events:
-        vector = _apply(vector, ev, tables[ev.kind])
-    return vector.get(ONE.value, theory.zero)
+    return _sweep(diagram, [((c is A, None),) for c in coloring], theory)
+
+
+def colored_sum(diagram: LinkDiagram, weights: Sequence[Scalar],
+                theory: Theory) -> Scalar:
+    """The sum over all 2^k colorings of ``evaluate``, each times the
+    product of ``weights[i]`` over its A-colored components i.
+
+    One sweep over the events: each component branches into its two
+    colors when it opens and is merged away when it closes, so the cost
+    is 2^(most components open at once) times the vector work.  That
+    peak is bounded by ``MAX_OPEN_COMPONENTS`` and checked before any
+    branch.
+    """
+    if len(weights) != diagram.n_components:
+        raise ValueError(f"expected {diagram.n_components} weights, got {len(weights)}")
+    peak = diagram._analysis.peak_open()
+    if peak > MAX_OPEN_COMPONENTS:
+        raise ValueError(f"{peak} components open at once exceeds "
+                         f"{MAX_OPEN_COMPONENTS}")
+    return _sweep(diagram, [((False, None), (True, w)) for w in weights], theory)
 
 
 def evaluate_all_a(diagram: LinkDiagram, theory: Theory) -> Scalar:

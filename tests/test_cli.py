@@ -79,6 +79,28 @@ def test_tr_manifold_huge_framing(capsys, tmp_path):
     assert lines[0][1] == lines[1][1]
 
 
+def test_hopf_long_framed_chain(capsys):
+    # the CLI checks the surgery sweep against the lens closed form
+    framings = ",".join(str(i % 7 - 3) for i in range(40))
+    code, out, err = invoke(capsys, "hopf", "40", f"--framings={framings}")
+    assert code == 0, err
+    assert out.startswith("tr (manifold): ")
+
+
+def _nested_unknots(tmp_path, n):
+    path = tmp_path / f"nested{n}.txt"
+    path.write_text("link\n" + "cup 0\n" * n + "cap 0\n" * n + "end\n")
+    return str(path)
+
+
+def test_tr_manifold_open_component_bound(capsys, tmp_path):
+    # refused from the event analysis, before any branch
+    code, out, err = invoke(capsys, "tr-manifold", _nested_unknots(tmp_path, 17))
+    assert code == 1
+    assert "error: 17 components open at once exceeds 16" in err
+    assert out == ""
+
+
 def test_lens_requires_arguments(capsys):
     code, _, err = invoke(capsys, "lens")
     assert code == 1

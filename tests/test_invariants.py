@@ -9,15 +9,16 @@ from math import gcd
 import pytest
 
 from conftest import read_fixture
-from fibcat import ALL_THEORIES, Theory
+from fibcat import ALL_THEORIES, Scalar, Theory
+from fibcat.category import A, ONE
 from fibcat.invariants import (FramedLink, _chain_matrix, c_function,
                                continued_fraction_framings,
                                expand_minus_continued_fraction,
                                hopf_tr_closed_form, lens_space_framed_link,
                                lens_tr_closed_form, linking_matrix, signature,
                                tr_link, tr_manifold)
-from fibcat.tangles import (EventKind, LinkDiagram, LinkEvent, build_hopf_chain,
-                            evaluate_all_a, parse_link)
+from fibcat.tangles import (MAX_OPEN_COMPONENTS, EventKind, LinkDiagram, LinkEvent,
+                            build_hopf_chain, evaluate, evaluate_all_a, parse_link)
 
 
 @pytest.fixture
@@ -64,17 +65,17 @@ XP, XN = EventKind.CROSS_POS, EventKind.CROSS_NEG
 INVERSE = {XP: XN, XN: XP}
 
 
-def _random_morse_word(rng: random.Random) -> list[LinkEvent]:
-    """A valid event list of at most 12 strands: cups up to a random width
-    of 4 to 12, then cups, caps, crossings and kinks at random, then caps
-    until no strand is open."""
+def _random_morse_word(rng: random.Random, width: int = 12) -> list[LinkEvent]:
+    """A valid event list of at most ``width`` strands: cups up to a random
+    width of 4 to ``width``, then cups, caps, crossings and kinks at
+    random, then caps until no strand is open."""
     events, n = [], 0
-    target = rng.randrange(4, 13, 2)
+    target = rng.randrange(4, width + 1, 2)
     while n < target:
         events.append(LinkEvent(CUP, rng.randint(0, n)))
         n += 2
     for _ in range(rng.randint(target, 3 * target)):
-        kinds = [CUP] if n < 12 else []
+        kinds = [CUP] if n < width else []
         if n >= 2:
             kinds += [CAP, XP, XP, XN, XN, EventKind.TWIST_POS, EventKind.TWIST_NEG]
         kind = rng.choice(kinds)
@@ -166,6 +167,36 @@ def test_curl_scales_evaluation(theory):
         assert sign in (1, -1)
         assert evaluate_all_a(curled, theory) \
             == evaluate_all_a(diagram, theory) * theory.beta ** (-2 * sign)
+
+
+@pytest.mark.parametrize("theory", MOVE_THEORIES,
+                         ids=lambda t: f"{t.epsilon_sign}-{t.beta_sign}-{t.x}")
+def test_tr_manifold_invariant_under_random_moves(theory):
+    # the moves of test_tr_link_invariant_under_random_moves keep every
+    # component's number, self-writhe and linking numbers, so the same
+    # framings apply on both sides
+    rng = _move_rng("surgery-moves", theory)
+
+    def tr(word, framings):
+        return tr_manifold(FramedLink.from_diagram(LinkDiagram(tuple(word)), framings),
+                           theory)
+
+    def draw_framings(word):
+        return tuple(rng.randint(-3, 3) for _ in range(LinkDiagram(tuple(word)).n_components))
+
+    for _ in range(12):
+        events = _random_morse_word(rng)
+        framings = draw_framings(events)
+        moved = events
+        for _ in range(3):
+            x = rng.choice((XP, XN))
+            (moved,) = _insert(moved, rng, 2, [(x, 0), (INVERSE[x], 0)])
+            zigzag = rng.choice(([(CUP, 1), (CAP, 0)], [(CUP, 0), (CAP, 1)]))
+            (moved,) = _insert(moved, rng, 1, zigzag)
+        assert tr(moved, framings) == tr(events, framings), moved
+        one, other = _insert(events, rng, 3, *_random_r3(rng))
+        framings = draw_framings(one)
+        assert tr(one, framings) == tr(other, framings), one
 
 
 # -- framed links and linking matrices ----------------------------------------------
@@ -371,6 +402,74 @@ def test_tr_squared_is_real_nonnegative(th, unknot, trefoil):
 
 
 # -- closed forms ----------------------------------------------------------------------
+
+def _coloring_sum(framed: FramedLink, theory: Theory) -> Scalar:
+    """tr_manifold as the sum of ``evaluate`` over all 2^k colorings, each
+    weighted by eps beta^(-2 (f_i - w_i)) per A-colored component i."""
+    diagram = framed.diagram
+    k = diagram.n_components
+    sigma = signature(linking_matrix(framed))
+    excess = [f - w for f, w in zip(framed.framings, diagram.self_writhes())]
+    total = theory.zero
+    for colors in itertools.product((ONE, A), repeat=k):
+        kinks = sum(d for d, c in zip(excess, colors) if c is A)
+        weight = theory.epsilon ** colors.count(A) * theory.beta ** (-2 * kinks)
+        total = total + weight * evaluate(diagram, colors, theory)
+    return theory.delta ** sigma * theory.big_d ** (-sigma - k - 1) * total
+
+
+@pytest.mark.parametrize("theory", MOVE_THEORIES,
+                         ids=lambda t: f"{t.epsilon_sign}-{t.beta_sign}-{t.x}")
+def test_tr_manifold_matches_coloring_sum(theory):
+    # seeded random words of width <= 8 with drawn kinks and three to
+    # seven components (so that components open and close around each
+    # other, and the 2^k oracle stays cheap), and Hopf chains k <= 6, with
+    # random framings in -3..3
+    rng = _move_rng("coloring-sum", theory)
+    cases = []
+    while len(cases) < 16:
+        diagram = LinkDiagram(tuple(_random_morse_word(rng, width=8)))
+        if 3 <= diagram.n_components <= 7:
+            cases.append(diagram)
+    cases += [build_hopf_chain(k) for k in range(1, 7)]
+    for diagram in cases:
+        analysis = diagram._analysis
+        spans = [range(f, last + 1)
+                 for f, last in zip(analysis.first_events, analysis.last_events)]
+        assert analysis.peak_open() == max(sum(idx in span for span in spans)
+                                           for idx in range(len(diagram.events)))
+        framings = tuple(rng.randint(-3, 3) for _ in range(diagram.n_components))
+        framed = FramedLink.from_diagram(diagram, framings)
+        assert tr_manifold(framed, theory) == _coloring_sum(framed, theory), \
+            (diagram.events, framings)
+
+
+def test_tr_manifold_long_chain_matches_closed_form(any_theory):
+    # a chain keeps at most two components open, so its sweep is linear
+    rng = random.Random(f"long-chain-{any_theory.epsilon_sign}-{any_theory.beta_sign}")
+    for k in (40, 80):
+        framings = tuple(rng.randint(-3, 3) for _ in range(k))
+        framed = FramedLink.from_diagram(build_hopf_chain(k), framings)
+        assert framed.diagram._analysis.peak_open() == 2
+        assert tr_manifold(framed, any_theory) == lens_tr_closed_form(framings, any_theory)
+
+
+def _nested_unknots(n: int) -> LinkDiagram:
+    return LinkDiagram((LinkEvent(CUP, 0),) * n + (LinkEvent(CAP, 0),) * n)
+
+
+def test_tr_manifold_open_component_bound(th):
+    # 16 nested 0-framed unknots: every coloring evaluates to eps^(#A),
+    # so the weighted sum is (1 + eps^2)^16
+    assert MAX_OPEN_COMPONENTS == 16
+    framed = FramedLink.from_diagram(_nested_unknots(16))
+    assert tr_manifold(framed, th) \
+        == (th.one + th.epsilon ** 2) ** 16 * th.big_d ** -17
+    with pytest.raises(ValueError, match="17 components open at once exceeds 16"):
+        tr_manifold(FramedLink.from_diagram(_nested_unknots(17)), th)
+    # a fixed coloring keeps one key, so evaluate is not bounded
+    assert evaluate_all_a(_nested_unknots(17), th) == th.epsilon ** 17
+
 
 def test_c_function_examples(th):
     e = th.epsilon

@@ -347,7 +347,7 @@ def test_tables_match_lifted_steps(theory):
                 for (p, q), v in m.arrows.items():
                     rows.setdefault(p, {})[cod_paths[q]] = v
                 for p, path in enumerate(dom_paths):
-                    got = _apply({path: theory.one}, LinkEvent(kind, pos), table)
+                    got = _apply({path: theory.one}, kind, pos, table)
                     assert got == rows.get(p, {}), (kind, n, pos, path)
                     cases += 1
                 m = cat.tensor_morphisms(id_a, m)
