@@ -211,26 +211,6 @@ def _triple_word(x: SimpleObject, y: SimpleObject, z: SimpleObject) -> Word:
     return tuple(out)
 
 
-def _left_t(x, y, z) -> dict[tuple[int, int], int]:
-    """(s, u) -> summand index of (x(x)y)(x)z."""
-    table, t = {}, 0
-    for si, s in enumerate(_pair_letters(x, y)):
-        for ui in range(len(_pair_letters(s, z))):
-            table[(si, ui)] = t
-            t += 1
-    return table
-
-
-def _right_t(x, y, z) -> dict[tuple[int, int], int]:
-    """(s, u) -> summand index of x(x)(y(x)z)."""
-    table, t = {}, 0
-    for si, s in enumerate(_pair_letters(y, z)):
-        for ui in range(len(_pair_letters(x, s))):
-            table[(si, ui)] = t
-            t += 1
-    return table
-
-
 @lru_cache(maxsize=4096)
 def _assoc_block(x, y, z, theory: Theory) -> tuple[tuple[Scalar, ...], ...]:
     """Associator block on one simple triple, rows = target summand,
@@ -249,28 +229,31 @@ def _assoc_block(x, y, z, theory: Theory) -> tuple[tuple[Scalar, ...], ...]:
                  for i in range(n))
 
 
+def _ranked(triples) -> list[tuple[int, int, int, int]]:
+    """The simple triple (i, j, k) of each letter, extended by its summand
+    index t: on both sides of the associator, the letter's rank among the
+    letters of its triple in word order."""
+    seen: dict[tuple[int, int, int], int] = {}
+    out = []
+    for key in triples:
+        t = seen.get(key, 0)
+        seen[key] = t + 1
+        out.append((*key, t))
+    return out
+
+
 def _left_labels(x_word: Word, y_word: Word, z_word: Word):
     """Per letter of (X(x)Y)(x)Z: origin (i, j, k, t)."""
     xy, lab_xy = expand_pair(x_word, y_word)
     word, lab = expand_pair(xy, z_word)
-    out = []
-    for pxy, k, u in lab:
-        i, j, s = lab_xy[pxy]
-        t = _left_t(x_word[i], y_word[j], z_word[k])[(s, u)]
-        out.append((i, j, k, t))
-    return word, out
+    return word, _ranked(lab_xy[pxy][:2] + (k,) for pxy, k, _ in lab)
 
 
 def _right_labels(x_word: Word, y_word: Word, z_word: Word):
     """Per letter of X(x)(Y(x)Z): origin (i, j, k, t)."""
     yz, lab_yz = expand_pair(y_word, z_word)
     word, lab = expand_pair(x_word, yz)
-    out = []
-    for i, pyz, u in lab:
-        j, k, s = lab_yz[pyz]
-        t = _right_t(x_word[i], y_word[j], z_word[k])[(s, u)]
-        out.append((i, j, k, t))
-    return word, out
+    return word, _ranked((i,) + lab_yz[pyz][:2] for i, pyz, _ in lab)
 
 
 @lru_cache(maxsize=4096)

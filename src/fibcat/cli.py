@@ -1,5 +1,10 @@
 """Command-line front end: parse link/spine files, check the category
-axioms, and print every invariant in exact and floating form."""
+axioms, and print every invariant in exact and floating form.
+
+Each global option is declared once, with a SUPPRESS default, on a parent
+parser that the main parser and every subcommand share; each call parses
+into a fresh namespace filled from ``_DEFAULTS``, so an option may come
+before or after the subcommand.  The parser is built once per process."""
 
 from __future__ import annotations
 
@@ -16,7 +21,6 @@ from .scalars import Scalar, Theory
 
 _EPS_CHOICES = {"pos": "positive", "positive": "positive",
                 "neg": "negative", "negative": "negative"}
-_BETA_CHOICES = {"plus": "plus", "minus": "minus"}
 
 
 class CliError(Exception):
@@ -38,41 +42,33 @@ def _fraction(text: str) -> Fraction:
         raise argparse.ArgumentTypeError(f"not a rational number: {text!r}")
 
 
-def _add_globals(parser: argparse.ArgumentParser, suppress: bool) -> None:
-    # the same options hang off the main parser (with real defaults) and
-    # off every subcommand (defaulting to SUPPRESS so they override)
-    d = argparse.SUPPRESS if suppress else None
-
-    def default(value):
-        return argparse.SUPPRESS if suppress else value
-
-    parser.add_argument("--epsilon", default=d, metavar="pos|neg",
-                        help="sign of eps (default positive; env FIBCAT_EPSILON)")
-    parser.add_argument("--beta", default=d, metavar="plus|minus",
-                        help="choice of braiding constant (env FIBCAT_BETA)")
-    parser.add_argument("-x", type=_fraction, default=default(Fraction(1)),
-                        help="associator parameter (nonzero rational)")
-    parser.add_argument("-y", type=_fraction, default=default(Fraction(1)),
-                        help="duality parameter (nonzero rational)")
-    parser.add_argument("-z", type=_fraction, default=default(Fraction(1)),
-                        help="pairing parameter (nonzero rational)")
-    parser.add_argument("--output", choices=("exact", "float", "both"),
-                        default=default("both"), help="value rendering mode")
-    parser.add_argument("--seed", type=int, default=default(0),
-                        help="seed for the randomized checks")
-    parser.add_argument("--no-euler-check", action="store_true",
-                        default=default(False),
-                        help="skip spine validation identities")
+_DEFAULTS = {"epsilon": None, "beta": None, "x": Fraction(1), "y": Fraction(1),
+             "z": Fraction(1), "output": "both", "seed": 0,
+             "no_euler_check": False}
 
 
 def build_parser() -> argparse.ArgumentParser:
+    common = _Parser(add_help=False, argument_default=argparse.SUPPRESS)
+    common.add_argument("--epsilon", metavar="pos|neg",
+                        help="sign of eps (default positive; env FIBCAT_EPSILON)")
+    common.add_argument("--beta", metavar="plus|minus",
+                        help="choice of braiding constant (env FIBCAT_BETA)")
+    common.add_argument("-x", type=_fraction,
+                        help="associator parameter (nonzero rational)")
+    common.add_argument("-y", type=_fraction,
+                        help="duality parameter (nonzero rational)")
+    common.add_argument("-z", type=_fraction,
+                        help="pairing parameter (nonzero rational)")
+    common.add_argument("--output", choices=("exact", "float", "both"),
+                        help="value rendering mode")
+    common.add_argument("--seed", type=int,
+                        help="seed for the randomized checks")
+    common.add_argument("--no-euler-check", action="store_true",
+                        help="skip spine validation identities")
     parser = _Parser(
-        prog="fibcat",
+        prog="fibcat", parents=[common],
         description="Exact link and 3-manifold invariants from the "
                     "two-simple-object modular category.")
-    _add_globals(parser, suppress=False)
-    common = _Parser(add_help=False)
-    _add_globals(common, suppress=True)
     sub = parser.add_subparsers(dest="command", metavar="COMMAND",
                                 parser_class=_Parser)
 
@@ -129,11 +125,11 @@ def _theory_from_args(args) -> Theory:
     beta = args.beta or os.environ.get("FIBCAT_BETA", "plus")
     if eps not in _EPS_CHOICES:
         raise CliError(f"bad epsilon sign {eps!r} (want pos or neg)")
-    if beta not in _BETA_CHOICES:
+    if beta not in ("plus", "minus"):
         raise CliError(f"bad beta sign {beta!r} (want plus or minus)")
     try:
         return Theory(epsilon_sign=_EPS_CHOICES[eps],
-                      beta_sign=_BETA_CHOICES[beta],
+                      beta_sign=beta,
                       x=args.x, y=args.y, z=args.z)
     except ValueError as exc:
         raise CliError(str(exc)) from None
@@ -175,12 +171,14 @@ def _coloring(diagram: tg.LinkDiagram, spec: str | None):
     return colors
 
 
+_PARSER = build_parser()
+
+
 def run(argv: list[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _PARSER.parse_args(argv, argparse.Namespace(**_DEFAULTS))
         if args.command is None:
-            parser.print_usage()
+            _PARSER.print_usage()
             return 1
         theory = _theory_from_args(args)
         return _dispatch(args, theory)

@@ -27,7 +27,7 @@ first cup and is merged away after its last cap, so the sum costs
 by ``MAX_OPEN_COMPONENTS``.
 
 Writhes are read off a diagram with ``LinkDiagram.self_writhes`` and
-``total_writhe``; there is no separate ``writhe`` function.
+``total_writhe``.
 ``build_hopf_chain`` can draw framings as kinks, but surgery does not
 need them drawn: ``FramedLink`` in ``invariants`` keeps a diagram as it is
 and applies its framings as a scalar.
@@ -35,9 +35,9 @@ and applies its framings as a scalar.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from typing import Iterable, Sequence
 
 from . import category as cat
@@ -129,37 +129,16 @@ class _Analysis:
         return out
 
 
-class _UnionFind:
-    def __init__(self):
-        self.parent: list[int] = []
-
-    def make(self) -> int:
-        self.parent.append(len(self.parent))
-        return len(self.parent) - 1
-
-    def find(self, i: int) -> int:
-        while self.parent[i] != i:
-            self.parent[i] = self.parent[self.parent[i]]
-            i = self.parent[i]
-        return i
-
-    def union(self, i: int, j: int) -> None:
-        self.parent[self.find(i)] = self.find(j)
-
-
 @dataclass(frozen=True)
 class LinkDiagram:
     """A validated event list plus the derived component data."""
 
     events: tuple[LinkEvent, ...]
     declared_framings: tuple[tuple[int, int], ...] = ()
+    _analysis: _Analysis = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        _validate_events(self.events)
-
-    @cached_property
-    def _analysis(self) -> _Analysis:
-        return _analyze(self.events)
+        object.__setattr__(self, "_analysis", _analyze(self.events))
 
     @property
     def n_components(self) -> int:
@@ -204,34 +183,12 @@ class LinkDiagram:
         return "\n".join(lines) + "\n"
 
 
-def _validate_events(events: Sequence[LinkEvent]) -> None:
-    n = 0
-    for idx, ev in enumerate(events):
-        if ev.pos < 0:
-            raise LinkValidationError(f"event {idx}: negative position")
-        if ev.kind is EventKind.CUP:
-            if ev.pos > n:
-                raise LinkValidationError(f"event {idx}: cup at {ev.pos} with {n} strands")
-            n += 2
-        elif ev.kind is EventKind.CAP:
-            if ev.pos + 1 >= n:
-                raise LinkValidationError(f"event {idx}: cap at {ev.pos} with {n} strands")
-            n -= 2
-        elif ev.kind in (EventKind.CROSS_POS, EventKind.CROSS_NEG):
-            if ev.pos + 1 >= n:
-                raise LinkValidationError(f"event {idx}: crossing at {ev.pos} with {n} strands")
-        else:
-            if ev.pos >= n:
-                raise LinkValidationError(f"event {idx}: kink at {ev.pos} with {n} strands")
-    if n != 0:
-        raise LinkValidationError(f"diagram leaves {n} strands open")
-
-
 def _analyze(events: Sequence[LinkEvent]) -> _Analysis:
-    """Trace strands through the events; orient each component along its
-    traversal from the first-created segment and derive crossing signs."""
-    uf = _UnionFind()
+    """Check the strand bookkeeping of the events and trace strands
+    through them; orient each component along its traversal from the
+    first-created segment and derive crossing signs."""
     slots: list[int] = []                 # segment id per strand slot
+    n_segments = 0
     cup_legs: dict[int, tuple[int, int]] = {}
     cap_ends: dict[int, tuple[int, int]] = {}
     seg_left: dict[int, int] = {}         # segment -> cup event index
@@ -241,53 +198,57 @@ def _analyze(events: Sequence[LinkEvent]) -> _Analysis:
     event_segments: list[tuple[int, ...]] = []
 
     for idx, ev in enumerate(events):
+        n = len(slots)
+        if ev.pos < 0:
+            raise LinkValidationError(f"event {idx}: negative position")
         if ev.kind is EventKind.CUP:
-            s1, s2 = uf.make(), uf.make()
-            uf.union(s1, s2)
+            if ev.pos > n:
+                raise LinkValidationError(f"event {idx}: cup at {ev.pos} with {n} strands")
+            s1, s2 = n_segments, n_segments + 1
+            n_segments += 2
             cup_legs[idx] = (s1, s2)
             seg_left[s1] = idx
             seg_left[s2] = idx
             slots[ev.pos:ev.pos] = [s1, s2]
             event_segments.append((s1, s2))
         elif ev.kind is EventKind.CAP:
+            if ev.pos + 1 >= n:
+                raise LinkValidationError(f"event {idx}: cap at {ev.pos} with {n} strands")
             s1, s2 = slots[ev.pos], slots[ev.pos + 1]
-            uf.union(s1, s2)
             cap_ends[idx] = (s1, s2)
             seg_right[s1] = idx
             seg_right[s2] = idx
             del slots[ev.pos:ev.pos + 2]
             event_segments.append((s1, s2))
         elif ev.kind in (EventKind.CROSS_POS, EventKind.CROSS_NEG):
+            if ev.pos + 1 >= n:
+                raise LinkValidationError(f"event {idx}: crossing at {ev.pos} with {n} strands")
             s1, s2 = slots[ev.pos], slots[ev.pos + 1]
             nominal = 1 if ev.kind is EventKind.CROSS_POS else -1
             raw_crossings.append((s1, s2, nominal))
             slots[ev.pos], slots[ev.pos + 1] = s2, s1
             event_segments.append((s1, s2))
         else:
+            if ev.pos >= n:
+                raise LinkValidationError(f"event {idx}: kink at {ev.pos} with {n} strands")
             s = slots[ev.pos]
             raw_kinks.append((s, 1 if ev.kind is EventKind.TWIST_POS else -1))
             event_segments.append((s,))
+    if slots:
+        raise LinkValidationError(f"diagram leaves {len(slots)} strands open")
 
-    n_segments = len(uf.parent)
-    # components numbered by first appearance
-    comp_of: dict[int, int] = {}
-    component: list[int] = [0] * n_segments
-    for s in range(n_segments):
-        root = uf.find(s)
-        if root not in comp_of:
-            comp_of[root] = len(comp_of)
-        component[s] = comp_of[root]
-    n_components = len(comp_of)
-
-    # traversal orientation: +1 = rightward; each cup/cap junction reverses
+    # one traversal per component, from its lowest segment, so components
+    # are numbered by first appearance; direction +1 = rightward, and each
+    # cup/cap junction reverses it
+    component = [-1] * n_segments
     direction = [0] * n_segments
-    seen = set()
+    n_components = 0
     for s0 in range(n_segments):
-        if s0 in seen:
+        if component[s0] >= 0:
             continue
         s, d = s0, 1
-        while s not in seen:
-            seen.add(s)
+        while component[s] < 0:
+            component[s] = n_components
             direction[s] = d
             if d > 0:
                 j = seg_right[s]
@@ -297,6 +258,7 @@ def _analyze(events: Sequence[LinkEvent]) -> _Analysis:
                 pair = cup_legs[j]
             s = pair[1] if pair[0] == s else pair[0]
             d = -d
+        n_components += 1
 
     crossings = tuple(
         Crossing(component[a], component[b], direction[a], direction[b], nominal)

@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 
+import pytest
 from conftest import FIXTURES
 from fibcat.cli import run
 
@@ -214,6 +215,64 @@ def test_theory_flags_after_subcommand(capsys):
     _, out_neg, _ = invoke(capsys, "hopf", "2", "--output", "float",
                            "--epsilon", "neg")
     assert out_pos != out_neg
+
+
+def _loose_spine(tmp_path) -> str:
+    # fails the Euler check unless --no-euler-check is given
+    path = tmp_path / "loose.txt"
+    path.write_text("spine\ncomponents 2\nedge 0 1 1\nend\n")
+    return str(path)
+
+
+# Each global option with a value whose effect shows on the given command
+# (x, y, z leave every invariant unchanged, but 0 is refused).
+GLOBAL_OPTIONS = [
+    (["--epsilon", "neg"], ["hopf", "2"]),
+    (["--beta", "minus"], ["tr-link", link("trefoil.txt")]),
+    (["-x", "0"], ["hopf", "2"]),
+    (["-y", "0"], ["hopf", "2"]),
+    (["-z", "0"], ["hopf", "2"]),
+    (["--output", "exact"], ["hopf", "2"]),
+    (["--seed", "5"], ["check-axioms"]),
+    (["--no-euler-check"], ["tv-spine", "LOOSE"]),
+]
+
+
+@pytest.mark.parametrize("option, command", GLOBAL_OPTIONS,
+                         ids=[option[0] for option, _ in GLOBAL_OPTIONS])
+def test_global_option_before_or_after_subcommand(capsys, tmp_path, option, command):
+    command = [_loose_spine(tmp_path) if a == "LOOSE" else a for a in command]
+    default = invoke(capsys, *command)
+    before = invoke(capsys, *option, *command)
+    after = invoke(capsys, *command, *option)
+    assert before == after
+    assert before != default
+
+
+@pytest.mark.parametrize("side", ["before", "after"])
+def test_global_options_do_not_leak_between_calls(capsys, tmp_path, side):
+    every = ["--epsilon", "neg", "--beta", "minus", "-x", "0", "-y", "0",
+             "-z", "0", "--output", "float", "--seed", "5", "--no-euler-check"]
+    for command in (["hopf", "2"], ["tr-link", link("trefoil.txt")],
+                    ["check-axioms"], ["tv-spine", _loose_spine(tmp_path)]):
+        default = invoke(capsys, *command)
+        if side == "before":
+            invoke(capsys, *every, *command)
+        else:
+            invoke(capsys, *command, *every)
+        assert invoke(capsys, *command) == default
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["hopf", "--help"]])
+def test_help_lists_global_options(capsys, argv):
+    with pytest.raises(SystemExit) as exit_info:
+        run(argv)
+    assert exit_info.value.code == 0
+    out = capsys.readouterr().out
+    for flag in ("--epsilon pos|neg", "--beta plus|minus", "-x X", "-y Y",
+                 "-z Z", "--output {exact,float,both}", "--seed SEED",
+                 "--no-euler-check"):
+        assert flag in out
 
 
 def test_env_overrides(capsys, monkeypatch):
