@@ -4,7 +4,7 @@ from .category import (Morphism, SimpleObject, Word, associator, axiom_suite,
                        birth, braiding, compose, death, identity, parse_word,
                        s_matrix, scale_identity, tensor_morphisms, tensor_words,
                        twist)
-from .invariants import (FramedLink, c_function, continued_fraction_framings,
+from .invariants import (c_function, continued_fraction_framings,
                          expand_minus_continued_fraction, hopf_tr_closed_form,
                          lens_space_framed_link, lens_tr_closed_form,
                          linking_matrix, signature, tr_link, tr_manifold)
@@ -16,7 +16,7 @@ from .tangles import (EventKind, LinkDiagram, LinkEvent, build_hopf_chain,
                       evaluate, evaluate_all_a, parse_link)
 
 __all__ = [
-    "ALL_THEORIES", "EventKind", "FramedLink", "LinkDiagram", "LinkEvent",
+    "ALL_THEORIES", "EventKind", "LinkDiagram", "LinkEvent",
     "Morphism", "Rational", "SPHERE_SPINE", "Scalar", "SimpleObject", "Spine",
     "Theory", "Word", "admissible", "associator", "axiom_suite", "birth",
     "braiding", "build_hopf_chain", "c_function", "compose",

@@ -186,6 +186,9 @@ def run(argv: list[str] | None = None) -> int:
             sp.SpineParseError, sp.SpineValidationError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except SystemExit as exc:
+        # argparse exits only after printing help (``error`` is overridden)
+        return exc.code
 
 
 def _dispatch(args, theory: Theory) -> int:
@@ -218,11 +221,10 @@ def _dispatch(args, theory: Theory) -> int:
 
     if args.command == "tr-manifold":
         diagram = tg.parse_link(_read(args.file))
-        framed = inv.FramedLink.from_diagram(diagram)
-        sigma = inv.signature(inv.linking_matrix(framed))
+        sigma = inv.signature(inv.linking_matrix(diagram))
         # before any output, since it may refuse the diagram
-        value = inv.tr_manifold(framed, theory)
-        print(f"framings: {list(framed.framings)}, signature: {sigma}")
+        value = inv.tr_manifold(diagram, theory)
+        print(f"framings: {diagram.framings()}, signature: {sigma}")
         print(f"tr: {_render(value, mode)}")
         return 0
 
@@ -234,8 +236,7 @@ def _dispatch(args, theory: Theory) -> int:
             closed = inv.hopf_tr_closed_form(args.k, theory)
             label = "tr (link)"
         else:
-            framed = inv.FramedLink.from_diagram(diagram, framings)
-            value = inv.tr_manifold(framed, theory)
+            value = inv.tr_manifold(diagram.with_framings(framings), theory)
             closed = inv.lens_tr_closed_form(framings, theory)
             label = "tr (manifold)"
         if value != closed:
@@ -271,9 +272,7 @@ def _dispatch(args, theory: Theory) -> int:
         return 0
 
     if args.command == "compare-rt-tv":
-        diagram = tg.parse_link(_read(args.link))
-        framed = inv.FramedLink.from_diagram(diagram)
-        tr = inv.tr_manifold(framed, theory)
+        tr = inv.tr_manifold(tg.parse_link(_read(args.link)), theory)
         spine = sp.parse_spine(_read(args.spine),
                                euler_check=not args.no_euler_check)
         tv_value = sp.tv(spine, theory)

@@ -8,10 +8,10 @@ eps per A-colored component and normalized by the signature of the
 linking matrix.  The sum is one sweep over the events
 (``tangles.colored_sum``) that branches on a component's color when it
 opens and merges when it closes, so a chain of any length costs time
-linear in its length.  ``FramedLink`` keeps its diagram unchanged; where
-a framing differs from the drawn self-writhe, the missing kinks enter
-``tr_manifold`` as one power of beta in the component's A weight, never
-as events.
+linear in its length.  The framings are the diagram's own (declared, or
+else the self-writhes); where a framing differs from the drawn
+self-writhe, the missing kinks enter ``tr_manifold`` as one power of
+beta in the component's A weight, never as events.
 Closed forms for chains of linked circles (hence for lens spaces) are
 provided as independent oracles; the lens closed form takes time linear
 in the number of framings.
@@ -19,7 +19,6 @@ in the number of framings.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 from typing import Iterable, Mapping, Sequence
@@ -34,37 +33,14 @@ def tr_link(diagram: LinkDiagram, theory: Theory) -> Scalar:
     return (theory.beta ** (2 * w)) * evaluate_all_a(diagram, theory) / theory.epsilon
 
 
-@dataclass(frozen=True)
-class FramedLink:
-    """A diagram together with one integer framing per component.
-
-    The diagram is stored as given; where a framing differs from the
-    component's self-writhe, ``tr_manifold`` applies the difference as a
-    scalar kink factor instead of drawing the kinks.
-    """
-
-    diagram: LinkDiagram
-    framings: tuple[int, ...]
-
-    @staticmethod
-    def from_diagram(diagram: LinkDiagram,
-                     framings: tuple[int, ...] | None = None) -> FramedLink:
-        if framings is None:
-            framings = tuple(diagram.framings())
-        if len(framings) != diagram.n_components:
-            raise ValueError(f"expected {diagram.n_components} framings, "
-                             f"got {len(framings)}")
-        return FramedLink(diagram, tuple(framings))
-
-
-def linking_matrix(framed: FramedLink) -> list[dict[int, int]]:
+def linking_matrix(diagram: LinkDiagram) -> list[dict[int, int]]:
     """The symmetric integer linking matrix as sparse rows (see
     ``signature``): framings on the diagonal, linking numbers (half the
     signed inter-component crossing count) off it."""
-    counts = framed.diagram.pair_counts()
+    counts = diagram.pair_counts()
     if any(signed % 2 for signed in counts.values()):
         raise ValueError("odd signed crossing count between components")
-    return _symmetric_rows(framed.framings,
+    return _symmetric_rows(diagram.framings(),
                            ((pair, signed // 2) for pair, signed in counts.items()))
 
 
@@ -170,8 +146,9 @@ def _subtract(row: dict[int, tuple[int, int]], w: int, num: int, den: int) -> No
         row.pop(w, None)
 
 
-def tr_manifold(framed: FramedLink, theory: Theory) -> Scalar:
-    """Surgery invariant of the closed manifold presented by the framed link.
+def tr_manifold(diagram: LinkDiagram, theory: Theory) -> Scalar:
+    """Surgery invariant of the closed manifold presented by the framed
+    link diagram.
 
     The sum over all colorings of the colored evaluation, weighted by
     eps per A-colored component, taken in one sweep by
@@ -181,10 +158,9 @@ def tr_manifold(framed: FramedLink, theory: Theory) -> Scalar:
     scales an A-colored strand by beta^(-2 sign), so the weight of an
     A-colored component i is eps beta^(-2 (f_i - w_i)).
     """
-    diagram = framed.diagram
     k = diagram.n_components
-    sigma = signature(linking_matrix(framed))
-    excess = [f - w for f, w in zip(framed.framings, diagram.self_writhes())]
+    sigma = signature(linking_matrix(diagram))
+    excess = [f - w for f, w in zip(diagram.framings(), diagram.self_writhes())]
     weight = {d: theory.epsilon * theory.beta ** (-2 * d) for d in set(excess)}
     total = colored_sum(diagram, [weight[d] for d in excess], theory)
     return theory.delta ** sigma * theory.big_d ** (-sigma - k - 1) * total
@@ -278,6 +254,6 @@ def expand_minus_continued_fraction(framings) -> Fraction:
     return acc
 
 
-def lens_space_framed_link(p: int, q: int) -> FramedLink:
+def lens_space_framed_link(p: int, q: int) -> LinkDiagram:
     framings = continued_fraction_framings(p, q)
-    return FramedLink.from_diagram(build_hopf_chain(len(framings)), framings)
+    return build_hopf_chain(len(framings)).with_framings(framings)

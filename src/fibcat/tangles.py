@@ -28,9 +28,11 @@ by ``MAX_OPEN_COMPONENTS``.
 
 Writhes are read off a diagram with ``LinkDiagram.self_writhes`` and
 ``total_writhe``.
-``build_hopf_chain`` can draw framings as kinks, but surgery does not
-need them drawn: ``FramedLink`` in ``invariants`` keeps a diagram as it is
-and applies its framings as a scalar.
+A diagram carries its framings: ``framing i=f`` lines declare them, and
+the rest default to the self-writhes.  ``build_hopf_chain`` can draw
+framings as kinks, but surgery does not need them drawn:
+``with_framings`` declares them, and ``invariants.tr_manifold`` applies
+them as a scalar.
 """
 
 from __future__ import annotations
@@ -88,16 +90,37 @@ class Crossing:
         return self.nominal * self.dir_a * self.dir_b
 
 
+def _derived():
+    """A ``LinkDiagram`` field that ``_analyze`` sets from the events."""
+    return field(init=False, repr=False, compare=False)
+
+
 @dataclass(frozen=True)
-class _Analysis:
-    n_components: int
-    event_components: tuple[tuple[int, ...], ...]
-    crossings: tuple[Crossing, ...]
-    kinks: tuple[tuple[int, int], ...]  # (component, sign)
+class LinkDiagram:
+    """A validated event list with its declared framings, and the
+    component data derived from them when the diagram is built."""
+
+    events: tuple[LinkEvent, ...]
+    declared_framings: tuple[tuple[int, int], ...] = ()
+    n_components: int = _derived()
+    event_components: tuple[tuple[int, ...], ...] = _derived()
+    crossings: tuple[Crossing, ...] = _derived()
+    kinks: tuple[tuple[int, int], ...] = _derived()   # (component, sign)
     # per component, the index of its first event (a cup) and of its last
     # (a cap); it holds strands in between
-    first_events: tuple[int, ...]
-    last_events: tuple[int, ...]
+    first_events: tuple[int, ...] = _derived()
+    last_events: tuple[int, ...] = _derived()
+
+    def __post_init__(self):
+        for name, value in _analyze(self.events).items():
+            object.__setattr__(self, name, value)
+        seen: set[int] = set()
+        for comp, _ in self.declared_framings:
+            if not 0 <= comp < self.n_components:
+                raise LinkValidationError(f"framing for unknown component {comp}")
+            if comp in seen:
+                raise LinkValidationError(f"repeated framing for component {comp}")
+            seen.add(comp)
 
     def peak_open(self) -> int:
         """The most components that hold strands at once."""
@@ -111,6 +134,7 @@ class _Analysis:
         return peak
 
     def self_writhes(self) -> list[int]:
+        """w(l_i): signed self-crossing count (kinks included), per component."""
         w = [0] * self.n_components
         for c in self.crossings:
             if c.comp_a == c.comp_b:
@@ -118,6 +142,9 @@ class _Analysis:
         for comp, sign in self.kinks:
             w[comp] += sign
         return w
+
+    def total_writhe(self) -> int:
+        return sum(self.self_writhes())
 
     def pair_counts(self) -> dict[tuple[int, int], int]:
         """Signed crossing count per unordered component pair (i < j)."""
@@ -128,50 +155,21 @@ class _Analysis:
                 out[key] = out.get(key, 0) + c.sign
         return out
 
-
-@dataclass(frozen=True)
-class LinkDiagram:
-    """A validated event list plus the derived component data."""
-
-    events: tuple[LinkEvent, ...]
-    declared_framings: tuple[tuple[int, int], ...] = ()
-    _analysis: _Analysis = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "_analysis", _analyze(self.events))
-
-    @property
-    def n_components(self) -> int:
-        return self._analysis.n_components
-
-    @property
-    def crossings(self) -> tuple[Crossing, ...]:
-        return self._analysis.crossings
-
-    @property
-    def kinks(self) -> tuple[tuple[int, int], ...]:
-        """(component, sign) per kink event."""
-        return self._analysis.kinks
-
-    def self_writhes(self) -> list[int]:
-        """w(l_i): signed self-crossing count (kinks included), per component."""
-        return self._analysis.self_writhes()
-
-    def total_writhe(self) -> int:
-        return sum(self.self_writhes())
-
-    def pair_counts(self) -> dict[tuple[int, int], int]:
-        return self._analysis.pair_counts()
-
     def with_events(self, events: Iterable[LinkEvent]) -> LinkDiagram:
         return LinkDiagram(tuple(events), self.declared_framings)
+
+    def with_framings(self, framings: Sequence[int]) -> LinkDiagram:
+        """The same events with framing ``framings[i]`` declared for each
+        component i."""
+        if len(framings) != self.n_components:
+            raise LinkValidationError(f"expected {self.n_components} framings, "
+                                      f"got {len(framings)}")
+        return LinkDiagram(self.events, tuple(enumerate(framings)))
 
     def framings(self) -> list[int]:
         """Declared framings, defaulting to the self-writhes."""
         out = self.self_writhes()
         for comp, f in self.declared_framings:
-            if not 0 <= comp < self.n_components:
-                raise LinkValidationError(f"framing for unknown component {comp}")
             out[comp] = f
         return out
 
@@ -183,10 +181,11 @@ class LinkDiagram:
         return "\n".join(lines) + "\n"
 
 
-def _analyze(events: Sequence[LinkEvent]) -> _Analysis:
+def _analyze(events: Sequence[LinkEvent]) -> dict:
     """Check the strand bookkeeping of the events and trace strands
     through them; orient each component along its traversal from the
-    first-created segment and derive crossing signs."""
+    first-created segment and derive crossing signs.  Returns the derived
+    fields of ``LinkDiagram`` by name."""
     slots: list[int] = []                 # segment id per strand slot
     n_segments = 0
     cup_legs: dict[int, tuple[int, int]] = {}
@@ -273,8 +272,9 @@ def _analyze(events: Sequence[LinkEvent]) -> _Analysis:
             if first[c] is None:
                 first[c] = idx
             last[c] = idx
-    return _Analysis(n_components, event_components, crossings, kinks,
-                     tuple(first), tuple(last))
+    return {"n_components": n_components, "event_components": event_components,
+            "crossings": crossings, "kinks": kinks,
+            "first_events": tuple(first), "last_events": tuple(last)}
 
 
 # ---------------------------------------------------------------------------
@@ -466,13 +466,12 @@ def _sweep(diagram: LinkDiagram, branches: Sequence[_Branches],
     over the same paths, since only open A-colored components hold
     strands.
     """
-    analysis = diagram._analysis
-    first, last = analysis.first_events, analysis.last_events
-    bit = [1 << c for c in range(analysis.n_components)]
+    first, last = diagram.first_events, diagram.last_events
+    bit = [1 << c for c in range(diagram.n_components)]
     tables = {kind: _table(kind, theory) for kind in {ev.kind for ev in diagram.events}}
     states: dict[int, _Vector] = {0: {ONE.value: theory.one}}
     slots: list[int] = []    # the bit of each open strand's component
-    for idx, (ev, comps) in enumerate(zip(diagram.events, analysis.event_components)):
+    for idx, (ev, comps) in enumerate(zip(diagram.events, diagram.event_components)):
         kind, pos, table = ev.kind, ev.pos, tables[ev.kind]
         c = comps[0]
         bits = bit[c] | bit[comps[-1]]
@@ -552,7 +551,7 @@ def colored_sum(diagram: LinkDiagram, weights: Sequence[Scalar],
     """
     if len(weights) != diagram.n_components:
         raise ValueError(f"expected {diagram.n_components} weights, got {len(weights)}")
-    peak = diagram._analysis.peak_open()
+    peak = diagram.peak_open()
     if peak > MAX_OPEN_COMPONENTS:
         raise ValueError(f"{peak} components open at once exceeds "
                          f"{MAX_OPEN_COMPONENTS}")

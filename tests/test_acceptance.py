@@ -15,8 +15,7 @@ import pytest
 from conftest import read_fixture
 from fibcat import ALL_THEORIES, Theory
 from fibcat.category import (A, ONE, axiom_suite, s_matrix)
-from fibcat.invariants import (FramedLink, c_function,
-                               continued_fraction_framings,
+from fibcat.invariants import (c_function, continued_fraction_framings,
                                hopf_tr_closed_form, lens_tr_closed_form,
                                tr_link, tr_manifold)
 from fibcat.spines import (SPHERE_SPINE, admissible, module_iso_check,
@@ -94,7 +93,7 @@ def test_criterion_4_hopf_chains():
 
 def test_criterion_5_poincare_sphere():
     theory = Theory()
-    framed = FramedLink.from_diagram(trefoil(), (1,))
+    framed = trefoil().with_framings((1,))
     e, b = theory.epsilon, theory.beta
     expected = ((1 + e ** 2 * b ** 2) * (1 + e * (b ** 4 + 2))
                 * theory.big_d.invert() ** 3)
@@ -111,7 +110,7 @@ def test_criterion_6_c_function_and_lens_spaces():
     checked = 0
     for k in (1, 2, 3):
         for framings in itertools.product(range(-2, 5), repeat=k):
-            framed = FramedLink.from_diagram(build_hopf_chain(k, framings))
+            framed = build_hopf_chain(k, framings)
             assert lens_tr_closed_form(framings, theory) \
                 == tr_manifold(framed, theory), framings
             checked += 1
@@ -127,8 +126,8 @@ def test_criterion_7_lens_values_and_reality():
     theory = Theory()
     e, b = theory.epsilon, theory.beta
     unknot = parse_link(read_fixture("links/unknot.txt"))
-    l11 = tr_manifold(FramedLink.from_diagram(unknot, (1,)), theory)
-    l41 = tr_manifold(FramedLink.from_diagram(unknot, (4,)), theory)
+    l11 = tr_manifold(unknot.with_framings((1,)), theory)
+    l41 = tr_manifold(unknot.with_framings((4,)), theory)
     assert l11 == theory.big_d.invert()
     assert l41 == (e + 1) * (1 + b) ** 2 * theory.big_d.invert() ** 3
     for value in (l11, l41):

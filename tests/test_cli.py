@@ -1,12 +1,15 @@
 from __future__ import annotations
 
 import os
+import random
+import re
 import subprocess
 import sys
 
 import pytest
-from conftest import FIXTURES
+from conftest import FIXTURES, random_morse_word
 from fibcat.cli import run
+from fibcat.tangles import LinkDiagram
 
 SRC = FIXTURES.parent / "src"
 
@@ -100,6 +103,23 @@ def test_tr_manifold_open_component_bound(capsys, tmp_path):
     assert code == 1
     assert "error: 17 components open at once exceeds 16" in err
     assert out == ""
+
+
+BAD_FRAMINGS = [("framing 5=1", "framing for unknown component 5"),
+                ("framing 0=1\nframing 0=3", "repeated framing for component 0")]
+
+
+@pytest.mark.parametrize("command", ["tr-link", "eval-link", "tr-manifold"])
+@pytest.mark.parametrize("framing, message", BAD_FRAMINGS, ids=["unknown", "repeated"])
+def test_bad_framing_refused(capsys, tmp_path, command, framing, message):
+    path = tmp_path / "unknot.txt"
+    path.write_text(f"link\ncup 0\ncap 0\nend\n{framing}\n")
+    assert invoke(capsys, command, str(path)) == (1, "", f"error: {message}\n")
+
+
+def test_hopf_framing_count(capsys):
+    assert invoke(capsys, "hopf", "3", "--framings=1,2") \
+        == (1, "", "error: expected 3 framings, got 2\n")
 
 
 def test_lens_requires_arguments(capsys):
@@ -265,9 +285,7 @@ def test_global_options_do_not_leak_between_calls(capsys, tmp_path, side):
 
 @pytest.mark.parametrize("argv", [["--help"], ["hopf", "--help"]])
 def test_help_lists_global_options(capsys, argv):
-    with pytest.raises(SystemExit) as exit_info:
-        run(argv)
-    assert exit_info.value.code == 0
+    assert run(argv) == 0
     out = capsys.readouterr().out
     for flag in ("--epsilon pos|neg", "--beta plus|minus", "-x X", "-y Y",
                  "-z Z", "--output {exact,float,both}", "--seed SEED",
@@ -332,3 +350,63 @@ def test_elimination_width_limit(tmp_path, capsys):
     assert code == 1
     assert out == ""
     assert "elimination width 17 exceeds 16" in err
+
+
+# -- every mutated input exits 0 or 1 -----------------------------------------
+
+_BAD_LINES = ["zap 0", "cup", "cup x", "cap 0 1", "xp -1", "tp 9", "framing",
+              "framing 0", "framing 0=x", "link", "end", "spine", "components x",
+              "edge 0 1", "edge 0 x 1", "vertex 0 0 0", "= = ="]
+
+
+def _mutant(lines: list[str], rng: random.Random) -> str:
+    """``lines`` after one to three random edits: drop, duplicate or swap
+    a line, change one number to a small one, insert a bad line, or add
+    a framing line."""
+    lines = list(lines)
+    for _ in range(rng.randint(1, 3)):
+        edit = rng.randrange(6) if lines else 4
+        i = rng.randrange(len(lines)) if lines else 0
+        if edit == 0:
+            del lines[i]
+        elif edit == 1:
+            lines.insert(i, lines[i])
+        elif edit == 2:
+            j = rng.randrange(len(lines))
+            lines[i], lines[j] = lines[j], lines[i]
+        elif edit == 3:
+            numbers = list(re.finditer(r"-?\d+", lines[i]))
+            if numbers:
+                m = rng.choice(numbers)
+                lines[i] = f"{lines[i][:m.start()]}{rng.randint(-1, 5)}{lines[i][m.end():]}"
+        elif edit == 4:
+            lines.insert(i, rng.choice(_BAD_LINES))
+        else:
+            lines.append(f"framing {rng.randint(-1, 4)}={rng.randint(-3, 3)}")
+    return "\n".join(lines) + "\n"
+
+
+def test_mutated_inputs_exit_cleanly(capsys, tmp_path):
+    # seeded edits of small link and spine files; the inputs stay small
+    # (width <= 6, numbers <= 5), so no call needs a size bound
+    rng = random.Random("cli-contract")
+    links = [path.read_text() for path in sorted((FIXTURES / "links").iterdir())]
+    for _ in range(8):
+        diagram = LinkDiagram(tuple(random_morse_word(rng, width=6)))
+        framings = [rng.randint(-3, 3) for _ in range(diagram.n_components)]
+        links.append(diagram.with_framings(framings).render())
+    spines = [(FIXTURES / "spines" / "sphere.txt").read_text(),
+              "spine\ncomponents 2\nedge 0 1 1\nend\n",
+              "spine\ncomponents 4\nedge 0 1 1\nedge 1 1 1\nvertex 0 1 1 1 1 1\n"
+              "edge 2 3 3\nedge 3 3 3\nvertex 2 3 3 3 3 3\nend\n"]
+    path = tmp_path / "input.txt"
+    cases = [(links, ["tr-link"], ["eval-link"], ["tr-manifold"]),
+             (spines, ["tv-spine"], ["t-spine"], ["tv-spine", "--no-euler-check"],
+              ["t-spine", "--no-euler-check"])]
+    for bases, *commands in cases:
+        for _ in range(200):
+            text = _mutant(rng.choice(bases).splitlines(), rng)
+            path.write_text(text)
+            for command in commands:
+                code, _, err = invoke(capsys, *command, str(path))
+                assert code in (0, 1), (command, text, err)

@@ -8,10 +8,10 @@ from math import gcd
 
 import pytest
 
-from conftest import read_fixture
+from conftest import random_morse_word, read_fixture
 from fibcat import ALL_THEORIES, Scalar, Theory
 from fibcat.category import A, ONE
-from fibcat.invariants import (FramedLink, _chain_matrix, c_function,
+from fibcat.invariants import (_chain_matrix, c_function,
                                continued_fraction_framings,
                                expand_minus_continued_fraction,
                                hopf_tr_closed_form, lens_space_framed_link,
@@ -65,37 +65,6 @@ XP, XN = EventKind.CROSS_POS, EventKind.CROSS_NEG
 INVERSE = {XP: XN, XN: XP}
 
 
-def _random_morse_word(rng: random.Random, width: int = 12) -> list[LinkEvent]:
-    """A valid event list of at most ``width`` strands: cups up to a random
-    width of 4 to ``width``, then cups, caps, crossings and kinks at
-    random, then caps until no strand is open."""
-    events, n = [], 0
-    target = rng.randrange(4, width + 1, 2)
-    while n < target:
-        events.append(LinkEvent(CUP, rng.randint(0, n)))
-        n += 2
-    for _ in range(rng.randint(target, 3 * target)):
-        kinds = [CUP] if n < width else []
-        if n >= 2:
-            kinds += [CAP, XP, XP, XN, XN, EventKind.TWIST_POS, EventKind.TWIST_NEG]
-        kind = rng.choice(kinds)
-        if kind is CUP:
-            pos = rng.randint(0, n)
-            n += 2
-        elif kind is CAP:
-            pos = rng.randrange(n - 1)
-            n -= 2
-        elif kind in INVERSE:
-            pos = rng.randrange(n - 1)
-        else:
-            pos = rng.randrange(n)
-        events.append(LinkEvent(kind, pos))
-    while n:
-        events.append(LinkEvent(CAP, rng.randrange(n - 1)))
-        n -= 2
-    return events
-
-
 def _insert(events: list[LinkEvent], rng: random.Random, width: int, *moves):
     """One copy of ``events`` per move, each with the move's events for
     strands p .. p + width - 1 inserted at the same random point and p.
@@ -136,7 +105,7 @@ def test_tr_link_invariant_under_random_moves(theory):
     # move inserted at the same point of a word
     rng = _move_rng("moves", theory)
     for _ in range(20):
-        events = _random_morse_word(rng)
+        events = random_morse_word(rng)
         base = tr_link(LinkDiagram(tuple(events)), theory)
         moved = events
         for _ in range(3):
@@ -157,7 +126,7 @@ def test_curl_scales_evaluation(theory):
     # the evaluation by beta^-+2
     rng = _move_rng("curl", theory)
     for _ in range(20):
-        events = _random_morse_word(rng)
+        events = random_morse_word(rng)
         x = rng.choice((XP, XN))
         curl = rng.choice(([(CUP, 1), (x, 0), (CAP, 1)], [(CUP, 0), (x, 1), (CAP, 0)]))
         diagram = LinkDiagram(tuple(events))
@@ -178,14 +147,14 @@ def test_tr_manifold_invariant_under_random_moves(theory):
     rng = _move_rng("surgery-moves", theory)
 
     def tr(word, framings):
-        return tr_manifold(FramedLink.from_diagram(LinkDiagram(tuple(word)), framings),
+        return tr_manifold(LinkDiagram(tuple(word)).with_framings(framings),
                            theory)
 
     def draw_framings(word):
         return tuple(rng.randint(-3, 3) for _ in range(LinkDiagram(tuple(word)).n_components))
 
     for _ in range(12):
-        events = _random_morse_word(rng)
+        events = random_morse_word(rng)
         framings = draw_framings(events)
         moved = events
         for _ in range(3):
@@ -204,26 +173,25 @@ def test_tr_manifold_invariant_under_random_moves(theory):
 def test_framing_scalar_matches_drawn_kinks(unknot, any_theory):
     for framing, kinks in ((4, "tp 0\n" * 4), (-2, "tn 0\n" * 2)):
         kinked = parse_link(f"link\ncup 0\n{kinks}cap 0\nend\n")
-        assert tr_manifold(FramedLink.from_diagram(unknot, (framing,)), any_theory) \
-            == tr_manifold(FramedLink.from_diagram(kinked), any_theory)
+        assert tr_manifold(unknot.with_framings((framing,)), any_theory) \
+            == tr_manifold(kinked, any_theory)
 
 
 def test_framed_link_from_file_framings():
     d = parse_link(read_fixture("links/trefoil_framed1.txt"))
-    framed = FramedLink.from_diagram(d)
-    assert framed.framings == (1,)
-    assert framed.diagram is d
+    assert d.framings() == [1]
+    assert d.with_framings(d.framings()) == d
 
 
 def test_huge_framing_is_a_scalar(unknot, any_theory):
     # beta^2 has order 5, and the signature is 1 at both framings
-    value = tr_manifold(FramedLink.from_diagram(unknot, (1000000,)), any_theory)
-    assert value == tr_manifold(FramedLink.from_diagram(unknot, (10,)), any_theory)
+    value = tr_manifold(unknot.with_framings((1000000,)), any_theory)
+    assert value == tr_manifold(unknot.with_framings((10,)), any_theory)
     assert value == lens_tr_closed_form((1000000,), any_theory)
 
 
 def test_linking_matrix_hopf():
-    framed = FramedLink.from_diagram(build_hopf_chain(2, (0, 0)))
+    framed = build_hopf_chain(2, (0, 0))
     m = linking_matrix(framed)
     assert 0 not in m[0] and 1 not in m[1]
     assert abs(m[0][1]) == 1 and m[0][1] == m[1][0]
@@ -231,12 +199,11 @@ def test_linking_matrix_hopf():
 
 def test_linking_matrix_split_unlink():
     d = parse_link("link\ncup 0\ncup 1\ncap 1\ncap 0\nend\nframing 0=1\nframing 1=-2\n")
-    framed = FramedLink.from_diagram(d)
-    assert linking_matrix(framed) == [{0: 1}, {1: -2}]
+    assert linking_matrix(d) == [{0: 1}, {1: -2}]
 
 
 def test_linking_matrix_chain_tridiagonal():
-    framed = FramedLink.from_diagram(build_hopf_chain(3, (5, -1, 2)))
+    framed = build_hopf_chain(3, (5, -1, 2))
     m = linking_matrix(framed)
     assert [m[i][i] for i in range(3)] == [5, -1, 2]
     assert abs(m[0][1]) == 1 and abs(m[1][2]) == 1
@@ -359,12 +326,12 @@ def test_signature_invariance_under_reorientation_and_permutation():
 # -- tr for manifolds ----------------------------------------------------------------
 
 def test_tr_sphere_empty_link(any_theory):
-    framed = FramedLink.from_diagram(parse_link("link\nend\n"))
+    framed = parse_link("link\nend\n")
     assert tr_manifold(framed, any_theory) == any_theory.big_d.invert()
 
 
 def test_tr_poincare_sphere(trefoil, any_theory):
-    framed = FramedLink.from_diagram(trefoil, (1,))
+    framed = trefoil.with_framings((1,))
     e, b = any_theory.epsilon, any_theory.beta
     expected = (any_theory.delta * (1 + e * (b ** 4 + 2))
                 * any_theory.big_d.invert() ** 3)
@@ -372,7 +339,7 @@ def test_tr_poincare_sphere(trefoil, any_theory):
 
 
 def test_tr_lens_4_1(unknot, any_theory):
-    framed = FramedLink.from_diagram(unknot, (4,))
+    framed = unknot.with_framings((4,))
     e, b = any_theory.epsilon, any_theory.beta
     expected = (e + 1) * (1 + b) ** 2 * any_theory.big_d.invert() ** 3
     assert tr_manifold(framed, any_theory) == expected
@@ -383,11 +350,11 @@ def test_tr_squared_is_real_nonnegative(th, unknot, trefoil):
     # by conjugation and embeds to a nonnegative real; it is moreover
     # exactly rational on the lens-space fixtures (where it equals 1)
     fixtures = [
-        FramedLink.from_diagram(parse_link("link\nend\n")),
-        FramedLink.from_diagram(unknot, (1,)),
-        FramedLink.from_diagram(unknot, (4,)),
-        FramedLink.from_diagram(trefoil, (1,)),
-        FramedLink.from_diagram(build_hopf_chain(3, (2, 0, -1))),
+        parse_link("link\nend\n"),
+        unknot.with_framings((1,)),
+        unknot.with_framings((4,)),
+        trefoil.with_framings((1,)),
+        build_hopf_chain(3, (2, 0, -1)),
     ]
     for framed in fixtures:
         value = tr_manifold(framed, th)
@@ -396,20 +363,19 @@ def test_tr_squared_is_real_nonnegative(th, unknot, trefoil):
         embedded = squared.embed()
         assert abs(embedded.imag) < 1e-12 and embedded.real >= 0
     for framings in ((1,), (4,)):
-        value = tr_manifold(FramedLink.from_diagram(unknot, framings), th)
+        value = tr_manifold(unknot.with_framings(framings), th)
         squared = value.conjugate() * value * (th.epsilon + 2)
         assert squared.is_rational and squared.as_rational() == 1
 
 
 # -- closed forms ----------------------------------------------------------------------
 
-def _coloring_sum(framed: FramedLink, theory: Theory) -> Scalar:
+def _coloring_sum(diagram: LinkDiagram, theory: Theory) -> Scalar:
     """tr_manifold as the sum of ``evaluate`` over all 2^k colorings, each
     weighted by eps beta^(-2 (f_i - w_i)) per A-colored component i."""
-    diagram = framed.diagram
     k = diagram.n_components
-    sigma = signature(linking_matrix(framed))
-    excess = [f - w for f, w in zip(framed.framings, diagram.self_writhes())]
+    sigma = signature(linking_matrix(diagram))
+    excess = [f - w for f, w in zip(diagram.framings(), diagram.self_writhes())]
     total = theory.zero
     for colors in itertools.product((ONE, A), repeat=k):
         kinks = sum(d for d, c in zip(excess, colors) if c is A)
@@ -428,18 +394,17 @@ def test_tr_manifold_matches_coloring_sum(theory):
     rng = _move_rng("coloring-sum", theory)
     cases = []
     while len(cases) < 16:
-        diagram = LinkDiagram(tuple(_random_morse_word(rng, width=8)))
+        diagram = LinkDiagram(tuple(random_morse_word(rng, width=8)))
         if 3 <= diagram.n_components <= 7:
             cases.append(diagram)
     cases += [build_hopf_chain(k) for k in range(1, 7)]
     for diagram in cases:
-        analysis = diagram._analysis
         spans = [range(f, last + 1)
-                 for f, last in zip(analysis.first_events, analysis.last_events)]
-        assert analysis.peak_open() == max(sum(idx in span for span in spans)
-                                           for idx in range(len(diagram.events)))
+                 for f, last in zip(diagram.first_events, diagram.last_events)]
+        assert diagram.peak_open() == max(sum(idx in span for span in spans)
+                                          for idx in range(len(diagram.events)))
         framings = tuple(rng.randint(-3, 3) for _ in range(diagram.n_components))
-        framed = FramedLink.from_diagram(diagram, framings)
+        framed = diagram.with_framings(framings)
         assert tr_manifold(framed, theory) == _coloring_sum(framed, theory), \
             (diagram.events, framings)
 
@@ -449,8 +414,8 @@ def test_tr_manifold_long_chain_matches_closed_form(any_theory):
     rng = random.Random(f"long-chain-{any_theory.epsilon_sign}-{any_theory.beta_sign}")
     for k in (40, 80):
         framings = tuple(rng.randint(-3, 3) for _ in range(k))
-        framed = FramedLink.from_diagram(build_hopf_chain(k), framings)
-        assert framed.diagram._analysis.peak_open() == 2
+        framed = build_hopf_chain(k).with_framings(framings)
+        assert framed.peak_open() == 2
         assert tr_manifold(framed, any_theory) == lens_tr_closed_form(framings, any_theory)
 
 
@@ -462,11 +427,11 @@ def test_tr_manifold_open_component_bound(th):
     # 16 nested 0-framed unknots: every coloring evaluates to eps^(#A),
     # so the weighted sum is (1 + eps^2)^16
     assert MAX_OPEN_COMPONENTS == 16
-    framed = FramedLink.from_diagram(_nested_unknots(16))
+    framed = _nested_unknots(16)
     assert tr_manifold(framed, th) \
         == (th.one + th.epsilon ** 2) ** 16 * th.big_d ** -17
     with pytest.raises(ValueError, match="17 components open at once exceeds 16"):
-        tr_manifold(FramedLink.from_diagram(_nested_unknots(17)), th)
+        tr_manifold(_nested_unknots(17), th)
     # a fixed coloring keeps one key, so evaluate is not bounded
     assert evaluate_all_a(_nested_unknots(17), th) == th.epsilon ** 17
 
@@ -497,19 +462,19 @@ def test_hopf_closed_form_matches_evaluation(any_theory):
 def test_lens_closed_form_examples(th, unknot):
     assert lens_tr_closed_form((1,), th) == th.big_d.invert()
     assert lens_tr_closed_form((4,), th) \
-        == tr_manifold(FramedLink.from_diagram(unknot, (4,)), th)
+        == tr_manifold(unknot.with_framings((4,)), th)
 
 
 def test_lens_closed_form_matches_surgery_sum(th):
     for k in (1, 2):
         for framings in itertools.product(range(-2, 5), repeat=k):
-            framed = FramedLink.from_diagram(build_hopf_chain(k, framings))
+            framed = build_hopf_chain(k, framings)
             assert lens_tr_closed_form(framings, th) == tr_manifold(framed, th), \
                 framings
     rng = random.Random(14)
     for _ in range(10):
         framings = tuple(rng.randint(-2, 4) for _ in range(3))
-        framed = FramedLink.from_diagram(build_hopf_chain(3, framings))
+        framed = build_hopf_chain(3, framings)
         assert lens_tr_closed_form(framings, th) == tr_manifold(framed, th)
 
 
@@ -588,5 +553,5 @@ def test_continued_fraction_validation():
 
 def test_lens_space_framed_link(th):
     framed = lens_space_framed_link(7, 3)
-    assert framed.framings == (3, 2, 2)
+    assert framed.framings() == [3, 2, 2]
     assert lens_tr_closed_form((3, 2, 2), th) == tr_manifold(framed, th)

@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import read_fixture
+from conftest import random_morse_word, read_fixture
 from fibcat import ALL_THEORIES, Theory
 from fibcat import category as cat
 from fibcat.category import A, ONE
@@ -93,6 +93,25 @@ def test_validation_errors():
         parse_link("link\ncup 0\nend\n")
     with pytest.raises(LinkValidationError):
         parse_link("link\ncup 0\ntp 2\ncap 0\nend\n")
+
+
+def test_framing_validation_when_built():
+    with pytest.raises(LinkValidationError, match="^framing for unknown component 5$"):
+        parse_link("link\ncup 0\ncap 0\nend\nframing 5=1\n")
+    with pytest.raises(LinkValidationError, match="^framing for unknown component -1$"):
+        LinkDiagram((LinkEvent(EventKind.CUP, 0), LinkEvent(EventKind.CAP, 0)), ((-1, 2),))
+    with pytest.raises(LinkValidationError, match="^repeated framing for component 0$"):
+        parse_link("link\ncup 0\ncap 0\nend\nframing 0=1\nframing 0=3\n")
+
+
+def test_with_framings(trefoil):
+    framed = trefoil.with_framings((1,))
+    assert framed.events == trefoil.events
+    assert framed.declared_framings == ((0, 1),)
+    assert framed.framings() == [1]
+    assert framed.self_writhes() == trefoil.self_writhes()
+    with pytest.raises(LinkValidationError, match="^expected 1 framings, got 2$"):
+        trefoil.with_framings((1, 2))
 
 
 # -- writhe and linking data ------------------------------------------------------
@@ -389,3 +408,18 @@ def test_build_hopf_chain_validation():
 
 def test_render_round_trip(trefoil):
     assert parse_link(trefoil.render()) == trefoil
+
+
+def test_render_round_trip_random_words():
+    # seeded random words, each with framings declared for a random subset
+    # of its components in random order
+    rng = random.Random("render-round-trip")
+    for _ in range(60):
+        diagram = LinkDiagram(tuple(random_morse_word(rng)))
+        comps = rng.sample(range(diagram.n_components), rng.randint(0, diagram.n_components))
+        diagram = LinkDiagram(diagram.events, tuple((c, rng.randint(-5, 5)) for c in comps))
+        parsed = parse_link(diagram.render())
+        assert parsed == diagram
+        assert parsed.n_components == diagram.n_components
+        assert parsed.self_writhes() == diagram.self_writhes()
+        assert parsed.framings() == diagram.framings()
