@@ -113,6 +113,14 @@ class Morphism:
     stored, so equal maps are equal morphisms.  Values are exact scalars
     of one theory.  Cached constructors hand out the same map to every
     caller, so it is never modified after construction.
+
+    ``Morphism(...)`` checks every arrow.  ``then``, ``tensor_morphisms``,
+    ``scale_identity``, ``associator`` and ``braiding`` build through
+    ``_unchecked``, as their arrows are valid by construction: positions
+    and letter types carry over from the operands' words, or from the
+    expansions of ``expand_pair``, which pair letters of one type; ``then``
+    drops the sums that vanish, and every other stored value is a product
+    of nonzero field elements, a nonzero block entry or a power of beta.
     """
 
     dom: Word
@@ -131,6 +139,20 @@ class Morphism:
             if v.is_zero:
                 raise ValueError(f"zero arrow stored at ({dp}, {cp})")
 
+    @classmethod
+    def _unchecked(cls, dom: Word, cod: Word, arrows: Arrows, theory: Theory) -> Morphism:
+        """A morphism whose arrows the caller guarantees, skipping the checks.
+
+        Set field by field, as the generated ``__init__`` does: writing to
+        ``__dict__`` would give each morphism its own dict, about 90 bytes
+        more for every cached one."""
+        self = object.__new__(cls)
+        object.__setattr__(self, "dom", dom)
+        object.__setattr__(self, "cod", cod)
+        object.__setattr__(self, "arrows", arrows)
+        object.__setattr__(self, "theory", theory)
+        return self
+
     def then(self, other: Morphism) -> Morphism:
         """Left-to-right composition: apply self first, then other."""
         if self.cod != other.dom:
@@ -144,8 +166,9 @@ class Morphism:
             for cp, v in onward.get(mid, ()):
                 key = (dp, cp)
                 out[key] = out[key] + u * v if key in out else u * v
-        return Morphism(self.dom, other.cod,
-                        {k: v for k, v in out.items() if not v.is_zero}, self.theory)
+        return Morphism._unchecked(self.dom, other.cod,
+                                   {k: v for k, v in out.items() if not v.is_zero},
+                                   self.theory)
 
     def entry(self, dom_pos: int, cod_pos: int) -> Scalar | None:
         """Arrow value between word positions; None when types differ."""
@@ -177,7 +200,7 @@ def identity(word: Word, theory: Theory) -> Morphism:
 def scale_identity(word: Word, value: Scalar, theory: Theory) -> Morphism:
     """value times the identity, on every letter."""
     arrows = {} if value.is_zero else {(p, p): value for p in range(len(word))}
-    return Morphism(word, word, arrows, theory)
+    return Morphism._unchecked(word, word, arrows, theory)
 
 
 def tensor_morphisms(f: Morphism, g: Morphism) -> Morphism:
@@ -197,7 +220,7 @@ def tensor_morphisms(f: Morphism, g: Morphism) -> Morphism:
             v = fv * gv
             for t in range(len(_pair_letters(f.dom[di], g.dom[dj]))):
                 arrows[(dpos[(di, dj, t)], cpos[(ci, cj, t)])] = v
-    return Morphism(dom, cod, arrows, f.theory)
+    return Morphism._unchecked(dom, cod, arrows, f.theory)
 
 
 # ---------------------------------------------------------------------------
@@ -286,8 +309,8 @@ def associator(x_word: Word, y_word: Word, z_word: Word,
                 if not v.is_zero:
                     arrows[(p, rindex[(i, j, k, tr)])] = v
     if inverse:
-        return Morphism(right, left, arrows, theory)
-    return Morphism(left, right, arrows, theory)
+        return Morphism._unchecked(right, left, arrows, theory)
+    return Morphism._unchecked(left, right, arrows, theory)
 
 
 # ---------------------------------------------------------------------------
@@ -314,8 +337,8 @@ def braiding(x_word: Word, y_word: Word, theory: Theory,
         else:
             arrows[(p, q)] = v
     if inverse:
-        return Morphism(cod, dom, arrows, theory)
-    return Morphism(dom, cod, arrows, theory)
+        return Morphism._unchecked(cod, dom, arrows, theory)
+    return Morphism._unchecked(dom, cod, arrows, theory)
 
 
 def twist(word: Word, theory: Theory, sign: int = 1) -> Morphism:

@@ -47,6 +47,12 @@ _DEFAULTS = {"epsilon": None, "beta": None, "x": Fraction(1), "y": Fraction(1),
              "no_euler_check": False}
 
 
+_NEGATIVE_VALUES = ("A value that starts with '-' and is not a plain integer "
+                    "must be joined to its option with '=': -y=-5/7, "
+                    "--framings=-1,2.  Written apart (-y -5/7) it is read as "
+                    "an option, and the command fails.")
+
+
 def build_parser() -> argparse.ArgumentParser:
     common = _Parser(add_help=False, argument_default=argparse.SUPPRESS)
     common.add_argument("--epsilon", metavar="pos|neg",
@@ -68,7 +74,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="fibcat", parents=[common],
         description="Exact link and 3-manifold invariants from the "
-                    "two-simple-object modular category.")
+                    "two-simple-object modular category.",
+        epilog=_NEGATIVE_VALUES)
     sub = parser.add_subparsers(dest="command", metavar="COMMAND",
                                 parser_class=_Parser)
 
@@ -90,15 +97,17 @@ def build_parser() -> argparse.ArgumentParser:
                        help="surgery invariant of a framed-link file")
     p.add_argument("file")
 
+    framings_help = "one integer per circle of the chain"
     p = sub.add_parser("hopf", parents=[common],
-                       help="chain of k linked circles")
+                       help="chain of k linked circles", epilog=_NEGATIVE_VALUES)
     p.add_argument("k", type=int)
-    p.add_argument("--framings", default=None, metavar="F1,F2,..")
+    p.add_argument("--framings", default=None, metavar="F1,F2,..", help=framings_help)
 
-    p = sub.add_parser("lens", parents=[common], help="lens space invariant")
+    p = sub.add_parser("lens", parents=[common], help="lens space invariant",
+                       epilog=_NEGATIVE_VALUES)
     p.add_argument("p", type=int, nargs="?")
     p.add_argument("q", type=int, nargs="?")
-    p.add_argument("--framings", default=None, metavar="F1,F2,..")
+    p.add_argument("--framings", default=None, metavar="F1,F2,..", help=framings_help)
 
     p = sub.add_parser("c-function", parents=[common],
                        help="run-product function on indices")
@@ -152,10 +161,21 @@ def _read(path: str) -> str:
 
 
 def _parse_int_list(text: str) -> tuple[int, ...]:
+    """Comma-separated integers; a blank text is the empty list, and an
+    empty entry is refused."""
+    if not text.strip():
+        return ()
     try:
-        return tuple(int(tok) for tok in text.split(",") if tok.strip() != "")
+        return tuple(int(tok) for tok in text.split(","))
     except ValueError:
         raise CliError(f"bad integer list {text!r}") from None
+
+
+def _parse_framings(text: str) -> tuple[int, ...]:
+    framings = _parse_int_list(text)
+    if not framings:
+        raise CliError("--framings needs at least one framing")
+    return framings
 
 
 def _coloring(diagram: tg.LinkDiagram, spec: str | None):
@@ -229,7 +249,7 @@ def _dispatch(args, theory: Theory) -> int:
         return 0
 
     if args.command == "hopf":
-        framings = _parse_int_list(args.framings) if args.framings else None
+        framings = None if args.framings is None else _parse_framings(args.framings)
         diagram = tg.build_hopf_chain(args.k)
         if framings is None:
             value = inv.tr_link(diagram, theory)
@@ -246,7 +266,7 @@ def _dispatch(args, theory: Theory) -> int:
 
     if args.command == "lens":
         if args.framings is not None:
-            framings = _parse_int_list(args.framings)
+            framings = _parse_framings(args.framings)
         elif args.p is not None and args.q is not None:
             framings = inv.continued_fraction_framings(args.p, args.q)
             print(f"framings: {list(framings)}")

@@ -19,11 +19,11 @@ display and diagnostics only.
 
 from __future__ import annotations
 
-import cmath
 from dataclasses import dataclass
+from decimal import Context, Decimal, localcontext
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from math import gcd, lcm
+from math import gcd, inf, isqrt, lcm
 from typing import Iterable, Union
 
 Rational = Union[int, Fraction]
@@ -76,11 +76,6 @@ class _Field:
         self.conj = [[(m, c * s_sign if p >> 3 else c)
                       for m, c in coords(20 - (p & 7), p >> 3)]
                      for p in range(16)]
-        eps_float = (1 + 5 ** 0.5) / 2 if positive_eps else (1 - 5 ** 0.5) / 2
-        zeta = cmath.exp(1j * cmath.pi / 10)
-        s_embed = cmath.sqrt(complex(eps_float))
-        self.basis_embed = tuple(zeta ** i * s_embed ** j
-                                 for j in range(2) for i in range(8))
 
     def __repr__(self) -> str:
         return f"_Field(positive_eps={self.positive_eps})"
@@ -184,12 +179,19 @@ class Scalar:
         if other is NotImplemented:
             return NotImplemented
         self._check(other)
+        # a rational operand in lowest terms is 1 exactly when its numerator
+        # equals its denominator; scalars are immutable, so the other
+        # operand itself is the product
         den = self.den * other.den
         if not any(other.nums[1:]):
             b = other.nums[0]
+            if b == other.den:
+                return self
             return Scalar._reduced(self.field, [a * b for a in self.nums], den)
         if not any(self.nums[1:]):
             a = self.nums[0]
+            if a == self.den:
+                return other
             return Scalar._reduced(self.field, [a * b for b in other.nums], den)
         table = self.field.table
         bs = [(q, b) for q, b in enumerate(other.nums) if b]
@@ -267,9 +269,40 @@ class Scalar:
         return Scalar._reduced(self.field, out, self.den)
 
     def embed(self) -> complex:
-        """Float image at z20 = exp(i*pi/10); display only, never for equality."""
-        return sum((complex(n / self.den) * e for n, e in
-                    zip(self.nums, self.field.basis_embed)), 0j)
+        """Float image at z20 = exp(i*pi/10); display only, never for equality.
+
+        A part outside float range becomes 0 or +-inf; ``render_float``
+        prints it."""
+        re, im, scale = self._embed_parts()
+        return complex(_float(re, scale), _float(im, scale))
+
+    def _embed_parts(self) -> tuple[int, int, int]:
+        """Real and imaginary parts of the embedding as ``re / scale`` and
+        ``im / scale``, each within 1e-12 of the modulus; a part no larger
+        than the rounding error is exactly 0.
+
+        The coordinates are summed exactly against the basis scaled by
+        10^digits and rounded to integers, so each sum is off by at most
+        the sum of |coordinates|.  The coordinates can be far larger than
+        the value they sum to (the Hopf chain of k circles has k-digit
+        coordinates and a value near eps^(1-k)), so the digits double until
+        a sum exceeds that error by 12 digits.  A nonzero scalar has a
+        nonzero image, so this ends."""
+        size = sum(map(abs, self.nums))
+        if not size:
+            return 0, 0, 1
+        digits = 32
+        while True:
+            re = im = 0
+            for n, (c, d) in zip(self.nums, _scaled_basis(self.field.positive_eps, digits)):
+                if n:
+                    re += n * c
+                    im += n * d
+            if max(abs(re), abs(im)) > size * 10 ** 12:
+                break
+            digits *= 2
+        return (0 if abs(re) <= size else re, 0 if abs(im) <= size else im,
+                self.den * 10 ** digits)
 
     # -- comparisons / rendering ----------------------------------------
 
@@ -314,14 +347,59 @@ class Scalar:
         return " ".join(parts)
 
     def render_float(self) -> str:
-        v = self.embed()
-        return f"({v.real:.10g}, {v.imag:.10g})"
+        """The embedding to 10 significant digits, also outside float range."""
+        re, im, scale = self._embed_parts()
+        return f"({_format_10g(re, scale)}, {_format_10g(im, scale)})"
 
     def __str__(self) -> str:
         return self.render()
 
     def __repr__(self) -> str:
         return f"Scalar({self.render()})"
+
+
+def _float(num: int, den: int) -> float:
+    """num / den, correctly rounded, and +-inf past float range."""
+    try:
+        return num / den
+    except OverflowError:
+        return inf if num > 0 else -inf
+
+
+def _format_10g(num: int, den: int) -> str:
+    """num / den as ``:.10g`` prints a float, and in that exponent form
+    where the float would overflow or lose digits."""
+    f = _float(num, den)
+    if not num or 1e-300 < abs(f) < 1e300:
+        return f"{f:.10g}"
+    with localcontext(Context(prec=10)):
+        return format((Decimal(num) / den).normalize(), "e")
+
+
+@lru_cache(maxsize=32)
+def _scaled_basis(positive_eps: bool, digits: int) -> tuple[tuple[int, int], ...]:
+    """(real, imaginary) parts of the 16 basis elements z20^i * s^j at
+    z20 = exp(i*pi/10), times 10^digits and rounded to integers.
+
+    Worked in integers scaled by 10^(digits + 10), where each step is off
+    by a few units at most, so the rounded results are within 1."""
+    one = 10 ** (digits + 10)
+    root5 = isqrt(5 * one * one)
+    sin18 = (root5 - one) // 4
+    cos18 = isqrt(one * one - sin18 * sin18)
+    powers = [(one, 0)]
+    for _ in range(7):
+        c, d = powers[-1]
+        powers.append(((c * cos18 - d * sin18) // one, (c * sin18 + d * cos18) // one))
+    t = isqrt((root5 + one if positive_eps else root5 - one) // 2 * one)
+    # s = t for positive eps and i*t, the principal root, for negative eps
+    if positive_eps:
+        with_s = [(c * t // one, d * t // one) for c, d in powers]
+    else:
+        with_s = [(-d * t // one, c * t // one) for c, d in powers]
+    half = 5 * 10 ** 9
+    return tuple(((c + half) // 10 ** 10, (d + half) // 10 ** 10)
+                 for c, d in powers + with_s)
 
 
 @lru_cache(maxsize=4096)
@@ -373,6 +451,12 @@ class Theory:
             if v == 0:
                 raise ValueError(f"parameter {name} must be nonzero")
             object.__setattr__(self, name, v)
+        # every lru_cache keyed on a theory hashes it; the fields never change
+        object.__setattr__(self, "_hash", hash((self.epsilon_sign, self.beta_sign,
+                                                self.x, self.y, self.z)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @property
     def field(self) -> _Field:

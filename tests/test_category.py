@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import importlib
 import pkgutil
 import random
@@ -10,10 +11,10 @@ import pytest
 import fibcat
 from fibcat import Theory, axiom_suite, s_matrix
 from fibcat.category import (A, ONE, UNIT, Morphism, _random_morphism,
-                             associator, birth, braiding, compose, count_a,
-                             count_one, death, expand_pair, identity,
-                             parse_word, scale_identity, tensor_morphisms,
-                             tensor_words, twist)
+                             _random_word, associator, birth, braiding,
+                             compose, count_a, count_one, death, expand_pair,
+                             identity, parse_word, scale_identity,
+                             tensor_morphisms, tensor_words, twist)
 
 
 @pytest.fixture
@@ -302,6 +303,53 @@ def test_axiom_suite_reproducible(th):
     first = axiom_suite(th, seed=12, naturality_samples=10)
     second = axiom_suite(th, seed=12, naturality_samples=10)
     assert first.summary() == second.summary()
+
+
+# Every report of axiom_suite: (name, cases, passed) per check.
+AXIOM_REPORT = [("pentagon", 24, True), ("hexagon-1", 14, True),
+                ("hexagon-2", 14, True), ("triangle", 10, True),
+                ("twist-braiding", 10, True), ("duality-zigzag", 7, True),
+                ("duality-twist", 7, True), ("braiding-naturality", 100, True),
+                ("associator-naturality", 20, True),
+                ("associator-involution", 14, True),
+                ("twist-unit-matrix", 10, True)]
+
+
+def _seeded_parameters(rng: random.Random) -> dict[str, Fraction]:
+    return {name: Fraction(rng.choice((-1, 1)) * rng.randint(1, 9), rng.randint(1, 9))
+            for name in ("x", "y", "z")}
+
+
+def test_axiom_suite_report_is_pinned(any_theory):
+    rng = random.Random(f"{any_theory.epsilon_sign}-{any_theory.beta_sign}")
+    for seed in range(8):
+        theory = dataclasses.replace(any_theory, **_seeded_parameters(rng))
+        report = axiom_suite(theory, seed=seed)
+        assert [(c.name, c.cases, c.passed) for c in report.checks] == AXIOM_REPORT
+
+
+def test_builders_pass_the_public_checks(any_theory):
+    # then, tensor_morphisms, scale_identity, associator and braiding skip
+    # Morphism's checks; everything they build must pass them
+    rng = random.Random(8)
+    th = dataclasses.replace(any_theory, **_seeded_parameters(rng))
+    built = []
+    for _ in range(12):
+        x, y, z = (_random_word(rng, 3) for _ in range(3))
+        f = _random_morphism(rng, x, y, th)
+        g = _random_morphism(rng, y, z, th)
+        h = _random_morphism(rng, z, x, th)
+        value = rng.choice((th.zero, th.one, th.s, -th.epsilon, th.x_scalar))
+        built += [f.then(g), f.then(g).then(h), tensor_morphisms(f, h),
+                  tensor_morphisms(f, g).then(braiding(y, z, th)),
+                  scale_identity(x, value, th),
+                  associator(x, y, z, th), associator(x, y, z, th, inverse=True),
+                  # sums that cancel to zero arrows, which then must drop
+                  associator(x, y, z, th).then(associator(x, y, z, th, inverse=True)),
+                  braiding(x, y, th), braiding(x, y, th, inverse=True),
+                  braiding(x, y, th).then(braiding(x, y, th, inverse=True))]
+    for m in built:
+        assert Morphism(m.dom, m.cod, dict(m.arrows), m.theory) == m
 
 
 def test_every_cache_is_bounded():

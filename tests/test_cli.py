@@ -5,6 +5,7 @@ import random
 import re
 import subprocess
 import sys
+from decimal import Context, Decimal, localcontext
 
 import pytest
 from conftest import FIXTURES, random_morse_word
@@ -122,6 +123,58 @@ def test_hopf_framing_count(capsys):
         == (1, "", "error: expected 3 framings, got 2\n")
 
 
+EMPTY_FRAMINGS = [(["hopf", "2", "--framings="], "--framings needs at least one framing"),
+                  (["lens", "--framings="], "--framings needs at least one framing"),
+                  (["hopf", "2", "--framings=,,1,"], "bad integer list ',,1,'")]
+
+
+@pytest.mark.parametrize("argv, message", EMPTY_FRAMINGS,
+                         ids=["hopf-empty", "lens-empty", "hopf-empty-entries"])
+def test_empty_framings_refused(capsys, argv, message):
+    assert invoke(capsys, *argv) == (1, "", f"error: {message}\n")
+
+
+# A value that starts with '-' and is not a plain integer must be joined
+# to its option with '='.
+NEGATIVE_VALUES = [(["-y", "-5/7", "hopf", "2"], "argument -y: expected one argument"),
+                   (["-y=-5/7", "hopf", "2"], None),
+                   (["hopf", "2", "--framings", "-1,2"],
+                    "argument --framings: expected one argument"),
+                   (["hopf", "2", "--framings=-1,2"], None)]
+
+
+@pytest.mark.parametrize("argv, message", NEGATIVE_VALUES,
+                         ids=["y-apart", "y-joined", "framings-apart", "framings-joined"])
+def test_negative_option_values(capsys, argv, message):
+    code, out, err = invoke(capsys, *argv)
+    if message is None:
+        assert (code, err) == (0, "")
+        assert out.startswith("tr (")
+    else:
+        assert (code, out) == (1, "")
+        assert err.endswith(f"error: {message}\n")
+
+
+def _float_parts(out: str) -> tuple[Decimal, Decimal]:
+    re_text, im_text = out.rsplit("(", 1)[1].rstrip(")\n").split(", ")
+    return Decimal(re_text), Decimal(im_text)
+
+
+@pytest.mark.parametrize("k", [2, 100, 2000])
+@pytest.mark.parametrize("eps", ["pos", "neg"])
+def test_hopf_float_value(capsys, eps, k):
+    # |tr| = |eps|^(1 - k) has k-digit coordinates that cancel to a value
+    # far outside float range; the display still gets it right
+    code, out, err = invoke(capsys, "hopf", str(k), "--epsilon", eps, "--output", "float")
+    assert (code, err) == (0, "")
+    re, im = _float_parts(out)
+    assert im == 0
+    with localcontext(Context(prec=40)):
+        root5 = Decimal(5).sqrt()
+        modulus = (abs(1 + root5 if eps == "pos" else 1 - root5) / 2) ** (1 - k)
+        assert abs(abs(re) / modulus - 1) < Decimal("1e-9")
+
+
 def test_lens_requires_arguments(capsys):
     code, _, err = invoke(capsys, "lens")
     assert code == 1
@@ -132,6 +185,8 @@ def test_c_function(capsys):
     code, out, _ = invoke(capsys, "c-function", "1,3")
     assert code == 0
     assert "c(1, 3)" in out
+    # a blank index list is the empty sequence, whose value is 1
+    assert invoke(capsys, "c-function", "") == (0, "c(): 1   ~ (1, 0)\n", "")
 
 
 def test_eval_link_colors(capsys):
@@ -283,7 +338,7 @@ def test_global_options_do_not_leak_between_calls(capsys, tmp_path, side):
         assert invoke(capsys, *command) == default
 
 
-@pytest.mark.parametrize("argv", [["--help"], ["hopf", "--help"]])
+@pytest.mark.parametrize("argv", [["--help"], ["hopf", "--help"], ["lens", "--help"]])
 def test_help_lists_global_options(capsys, argv):
     assert run(argv) == 0
     out = capsys.readouterr().out
@@ -291,6 +346,8 @@ def test_help_lists_global_options(capsys, argv):
                  "-z Z", "--output {exact,float,both}", "--seed SEED",
                  "--no-euler-check"):
         assert flag in out
+    # and how to give a negative value
+    assert "joined to its option with '=': -y=-5/7, --framings=-1,2" in " ".join(out.split())
 
 
 def test_env_overrides(capsys, monkeypatch):

@@ -166,6 +166,20 @@ def test_mixing_theories_rejected():
     pos, neg = Theory(), Theory(epsilon_sign="negative")
     with pytest.raises(ValueError):
         pos.epsilon + neg.epsilon
+    for a, b in ((pos.one, neg.epsilon), (pos.epsilon, neg.one)):
+        with pytest.raises(ValueError):     # a product by 1 is checked too
+            a * b
+
+
+def test_equal_theories_hash_equal():
+    pairs = [(Theory(x=2), Theory(x=Fraction(4, 2))),
+             (Theory(y=Fraction(-5, 7)), Theory(y=Fraction(10, -14))),
+             (Theory("negative", "minus", z=3), Theory("negative", "minus", z=Fraction(3)))]
+    for a, b in pairs:
+        assert a is not b and a == b and hash(a) == hash(b)
+        assert {a: 1}[b] == 1
+    assert Theory(x=2) != Theory(x=3)
+    assert Theory(x=2) != Theory("negative", x=2)
 
 
 @pytest.mark.parametrize("other", (1.5, "a", None, 1j))
@@ -190,7 +204,8 @@ def test_render():
     # terms ordered by (s-degree, zeta-degree)
     v = th.s + th.zeta(3) + th.rational(2)
     assert v.render() == "2 + z20^3 + s"
-    assert th.epsilon.render_float() == "(1.618033989, 1.110223025e-16)"
+    # eps is real, so its imaginary part prints as an exact 0, not float noise
+    assert th.epsilon.render_float() == "(1.618033989, 0)"
 
 
 def test_rational_predicates(theory):
@@ -238,10 +253,16 @@ def test_product_matches_polynomial_reference(any_theory):
         assert (a * b).coeffs == reference_product(any_theory, a, b)
         # a rational operand, on either side, multiplies the numerators through
         r = any_theory.rational(Fraction(rng.randint(-20, 20), rng.randint(1, 9)))
-        for x, y in ((a, r), (r, b), (r, r)):
+        one = any_theory.one
+        for x, y in ((a, r), (r, b), (r, r), (a, one), (one, b), (one, one)):
             product = x * y
             assert product.coeffs == reference_product(any_theory, x, y)
             assert product == Scalar(any_theory.field, product.coeffs)
+        # a product by 1, in either order and as a Python number, is the
+        # other operand
+        for other in (a, r, any_theory.zero):
+            assert one * other == other == other * one
+            assert 1 * other == other == other * Fraction(3, 3)
 
 
 def test_equal_values_share_one_key(any_theory):
