@@ -115,12 +115,14 @@ class Morphism:
     caller, so it is never modified after construction.
 
     ``Morphism(...)`` checks every arrow.  ``then``, ``tensor_morphisms``,
-    ``scale_identity``, ``associator`` and ``braiding`` build through
-    ``_unchecked``, as their arrows are valid by construction: positions
-    and letter types carry over from the operands' words, or from the
-    expansions of ``expand_pair``, which pair letters of one type; ``then``
-    drops the sums that vanish, and every other stored value is a product
-    of nonzero field elements, a nonzero block entry or a power of beta.
+    ``scale_identity``, ``associator``, ``braiding``, ``twist``, ``birth``,
+    ``death`` and ``spines._hom_unit_basis`` build through ``_unchecked``,
+    as their arrows are valid by construction: positions and letter types
+    carry over from the operands' words, or from the expansions of
+    ``expand_pair``, which pair letters of one type, and a unit-word side
+    meets only 1-letters; ``then`` drops the sums that vanish, and every
+    other stored value is a product of nonzero field elements, a nonzero
+    block entry, a power of beta, or 1, y, s and their quotients.
     """
 
     dom: Word
@@ -344,9 +346,9 @@ def braiding(x_word: Word, y_word: Word, theory: Theory,
 def twist(word: Word, theory: Theory, sign: int = 1) -> Morphism:
     """Diagonal ribbon twist: 1 on 1-letters, beta^{-2 sign} on A-letters."""
     val = theory.beta_inv ** 2 if sign > 0 else theory.beta ** 2
-    return Morphism(word, word,
-                    {(p, p): (val if x is A else theory.one) for p, x in enumerate(word)},
-                    theory)
+    return Morphism._unchecked(
+        word, word, {(p, p): (val if x is A else theory.one) for p, x in enumerate(word)},
+        theory)
 
 
 def _self_pair_firsts(word: Word) -> dict[int, int]:
@@ -362,7 +364,7 @@ def birth(word: Word, theory: Theory) -> Morphism:
     ys = y * theory.s
     arrows = {(0, p): (y if word[i] is ONE else ys)
               for i, p in _self_pair_firsts(word).items()}
-    return Morphism(UNIT, cod, arrows, theory)
+    return Morphism._unchecked(UNIT, cod, arrows, theory)
 
 
 def death(word: Word, theory: Theory) -> Morphism:
@@ -372,7 +374,7 @@ def death(word: Word, theory: Theory) -> Morphism:
     sy = theory.s * y_inv
     arrows = {(p, 0): (y_inv if word[i] is ONE else sy)
               for i, p in _self_pair_firsts(word).items()}
-    return Morphism(dom, UNIT, arrows, theory)
+    return Morphism._unchecked(dom, UNIT, arrows, theory)
 
 
 # ---------------------------------------------------------------------------

@@ -154,8 +154,10 @@ def tr_manifold(diagram: LinkDiagram, theory: Theory) -> Scalar:
     eps per A-colored component, taken in one sweep by
     ``tangles.colored_sum`` (a ``ValueError`` when more than
     ``tangles.MAX_OPEN_COMPONENTS`` components are open at once).
-    Component i carries f_i - w_i kinks beyond those drawn, and each kink
-    scales an A-colored strand by beta^(-2 sign), so the weight of an
+    A kink scales an A-colored component by beta^(-2 sign), whether it
+    is drawn or not: the sweep applies the drawn kinks of component i as
+    one power of beta^(-2), and its framing excess f_i - w_i, the kinks
+    beyond those drawn, enters its weight as another, so the weight of an
     A-colored component i is eps beta^(-2 (f_i - w_i)).
     """
     k = diagram.n_components

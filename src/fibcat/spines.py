@@ -64,7 +64,7 @@ def _hom_unit_basis(x: SimpleObject, y: SimpleObject, z: SimpleObject,
         raise AssertionError(f"unexpected multiplicity for {(x, y, z)}")
     value = coeff * theory.y_scalar ** _a_count((x, y, z))
     arrows = {} if value.is_zero else {(0, p): value for p in ones}
-    return Morphism(cat.UNIT, cod, arrows, theory)
+    return Morphism._unchecked(cat.UNIT, cod, arrows, theory)
 
 
 def _w_scale(x: SimpleObject, theory: Theory) -> Morphism:

@@ -7,16 +7,19 @@ the positive/negative crossing of two adjacent strands, and ``tp``/``tn``
 are positive/negative kinks on one strand.
 
 Evaluation colors every component by a simple object, deletes the
-1-colored components, and applies the events one by one to a vector.
+1-colored components, and applies the strand events (cups, caps and
+crossings) one by one to a vector.  A kink is the ribbon twist, a scalar
+on a simple object, so it is no event of the evaluation: the net kinks
+k of an A-colored component scale it once by beta^(-2 k).
 Between events the open A-colored strands always form the right-comb
 word A (x) (A (x) ...), whose basis vectors are fusion paths: strings of
 labels 1 or A, one per tail of the strands (the golden-chain basis).
 By naturality of the associator, an event on two adjacent strands reads
 and rewrites at most three adjacent labels, so each theory has one small
-table per event kind, read off the category's single-letter cup, cap,
-braiding and associator (the F R F^-1 form for a crossing).  No lifted
-morphism is built, and the work per event is proportional to the
-vector's nonzero entries.
+table per strand event kind, read off one morphism composed in the
+category from the single-letter cup, cap, braiding and associator (the
+F R F^-1 form for a crossing).  No lifted morphism is built, and the
+work per event is proportional to the vector's nonzero entries.
 
 One sweep over the events serves a single coloring (``evaluate``) and
 the weighted sum over all colorings (``colored_sum``, the surgery sum of
@@ -338,53 +341,36 @@ _Table = dict[str, tuple[tuple[str, Scalar], ...]]
 # number up to 2 to this power (as ``spines.MAX_ELIMINATION_WIDTH``).
 MAX_OPEN_COMPONENTS = 16
 
-# Labels of the path window an event reads: one for a cup or a kink, the
-# three around the pair for a cap or a crossing.
-_WINDOW = {EventKind.CUP: 1, EventKind.TWIST_POS: 1, EventKind.TWIST_NEG: 1,
-           EventKind.CAP: 3, EventKind.CROSS_POS: 3, EventKind.CROSS_NEG: 3}
+# Labels of the path window a strand event reads: one for a cup, the three
+# around the pair for a cap or a crossing.  A kink moves no strand; it is a
+# scalar on its component (see ``_sweep``) and has no table.
+_WINDOW = {EventKind.CUP: 1, EventKind.CAP: 3,
+           EventKind.CROSS_POS: 3, EventKind.CROSS_NEG: 3}
 
 
-def _f_move(c: SimpleObject, theory: Theory,
-            inverse: bool = False) -> dict:
-    """``associator((A,), (A,), (c,))`` between fusion labels.
-
-    A letter of (A (x) A) (x) c is the pair (s, t) of the charge s of the
-    two A's and the total t; a letter of A (x) (A (x) c) is the window
-    t m c of labels, m the charge of A (x) c.  The map sends each letter
-    to the letters it reaches and their values (the inverse: windows to
-    pairs).
-    """
-    a, cw = (A,), (c,)
-    aa, ac = cat.tensor_words(a, a), cat.tensor_words(a, cw)
-    left_word, left_lab = cat.expand_pair(aa, cw)
-    right_word, right_lab = cat.expand_pair(a, ac)
-    left = [(aa[i].value, t.value) for (i, _, _), t in zip(left_lab, left_word)]
-    right = [t.value + ac[j].value + c.value
-             for (_, j, _), t in zip(right_lab, right_word)]
-    src, dst = (right, left) if inverse else (left, right)
-    out: dict = {}
-    for (p, q), v in cat.associator(a, a, cw, theory, inverse).arrows.items():
-        out.setdefault(src[p], {})[dst[q]] = v
-    return out
+def _windows(word: cat.Word, c: SimpleObject) -> list[str]:
+    """The label window of each letter of a step's dom or cod: c for the
+    one-letter word c, and t m c for a letter t of A (x) (A (x) c), m the
+    letter of A (x) c it comes from."""
+    if len(word) == 1:
+        return [c.value]
+    ac = cat.tensor_words((A,), (c,))
+    labels = cat.expand_pair((A,), ac)[1]
+    return [t.value + ac[j].value + c.value for t, (_, j, _) in zip(word, labels)]
 
 
 @lru_cache(maxsize=256)
 def _table(kind: EventKind, theory: Theory) -> _Table:
-    """Window of labels -> (new window, value) pairs for one event kind,
-    read off the category's single-letter morphisms, so the x, y, z gauge
-    is the category's own.
+    """Window of labels -> (new window, value) pairs for a cup, cap or
+    crossing, read off one morphism composed in the category, so the x,
+    y, z gauge is the category's own.
 
-    A kink scales every window.  Otherwise the event is the local cup,
-    cap or crossing on the two A's, tensored with the one letter c after
-    them and conjugated by the associator, as in the category: each
-    window t m c is carried to its pairs (s, t) by the inverse F-move (a
-    cup starts from the single pair (1, c)), the local morphism changes
-    s, and the F-move carries the pairs back to windows (a cap ends at
-    the window t, with s = 1 and so t = c).
+    For each letter c after the pair, the step is the local cup, cap or
+    crossing on the two A's, tensored with id_c and conjugated by the
+    associator: associator^-1 ; (local (x) id_c) ; associator, from and
+    to A (x) (A (x) c).  A cup starts at the one letter c, so it has no
+    leading associator, and a cap ends there, so it has no trailing one.
     """
-    if kind in (EventKind.TWIST_POS, EventKind.TWIST_NEG):
-        value = theory.beta_inv ** 2 if kind is EventKind.TWIST_POS else theory.beta ** 2
-        return {x.value: ((x.value, value),) for x in (ONE, A)}
     a = (A,)
     if kind is EventKind.CUP:
         local = cat.birth(a, theory)
@@ -392,28 +378,18 @@ def _table(kind: EventKind, theory: Theory) -> _Table:
         local = cat.death(a, theory)
     else:
         local = cat.braiding(a, a, theory, inverse=kind is EventKind.CROSS_NEG)
-    moves: dict[str, dict[str, Scalar]] = {}
-    for (p, q), v in local.arrows.items():
-        moves.setdefault(local.dom[p].value, {})[local.cod[q].value] = v
-    table: _Table = {}
+    table: dict[str, list[tuple[str, Scalar]]] = {}
     for c in (ONE, A):
-        f_move = _f_move(c, theory)
-        if kind is EventKind.CUP:
-            starts = {c.value: {(ONE.value, c.value): theory.one}}
-        else:
-            starts = _f_move(c, theory, inverse=True)
-        for window, pairs in starts.items():
-            out: dict[str, Scalar] = {}
-            for (s, t), u in pairs.items():
-                for s2, v in moves.get(s, {}).items():
-                    ends = {t: theory.one} if kind is EventKind.CAP else f_move[(s2, t)]
-                    for new, w in ends.items():
-                        term = u * v * w
-                        out[new] = out[new] + term if new in out else term
-            entries = tuple((new, v) for new, v in out.items() if v)
-            if entries:
-                table[window] = entries
-    return table
+        cw = (c,)
+        step = cat.tensor_morphisms(local, cat.identity(cw, theory))
+        if kind is not EventKind.CUP:
+            step = cat.associator(a, a, cw, theory, inverse=True).then(step)
+        if kind is not EventKind.CAP:
+            step = step.then(cat.associator(a, a, cw, theory))
+        dom, cod = _windows(step.dom, c), _windows(step.cod, c)
+        for (p, q), v in step.arrows.items():
+            table.setdefault(dom[p], []).append((cod[q], v))
+    return {window: tuple(entries) for window, entries in table.items()}
 
 
 def _apply(vector: _Vector, kind: EventKind, pos: int, table: _Table) -> _Vector:
@@ -446,9 +422,10 @@ def _merge(states: dict[int, _Vector], key: int, vector: _Vector) -> None:
         del states[key]
 
 
-# The colors a component may take when it opens: (A-colored, weight), a
-# weight of None standing for 1.
-_Branches = Sequence[tuple[bool, Scalar | None]]
+# The colors a component may take when it opens: (A-colored, weight).  A
+# 1-colored component is deleted, so its branch keeps the state as it is
+# and its weight is 1.
+_Branches = Sequence[tuple[bool, Scalar]]
 
 
 def _sweep(diagram: LinkDiagram, branches: Sequence[_Branches],
@@ -465,14 +442,27 @@ def _sweep(diagram: LinkDiagram, branches: Sequence[_Branches],
     the keys, and the vectors whose keys become equal are added; they are
     over the same paths, since only open A-colored components hold
     strands.
+
+    A kink is the ribbon twist, beta^(-2 sign) on an A-colored strand and
+    1 on a 1-colored one, so it is no event of the sweep: the net signed
+    kinks k of a component scale its A branch by beta^(-2 k).  A kink
+    moves no strand, and it is never a component's first or last event.
     """
     first, last = diagram.first_events, diagram.last_events
     bit = [1 << c for c in range(diagram.n_components)]
-    tables = {kind: _table(kind, theory) for kind in {ev.kind for ev in diagram.events}}
+    net_kinks = [0] * diagram.n_components
+    for comp, sign in diagram.kinks:
+        net_kinks[comp] += sign
+    twists = {k: theory.beta ** (-2 * k) for k in set(net_kinks)}
+    tables = {kind: _table(kind, theory)
+              for kind in {ev.kind for ev in diagram.events} if kind in _WINDOW}
     states: dict[int, _Vector] = {0: {ONE.value: theory.one}}
     slots: list[int] = []    # the bit of each open strand's component
     for idx, (ev, comps) in enumerate(zip(diagram.events, diagram.event_components)):
-        kind, pos, table = ev.kind, ev.pos, tables[ev.kind]
+        kind, pos = ev.kind, ev.pos
+        table = tables.get(kind)
+        if table is None:     # a kink, applied when its component opens
+            continue
         c = comps[0]
         bits = bit[c] | bit[comps[-1]]
         # strands left of pos per component bit, counted once for all keys
@@ -483,14 +473,15 @@ def _sweep(diagram: LinkDiagram, branches: Sequence[_Branches],
         out: dict[int, _Vector] = {}
         if first[c] == idx:
             # the cup opens c: every key branches into c's colors, and the
-            # weight of an A branch scales the cup's table, not each vector
+            # weight of an A branch, with c's kinks, scales the cup's table,
+            # not each vector
             for is_a, weight in branches[c]:
                 if not is_a:
                     out.update(states)
                     continue
-                cup = table if weight is None else \
-                    {window: tuple((new, v * weight) for new, v in entries)
-                     for window, entries in table.items()}
+                weight = weight * twists[net_kinks[c]]
+                cup = {window: tuple((new, v * weight) for new, v in entries)
+                       for window, entries in table.items()}
                 for key, vector in states.items():
                     at = sum(n for b, n in left if key & b)
                     out[key | bits] = _apply(vector, kind, at, cup)
@@ -510,7 +501,7 @@ def _sweep(diagram: LinkDiagram, branches: Sequence[_Branches],
             slots[pos:pos] = [bits, bits]
         elif kind is EventKind.CAP:
             del slots[pos:pos + 2]
-        elif kind in (EventKind.CROSS_POS, EventKind.CROSS_NEG):
+        else:
             slots[pos], slots[pos + 1] = slots[pos + 1], slots[pos]
     final = states.get(0)
     return final.get(ONE.value, theory.zero) if final else theory.zero
@@ -525,17 +516,17 @@ def evaluate(diagram: LinkDiagram, coloring: Coloring, theory: Theory) -> Scalar
     l_k is the charge (1 or A) of the strands k .. n-1, so l_n = 1, and
     l_0 = 1 on every path reached from the unit.  An event on strands
     pos, pos + 1 reads only the labels l_pos .. l_pos+2 (just l_pos for a
-    cup or a kink) and rewrites them from its theory's table: a cup
-    inserts two labels, a cap removes two, a crossing rewrites the middle
-    one and a kink scales by beta^(-+2).  The work per event is
-    proportional to the vector's nonzero entries.  This is the sweep of
-    ``colored_sum`` with every component's color fixed, so it keeps one
-    key.
+    cup) and rewrites them from its theory's table: a cup inserts two
+    labels, a cap removes two and a crossing rewrites the middle one; the
+    kinks of an A-colored component scale it once (see ``_sweep``).  The
+    work per event is proportional to the vector's nonzero entries.  This
+    is the sweep of ``colored_sum`` with every component's color fixed,
+    so it keeps one key.
     """
     if len(coloring) != diagram.n_components:
         raise ValueError(f"coloring names {len(coloring)} of "
                          f"{diagram.n_components} components")
-    return _sweep(diagram, [((c is A, None),) for c in coloring], theory)
+    return _sweep(diagram, [((c is A, theory.one),) for c in coloring], theory)
 
 
 def colored_sum(diagram: LinkDiagram, weights: Sequence[Scalar],
@@ -555,7 +546,7 @@ def colored_sum(diagram: LinkDiagram, weights: Sequence[Scalar],
     if peak > MAX_OPEN_COMPONENTS:
         raise ValueError(f"{peak} components open at once exceeds "
                          f"{MAX_OPEN_COMPONENTS}")
-    return _sweep(diagram, [((False, None), (True, w)) for w in weights], theory)
+    return _sweep(diagram, [((False, theory.one), (True, w)) for w in weights], theory)
 
 
 def evaluate_all_a(diagram: LinkDiagram, theory: Theory) -> Scalar:

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import dataclasses
 import importlib
+import itertools
 import pkgutil
 import random
 from fractions import Fraction
@@ -15,6 +16,7 @@ from fibcat.category import (A, ONE, UNIT, Morphism, _random_morphism,
                              compose, count_a, count_one, death, expand_pair,
                              identity, parse_word, scale_identity,
                              tensor_morphisms, tensor_words, twist)
+from fibcat.spines import _hom_unit_basis, admissible
 
 
 @pytest.fixture
@@ -329,8 +331,9 @@ def test_axiom_suite_report_is_pinned(any_theory):
 
 
 def test_builders_pass_the_public_checks(any_theory):
-    # then, tensor_morphisms, scale_identity, associator and braiding skip
-    # Morphism's checks; everything they build must pass them
+    # then, tensor_morphisms, scale_identity, associator, braiding, twist,
+    # birth, death and spines._hom_unit_basis skip Morphism's checks;
+    # everything they build must pass them
     rng = random.Random(8)
     th = dataclasses.replace(any_theory, **_seeded_parameters(rng))
     built = []
@@ -347,7 +350,13 @@ def test_builders_pass_the_public_checks(any_theory):
                   # sums that cancel to zero arrows, which then must drop
                   associator(x, y, z, th).then(associator(x, y, z, th, inverse=True)),
                   braiding(x, y, th), braiding(x, y, th, inverse=True),
-                  braiding(x, y, th).then(braiding(x, y, th, inverse=True))]
+                  braiding(x, y, th).then(braiding(x, y, th, inverse=True)),
+                  twist(x, th, 1), twist(x, th, -1), birth(x, th), death(x, th)]
+    simple = (ONE, A)
+    for x, y, z in itertools.product(simple, repeat=3):
+        if admissible(x, y, z):
+            built += [_hom_unit_basis(x, y, z, coeff, th)
+                      for coeff in (th.one, -th.epsilon, th.z_scalar)]
     for m in built:
         assert Morphism(m.dom, m.cod, dict(m.arrows), m.theory) == m
 

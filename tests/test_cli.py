@@ -3,6 +3,7 @@ from __future__ import annotations
 import os
 import random
 import re
+import shlex
 import subprocess
 import sys
 from decimal import Context, Decimal, localcontext
@@ -27,6 +28,33 @@ def link(name: str) -> str:
 
 def spine(name: str) -> str:
     return str(FIXTURES / "spines" / name)
+
+
+def _readme_examples() -> list[tuple[list[str], list[str]]]:
+    """The ``$ fibcat ...`` examples of the README's "Command line"
+    section: each command's arguments and the output lines after it, up
+    to the next blank line."""
+    text = (FIXTURES.parent / "README.md").read_text(encoding="utf-8")
+    section = text.split("## Command line", 1)[1].split("\n## ", 1)[0]
+    block = section.split("```text\n", 1)[1].split("```", 1)[0]
+    examples = []
+    for chunk in block.strip().split("\n\n"):
+        command, *output = chunk.splitlines()
+        assert command.startswith("$ fibcat "), command
+        examples.append((shlex.split(command)[2:], output))
+    return examples
+
+
+def test_readme_examples(capsys, monkeypatch):
+    # every example of the README's command-line block prints what the
+    # README shows, run from the repository root as written there
+    monkeypatch.chdir(FIXTURES.parent)
+    examples = _readme_examples()
+    assert len(examples) == 4
+    for argv, expected in examples:
+        code, out, err = invoke(capsys, *argv)
+        assert (code, err) == (0, ""), argv
+        assert out.splitlines() == expected, argv
 
 
 def test_hopf_two(capsys):

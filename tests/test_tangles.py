@@ -10,7 +10,9 @@ import pytest
 from conftest import random_morse_word, read_fixture
 from fibcat import ALL_THEORIES, Theory
 from fibcat import category as cat
+from fibcat import tangles
 from fibcat.category import A, ONE
+from fibcat.invariants import tr_link, tr_manifold
 from fibcat.tangles import (EventKind, LinkDiagram, LinkEvent, LinkParseError,
                             LinkValidationError, _apply, _table, build_hopf_chain,
                             evaluate, evaluate_all_a, parse_link)
@@ -301,6 +303,73 @@ def test_evaluation_matches_kauffman_bracket(any_theory):
                 == _kauffman_bracket(diagram.events, any_theory), diagram.render()
 
 
+def _with_kinks(rng: random.Random, diagram: LinkDiagram, count: int) -> LinkDiagram:
+    """The diagram with ``count`` kinks of random sign inserted between
+    random events, each on a random strand open at that point."""
+    open_strands, n = [], 0
+    for ev in diagram.events:
+        open_strands.append(n)
+        n += {EventKind.CUP: 2, EventKind.CAP: -2}.get(ev.kind, 0)
+    gaps = [i for i, width in enumerate(open_strands) if width]
+    at = Counter(rng.choice(gaps) for _ in range(count))
+    events = []
+    for i, ev in enumerate(diagram.events):
+        events += [LinkEvent(rng.choice((EventKind.TWIST_POS, EventKind.TWIST_NEG)),
+                             rng.randrange(open_strands[i])) for _ in range(at[i])]
+        events.append(ev)
+    return diagram.with_events(events)
+
+
+def test_kinks_are_reidemeister_one_scalars(any_theory):
+    # seeded plats with random kinks inserted: a colored evaluation
+    # changes by beta^(-2 k) for the net kinks k of each A-colored
+    # component, while tr_link and tr_manifold under the same declared
+    # framings do not change
+    rng = random.Random(f"kinks-{any_theory.epsilon_sign}-{any_theory.beta_sign}")
+    b_inv2 = any_theory.beta_inv ** 2
+    for width in (2, 4, 6, 8):
+        for _ in range(2):
+            plain = _random_plat(rng, width, [rng.randrange(width - 1) for _ in range(width)])
+            kinked = _with_kinks(rng, plain, rng.randint(1, 12))
+            net = [w - v for w, v in zip(kinked.self_writhes(), plain.self_writhes())]
+            for _ in range(3):
+                coloring = [rng.choice((ONE, A)) for _ in range(plain.n_components)]
+                expected = evaluate(plain, coloring, any_theory)
+                for color, k in zip(coloring, net):
+                    if color is A:
+                        expected = expected * b_inv2 ** k
+                assert evaluate(kinked, coloring, any_theory) == expected, kinked.render()
+            assert tr_link(kinked, any_theory) == tr_link(plain, any_theory)
+            framings = [rng.randint(-3, 3) for _ in range(plain.n_components)]
+            assert tr_manifold(kinked.with_framings(framings), any_theory) \
+                == tr_manifold(plain.with_framings(framings), any_theory)
+
+
+def test_kinks_apply_no_event(monkeypatch, th):
+    # a kink is a scalar on its component: a hundred of them add no call
+    # of the per-event update
+    calls = Counter()
+    apply = tangles._apply
+
+    def counting(*args):
+        calls["apply"] += 1
+        return apply(*args)
+
+    def apply_calls(diagram: LinkDiagram) -> int:
+        calls.clear()
+        evaluate_all_a(diagram, th)
+        tangles.colored_sum(diagram, [th.epsilon] * diagram.n_components, th)
+        return calls["apply"]
+
+    monkeypatch.setattr(tangles, "_apply", counting)
+    rng = random.Random(5)
+    plain = _random_plat(rng, 6, [rng.randrange(5) for _ in range(8)])
+    kinked = _with_kinks(rng, plain, 100)
+    assert len(kinked.kinks) == 100
+    assert apply_calls(plain) > 0
+    assert apply_calls(kinked) == apply_calls(plain)
+
+
 # -- the local tables against the lifted morphisms ------------------------------------
 
 
@@ -321,9 +390,6 @@ def _local_step(kind: EventKind, r: int, theory: Theory) -> cat.Morphism:
     category: the local cup, cap or crossing tensored with the identity
     on the strands after it and conjugated by the one associator."""
     a = (A,)
-    if kind in (EventKind.TWIST_POS, EventKind.TWIST_NEG):
-        value = theory.beta_inv ** 2 if kind is EventKind.TWIST_POS else theory.beta ** 2
-        return cat.scale_identity(_comb(r)[0], value, theory)
     if kind is EventKind.CUP:
         local, rest = cat.birth(a, theory), r
     elif kind is EventKind.CAP:
@@ -346,17 +412,15 @@ def _local_step(kind: EventKind, r: int, theory: Theory) -> cat.Morphism:
     Theory(x=Fraction(2, 3), y=Fraction(-5, 7), z=3),),
     ids=lambda t: f"{t.epsilon_sign}-{t.beta_sign}-{t.x}-{t.y}-{t.z}")
 def test_tables_match_lifted_steps(theory):
-    # every event kind at every position of n <= 8 strands: the table
-    # update of each basis path equals its row of the materialized step,
-    # id_A^pos (x) (the local step), built with tensor_morphisms
+    # every strand event kind at every position of n <= 8 strands: the
+    # table update of each basis path equals its row of the materialized
+    # step, id_A^pos (x) (the local step), built with tensor_morphisms
     id_a = cat.identity((A,), theory)
     grow = {EventKind.CUP: 2, EventKind.CAP: -2}
     cases = 0
-    for kind in EventKind:
+    for kind in (EventKind.CUP, EventKind.CAP, EventKind.CROSS_POS, EventKind.CROSS_NEG):
         table = _table(kind, theory)
-        smallest = {EventKind.CUP: 0, EventKind.TWIST_POS: 1,
-                    EventKind.TWIST_NEG: 1}.get(kind, 2)
-        for r in range(smallest, 9):
+        for r in range(0 if kind is EventKind.CUP else 2, 9):
             m = _local_step(kind, r, theory)
             for pos in range(9 - r):
                 n = r + pos
@@ -370,7 +434,7 @@ def test_tables_match_lifted_steps(theory):
                     assert got == rows.get(p, {}), (kind, n, pos, path)
                     cases += 1
                 m = cat.tensor_morphisms(id_a, m)
-    assert cases == 3253
+    assert cases == 2111
 
 
 # -- builders -----------------------------------------------------------------------
