@@ -1,9 +1,8 @@
 """Exact invariants from the rank-2 modular category with objects {1, A}."""
 
-from .category import (Morphism, SimpleObject, Word, associator, axiom_suite,
-                       birth, braiding, compose, death, identity, parse_word,
-                       s_matrix, scale_identity, tensor_morphisms, tensor_words,
-                       twist)
+from .category import (Morphism, Word, associator, axiom_suite, birth, braiding,
+                       compose, death, identity, parse_word, s_matrix,
+                       scale_identity, tensor_morphisms, tensor_words, twist)
 from .invariants import (c_function, continued_fraction_framings,
                          expand_minus_continued_fraction, hopf_tr_closed_form,
                          lens_space_framed_link, lens_tr_closed_form,
@@ -17,7 +16,7 @@ from .tangles import (EventKind, LinkDiagram, LinkEvent, build_hopf_chain,
 
 __all__ = [
     "ALL_THEORIES", "EventKind", "LinkDiagram", "LinkEvent",
-    "Morphism", "Rational", "SPHERE_SPINE", "Scalar", "SimpleObject", "Spine",
+    "Morphism", "Rational", "SPHERE_SPINE", "Scalar", "Spine",
     "Theory", "Word", "admissible", "associator", "axiom_suite", "birth",
     "braiding", "build_hopf_chain", "c_function", "compose",
     "continued_fraction_framings", "death", "evaluate", "evaluate_all_a",

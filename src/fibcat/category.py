@@ -3,10 +3,12 @@ are maps of nonzero arrows between letters, and the monoidal/braided/ribbon
 structure is built by extending a handful of 1x1 and 2x2 blocks by
 linearity.
 
-Objects are non-commutative sums of the two simple objects, stored as
-tuples (words).  A morphism between two words is determined by its arrows,
-one scalar per pair (dom letter, cod letter) of the same simple type;
-letters of different type are never connected, and absent arrows are zero.
+Objects are non-commutative sums of the two simple objects 1 and A,
+stored as words: strings of the letters "1" and "A", so a simple object
+is its one-letter word.  A morphism between two words is determined by
+its arrows, one scalar per pair (dom letter, cod letter) of the same
+simple type; letters of different type are never connected, and absent
+arrows are zero.
 The single nontrivial fusion rule A (x) A = 1 + A makes iterated tensor
 products depend on the bracketing, which is why the associator machinery
 below tracks, for every letter of an expansion, the simple letters it
@@ -17,62 +19,41 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
 
 from .scalars import Scalar, Theory
 
 
-class SimpleObject(Enum):
-    ONE = "1"
-    A = "A"
+# The two simple objects, as the one-letter strings that spell them; a
+# word is the string of its letters, so a letter is a one-letter word.
+ONE = "1"
+A = "A"
 
-    def __str__(self) -> str:
-        return self.value
+Word = str
 
-    def __repr__(self) -> str:
-        return self.value
-
-
-ONE = SimpleObject.ONE
-A = SimpleObject.A
-
-Word = tuple[SimpleObject, ...]
-
-UNIT: Word = (ONE,)
+UNIT: Word = ONE
 
 
 def parse_word(text: str) -> Word:
-    """Word from a string over {1, A}, e.g. "1AA"."""
+    """Word from a string over {1, A}, e.g. "1AA"; "a" reads as A and
+    whitespace is skipped."""
     out = []
     for ch in text:
-        if ch == "1":
+        if ch == ONE:
             out.append(ONE)
-        elif ch in ("A", "a"):
+        elif ch in (A, "a"):
             out.append(A)
         elif not ch.isspace():
             raise ValueError(f"bad object letter {ch!r}")
-    return tuple(out)
+    return "".join(out)
 
 
-def word_str(word: Word) -> str:
-    return "".join(x.value for x in word)
-
-
-def count_one(word: Word) -> int:
-    return sum(1 for x in word if x is ONE)
-
-
-def count_a(word: Word) -> int:
-    return sum(1 for x in word if x is A)
-
-
-def _pair_letters(x: SimpleObject, y: SimpleObject) -> tuple[SimpleObject, ...]:
+def _pair_letters(x: str, y: str) -> Word:
     """Summands of x (x) y for simple letters, in order."""
-    if x is A and y is A:
-        return (ONE, A)
-    return (A,) if (x is A or y is A) else (ONE,)
+    if x == A and y == A:
+        return ONE + A
+    return A if (x == A or y == A) else ONE
 
 
 @lru_cache(maxsize=4096)
@@ -83,14 +64,14 @@ def expand_pair(x_word: Word, y_word: Word) -> tuple[Word, tuple[tuple[int, int,
     contributes its 1-summand (t = 0) then its A-summand (t = 1), any
     other pair a single letter (t = 0).
     """
-    word: list[SimpleObject] = []
+    word: list[str] = []
     labels: list[tuple[int, int, int]] = []
     for i, x in enumerate(x_word):
         for j, y in enumerate(y_word):
             for t, letter in enumerate(_pair_letters(x, y)):
                 word.append(letter)
                 labels.append((i, j, t))
-    return tuple(word), tuple(labels)
+    return "".join(word), tuple(labels)
 
 
 def tensor_words(x_word: Word, y_word: Word) -> Word:
@@ -135,8 +116,8 @@ class Morphism:
         for (dp, cp), v in self.arrows.items():
             if not (0 <= dp < len(dom) and 0 <= cp < len(cod)):
                 raise ValueError(f"arrow ({dp}, {cp}) lies outside "
-                                 f"{word_str(dom)} -> {word_str(cod)}")
-            if dom[dp] is not cod[cp]:
+                                 f"{dom} -> {cod}")
+            if dom[dp] != cod[cp]:
                 raise ValueError(f"arrow between different simple types at ({dp}, {cp})")
             if v.is_zero:
                 raise ValueError(f"zero arrow stored at ({dp}, {cp})")
@@ -159,7 +140,7 @@ class Morphism:
         """Left-to-right composition: apply self first, then other."""
         if self.cod != other.dom:
             raise ValueError(
-                f"cannot compose: cod {word_str(self.cod)} != dom {word_str(other.dom)}")
+                f"cannot compose: cod {self.cod} != dom {other.dom}")
         onward: dict[int, list[tuple[int, Scalar]]] = {}
         for (mid, cp), v in other.arrows.items():
             onward.setdefault(mid, []).append((cp, v))
@@ -174,7 +155,7 @@ class Morphism:
 
     def entry(self, dom_pos: int, cod_pos: int) -> Scalar | None:
         """Arrow value between word positions; None when types differ."""
-        if self.dom[dom_pos] is not self.cod[cod_pos]:
+        if self.dom[dom_pos] != self.cod[cod_pos]:
             return None
         return self.arrows.get((dom_pos, cod_pos), self.theory.zero)
 
@@ -185,7 +166,7 @@ class Morphism:
         return self.arrows.get((0, 0), self.theory.zero)
 
     def __repr__(self) -> str:
-        return f"Morphism({word_str(self.dom)} -> {word_str(self.cod)})"
+        return f"Morphism({self.dom} -> {self.cod})"
 
 
 def compose(first: Morphism, *rest: Morphism) -> Morphism:
@@ -229,18 +210,15 @@ def tensor_morphisms(f: Morphism, g: Morphism) -> Morphism:
 # associativity isomorphisms
 
 
-def _triple_word(x: SimpleObject, y: SimpleObject, z: SimpleObject) -> Word:
-    out = []
-    for s in _pair_letters(x, y):
-        out.extend(_pair_letters(s, z))
-    return tuple(out)
+def _triple_word(x: str, y: str, z: str) -> Word:
+    return "".join(_pair_letters(s, z) for s in _pair_letters(x, y))
 
 
 @lru_cache(maxsize=4096)
 def _assoc_block(x, y, z, theory: Theory) -> tuple[tuple[Scalar, ...], ...]:
     """Associator block on one simple triple, rows = target summand,
     cols = source summand of the triple product word."""
-    if x is A and y is A and z is A:
+    if x == A and y == A and z == A:
         e_inv = theory.epsilon.invert()
         xs = theory.x_scalar
         s_inv = theory.s_inv
@@ -330,7 +308,7 @@ def braiding(x_word: Word, y_word: Word, theory: Theory,
     arrows: Arrows = {}
     for p, (i, j, t) in enumerate(dlab):
         q = cpos[(j, i, t)]
-        if x_word[i] is A and y_word[j] is A:
+        if x_word[i] == A and y_word[j] == A:
             v = beta * beta if t == 0 else beta
         else:
             v = theory.one
@@ -347,7 +325,7 @@ def twist(word: Word, theory: Theory, sign: int = 1) -> Morphism:
     """Diagonal ribbon twist: 1 on 1-letters, beta^{-2 sign} on A-letters."""
     val = theory.beta_inv ** 2 if sign > 0 else theory.beta ** 2
     return Morphism._unchecked(
-        word, word, {(p, p): (val if x is A else theory.one) for p, x in enumerate(word)},
+        word, word, {(p, p): (val if x == A else theory.one) for p, x in enumerate(word)},
         theory)
 
 
@@ -362,7 +340,7 @@ def birth(word: Word, theory: Theory) -> Morphism:
     cod = tensor_words(word, word)
     y = theory.y_scalar
     ys = y * theory.s
-    arrows = {(0, p): (y if word[i] is ONE else ys)
+    arrows = {(0, p): (y if word[i] == ONE else ys)
               for i, p in _self_pair_firsts(word).items()}
     return Morphism._unchecked(UNIT, cod, arrows, theory)
 
@@ -372,7 +350,7 @@ def death(word: Word, theory: Theory) -> Morphism:
     dom = tensor_words(word, word)
     y_inv = theory.y_scalar.invert()
     sy = theory.s * y_inv
-    arrows = {(p, 0): (y_inv if word[i] is ONE else sy)
+    arrows = {(p, 0): (y_inv if word[i] == ONE else sy)
               for i, p in _self_pair_firsts(word).items()}
     return Morphism._unchecked(dom, UNIT, arrows, theory)
 
@@ -381,9 +359,9 @@ def death(word: Word, theory: Theory) -> Morphism:
 # S-matrix
 
 
-def s_matrix_entry(x: SimpleObject, y: SimpleObject, theory: Theory) -> Scalar:
-    w = tensor_words((x,), (y,))
-    double_braid = braiding((x,), (y,), theory).then(braiding((y,), (x,), theory))
+def s_matrix_entry(x: str, y: str, theory: Theory) -> Scalar:
+    w = tensor_words(x, y)
+    double_braid = braiding(x, y, theory).then(braiding(y, x, theory))
     mid = tensor_morphisms(double_braid, identity(w, theory))
     return compose(birth(w, theory), mid, death(w, theory)).scalar()
 
@@ -437,14 +415,14 @@ class AxiomReport:
 
 
 def _random_word(rng: random.Random, max_len: int, min_len: int = 1) -> Word:
-    return tuple(rng.choice((ONE, A)) for _ in range(rng.randint(min_len, max_len)))
+    return "".join(rng.choice((ONE, A)) for _ in range(rng.randint(min_len, max_len)))
 
 
 def _random_morphism(rng: random.Random, dom: Word, cod: Word, theory: Theory) -> Morphism:
     arrows: Arrows = {}
     for dp, x in enumerate(dom):
         for cp, y in enumerate(cod):
-            if x is y:
+            if x == y:
                 q = Fraction(rng.randint(-3, 3), rng.randint(1, 3))
                 if q:
                     arrows[(dp, cp)] = theory.rational(q)
@@ -518,7 +496,7 @@ def axiom_suite(theory: Theory, seed: int = 0, naturality_samples: int = 100) ->
     """Run every structural identity on exhaustive simple tuples plus
     seeded random words and morphisms; record the first failure per check."""
     rng = random.Random(seed)
-    simple_words = [(ONE,), (A,)]
+    simple_words = [ONE, A]
     checks: list[AxiomCheck] = []
 
     def run(name, argsets, predicate):
@@ -551,7 +529,7 @@ def axiom_suite(theory: Theory, seed: int = 0, naturality_samples: int = 100) ->
     run("twist-braiding", pairs + rand_pairs,
         lambda x, y: _twist_braiding_holds(x, y, theory))
 
-    zig_words = simple_words + [(ONE, A)] + [_random_word(rng, 3) for _ in range(4)]
+    zig_words = simple_words + [ONE + A] + [_random_word(rng, 3) for _ in range(4)]
     run("duality-zigzag", [(w,) for w in zig_words], lambda w: _zigzags_hold(w, theory))
     run("duality-twist", [(w,) for w in zig_words], lambda w: _duality_twist_holds(w, theory))
 
@@ -595,7 +573,7 @@ def axiom_suite(theory: Theory, seed: int = 0, naturality_samples: int = 100) ->
             braiding(x, x, theory))
         word, labels = expand_pair(x, x)
         pos = {lab: p for p, lab in enumerate(labels)}
-        ones = [p for p, letter in enumerate(word) if letter is ONE]
+        ones = [p for p, letter in enumerate(word) if letter == ONE]
         for p in ones:
             i, j, t = labels[p]
             for q in ones:

@@ -29,27 +29,26 @@ from functools import lru_cache
 from itertools import product
 
 from . import category as cat
-from .category import A, ONE, Morphism, SimpleObject
+from .category import A, ONE, Morphism
 from .scalars import Scalar, Theory
 
-Triple = tuple[SimpleObject, SimpleObject, SimpleObject]
+Triple = tuple[str, str, str]
 
 
-def admissible(x: SimpleObject, y: SimpleObject, z: SimpleObject) -> bool:
+def admissible(x: str, y: str, z: str) -> bool:
     """A triple is admissible when the number of A's is not one."""
     return (x, y, z).count(A) != 1
 
 
 def _a_count(colors) -> int:
-    return sum(1 for c in colors if c is A)
+    return colors.count(A)
 
 
 # ---------------------------------------------------------------------------
 # multiplicity-module basis elements
 
 
-def _hom_unit_basis(x: SimpleObject, y: SimpleObject, z: SimpleObject,
-                    coeff: Scalar, theory: Theory) -> Morphism:
+def _hom_unit_basis(x: str, y: str, z: str, coeff: Scalar, theory: Theory) -> Morphism:
     """coeff times the canonical basis of Hom(1, (x (x) y) (x) z); the
     zero morphism for the trivial (non-admissible) modules.
 
@@ -58,39 +57,38 @@ def _hom_unit_basis(x: SimpleObject, y: SimpleObject, z: SimpleObject,
     identification of the modules with scalars under which the closed
     pairing and 6j tables hold at every parameter choice.
     """
-    cod = cat.tensor_words(cat.tensor_words((x,), (y,)), (z,))
-    ones = [p for p, letter in enumerate(cod) if letter is ONE]
+    cod = cat.tensor_words(cat.tensor_words(x, y), z)
+    ones = [p for p, letter in enumerate(cod) if letter == ONE]
     if len(ones) > 1:
-        raise AssertionError(f"unexpected multiplicity for {(x, y, z)}")
+        raise AssertionError(f"unexpected multiplicity for {x}{y}{z}")
     value = coeff * theory.y_scalar ** _a_count((x, y, z))
     arrows = {} if value.is_zero else {(0, p): value for p in ones}
     return Morphism._unchecked(cat.UNIT, cod, arrows, theory)
 
 
-def _w_scale(x: SimpleObject, theory: Theory) -> Morphism:
+def _w_scale(x: str, theory: Theory) -> Morphism:
     """w_1 = id_1, w_A = z * id_A."""
-    value = theory.one if x is ONE else theory.z_scalar
-    return cat.scale_identity((x,), value, theory)
+    value = theory.one if x == ONE else theory.z_scalar
+    return cat.scale_identity(x, value, theory)
 
 
-def _simple_cap(x: SimpleObject, theory: Theory) -> Morphism:
+def _simple_cap(x: str, theory: Theory) -> Morphism:
     """The closing cap on one simple object: d_A on A, the identity on
     the unit object (whose birth and death are both identities)."""
-    if x is A:
-        return cat.death((A,), theory)
-    return cat.identity((ONE,), theory)
+    if x == A:
+        return cat.death(A, theory)
+    return cat.identity(ONE, theory)
 
 
 # ---------------------------------------------------------------------------
 # pairings
 
 
-def pairing_table(x: SimpleObject, y: SimpleObject, z: SimpleObject,
-                  a: Scalar, b: Scalar, theory: Theory) -> Scalar:
+def pairing_table(x: str, y: str, z: str, a: Scalar, b: Scalar, theory: Theory) -> Scalar:
     """(a, b)^{xyz} for an admissible triple: ab, ab y^2 z^2, or ab x y^3 z^3."""
     n = _a_count((x, y, z))
     if n == 1:
-        raise ValueError(f"triple {(x, y, z)} is not admissible")
+        raise ValueError(f"triple {x}{y}{z} is not admissible")
     return a * b * _pairing_unit(n, theory)
 
 
@@ -103,28 +101,26 @@ def _pairing_unit(n_a: int, theory: Theory) -> Scalar:
     return theory.x_scalar * y2z2 * theory.y_scalar * theory.z_scalar
 
 
-def pairing_categorical(x: SimpleObject, y: SimpleObject, z: SimpleObject,
-                        a: Scalar, b: Scalar, theory: Theory) -> Scalar:
+def pairing_categorical(x: str, y: str, z: str, a: Scalar, b: Scalar, theory: Theory) -> Scalar:
     """The pairing as the nine-step composite of category morphisms."""
     t = cat.tensor_morphisms
     ident = lambda w: cat.identity(w, theory)
     assoc = lambda u, v, w: cat.associator(u, v, w, theory)
     assoc_inv = lambda u, v, w: cat.associator(u, v, w, theory, inverse=True)
-    wx, wy, wz = (x,), (y,), (z,)
-    xy = cat.tensor_words(wx, wy)
-    xyz = cat.tensor_words(xy, wz)
-    zy = cat.tensor_words(wz, wy)
+    xy = cat.tensor_words(x, y)
+    xyz = cat.tensor_words(xy, z)
+    zy = cat.tensor_words(z, y)
 
     mu = [
         t(_hom_unit_basis(x, y, z, a, theory), _hom_unit_basis(z, y, x, b, theory)),
         t(t(t(_w_scale(x, theory), _w_scale(y, theory)), _w_scale(z, theory)),
-          t(t(ident(wz), ident(wy)), ident(wx))),
-        assoc_inv(xyz, zy, wx),
-        t(assoc_inv(xyz, wz, wy), ident(wx)),
-        t(t(assoc(xy, wz, wz), ident(wy)), ident(wx)),
-        t(t(t(ident(xy), _simple_cap(z, theory)), ident(wy)), ident(wx)),
-        t(assoc(wx, wy, wy), ident(wx)),
-        t(t(ident(wx), _simple_cap(y, theory)), ident(wx)),
+          t(t(ident(z), ident(y)), ident(x))),
+        assoc_inv(xyz, zy, x),
+        t(assoc_inv(xyz, z, y), ident(x)),
+        t(t(assoc(xy, z, z), ident(y)), ident(x)),
+        t(t(t(ident(xy), _simple_cap(z, theory)), ident(y)), ident(x)),
+        t(assoc(x, y, y), ident(x)),
+        t(t(ident(x), _simple_cap(y, theory)), ident(x)),
         _simple_cap(x, theory),
     ]
     return cat.compose(*mu).scalar()
@@ -133,8 +129,7 @@ def pairing_categorical(x: SimpleObject, y: SimpleObject, z: SimpleObject,
 # ---------------------------------------------------------------------------
 # 6j-symbols
 
-SixColors = tuple[SimpleObject, SimpleObject, SimpleObject,
-                  SimpleObject, SimpleObject, SimpleObject]
+SixColors = tuple[str, str, str, str, str, str]
 
 
 def vertex_triples(colors: SixColors) -> tuple[Triple, Triple, Triple, Triple]:
@@ -191,43 +186,41 @@ def sixj_categorical(colors: SixColors, a1: Scalar, a2: Scalar, a3: Scalar,
     assoc_inv = lambda u, v, w: cat.associator(u, v, w, theory, inverse=True)
     cap = lambda s: _simple_cap(s, theory)
     ws = lambda s: _w_scale(s, theory)
-    wx1, wy1, wz1 = (x1,), (y1,), (z1,)
-    wx2, wy2, wz2 = (x2,), (y2,), (z2,)
-    x1y1 = cat.tensor_words(wx1, wy1)
-    x1y1z1 = cat.tensor_words(x1y1, wz1)
-    z1x2 = cat.tensor_words(wz1, wx2)
-    y1z2 = cat.tensor_words(wy1, wz2)
-    x1y2 = cat.tensor_words(wx1, wy2)
-    x1y2z2 = cat.tensor_words(x1y2, wz2)
-    x1z2 = cat.tensor_words(wx1, wz2)
+    x1y1 = cat.tensor_words(x1, y1)
+    x1y1z1 = cat.tensor_words(x1y1, z1)
+    z1x2 = cat.tensor_words(z1, x2)
+    y1z2 = cat.tensor_words(y1, z2)
+    x1y2 = cat.tensor_words(x1, y2)
+    x1y2z2 = cat.tensor_words(x1y2, z2)
+    x1z2 = cat.tensor_words(x1, z2)
 
     mu = [
         t(_hom_unit_basis(x1, y1, z1, a1, theory),
           _hom_unit_basis(z1, x2, y2, a4, theory)),
-        t(t(t(ws(x1), ws(y1)), ws(z1)), t(t(ident(wz1), ws(x2)), ident(wy2))),
-        assoc_inv(x1y1z1, z1x2, wy2),
-        t(assoc_inv(x1y1z1, wz1, wx2), ident(wy2)),
-        t(t(assoc(x1y1, wz1, wz1), ident(wx2)), ident(wy2)),
-        t(t(t(ident(x1y1), cap(z1)), ident(wx2)), ident(wy2)),
+        t(t(t(ws(x1), ws(y1)), ws(z1)), t(t(ident(z1), ws(x2)), ident(y2))),
+        assoc_inv(x1y1z1, z1x2, y2),
+        t(assoc_inv(x1y1z1, z1, x2), ident(y2)),
+        t(t(assoc(x1y1, z1, z1), ident(x2)), ident(y2)),
+        t(t(t(ident(x1y1), cap(z1)), ident(x2)), ident(y2)),
         t(t(t(ident(x1y1), _hom_unit_basis(y1, z2, x2, a3, theory)),
-            ident(wx2)), ident(wy2)),
-        t(t(assoc_inv(x1y1, y1z2, wx2), ident(wx2)), ident(wy2)),
-        t(t(t(assoc_inv(x1y1, wy1, wz2), ident(wx2)), ident(wx2)), ident(wy2)),
-        t(t(t(t(assoc(wx1, wy1, wy1), ident(wz2)), ident(wx2)), ident(wx2)),
-          ident(wy2)),
-        t(t(t(t(t(ident(wx1), cap(y1)), ident(wz2)), ident(wx2)),
-            ident(wx2)), ident(wy2)),
-        t(assoc(x1z2, wx2, wx2), ident(wy2)),
-        t(t(ident(x1z2), cap(x2)), ident(wy2)),
-        t(t(t(ident(wx1), _hom_unit_basis(x1, y2, z2, a2, theory)),
-            ident(wz2)), ident(wy2)),
-        t(t(t(ident(wx1), t(t(ident(wx1), ws(y2)), ws(z2))), ident(wz2)),
-          ident(wy2)),
-        t(assoc(wx1, x1y2z2, wz2), ident(wy2)),
-        t(t(ident(wx1), assoc(x1y2, wz2, wz2)), ident(wy2)),
-        t(t(ident(wx1), t(ident(x1y2), cap(z2))), ident(wy2)),
-        t(assoc_inv(wx1, wx1, wy2), ident(wy2)),
-        t(t(cap(x1), ident(wy2)), ident(wy2)),
+            ident(x2)), ident(y2)),
+        t(t(assoc_inv(x1y1, y1z2, x2), ident(x2)), ident(y2)),
+        t(t(t(assoc_inv(x1y1, y1, z2), ident(x2)), ident(x2)), ident(y2)),
+        t(t(t(t(assoc(x1, y1, y1), ident(z2)), ident(x2)), ident(x2)),
+          ident(y2)),
+        t(t(t(t(t(ident(x1), cap(y1)), ident(z2)), ident(x2)),
+            ident(x2)), ident(y2)),
+        t(assoc(x1z2, x2, x2), ident(y2)),
+        t(t(ident(x1z2), cap(x2)), ident(y2)),
+        t(t(t(ident(x1), _hom_unit_basis(x1, y2, z2, a2, theory)),
+            ident(z2)), ident(y2)),
+        t(t(t(ident(x1), t(t(ident(x1), ws(y2)), ws(z2))), ident(z2)),
+          ident(y2)),
+        t(assoc(x1, x1y2z2, z2), ident(y2)),
+        t(t(ident(x1), assoc(x1y2, z2, z2)), ident(y2)),
+        t(t(ident(x1), t(ident(x1y2), cap(z2))), ident(y2)),
+        t(assoc_inv(x1, x1, y2), ident(y2)),
+        t(t(cap(x1), ident(y2)), ident(y2)),
         cap(y2),
     ]
     return cat.compose(*mu).scalar()
@@ -257,27 +250,26 @@ def module_iso_check(theory: Theory) -> ModuleIsoReport:
         if not admissible(x, y, z):
             continue
         checked += 1
-        wx, wy, wz = (x,), (y,), (z,)
         basis = _hom_unit_basis(x, y, z, theory.one, theory)
 
         swap12 = cat.compose(
             basis,
-            cat.tensor_morphisms(cat.braiding(wx, wy, theory),
-                                 cat.identity(wz, theory)),
+            cat.tensor_morphisms(cat.braiding(x, y, theory),
+                                 cat.identity(z, theory)),
             cat.scale_identity(
-                cat.tensor_words(cat.tensor_words(wy, wx), wz),
+                cat.tensor_words(cat.tensor_words(y, x), z),
                 v_prime[x] * v_prime[y] * v_prime[z].invert(), theory))
         if swap12 != _hom_unit_basis(y, x, z, theory.one, theory):
             failures.append(((x, y, z), "swap-12"))
 
         swap23 = cat.compose(
             basis,
-            cat.associator(wx, wy, wz, theory),
-            cat.tensor_morphisms(cat.identity(wx, theory),
-                                 cat.braiding(wy, wz, theory)),
-            cat.associator(wx, wz, wy, theory, inverse=True),
+            cat.associator(x, y, z, theory),
+            cat.tensor_morphisms(cat.identity(x, theory),
+                                 cat.braiding(y, z, theory)),
+            cat.associator(x, z, y, theory, inverse=True),
             cat.scale_identity(
-                cat.tensor_words(cat.tensor_words(wx, wz), wy),
+                cat.tensor_words(cat.tensor_words(x, z), y),
                 v_prime[x].invert() * v_prime[y] * v_prime[z], theory))
         if swap23 != _hom_unit_basis(x, z, y, theory.one, theory):
             failures.append(((x, y, z), "swap-23"))

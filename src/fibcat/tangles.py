@@ -6,14 +6,17 @@ adjacent strands, ``cap`` closes two adjacent strands, ``xp``/``xn`` are
 the positive/negative crossing of two adjacent strands, and ``tp``/``tn``
 are positive/negative kinks on one strand.
 
-Evaluation colors every component by a simple object, deletes the
-1-colored components, and applies the strand events (cups, caps and
-crossings) one by one to a vector.  A kink is the ribbon twist, a scalar
-on a simple object, so it is no event of the evaluation: the net kinks
-k of an A-colored component scale it once by beta^(-2 k).
+Evaluation colors every component by a simple object (a coloring is a
+word, one letter per component), deletes the 1-colored components, and
+applies the strand events (cups, caps and crossings) one by one to a
+vector.  A kink is the ribbon twist, a scalar on a simple object, so it
+is no event of the evaluation: the net kinks k of an A-colored component
+scale it once by beta^(-2 k).
 Between events the open A-colored strands always form the right-comb
-word A (x) (A (x) ...), whose basis vectors are fusion paths: strings of
-labels 1 or A, one per tail of the strands (the golden-chain basis).
+word A (x) (A (x) ...), whose basis vectors are fusion paths: words of
+labels, each the letter 1 or A of one tail of the strands (the
+golden-chain basis), so a path and a table window are spelled with the
+category's own letters.
 By naturality of the associator, an event on two adjacent strands reads
 and rewrites at most three adjacent labels, so each theory has one small
 table per strand event kind, read off one morphism composed in the
@@ -46,11 +49,11 @@ from functools import lru_cache
 from typing import Iterable, Sequence
 
 from . import category as cat
-from .category import A, ONE, SimpleObject
+from .category import A, ONE
 from .scalars import Scalar, Theory
 
 
-class EventKind(Enum):
+class EventKind(str, Enum):
     CUP = "cup"
     CAP = "cap"
     CROSS_POS = "xp"
@@ -327,11 +330,11 @@ def parse_link(text: str) -> LinkDiagram:
 # ---------------------------------------------------------------------------
 # colorings and evaluation
 
-Coloring = Sequence[SimpleObject]
+Coloring = cat.Word
 
 
-def all_a_coloring(diagram: LinkDiagram) -> tuple[SimpleObject, ...]:
-    return (A,) * diagram.n_components
+def all_a_coloring(diagram: LinkDiagram) -> Coloring:
+    return A * diagram.n_components
 
 
 _Vector = dict[str, Scalar]
@@ -348,15 +351,15 @@ _WINDOW = {EventKind.CUP: 1, EventKind.CAP: 3,
            EventKind.CROSS_POS: 3, EventKind.CROSS_NEG: 3}
 
 
-def _windows(word: cat.Word, c: SimpleObject) -> list[str]:
-    """The label window of each letter of a step's dom or cod: c for the
-    one-letter word c, and t m c for a letter t of A (x) (A (x) c), m the
-    letter of A (x) c it comes from."""
+def _windows(word: cat.Word, c: str) -> list[str]:
+    """The label window of each letter of a step's dom or cod, its labels
+    being letters: c for the one-letter word c, and t m c for a letter t
+    of A (x) (A (x) c), m the letter of A (x) c it comes from."""
     if len(word) == 1:
-        return [c.value]
-    ac = cat.tensor_words((A,), (c,))
-    labels = cat.expand_pair((A,), ac)[1]
-    return [t.value + ac[j].value + c.value for t, (_, j, _) in zip(word, labels)]
+        return [c]
+    ac = cat.tensor_words(A, c)
+    labels = cat.expand_pair(A, ac)[1]
+    return [t + ac[j] + c for t, (_, j, _) in zip(word, labels)]
 
 
 @lru_cache(maxsize=256)
@@ -371,21 +374,19 @@ def _table(kind: EventKind, theory: Theory) -> _Table:
     to A (x) (A (x) c).  A cup starts at the one letter c, so it has no
     leading associator, and a cap ends there, so it has no trailing one.
     """
-    a = (A,)
     if kind is EventKind.CUP:
-        local = cat.birth(a, theory)
+        local = cat.birth(A, theory)
     elif kind is EventKind.CAP:
-        local = cat.death(a, theory)
+        local = cat.death(A, theory)
     else:
-        local = cat.braiding(a, a, theory, inverse=kind is EventKind.CROSS_NEG)
+        local = cat.braiding(A, A, theory, inverse=kind is EventKind.CROSS_NEG)
     table: dict[str, list[tuple[str, Scalar]]] = {}
     for c in (ONE, A):
-        cw = (c,)
-        step = cat.tensor_morphisms(local, cat.identity(cw, theory))
+        step = cat.tensor_morphisms(local, cat.identity(c, theory))
         if kind is not EventKind.CUP:
-            step = cat.associator(a, a, cw, theory, inverse=True).then(step)
+            step = cat.associator(A, A, c, theory, inverse=True).then(step)
         if kind is not EventKind.CAP:
-            step = step.then(cat.associator(a, a, cw, theory))
+            step = step.then(cat.associator(A, A, c, theory))
         dom, cod = _windows(step.dom, c), _windows(step.cod, c)
         for (p, q), v in step.arrows.items():
             table.setdefault(dom[p], []).append((cod[q], v))
@@ -456,7 +457,7 @@ def _sweep(diagram: LinkDiagram, branches: Sequence[_Branches],
     twists = {k: theory.beta ** (-2 * k) for k in set(net_kinks)}
     tables = {kind: _table(kind, theory)
               for kind in {ev.kind for ev in diagram.events} if kind in _WINDOW}
-    states: dict[int, _Vector] = {0: {ONE.value: theory.one}}
+    states: dict[int, _Vector] = {0: {ONE: theory.one}}
     slots: list[int] = []    # the bit of each open strand's component
     for idx, (ev, comps) in enumerate(zip(diagram.events, diagram.event_components)):
         kind, pos = ev.kind, ev.pos
@@ -474,14 +475,16 @@ def _sweep(diagram: LinkDiagram, branches: Sequence[_Branches],
         if first[c] == idx:
             # the cup opens c: every key branches into c's colors, and the
             # weight of an A branch, with c's kinks, scales the cup's table,
-            # not each vector
+            # not each vector; a weight of 1 leaves the table as it is
             for is_a, weight in branches[c]:
                 if not is_a:
                     out.update(states)
                     continue
                 weight = weight * twists[net_kinks[c]]
-                cup = {window: tuple((new, v * weight) for new, v in entries)
-                       for window, entries in table.items()}
+                cup = table
+                if weight != theory.one:
+                    cup = {window: tuple((new, v * weight) for new, v in entries)
+                           for window, entries in table.items()}
                 for key, vector in states.items():
                     at = sum(n for b, n in left if key & b)
                     out[key | bits] = _apply(vector, kind, at, cup)
@@ -504,7 +507,7 @@ def _sweep(diagram: LinkDiagram, branches: Sequence[_Branches],
         else:
             slots[pos], slots[pos + 1] = slots[pos + 1], slots[pos]
     final = states.get(0)
-    return final.get(ONE.value, theory.zero) if final else theory.zero
+    return final.get(ONE, theory.zero) if final else theory.zero
 
 
 def evaluate(diagram: LinkDiagram, coloring: Coloring, theory: Theory) -> Scalar:
@@ -526,7 +529,7 @@ def evaluate(diagram: LinkDiagram, coloring: Coloring, theory: Theory) -> Scalar
     if len(coloring) != diagram.n_components:
         raise ValueError(f"coloring names {len(coloring)} of "
                          f"{diagram.n_components} components")
-    return _sweep(diagram, [((c is A, theory.one),) for c in coloring], theory)
+    return _sweep(diagram, [((c == A, theory.one),) for c in coloring], theory)
 
 
 def colored_sum(diagram: LinkDiagram, weights: Sequence[Scalar],

@@ -495,3 +495,109 @@ def test_mutated_inputs_exit_cleanly(capsys, tmp_path):
             for command in commands:
                 code, _, err = invoke(capsys, *command, str(path))
                 assert code in (0, 1), (command, text, err)
+
+
+# -- seeded argument fuzz: every argv exits 0, 1 or 2 --------------------------
+
+_BIG = "123456789012345678901234567890"     # a 30-digit part of a rational
+_MALFORMED = ["", "x", "1.5e", "--", "=", "1/0", "0x10"]
+
+
+def _fuzz_value(rng: random.Random, kind: str) -> str:
+    """A value for an option or argument: a plain one, zero, a negative
+    one or a malformed one.  Sizes stay small: hopf K <= 40, lens P and Q
+    within +-50, at most eight framings or indices."""
+    if rng.random() < 0.1:
+        return rng.choice(_MALFORMED)
+    if kind == "rational":
+        return rng.choice(["0", "1", "-1", "2/3", "-5/7", "3", _BIG, f"-{_BIG}",
+                           f"{_BIG}/{_BIG[::-1]}", f"-1/{_BIG}", f"{_BIG}/7"])
+    if kind == "k":
+        return str(rng.randint(-3, 40))
+    if kind == "pq":
+        return str(rng.randint(-50, 50))
+    if kind == "list":
+        return ",".join(str(rng.randint(-9, 9)) for _ in range(rng.randint(0, 8)))
+    if kind == "colors":
+        return "".join(rng.choice("1Aax ") for _ in range(rng.randint(0, 4)))
+    if kind == "link":
+        return rng.choice([link("hopf.txt"), link("trefoil_framed1.txt"),
+                           link("unknot.txt"), link("unlink2.txt"), link("empty.txt"),
+                           spine("sphere.txt"), link("missing.txt")])
+    if kind == "spine":
+        return rng.choice([spine("sphere.txt")] * 3 + [link("hopf.txt"), spine("missing.txt")])
+    return rng.choice({"epsilon": ["pos", "neg", "positive", "negative", "zero"],
+                       "beta": ["plus", "minus", "neither"],
+                       "output": ["exact", "float", "both", "json"],
+                       "seed": ["0", "1", "-7", "12345"]}[kind])
+
+
+_GLOBAL = {"--epsilon": "epsilon", "--beta": "beta", "-x": "rational",
+           "-y": "rational", "-z": "rational", "--output": "output", "--seed": "seed",
+           "--no-euler-check": None}
+
+# per command: its arguments (a required option as its name and kind),
+# then its own options
+_COMMANDS = {
+    "check-axioms": ([], {}),
+    "eval-link": (["link"], {"--colors": "colors"}),
+    "tr-link": (["link"], {}),
+    "tr-manifold": (["link"], {}),
+    "hopf": (["k"], {"--framings": "list"}),
+    "lens": (["pq", "pq"], {"--framings": "list"}),
+    "c-function": (["list"], {}),
+    "tv-spine": (["spine"], {}),
+    "t-spine": (["spine"], {}),
+    "compare-rt-tv": ([("--link", "link"), ("--spine", "spine")], {}),
+}
+
+
+def _fuzz_options(rng: random.Random, options: dict, most: int) -> list[str]:
+    """At most ``most`` of ``options``, each missing its value, written
+    apart, joined with '=', or repeated."""
+    out: list[str] = []
+    for name in rng.sample(sorted(options), rng.randint(0, min(most, len(options)))):
+        kind = options[name]
+        for _ in range(2 if rng.random() < 0.15 else 1):
+            if kind is None:
+                out.append(name)
+                continue
+            value = _fuzz_value(rng, kind)
+            form = rng.randrange(10)
+            if form == 0:
+                out.append(name)                    # its value missing
+            elif form < 4:
+                out.append(f"{name}={value}")
+            else:
+                out += [name, value]
+    return out
+
+
+def _fuzz_argv(rng: random.Random) -> list[str]:
+    command = rng.choice(sorted(_COMMANDS) + ["frobnicate"])
+    positional, options = _COMMANDS.get(command, ([], {}))
+    args = [[kind[0], _fuzz_value(rng, kind[1])] if isinstance(kind, tuple)
+            else [_fuzz_value(rng, kind)] for kind in positional]
+    if args and rng.random() < 0.2:
+        del args[rng.randrange(len(args))]          # a missing argument
+    if rng.random() < 0.1:
+        args.append([_fuzz_value(rng, "pq")])       # one too many
+    args.append(_fuzz_options(rng, options, 2))
+    rng.shuffle(args)
+    before, after = _fuzz_options(rng, _GLOBAL, 2), _fuzz_options(rng, _GLOBAL, 2)
+    return before + [command] + [token for group in args for token in group] + after
+
+
+def test_seeded_argument_fuzz_exits_cleanly(capsys, monkeypatch):
+    monkeypatch.delenv("FIBCAT_EPSILON", raising=False)
+    monkeypatch.delenv("FIBCAT_BETA", raising=False)
+    rng = random.Random("cli-argv-fuzz")
+    codes = {0: 0, 1: 0, 2: 0}
+    for _ in range(300):
+        argv = _fuzz_argv(rng)
+        code, _, err = invoke(capsys, *argv)
+        assert code in codes, (argv, code, err)
+        assert "Traceback" not in err, (argv, err)
+        codes[code] += 1
+    # the draw reaches both the working and the refusing paths
+    assert codes[0] > 20 and codes[1] > 20, codes

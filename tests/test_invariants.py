@@ -378,7 +378,7 @@ def _coloring_sum(diagram: LinkDiagram, theory: Theory) -> Scalar:
     excess = [f - w for f, w in zip(diagram.framings(), diagram.self_writhes())]
     total = theory.zero
     for colors in itertools.product((ONE, A), repeat=k):
-        kinks = sum(d for d, c in zip(excess, colors) if c is A)
+        kinks = sum(d for d, c in zip(excess, colors) if c == A)
         weight = theory.epsilon ** colors.count(A) * theory.beta ** (-2 * kinks)
         total = total + weight * evaluate(diagram, colors, theory)
     return theory.delta ** sigma * theory.big_d ** (-sigma - k - 1) * total

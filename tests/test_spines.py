@@ -79,14 +79,14 @@ def test_sixj_table_values(th):
     one = th.one
     e = th.epsilon
     yz = th.y_scalar * th.z_scalar
-    assert sixj_table((ONE,) * 6, one, one, one, one, th) == one
+    assert sixj_table(ONE * 6, one, one, one, one, th) == one
     assert sixj_table((ONE, ONE, ONE, A, A, A), one, one, one, one, th) \
         == yz ** 3 * th.s_inv
     assert sixj_table((ONE, A, A, ONE, A, A), one, one, one, one, th) \
         == yz ** 4 / e
     assert sixj_table((ONE, A, A, A, A, A), one, one, one, one, th) \
         == th.x_scalar * yz ** 5 / e
-    assert sixj_table((A,) * 6, one, one, one, one, th) \
+    assert sixj_table(A * 6, one, one, one, one, th) \
         == -(th.x_scalar ** 2) * yz ** 6 / e ** 2
     assert sixj_table((ONE, ONE, A, A, A, A), one, one, one, one, th).is_zero
 
