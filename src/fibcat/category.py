@@ -78,6 +78,17 @@ def tensor_words(x_word: Word, y_word: Word) -> Word:
     return expand_pair(x_word, y_word)[0]
 
 
+@lru_cache(maxsize=4096)
+def _pair_index(x_word: Word, y_word: Word) -> tuple[Word, dict[tuple[int, int], tuple[int, ...]]]:
+    """X (x) Y and, for each pair (i, j), the positions of its summands in
+    it, in the order of ``expand_pair``'s t."""
+    word, labels = expand_pair(x_word, y_word)
+    positions: dict[tuple[int, int], tuple[int, ...]] = {}
+    for p, (i, j, _) in enumerate(labels):
+        positions[(i, j)] = positions.get((i, j), ()) + (p,)
+    return word, positions
+
+
 # ---------------------------------------------------------------------------
 # morphisms
 
@@ -193,16 +204,15 @@ def tensor_morphisms(f: Morphism, g: Morphism) -> Morphism:
     product of their values; a pair of A->A arrows feeds both the 1 and
     the A summand generated by A (x) A, and cross-summands stay zero.
     """
-    dom, dlab = expand_pair(f.dom, g.dom)
-    cod, clab = expand_pair(f.cod, g.cod)
-    dpos = {lab: p for p, lab in enumerate(dlab)}
-    cpos = {lab: p for p, lab in enumerate(clab)}
+    dom, dpos = _pair_index(f.dom, g.dom)
+    cod, cpos = _pair_index(f.cod, g.cod)
     arrows: Arrows = {}
     for (di, ci), fv in f.arrows.items():
         for (dj, cj), gv in g.arrows.items():
             v = fv * gv
-            for t in range(len(_pair_letters(f.dom[di], g.dom[dj]))):
-                arrows[(dpos[(di, dj, t)], cpos[(ci, cj, t)])] = v
+            # both letter pairs have the same types, so the same summands
+            for key in zip(dpos[(di, dj)], cpos[(ci, cj)]):
+                arrows[key] = v
     return Morphism._unchecked(dom, cod, arrows, f.theory)
 
 
@@ -210,26 +220,28 @@ def tensor_morphisms(f: Morphism, g: Morphism) -> Morphism:
 # associativity isomorphisms
 
 
-def _triple_word(x: str, y: str, z: str) -> Word:
-    return "".join(_pair_letters(s, z) for s in _pair_letters(x, y))
+# The associator block on the simple triple A, A, A, from the summands of
+# (A (x) A) (x) A to those of A (x) (A (x) A), both spelled by this word;
+# every other simple triple has an identity block.  Plans mark an identity
+# entry by _ID, which indexes the 1 that ``_assoc_block`` appends.
+_AAA = "A1A"
+_ID = len(_AAA)
 
 
-@lru_cache(maxsize=4096)
-def _assoc_block(x, y, z, theory: Theory) -> tuple[tuple[Scalar, ...], ...]:
-    """Associator block on one simple triple, rows = target summand,
-    cols = source summand of the triple product word."""
-    if x == A and y == A and z == A:
-        e_inv = theory.epsilon.invert()
-        xs = theory.x_scalar
-        s_inv = theory.s_inv
-        return (
-            (e_inv, theory.zero, xs * s_inv),
-            (theory.zero, theory.one, theory.zero),
-            (xs.invert() * s_inv, theory.zero, -e_inv),
-        )
-    n = len(_triple_word(x, y, z))
-    return tuple(tuple(theory.one if i == j else theory.zero for j in range(n))
-                 for i in range(n))
+@lru_cache(maxsize=64)
+def _assoc_block(theory: Theory) -> tuple[tuple[Scalar, ...], ...]:
+    """The A, A, A block, rows = target summand, cols = source summand,
+    with a row and a column _ID that hold 1, for identity blocks."""
+    e_inv = theory.epsilon.invert()
+    xs = theory.x_scalar
+    s_inv = theory.s_inv
+    zero, one = theory.zero, theory.one
+    return (
+        (e_inv, zero, xs * s_inv, zero),
+        (zero, one, zero, zero),
+        (xs.invert() * s_inv, zero, -e_inv, zero),
+        (zero, zero, zero, one),
+    )
 
 
 def _ranked(triples) -> list[tuple[int, int, int, int]]:
@@ -245,52 +257,49 @@ def _ranked(triples) -> list[tuple[int, int, int, int]]:
     return out
 
 
-def _left_labels(x_word: Word, y_word: Word, z_word: Word):
-    """Per letter of (X(x)Y)(x)Z: origin (i, j, k, t)."""
-    xy, lab_xy = expand_pair(x_word, y_word)
-    word, lab = expand_pair(xy, z_word)
-    return word, _ranked(lab_xy[pxy][:2] + (k,) for pxy, k, _ in lab)
-
-
-def _right_labels(x_word: Word, y_word: Word, z_word: Word):
-    """Per letter of X(x)(Y(x)Z): origin (i, j, k, t)."""
-    yz, lab_yz = expand_pair(y_word, z_word)
-    word, lab = expand_pair(x_word, yz)
-    return word, _ranked((i,) + lab_yz[pyz][:2] for i, pyz, _ in lab)
-
-
 @lru_cache(maxsize=4096)
+def _associator_plan(x_word: Word, y_word: Word, z_word: Word):
+    """(left word, right word, entries) of the associator between
+    (X(x)Y)(x)Z and X(x)(Y(x)Z), which depend on the words alone.
+
+    Rows and columns are routed by the simple-triple origin (i, j, k, t)
+    of every letter of the two expansions.  An entry (p, q, r, c) joins
+    letter p on the left to letter q on the right with the value at row
+    r and column c of ``_assoc_block``: the A, A, A block where its
+    summands have one type, else the identity entry (_ID, _ID).
+    """
+    xy, lab_xy = expand_pair(x_word, y_word)
+    left, lab = expand_pair(xy, z_word)
+    llab = _ranked(lab_xy[pxy][:2] + (k,) for pxy, k, _ in lab)
+    yz, lab_yz = expand_pair(y_word, z_word)
+    right, lab = expand_pair(x_word, yz)
+    rindex = {key: q for q, key in enumerate(_ranked((i,) + lab_yz[pyz][:2]
+                                                     for i, pyz, _ in lab))}
+    entries = []
+    for p, (i, j, k, tl) in enumerate(llab):
+        if x_word[i] == y_word[j] == z_word[k] == A:
+            entries += [(p, rindex[(i, j, k, tr)], tr, tl)
+                        for tr in range(len(_AAA)) if _AAA[tr] == _AAA[tl]]
+        else:
+            entries.append((p, rindex[(i, j, k, tl)], _ID, _ID))
+    return left, right, tuple(entries)
+
+
 def associator(x_word: Word, y_word: Word, z_word: Word,
                theory: Theory, inverse: bool = False) -> Morphism:
     """The isomorphism (X(x)Y)(x)Z -> X(x)(Y(x)Z) (or its inverse).
 
-    Rows and columns are routed by the simple-triple origin of every
-    letter of the two expansions; each (i, j, k) group receives the block
-    of the corresponding simple associator.  The inverse direction uses
-    the same blocks, which square to the identity.
+    Each simple triple (i, j, k) of letters receives the block of the
+    corresponding simple associator, routed by ``_associator_plan``.  The
+    inverse direction uses the same blocks, which square to the identity.
     """
-    left, llab = _left_labels(x_word, y_word, z_word)
-    right, rlab = _right_labels(x_word, y_word, z_word)
-    blocks: dict[tuple[int, int, int], tuple[tuple[Scalar, ...], ...]] = {}
-    arrows: Arrows = {}
-    rindex = {lab: q for q, lab in enumerate(rlab)}
-    for p, (i, j, k, tl) in enumerate(llab):
-        key = (i, j, k)
-        if key not in blocks:
-            blocks[key] = _assoc_block(x_word[i], y_word[j], z_word[k], theory)
-        block = blocks[key]
-        for tr in range(len(block)):
-            if inverse:
-                v = block[tl][tr]
-                if not v.is_zero:
-                    arrows[(rindex[(i, j, k, tr)], p)] = v
-            else:
-                v = block[tr][tl]
-                if not v.is_zero:
-                    arrows[(p, rindex[(i, j, k, tr)])] = v
+    left, right, plan = _associator_plan(x_word, y_word, z_word)
+    block = _assoc_block(theory)
     if inverse:
-        return Morphism._unchecked(right, left, arrows, theory)
-    return Morphism._unchecked(left, right, arrows, theory)
+        return Morphism._unchecked(
+            right, left, {(q, p): block[c][r] for p, q, r, c in plan}, theory)
+    return Morphism._unchecked(
+        left, right, {(p, q): block[r][c] for p, q, r, c in plan}, theory)
 
 
 # ---------------------------------------------------------------------------
@@ -298,27 +307,35 @@ def associator(x_word: Word, y_word: Word, z_word: Word,
 
 
 @lru_cache(maxsize=4096)
-def braiding(x_word: Word, y_word: Word, theory: Theory,
-             inverse: bool = False) -> Morphism:
-    """c_{X,Y}: X(x)Y -> Y(x)X (inverse: Y(x)X -> X(x)Y), by linearity."""
+def _braiding_plan(x_word: Word, y_word: Word):
+    """(dom, cod, entries) of c_{X,Y}, which depend on the words alone: an
+    entry (p, q, e) joins letter p of X(x)Y to letter q of Y(x)X with value
+    beta^e, where e is 2 on the 1-summand of a pair of A's, 1 on its
+    A-summand and 0 on any other pair."""
     dom, dlab = expand_pair(x_word, y_word)
     cod, clab = expand_pair(y_word, x_word)
     cpos = {lab: q for q, lab in enumerate(clab)}
+    entries = tuple((p, cpos[(j, i, t)],
+                     (1 if t else 2) if x_word[i] == y_word[j] == A else 0)
+                    for p, (i, j, t) in enumerate(dlab))
+    return dom, cod, entries
+
+
+@lru_cache(maxsize=64)
+def _beta_powers(theory: Theory, inverse: bool) -> tuple[Scalar, Scalar, Scalar]:
     beta = theory.beta_inv if inverse else theory.beta
-    arrows: Arrows = {}
-    for p, (i, j, t) in enumerate(dlab):
-        q = cpos[(j, i, t)]
-        if x_word[i] == A and y_word[j] == A:
-            v = beta * beta if t == 0 else beta
-        else:
-            v = theory.one
-        if inverse:
-            arrows[(q, p)] = v
-        else:
-            arrows[(p, q)] = v
+    return theory.one, beta, beta * beta
+
+
+def braiding(x_word: Word, y_word: Word, theory: Theory,
+             inverse: bool = False) -> Morphism:
+    """c_{X,Y}: X(x)Y -> Y(x)X (inverse: Y(x)X -> X(x)Y), by linearity,
+    routed by ``_braiding_plan``; the inverse takes beta^-1 for beta."""
+    dom, cod, plan = _braiding_plan(x_word, y_word)
+    power = _beta_powers(theory, inverse)
     if inverse:
-        return Morphism._unchecked(cod, dom, arrows, theory)
-    return Morphism._unchecked(dom, cod, arrows, theory)
+        return Morphism._unchecked(cod, dom, {(q, p): power[e] for p, q, e in plan}, theory)
+    return Morphism._unchecked(dom, cod, {(p, q): power[e] for p, q, e in plan}, theory)
 
 
 def twist(word: Word, theory: Theory, sign: int = 1) -> Morphism:

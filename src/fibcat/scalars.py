@@ -12,9 +12,10 @@ Scalars are immutable, compared by exact coordinates over the basis
 {z20^i * s^j : 0 <= i <= 7, 0 <= j <= 1}, stored as 16 integer
 numerators over one positive common denominator in lowest terms.  Each
 field carries one table of the integer coordinates of every product of
-two basis elements, which multiplication and inversion read, and one of
-their conjugates.  The complex embedding at z20 = exp(i*pi/10) is for
-display and diagnostics only.
+two basis elements, which multiplication reads, one of their conjugates,
+and one of their images under three automorphisms of Q(z20), with which
+inversion multiplies down to a rational norm.  The complex embedding at
+z20 = exp(i*pi/10) is for display and diagnostics only.
 """
 
 from __future__ import annotations
@@ -49,7 +50,9 @@ class _Field:
 
     Basis element p is z20^(p & 7) * s^(p >> 3).  ``table[p][q]`` lists the
     nonzero integer coordinates ``(m, c)`` of basis_p * basis_q, and
-    ``conj[p]`` those of the complex conjugate of basis_p.
+    ``conj[p]`` those of the complex conjugate of basis_p.  ``galois[k][i]``
+    lists those of z20^(i*k), for the automorphisms z20 -> z20^k of Q(z20)
+    with k = 3, 11, 19.
     """
 
     def __init__(self, positive_eps: bool):
@@ -76,12 +79,16 @@ class _Field:
         self.conj = [[(m, c * s_sign if p >> 3 else c)
                       for m, c in coords(20 - (p & 7), p >> 3)]
                      for p in range(16)]
+        # z20 -> z20^k on Q(z20), for the norm tower that inversion climbs
+        self.galois = {k: [coords(i * k, 0) for i in range(8)] for k in (3, 11, 19)}
 
     def __repr__(self) -> str:
         return f"_Field(positive_eps={self.positive_eps})"
 
 
 _FIELDS = {True: _Field(True), False: _Field(False)}
+
+_ZEROS15 = (0,) * 15
 
 
 class Scalar:
@@ -108,9 +115,14 @@ class Scalar:
         if g != 1:
             nums = [n // g for n in nums]
             den //= g
+        return cls._lowest(field, tuple(nums), den)
+
+    @classmethod
+    def _lowest(cls, field: _Field, nums: tuple[int, ...], den: int) -> Scalar:
+        """The scalar nums / den, which the caller gives in lowest terms."""
         self = object.__new__(cls)
         self.field = field
-        self.nums = tuple(nums)
+        self.nums = nums
         self.den = den
         return self
 
@@ -118,7 +130,8 @@ class Scalar:
 
     @staticmethod
     def from_rational(field: _Field, q: Rational) -> Scalar:
-        return Scalar._reduced(field, (q.numerator,) + (0,) * 15, q.denominator)
+        # an int or a Fraction is in lowest terms, over a positive denominator
+        return Scalar._lowest(field, (q.numerator,) + _ZEROS15, q.denominator)
 
     @staticmethod
     def zeta_power(field: _Field, k: int) -> Scalar:
@@ -175,10 +188,13 @@ class Scalar:
         return Scalar._reduced(self.field, [-a for a in self.nums], self.den)
 
     def __mul__(self, other: Scalar | Rational) -> Scalar:
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        self._check(other)
+        # the hot path: _coerce and _check, inlined for a Scalar operand
+        if other.__class__ is not Scalar:
+            other = self._coerce(other)
+            if other is NotImplemented:
+                return NotImplemented
+        if self.field is not other.field:
+            self._check(other)
         # a rational operand in lowest terms is 1 exactly when its numerator
         # equals its denominator; scalars are immutable, so the other
         # operand itself is the product
@@ -187,6 +203,10 @@ class Scalar:
             b = other.nums[0]
             if b == other.den:
                 return self
+            if not any(self.nums[1:]):
+                n = self.nums[0] * b
+                g = gcd(n, den)
+                return Scalar._lowest(self.field, (n // g,) + _ZEROS15, den // g)
             return Scalar._reduced(self.field, [a * b for a in self.nums], den)
         if not any(self.nums[1:]):
             a = self.nums[0]
@@ -251,12 +271,23 @@ class Scalar:
 
     def invert(self) -> Scalar:
         """Exact multiplicative inverse: den / num for a rational scalar,
-        otherwise by solving the 16x16 rational system."""
+        otherwise by multiplying down to a rational norm (``_invert_cached``)."""
         if self.is_zero:
             raise ZeroDivisionError("scalar division by zero")
         if self.is_rational:
             return Scalar.from_rational(self.field, Fraction(self.den, self.nums[0]))
         return _invert_cached(self)
+
+    def _galois(self, k: int) -> Scalar:
+        """The image under z20 -> z20^k of a scalar of Q(z20), k in 3, 11, 19;
+        an automorphism of Z[z20], so the image stays in lowest terms."""
+        images = self.field.galois[k]
+        out = [0] * 16
+        for i, a in enumerate(self.nums[:8]):
+            if a:
+                for m, c in images[i]:
+                    out[m] += a * c
+        return Scalar._lowest(self.field, tuple(out), self.den)
 
     def conjugate(self) -> Scalar:
         """Complex conjugation of the chosen embedding: z20 -> z20^-1."""
@@ -404,24 +435,24 @@ def _scaled_basis(positive_eps: bool, digits: int) -> tuple[tuple[int, int], ...
 
 @lru_cache(maxsize=4096)
 def _invert_cached(a: Scalar) -> Scalar:
-    # column q of the system is sum_p nums_p * table[p][q]; it solves
-    # (den * a) * y = 1, so the inverse is den * y
-    m = [[Fraction(0)] * 16 + [Fraction(int(r == 0))] for r in range(16)]
-    for p, ap in enumerate(a.nums):
-        if ap:
-            for q, entries in enumerate(a.field.table[p]):
-                for r, c in entries:
-                    m[r][q] += ap * c
-    for col in range(16):
-        pivot = next(r for r in range(col, 16) if m[r][col])
-        m[col], m[pivot] = m[pivot], m[col]
-        pv = m[col][col]
-        m[col] = [v / pv for v in m[col]]
-        for r in range(16):
-            if r != col and m[r][col]:
-                f = m[r][col]
-                m[r] = [v - f * w for v, w in zip(m[r], m[col])]
-    return Scalar(a.field, [a.den * m[r][16] for r in range(16)])
+    """1/a by field norms.  Write a = u + v*s with u, v in Q(z20).  Each
+    product below is of a nonzero element and its image under one more
+    automorphism, so it is nonzero and lies in a smaller field:
+
+        c = a * (u - v*s)   in Q(z20)          (s -> -s)
+        d = c * c(z20^11)   in Q(z20^2)        (z20 -> -z20)
+        f = d * d(z20^19)   in Q(sqrt 5)       (z20 -> 1/z20)
+        n = f * f(z20^3)    rational,
+
+    so 1/a = (u - v*s) * c(z20^11) * d(z20^19) * f(z20^3) / n."""
+    nums = a.nums
+    cofactor = Scalar._lowest(a.field, nums[:8] + tuple(-n for n in nums[8:]), a.den)
+    norm = a * cofactor
+    for k in (11, 19, 3):
+        image = norm._galois(k)
+        cofactor = cofactor * image
+        norm = norm * image
+    return cofactor * Fraction(norm.den, norm.nums[0])
 
 
 @dataclass(frozen=True)
@@ -451,9 +482,18 @@ class Theory:
             if v == 0:
                 raise ValueError(f"parameter {name} must be nonzero")
             object.__setattr__(self, name, v)
-        # every lru_cache keyed on a theory hashes it; the fields never change
-        object.__setattr__(self, "_hash", hash((self.epsilon_sign, self.beta_sign,
-                                                self.x, self.y, self.z)))
+        # every lru_cache keyed on a theory hashes it, and compares it with
+        # the equal theory of an earlier call; the fields never change, so
+        # both read one tuple of strings and ints
+        key = (self.epsilon_sign, self.beta_sign) + tuple(
+            n for v in (self.x, self.y, self.z) for n in (v.numerator, v.denominator))
+        object.__setattr__(self, "_key", key)
+        object.__setattr__(self, "_hash", hash(key))
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Theory):
+            return NotImplemented
+        return self._key == other._key
 
     def __hash__(self) -> int:
         return self._hash

@@ -309,6 +309,14 @@ class Spine:
             if len(v) != 6 or any(not 0 <= c < self.n_components for c in v):
                 raise SpineParseError(f"vertex {v} references unknown components")
 
+    def render(self) -> str:
+        """The spine in the file format that ``parse_spine`` reads."""
+        lines = ["spine", f"components {self.n_components}"]
+        lines.extend("edge " + " ".join(map(str, e)) for e in self.edges)
+        lines.extend("vertex " + " ".join(map(str, v)) for v in self.vertices)
+        lines.append("end")
+        return "\n".join(lines) + "\n"
+
     def validate(self) -> None:
         ne, nv, nc = len(self.edges), len(self.vertices), self.n_components
         if ne != 2 * nv:

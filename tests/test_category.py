@@ -10,7 +10,7 @@ from fractions import Fraction
 import pytest
 
 import fibcat
-from fibcat import Theory, axiom_suite, s_matrix
+from fibcat import Theory, axiom_suite, category, s_matrix
 from fibcat.category import (A, ONE, UNIT, Morphism, _random_morphism,
                              _random_word, associator, birth, braiding,
                              compose, death, expand_pair,
@@ -213,6 +213,82 @@ def test_associator_self_composition_is_identity(th):
     assert al.then(al) == identity("A1A", th)
 
 
+# The associator and braiding routed by the letter labels on every call,
+# with the blocks built per call: a reference for the word plans only.
+
+def _routed_block(x, y, z, th):
+    if x == y == z == A:
+        e_inv, xs, s_inv = th.epsilon.invert(), th.x_scalar, th.s_inv
+        return ((e_inv, th.zero, xs * s_inv),
+                (th.zero, th.one, th.zero),
+                (xs.invert() * s_inv, th.zero, -e_inv))
+    xy = tensor_words(x, y)
+    n = len("".join(tensor_words(letter, z) for letter in xy))
+    return tuple(tuple(th.one if i == j else th.zero for j in range(n)) for i in range(n))
+
+
+def _routed_ranks(triples):
+    seen, out = {}, []
+    for key in triples:
+        seen[key] = seen.get(key, -1) + 1
+        out.append((*key, seen[key]))
+    return out
+
+
+def routed_associator(x_word, y_word, z_word, th, inverse=False):
+    xy, lab_xy = expand_pair(x_word, y_word)
+    left, lab = expand_pair(xy, z_word)
+    llab = _routed_ranks(lab_xy[pxy][:2] + (k,) for pxy, k, _ in lab)
+    yz, lab_yz = expand_pair(y_word, z_word)
+    right, lab = expand_pair(x_word, yz)
+    rlab = _routed_ranks((i,) + lab_yz[pyz][:2] for i, pyz, _ in lab)
+    rindex = {key: q for q, key in enumerate(rlab)}
+    arrows = {}
+    for p, (i, j, k, tl) in enumerate(llab):
+        block = _routed_block(x_word[i], y_word[j], z_word[k], th)
+        for tr in range(len(block)):
+            v = block[tl][tr] if inverse else block[tr][tl]
+            if not v.is_zero:
+                q = rindex[(i, j, k, tr)]
+                arrows[(q, p) if inverse else (p, q)] = v
+    if inverse:
+        return Morphism(right, left, arrows, th)
+    return Morphism(left, right, arrows, th)
+
+
+def routed_braiding(x_word, y_word, th, inverse=False):
+    dom, dlab = expand_pair(x_word, y_word)
+    cod, clab = expand_pair(y_word, x_word)
+    cpos = {lab: q for q, lab in enumerate(clab)}
+    beta = th.beta_inv if inverse else th.beta
+    arrows = {}
+    for p, (i, j, t) in enumerate(dlab):
+        q = cpos[(j, i, t)]
+        if x_word[i] == A and y_word[j] == A:
+            v = beta * beta if t == 0 else beta
+        else:
+            v = th.one
+        arrows[(q, p) if inverse else (p, q)] = v
+    if inverse:
+        return Morphism(cod, dom, arrows, th)
+    return Morphism(dom, cod, arrows, th)
+
+
+def test_plans_match_label_routing(any_theory):
+    rng = random.Random(f"plans-{any_theory.epsilon_sign}-{any_theory.beta_sign}")
+    triples = list(itertools.product((ONE, A), repeat=3))
+    triples += [tuple(_random_word(rng, 3) for _ in range(3)) for _ in range(200)]
+    for params in ({}, {"x": Fraction(-2, 3), "y": Fraction(5, 7), "z": Fraction(3)}):
+        th = dataclasses.replace(any_theory, **params)
+        for x, y, z in triples:
+            for inverse in (False, True):
+                assert associator(x, y, z, th, inverse) \
+                    == routed_associator(x, y, z, th, inverse), (x, y, z, inverse)
+                for u, v in ((x, y), (tensor_words(x, y), z)):
+                    assert braiding(u, v, th, inverse) \
+                        == routed_braiding(u, v, th, inverse), (u, v, inverse)
+
+
 # -- braiding, twist, duality ---------------------------------------------------
 
 def test_braiding_matrices(th):
@@ -373,3 +449,20 @@ def test_every_cache_is_bounded():
                 assert obj.cache_parameters()["maxsize"] is not None, \
                     f"{info.name}.{name}"
     assert caches >= 5
+
+
+def test_word_caches_stop_growing_across_theories():
+    # a long-lived process that varies x, y, z: the caches keyed on words
+    # alone fill under the first theory, and later theories add nothing
+    word_caches = [expand_pair, category._pair_index,
+                   category._associator_plan, category._braiding_plan]
+    for cache in word_caches:
+        cache.cache_clear()
+    rng = random.Random(16)
+    sizes = []
+    for _ in range(16):
+        th = dataclasses.replace(Theory(), **_seeded_parameters(rng))
+        assert axiom_suite(th, seed=3).all_passed
+        sizes.append(sum(cache.cache_info().currsize for cache in word_caches))
+    assert sizes[0] > 0
+    assert sizes == [sizes[0]] * 16

@@ -10,6 +10,7 @@ from decimal import Context, Decimal, localcontext
 
 import pytest
 from conftest import FIXTURES, random_morse_word
+from fibcat import tangles as tg
 from fibcat.cli import run
 from fibcat.tangles import LinkDiagram
 
@@ -118,6 +119,22 @@ def test_hopf_long_framed_chain(capsys):
     code, out, err = invoke(capsys, "hopf", "40", f"--framings={framings}")
     assert code == 0, err
     assert out.startswith("tr (manifold): ")
+
+
+@pytest.mark.parametrize("framed", [False, True], ids=["unframed", "framed"])
+def test_hopf_chain_length_bound(capsys, monkeypatch, framed):
+    # refused before any event of the chain is built
+    def no_events(*args):
+        raise AssertionError("a chain event was built")
+
+    monkeypatch.setattr(tg, "LinkEvent", no_events)
+    k = tg.MAX_CHAIN_COMPONENTS + 1
+    argv = ["hopf", str(k)] + ([f"--framings={','.join(['1'] * k)}"] if framed else [])
+    code, out, err = invoke(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert err == f"error: chain of {k} components exceeds {tg.MAX_CHAIN_COMPONENTS}\n"
+    with pytest.raises(ValueError, match="exceeds"):
+        tg.build_hopf_chain(k)
 
 
 def _nested_unknots(tmp_path, n):

@@ -281,3 +281,65 @@ def test_equal_values_share_one_key(any_theory):
         assert len({left: 0, right: 1}) == 1
         assert left.coeffs == right.coeffs
         assert left.render() == right.render()
+
+
+# -- inversion by norm, against Gaussian elimination -----------------------
+
+def gaussian_inverse(a: Scalar) -> Scalar:
+    """The inverse by solving the 16x16 rational system of multiplication
+    by a; an oracle for the norm route only."""
+    table = a.field.table
+    m = [[Fraction(0)] * 16 + [Fraction(int(r == 0))] for r in range(16)]
+    for p, x in enumerate(a.coeffs):
+        if x:
+            for q, entries in enumerate(table[p]):
+                for r, c in entries:
+                    m[r][q] += x * c
+    for col in range(16):
+        pivot = next(r for r in range(col, 16) if m[r][col])
+        m[col], m[pivot] = m[pivot], m[col]
+        pv = m[col][col]
+        m[col] = [v / pv for v in m[col]]
+        for r in range(16):
+            if r != col and m[r][col]:
+                f = m[r][col]
+                m[r] = [v - f * w for v, w in zip(m[r], m[col])]
+    return Scalar(a.field, [m[r][16] for r in range(16)])
+
+
+def seeded_scalar(rng: random.Random, theory: Theory, dense: bool, digits: int) -> Scalar:
+    coeffs = [Fraction(0)] * 16
+    slots = range(16) if dense else rng.sample(range(16), rng.randint(1, 3))
+    for p in slots:
+        coeffs[p] = Fraction(rng.randint(-10 ** digits, 10 ** digits), rng.randint(1, 9))
+    return Scalar(theory.field, coeffs)
+
+
+@pytest.mark.parametrize("eps", ["positive", "negative"])
+@pytest.mark.parametrize("dense", [False, True], ids=["sparse", "dense"])
+@pytest.mark.parametrize("digits", [1, 30])
+def test_invert_by_norm(eps, dense, digits):
+    theory = Theory(eps)
+    rng = random.Random(f"{eps}-{dense}-{digits}")
+    for n in range(12):
+        a = seeded_scalar(rng, theory, dense, digits)
+        if a.is_zero:
+            continue
+        inverse = a.invert()
+        assert a * inverse == theory.one
+        assert inverse.invert() == a
+        if n < 2:
+            assert inverse == gaussian_inverse(a)
+
+
+def test_invert_constants(any_theory):
+    for name in ("epsilon", "s", "big_d", "delta", "beta"):
+        x = getattr(any_theory, name)
+        inverse = x.invert()
+        assert x * inverse == any_theory.one, name
+        assert inverse == gaussian_inverse(x), name
+    for zero in (any_theory.zero, any_theory.s - any_theory.s):
+        with pytest.raises(ZeroDivisionError):
+            zero.invert()
+        with pytest.raises(ZeroDivisionError):
+            any_theory.one / zero

@@ -160,6 +160,22 @@ def test_parse_sphere_spine():
     assert len(spine.vertices) == 1
 
 
+def test_render_round_trip():
+    rng = random.Random("spine-render")
+    spines = [SPHERE_SPINE, parse_spine(read_fixture("spines/sphere.txt"))]
+    spines += [_random_spine(rng.randint(1, 12), rng) for _ in range(40)]
+    spines += [_banded_spine(rng.randint(4, 30), rng) for _ in range(20)]
+    for spine in spines:
+        text = spine.render()
+        assert parse_spine(text) == spine, text
+        assert parse_spine(text).render() == text
+    assert SPHERE_SPINE.render() == ("spine\ncomponents 2\nedge 0 1 1\nedge 1 1 1\n"
+                                     "vertex 0 1 1 1 1 1\nend\n")
+    # a spine that fails validation renders too, and parses back unchecked
+    loose = Spine(2, ((0, 1, 1),), ((0, 1, 1, 1, 1, 1),))
+    assert parse_spine(loose.render(), euler_check=False) == loose
+
+
 def test_euler_validation():
     text = "spine\ncomponents 2\nedge 0 1 1\nvertex 0 1 1 1 1 1\nend\n"
     with pytest.raises(SpineValidationError, match="E = 2V"):
