@@ -321,26 +321,21 @@ def _braiding_plan(x_word: Word, y_word: Word):
     return dom, cod, entries
 
 
-@lru_cache(maxsize=64)
-def _beta_powers(theory: Theory, inverse: bool) -> tuple[Scalar, Scalar, Scalar]:
-    beta = theory.beta_inv if inverse else theory.beta
-    return theory.one, beta, beta * beta
-
-
 def braiding(x_word: Word, y_word: Word, theory: Theory,
              inverse: bool = False) -> Morphism:
     """c_{X,Y}: X(x)Y -> Y(x)X (inverse: Y(x)X -> X(x)Y), by linearity,
     routed by ``_braiding_plan``; the inverse takes beta^-1 for beta."""
     dom, cod, plan = _braiding_plan(x_word, y_word)
-    power = _beta_powers(theory, inverse)
     if inverse:
+        power = (theory.one, theory.beta_inv, theory.theta(1))
         return Morphism._unchecked(cod, dom, {(q, p): power[e] for p, q, e in plan}, theory)
+    power = (theory.one, theory.beta, theory.theta(-1))
     return Morphism._unchecked(dom, cod, {(p, q): power[e] for p, q, e in plan}, theory)
 
 
 def twist(word: Word, theory: Theory, sign: int = 1) -> Morphism:
     """Diagonal ribbon twist: 1 on 1-letters, beta^{-2 sign} on A-letters."""
-    val = theory.beta_inv ** 2 if sign > 0 else theory.beta ** 2
+    val = theory.theta(1 if sign > 0 else -1)
     return Morphism._unchecked(
         word, word, {(p, p): (val if x == A else theory.one) for p, x in enumerate(word)},
         theory)

@@ -202,8 +202,8 @@ def run(argv: list[str] | None = None) -> int:
             return 1
         theory = _theory_from_args(args)
         return _dispatch(args, theory)
-    except (CliError, tg.LinkParseError, tg.LinkValidationError,
-            sp.SpineParseError, sp.SpineValidationError, ValueError) as exc:
+    # the link and spine parse and validation errors are ValueErrors
+    except (CliError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except SystemExit as exc:

@@ -30,7 +30,7 @@ from .tangles import LinkDiagram, build_hopf_chain, colored_sum, evaluate_all_a
 def tr_link(diagram: LinkDiagram, theory: Theory) -> Scalar:
     """beta^(2 w(L)) / eps times the all-A evaluation; a link invariant."""
     w = diagram.total_writhe()
-    return (theory.beta ** (2 * w)) * evaluate_all_a(diagram, theory) / theory.epsilon
+    return theory.theta(-w) * evaluate_all_a(diagram, theory) / theory.epsilon
 
 
 def linking_matrix(diagram: LinkDiagram) -> list[dict[int, int]]:
@@ -163,9 +163,9 @@ def tr_manifold(diagram: LinkDiagram, theory: Theory) -> Scalar:
     k = diagram.n_components
     sigma = signature(linking_matrix(diagram))
     excess = [f - w for f, w in zip(diagram.framings(), diagram.self_writhes())]
-    weight = {d: theory.epsilon * theory.beta ** (-2 * d) for d in set(excess)}
+    weight = {d: theory.epsilon * theory.theta(d) for d in set(excess)}
     total = colored_sum(diagram, [weight[d] for d in excess], theory)
-    return theory.delta ** sigma * theory.big_d ** (-sigma - k - 1) * total
+    return theory.phase(sigma) * theory.big_d ** (-k - 1) * total
 
 
 def c_function(indices: tuple[int, ...], theory: Theory) -> Scalar:
@@ -178,7 +178,7 @@ def c_function(indices: tuple[int, ...], theory: Theory) -> Scalar:
     prev = None
     for i in list(indices) + [None]:
         if prev is not None and (i is None or i != prev + 1):
-            value = value * ((-theory.one) ** (run - 1)) * theory.epsilon ** (2 - run)
+            value = value * theory.zeta(10 * (run - 1)) * theory.epsilon ** (2 - run)
             run = 0
         run += 1
         prev = i
@@ -189,7 +189,7 @@ def hopf_tr_closed_form(k: int, theory: Theory) -> Scalar:
     """tr of the k-component chain of circles: (-1)^(k-1) eps^(1-k)."""
     if k < 1:
         raise ValueError("chain needs at least one component")
-    return ((-theory.one) ** (k - 1)) * theory.epsilon ** (1 - k)
+    return theory.zeta(10 * (k - 1)) * theory.epsilon ** (1 - k)
 
 
 def _chain_matrix(framings: tuple[int, ...]) -> list[dict[int, int]]:
@@ -214,13 +214,10 @@ def lens_tr_closed_form(framings: tuple[int, ...], theory: Theory) -> Scalar:
         return theory.big_d.invert()
     sigma = signature(_chain_matrix(framings))
     e2 = theory.epsilon ** 2
-    twist = {f: theory.beta_inv ** (2 * f) for f in set(framings)}
     outside, inside = theory.one, theory.zero
     for f in framings:
-        outside, inside = outside + inside, twist[f] * (e2 * outside - inside)
-    return (theory.delta ** sigma
-            * theory.big_d ** (-sigma - k - 1)
-            * (outside + inside))
+        outside, inside = outside + inside, theory.theta(f) * (e2 * outside - inside)
+    return theory.phase(sigma) * theory.big_d ** (-k - 1) * (outside + inside)
 
 
 def continued_fraction_framings(p: int, q: int) -> tuple[int, ...]:

@@ -14,8 +14,9 @@ numerators over one positive common denominator in lowest terms.  Each
 field carries one table of the integer coordinates of every product of
 two basis elements, which multiplication reads, one of their conjugates,
 and one of their images under three automorphisms of Q(z20), with which
-inversion multiplies down to a rational norm.  The complex embedding at
-z20 = exp(i*pi/10) is for display and diagnostics only.
+inversion multiplies down to a rational norm, and the twenty roots z20^k
+as shared scalars.  The complex embedding at z20 = exp(i*pi/10) is for
+display and diagnostics only.
 """
 
 from __future__ import annotations
@@ -52,13 +53,12 @@ class _Field:
     nonzero integer coordinates ``(m, c)`` of basis_p * basis_q, and
     ``conj[p]`` those of the complex conjugate of basis_p.  ``galois[k][i]``
     lists those of z20^(i*k), for the automorphisms z20 -> z20^k of Q(z20)
-    with k = 3, 11, 19.
+    with k = 3, 11, 19.  ``roots[k]`` is the scalar z20^k, k = 0 .. 19.
     """
 
     def __init__(self, positive_eps: bool):
         self.positive_eps = positive_eps
         zpow = _zeta_powers()
-        self.zpow = zpow
         # eps = xi + xi^-1 (positive) or xi^3 + xi^-3 (negative), xi = z20^2,
         # so z20^k * s^2 = z20^(k + e) + z20^(k - e)
         e = 2 if positive_eps else 6
@@ -81,12 +81,19 @@ class _Field:
                      for p in range(16)]
         # z20 -> z20^k on Q(z20), for the norm tower that inversion climbs
         self.galois = {k: [coords(i * k, 0) for i in range(8)] for k in (3, 11, 19)}
+        self.roots = tuple(Scalar._lowest(self, z + (0,) * 8, 1) for z in zpow)
+
+    def __reduce__(self):
+        # one field per sign: a pickled scalar loads with this process's
+        return _field, (self.positive_eps,)
 
     def __repr__(self) -> str:
         return f"_Field(positive_eps={self.positive_eps})"
 
 
-_FIELDS = {True: _Field(True), False: _Field(False)}
+def _field(positive_eps: bool) -> _Field:
+    return _FIELDS[positive_eps]
+
 
 _ZEROS15 = (0,) * 15
 
@@ -132,10 +139,6 @@ class Scalar:
     def from_rational(field: _Field, q: Rational) -> Scalar:
         # an int or a Fraction is in lowest terms, over a positive denominator
         return Scalar._lowest(field, (q.numerator,) + _ZEROS15, q.denominator)
-
-    @staticmethod
-    def zeta_power(field: _Field, k: int) -> Scalar:
-        return Scalar._reduced(field, field.zpow[k % 20] + (0,) * 8, 1)
 
     @staticmethod
     def sqrt_eps(field: _Field) -> Scalar:
@@ -278,26 +281,19 @@ class Scalar:
             return Scalar.from_rational(self.field, Fraction(self.den, self.nums[0]))
         return _invert_cached(self)
 
-    def _galois(self, k: int) -> Scalar:
-        """The image under z20 -> z20^k of a scalar of Q(z20), k in 3, 11, 19;
-        an automorphism of Z[z20], so the image stays in lowest terms."""
-        images = self.field.galois[k]
+    def _image(self, images: list[list[tuple[int, int]]]) -> Scalar:
+        """The image under the automorphism of Z[z20, s] that takes basis
+        element p to ``images[p]``, so it stays in lowest terms."""
         out = [0] * 16
-        for i, a in enumerate(self.nums[:8]):
+        for a, image in zip(self.nums, images):
             if a:
-                for m, c in images[i]:
+                for m, c in image:
                     out[m] += a * c
         return Scalar._lowest(self.field, tuple(out), self.den)
 
     def conjugate(self) -> Scalar:
         """Complex conjugation of the chosen embedding: z20 -> z20^-1."""
-        conj = self.field.conj
-        out = [0] * 16
-        for p, a in enumerate(self.nums):
-            if a:
-                for m, c in conj[p]:
-                    out[m] += a * c
-        return Scalar._reduced(self.field, out, self.den)
+        return self._image(self.field.conj)
 
     def embed(self) -> complex:
         """Float image at z20 = exp(i*pi/10); display only, never for equality.
@@ -449,21 +445,30 @@ def _invert_cached(a: Scalar) -> Scalar:
     cofactor = Scalar._lowest(a.field, nums[:8] + tuple(-n for n in nums[8:]), a.den)
     norm = a * cofactor
     for k in (11, 19, 3):
-        image = norm._galois(k)
+        image = norm._image(a.field.galois[k])
         cofactor = cofactor * image
         norm = norm * image
     return cofactor * Fraction(norm.den, norm.nums[0])
+
+
+_FIELDS = {True: _Field(True), False: _Field(False)}
+
+# (epsilon_sign, beta_sign) -> (b, j): beta = z20^b and Delta/D = z20^j
+_ROOTS = {("positive", "plus"): (6, 13), ("positive", "minus"): (14, 7),
+          ("negative", "plus"): (2, 1), ("negative", "minus"): (18, 19)}
 
 
 @dataclass(frozen=True)
 class Theory:
     """Choice of eps sign, braiding constant sign, and the free parameters.
 
-    The braiding constant beta is the root of unity fixed by the two
-    signs: for positive eps, beta+ = z20^6 and beta- = z20^-6; for
-    negative eps, beta+ = z20^2 and beta- = z20^-2.  The parameters
-    x, y, z are arbitrary nonzero rationals; every invariant is provably
-    independent of them, which the test-suite checks rather than assumes.
+    The two signs fix beta = z20^b and the surgery phase Delta/D = z20^j
+    (``_ROOTS``): (b, j) is (6, 13) for beta+ and (14, 7) for beta- with
+    positive eps, (2, 1) and (18, 19) with negative eps.  Every root of
+    unity of the theory indexes the field's shared roots by an exponent
+    mod 20.  The parameters x, y, z are arbitrary nonzero rationals; every
+    invariant is provably independent of them, which the test-suite
+    checks rather than assumes.
     """
 
     epsilon_sign: str = "positive"
@@ -482,13 +487,20 @@ class Theory:
             if v == 0:
                 raise ValueError(f"parameter {name} must be nonzero")
             object.__setattr__(self, name, v)
+        b, j = _ROOTS[self.epsilon_sign, self.beta_sign]
+        object.__setattr__(self, "_b", b)
+        object.__setattr__(self, "_j", j)
         # every lru_cache keyed on a theory hashes it, and compares it with
         # the equal theory of an earlier call; the fields never change, so
-        # both read one tuple of strings and ints
-        key = (self.epsilon_sign, self.beta_sign) + tuple(
+        # both read one tuple of ints, the same in every process
+        key = (b,) + tuple(
             n for v in (self.x, self.y, self.z) for n in (v.numerator, v.denominator))
         object.__setattr__(self, "_key", key)
         object.__setattr__(self, "_hash", hash(key))
+
+    def __reduce__(self):
+        # rebuilt from its fields, so no cached scalar or field is copied
+        return Theory, (self.epsilon_sign, self.beta_sign, self.x, self.y, self.z)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Theory):
@@ -508,7 +520,8 @@ class Theory:
         return Scalar.from_rational(self.field, q)
 
     def zeta(self, k: int) -> Scalar:
-        return Scalar.zeta_power(self.field, k)
+        """z20^k, one shared scalar per k mod 20."""
+        return self.field.roots[k % 20]
 
     @cached_property
     def zero(self) -> Scalar:
@@ -516,7 +529,7 @@ class Theory:
 
     @cached_property
     def one(self) -> Scalar:
-        return self.rational(1)
+        return self.zeta(0)
 
     # -- the named constants ---------------------------------------------
 
@@ -526,15 +539,19 @@ class Theory:
 
     @cached_property
     def beta(self) -> Scalar:
-        if self.epsilon_sign == "positive":
-            k = 6 if self.beta_sign == "plus" else 14
-        else:
-            k = 2 if self.beta_sign == "plus" else 18
-        return self.zeta(k)
+        return self.zeta(self._b)
 
     @cached_property
     def beta_inv(self) -> Scalar:
-        return self.beta.invert()
+        return self.zeta(-self._b)
+
+    def theta(self, n: int) -> Scalar:
+        """theta^n, for the ribbon twist theta = beta^-2 on A."""
+        return self.zeta(-2 * self._b * n)
+
+    def phase(self, n: int) -> Scalar:
+        """(Delta/D)^n, the surgery phase: a 20th root of unity."""
+        return self.zeta(self._j * n)
 
     @cached_property
     def s(self) -> Scalar:
@@ -553,7 +570,7 @@ class Theory:
 
     @cached_property
     def delta(self) -> Scalar:
-        return self.one + self.epsilon ** 2 * self.beta ** 2
+        return self.one + self.epsilon ** 2 * self.theta(-1)
 
     @cached_property
     def x_scalar(self) -> Scalar:

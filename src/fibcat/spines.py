@@ -244,6 +244,7 @@ def module_iso_check(theory: Theory) -> ModuleIsoReport:
     """Check that the swap isomorphisms on Hom(1, (X (x) Y) (x) Z) are the
     identity for every admissible triple."""
     v_prime = {ONE: theory.one, A: theory.beta_inv}
+    v_prime_inv = {ONE: theory.one, A: theory.beta}
     failures = []
     checked = 0
     for x, y, z in product((ONE, A), repeat=3):
@@ -258,7 +259,7 @@ def module_iso_check(theory: Theory) -> ModuleIsoReport:
                                  cat.identity(z, theory)),
             cat.scale_identity(
                 cat.tensor_words(cat.tensor_words(y, x), z),
-                v_prime[x] * v_prime[y] * v_prime[z].invert(), theory))
+                v_prime[x] * v_prime[y] * v_prime_inv[z], theory))
         if swap12 != _hom_unit_basis(y, x, z, theory.one, theory):
             failures.append(((x, y, z), "swap-12"))
 
@@ -270,7 +271,7 @@ def module_iso_check(theory: Theory) -> ModuleIsoReport:
             cat.associator(x, z, y, theory, inverse=True),
             cat.scale_identity(
                 cat.tensor_words(cat.tensor_words(x, z), y),
-                v_prime[x].invert() * v_prime[y] * v_prime[z], theory))
+                v_prime_inv[x] * v_prime[y] * v_prime[z], theory))
         if swap23 != _hom_unit_basis(x, z, y, theory.one, theory):
             failures.append(((x, y, z), "swap-23"))
     return ModuleIsoReport(failures, checked)

@@ -454,7 +454,6 @@ def _sweep(diagram: LinkDiagram, branches: Sequence[_Branches],
     net_kinks = [0] * diagram.n_components
     for comp, sign in diagram.kinks:
         net_kinks[comp] += sign
-    twists = {k: theory.beta ** (-2 * k) for k in set(net_kinks)}
     tables = {kind: _table(kind, theory)
               for kind in {ev.kind for ev in diagram.events} if kind in _WINDOW}
     states: dict[int, _Vector] = {0: {ONE: theory.one}}
@@ -480,7 +479,7 @@ def _sweep(diagram: LinkDiagram, branches: Sequence[_Branches],
                 if not is_a:
                     out.update(states)
                     continue
-                weight = weight * twists[net_kinks[c]]
+                weight = weight * theory.theta(net_kinks[c])
                 cup = table
                 if weight != theory.one:
                     cup = {window: tuple((new, v * weight) for new, v in entries)

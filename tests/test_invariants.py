@@ -9,7 +9,8 @@ from math import gcd
 import pytest
 
 from conftest import random_morse_word, read_fixture
-from fibcat import ALL_THEORIES, Scalar, Theory
+from fibcat import ALL_THEORIES, Scalar, Theory, scalars
+from fibcat import category as cat
 from fibcat.category import A, ONE
 from fibcat.invariants import (_chain_matrix, c_function,
                                continued_fraction_framings,
@@ -17,6 +18,7 @@ from fibcat.invariants import (_chain_matrix, c_function,
                                hopf_tr_closed_form, lens_space_framed_link,
                                lens_tr_closed_form, linking_matrix, signature,
                                tr_link, tr_manifold)
+from fibcat.spines import module_iso_check
 from fibcat.tangles import (MAX_OPEN_COMPONENTS, EventKind, LinkDiagram, LinkEvent,
                             build_hopf_chain, evaluate, evaluate_all_a, parse_link)
 
@@ -555,3 +557,30 @@ def test_lens_space_framed_link(th):
     framed = lens_space_framed_link(7, 3)
     assert framed.framings() == [3, 2, 2]
     assert lens_tr_closed_form((3, 2, 2), th) == tr_manifold(framed, th)
+
+
+def test_roots_of_unity_are_never_inverted(any_theory, monkeypatch):
+    # a fresh theory, so no per-theory cache holds a value computed unpatched
+    th = Theory(any_theory.epsilon_sign, any_theory.beta_sign,
+                x=Fraction(13, 17), y=Fraction(-19, 23), z=Fraction(29, 31))
+    roots = {th.zeta(k) for k in range(20)}
+    invert = scalars._invert_cached
+
+    def guarded(a: Scalar) -> Scalar:
+        assert a not in roots, f"inverted the root of unity {a}"
+        return invert(a)
+
+    monkeypatch.setattr(scalars, "_invert_cached", guarded)
+    for x, y in (("A", "A"), ("1A", "AA"), ("A1A", "A")):
+        for inverse in (False, True):
+            cat.braiding(x, y, th, inverse=inverse)
+    for sign in (1, -1):
+        assert cat.twist("A1A", th, sign).entry(0, 0) == th.theta(sign)
+    trefoil = parse_link(read_fixture("links/trefoil.txt"))
+    assert tr_link(trefoil, th) == tr_link(trefoil, Theory(th.epsilon_sign, th.beta_sign))
+    framed = parse_link(read_fixture("links/trefoil_framed1.txt"))
+    assert tr_manifold(framed, th) == tr_manifold(framed, any_theory)
+    framings = (2, -3, 1, 5)
+    assert lens_tr_closed_form(framings, th) == tr_manifold(
+        build_hopf_chain(len(framings)).with_framings(framings), th)
+    assert module_iso_check(th).all_identities

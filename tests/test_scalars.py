@@ -1,8 +1,13 @@
 from __future__ import annotations
 
 import operator
+import os
+import pickle
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -343,3 +348,67 @@ def test_invert_constants(any_theory):
             zero.invert()
         with pytest.raises(ZeroDivisionError):
             any_theory.one / zero
+
+
+# -- roots of unity: exponents mod 20 into the field's shared roots -----------
+
+
+def test_roots_of_unity_table(any_theory):
+    th = any_theory
+    assert th.delta == th.phase(1) * th.big_d
+    assert th.phase(20) == th.one
+    assert th.beta * th.beta_inv == th.one
+    for n in list(range(-25, 26)) + [10 ** 6 + 3]:
+        assert th.theta(n) == th.beta ** (-2 * n), n
+    for k in range(-20, 40):
+        assert th.zeta(k) is th.zeta(k + 20)
+    # shared by every theory of the same eps sign
+    fresh = Theory(th.epsilon_sign, th.beta_sign, x=Fraction(2, 3))
+    assert fresh.zeta(7) is th.zeta(7) and fresh.one is th.one
+
+
+# -- pickling: a loaded theory is the local one ---------------------------------
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+DUMP = """
+import pickle, sys
+from fibcat import Theory
+th = Theory(x=2)
+th.epsilon, th.beta, th.delta    # cached before pickling
+sys.stdout.buffer.write(pickle.dumps((th, th.epsilon)))
+"""
+
+LOAD = """
+import pickle, sys
+from fibcat import Theory
+loaded, eps = pickle.loads(sys.stdin.buffer.read())
+fresh = Theory(x=2)
+assert loaded == fresh and hash(loaded) == hash(fresh)
+assert {fresh: 1}.get(loaded) == 1
+assert loaded.epsilon * fresh.epsilon == fresh.epsilon ** 2
+assert eps * fresh.epsilon == fresh.epsilon ** 2
+print("ok")
+"""
+
+
+def _python(code: str, seed: int, stdin: bytes = b"") -> bytes:
+    env = dict(os.environ, PYTHONPATH=str(SRC), PYTHONHASHSEED=str(seed))
+    proc = subprocess.run([sys.executable, "-c", code], input=stdin, env=env,
+                          capture_output=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr.decode()
+    return proc.stdout
+
+
+def test_theory_pickled_under_another_hash_seed_is_found():
+    assert _python(LOAD, 2, _python(DUMP, 1)) == b"ok\n"
+
+
+def test_pickled_theory_and_scalars_mix_with_local_ones(any_theory):
+    th = Theory(any_theory.epsilon_sign, any_theory.beta_sign, y=Fraction(-5, 7))
+    th.epsilon, th.s    # cached: the pickle must not carry them
+    loaded, beta = pickle.loads(pickle.dumps((th, th.beta)))
+    assert loaded == th and loaded.field is th.field and beta.field is th.field
+    assert loaded.epsilon * th.epsilon == th.epsilon + 1
+    assert loaded.s * th.s == th.epsilon
+    assert beta * th.beta_inv == th.one
