@@ -200,6 +200,11 @@ def run(argv: list[str] | None = None) -> int:
         if args.command is None:
             _PARSER.print_usage()
             return 1
+        # argparse before 3.13 reads the value of "--opt=--" as an empty
+        # list, which no type or choice check sees
+        for name, value in vars(args).items():
+            if value == []:
+                raise CliError(f"option {name!r} needs a value")
         theory = _theory_from_args(args)
         return _dispatch(args, theory)
     # the link and spine parse and validation errors are ValueErrors

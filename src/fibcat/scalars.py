@@ -5,8 +5,8 @@ obtained from the cyclotomic field Q(z20) -- z20 a fixed primitive 20th
 root of unity with minimal polynomial z^8 - z^6 + z^4 - z^2 + 1 -- by
 adjoining a square root ``s`` of the golden-ratio constant ``eps``,
 where eps^2 = eps + 1.  There are two real choices of eps (one positive,
-one negative); each gives its own field structure, selected by the sign
-carried in :class:`Theory`.
+one negative), each its own field; a :class:`Theory` of either is the
+image of the (positive, plus) one under z20 -> z20^k, s -> s.
 
 Scalars are immutable, compared by exact coordinates over the basis
 {z20^i * s^j : 0 <= i <= 7, 0 <= j <= 1}, stored as 16 integer
@@ -15,8 +15,8 @@ field carries one table of the integer coordinates of every product of
 two basis elements, which multiplication reads, one of their conjugates,
 and one of their images under three automorphisms of Q(z20), with which
 inversion multiplies down to a rational norm, and the twenty roots z20^k
-as shared scalars.  The complex embedding at z20 = exp(i*pi/10) is for
-display and diagnostics only.
+and s as shared scalars.  The complex embedding at z20 = exp(i*pi/10) is
+for display and diagnostics only.
 """
 
 from __future__ import annotations
@@ -59,10 +59,10 @@ class _Field:
     def __init__(self, positive_eps: bool):
         self.positive_eps = positive_eps
         zpow = _zeta_powers()
-        # eps = xi + xi^-1 (positive) or xi^3 + xi^-3 (negative), xi = z20^2,
-        # so z20^k * s^2 = z20^(k + e) + z20^(k - e)
+        # eps = z20^e + z20^-e, e twice the Galois exponent of the field's
+        # (positive, plus) or (negative, minus) theory (``_GALOIS``), so
+        # z20^k * s^2 = z20^(k + e) + z20^(k - e)
         e = 2 if positive_eps else 6
-        self.eps_vec = tuple(x + y for x, y in zip(zpow[e], zpow[20 - e]))
 
         def coords(k: int, j: int) -> list[tuple[int, int]]:
             if j < 2:
@@ -82,6 +82,7 @@ class _Field:
         # z20 -> z20^k on Q(z20), for the norm tower that inversion climbs
         self.galois = {k: [coords(i * k, 0) for i in range(8)] for k in (3, 11, 19)}
         self.roots = tuple(Scalar._lowest(self, z + (0,) * 8, 1) for z in zpow)
+        self.s = Scalar._lowest(self, (0,) * 8 + (1,) + (0,) * 7, 1)
 
     def __reduce__(self):
         # one field per sign: a pickled scalar loads with this process's
@@ -139,10 +140,6 @@ class Scalar:
     def from_rational(field: _Field, q: Rational) -> Scalar:
         # an int or a Fraction is in lowest terms, over a positive denominator
         return Scalar._lowest(field, (q.numerator,) + _ZEROS15, q.denominator)
-
-    @staticmethod
-    def sqrt_eps(field: _Field) -> Scalar:
-        return Scalar._reduced(field, (0,) * 8 + (1,) + (0,) * 7, 1)
 
     # -- predicates ----------------------------------------------------
 
@@ -453,22 +450,24 @@ def _invert_cached(a: Scalar) -> Scalar:
 
 _FIELDS = {True: _Field(True), False: _Field(False)}
 
-# (epsilon_sign, beta_sign) -> (b, j): beta = z20^b and Delta/D = z20^j
-_ROOTS = {("positive", "plus"): (6, 13), ("positive", "minus"): (14, 7),
-          ("negative", "plus"): (2, 1), ("negative", "minus"): (18, 19)}
+# (epsilon_sign, beta_sign) -> k: the theory is the image of the (positive,
+# plus) one under z20 -> z20^k, s -> s
+_GALOIS = {("positive", "plus"): 1, ("positive", "minus"): 19,
+           ("negative", "minus"): 3, ("negative", "plus"): 17}
 
 
 @dataclass(frozen=True)
 class Theory:
     """Choice of eps sign, braiding constant sign, and the free parameters.
 
-    The two signs fix beta = z20^b and the surgery phase Delta/D = z20^j
-    (``_ROOTS``): (b, j) is (6, 13) for beta+ and (14, 7) for beta- with
-    positive eps, (2, 1) and (18, 19) with negative eps.  Every root of
-    unity of the theory indexes the field's shared roots by an exponent
-    mod 20.  The parameters x, y, z are arbitrary nonzero rationals; every
-    invariant is provably independent of them, which the test-suite
-    checks rather than assumes.
+    The signs fix one Galois exponent k (``_GALOIS``): the theory is the
+    image of the (positive, plus) one under z20 -> z20^k, s -> s, so
+    eps = z20^2k + z20^-2k, D = z20^k + z20^-k, beta = z20^6k, the twist
+    theta = z20^-12k and the surgery phase Delta/D = z20^13k, each root of
+    unity an exponent mod 20 into the field's shared roots.  The
+    parameters x, y, z are arbitrary nonzero rationals; every invariant is
+    provably independent of them, which the test-suite checks rather than
+    assumes.
     """
 
     epsilon_sign: str = "positive"
@@ -487,13 +486,12 @@ class Theory:
             if v == 0:
                 raise ValueError(f"parameter {name} must be nonzero")
             object.__setattr__(self, name, v)
-        b, j = _ROOTS[self.epsilon_sign, self.beta_sign]
-        object.__setattr__(self, "_b", b)
-        object.__setattr__(self, "_j", j)
+        k = _GALOIS[self.epsilon_sign, self.beta_sign]
+        object.__setattr__(self, "_k", k)
         # every lru_cache keyed on a theory hashes it, and compares it with
         # the equal theory of an earlier call; the fields never change, so
         # both read one tuple of ints, the same in every process
-        key = (b,) + tuple(
+        key = (k,) + tuple(
             n for v in (self.x, self.y, self.z) for n in (v.numerator, v.denominator))
         object.__setattr__(self, "_key", key)
         object.__setattr__(self, "_hash", hash(key))
@@ -535,28 +533,28 @@ class Theory:
 
     @cached_property
     def epsilon(self) -> Scalar:
-        return Scalar._reduced(self.field, self.field.eps_vec + (0,) * 8, 1)
+        return self.zeta(2 * self._k) + self.zeta(-2 * self._k)
 
     @cached_property
     def beta(self) -> Scalar:
-        return self.zeta(self._b)
+        return self.zeta(6 * self._k)
 
     @cached_property
     def beta_inv(self) -> Scalar:
-        return self.zeta(-self._b)
+        return self.zeta(-6 * self._k)
 
     def theta(self, n: int) -> Scalar:
         """theta^n, for the ribbon twist theta = beta^-2 on A."""
-        return self.zeta(-2 * self._b * n)
+        return self.zeta(-12 * self._k * n)
 
     def phase(self, n: int) -> Scalar:
         """(Delta/D)^n, the surgery phase: a 20th root of unity."""
-        return self.zeta(self._j * n)
+        return self.zeta(13 * self._k * n)
 
     @cached_property
     def s(self) -> Scalar:
-        """The chosen square root of epsilon."""
-        return Scalar.sqrt_eps(self.field)
+        """The chosen square root of epsilon, shared by the field."""
+        return self.field.s
 
     @cached_property
     def s_inv(self) -> Scalar:
@@ -565,8 +563,7 @@ class Theory:
     @cached_property
     def big_d(self) -> Scalar:
         """D with D^2 = 2 + eps and positive real embedding."""
-        m = 1 if self.epsilon_sign == "positive" else 3
-        return self.zeta(m) + self.zeta(20 - m)
+        return self.zeta(self._k) + self.zeta(-self._k)
 
     @cached_property
     def delta(self) -> Scalar:

@@ -18,7 +18,8 @@ The engine does not enumerate the 2^C colorings.  It treats the sum as a
 factor graph with one variable per component and sums the components out
 one at a time (bucket elimination), so its cost is exponential in the
 elimination width of the spine, not in its number of components.  A spine
-whose planned width exceeds ``MAX_ELIMINATION_WIDTH`` is refused.
+whose planned width exceeds ``MAX_ELIMINATION_WIDTH``, or with more than
+``MAX_COMPONENTS`` components, is refused.
 """
 
 from __future__ import annotations
@@ -404,6 +405,11 @@ def t_epsilon(spine: Spine, theory: Theory) -> Scalar:
 # The state sums refuse a spine whose planned elimination order joins more
 # than this many components into one table, which would have 2^width entries.
 MAX_ELIMINATION_WIDTH = 16
+# They also refuse a spine of more components than this.  A component can
+# multiply the sum by a factor such as 1 + eps, so the exact coordinates
+# grow by about 0.42 digits per component: 2,090 digits at this bound, well
+# under the 4,300 that Python converts to text by default.
+MAX_COMPONENTS = 5000
 
 # A factor is (scope, table): a sorted tuple of component ids and a dict
 # of its nonzero values, keyed by an int mask whose bit i set means
@@ -423,7 +429,10 @@ def _state_sum(spine: Spine, theory: Theory,
     a greedy order planned from the scopes alone, each step joining the
     factors that contain the component.  The cost is exponential in the
     elimination width (the largest joined scope), which is at most
-    ``MAX_ELIMINATION_WIDTH``."""
+    ``MAX_ELIMINATION_WIDTH``, over at most ``MAX_COMPONENTS`` components."""
+    if spine.n_components > MAX_COMPONENTS:
+        raise SpineValidationError(
+            f"component count {spine.n_components} exceeds {MAX_COMPONENTS}")
     lines = spine.edges if edge_weights is not None else ()
     order, width = _elimination_order(spine.n_components,
                                       [*lines, *spine.vertices])

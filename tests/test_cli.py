@@ -10,6 +10,7 @@ from decimal import Context, Decimal, localcontext
 
 import pytest
 from conftest import FIXTURES, random_morse_word
+from fibcat import spines as sp
 from fibcat import tangles as tg
 from fibcat.cli import run
 from fibcat.tangles import LinkDiagram
@@ -454,6 +455,22 @@ def test_elimination_width_limit(tmp_path, capsys):
     assert "elimination width 17 exceeds 16" in err
 
 
+def test_component_count_limit(tmp_path, capsys):
+    # each empty component multiplies the sum by 1 + eps, so the count
+    # alone sets the cost and the size of the coordinates
+    at, over = tmp_path / "at.txt", tmp_path / "over.txt"
+    at.write_text(f"spine\ncomponents {sp.MAX_COMPONENTS}\nend\n")
+    over.write_text(f"spine\ncomponents {sp.MAX_COMPONENTS + 1}\nend\n")
+    code, out, err = invoke(capsys, "tv-spine", str(at), "--no-euler-check")
+    assert code == 0, err
+    assert out.startswith("tv:")
+    for command in ("tv-spine", "t-spine"):
+        code, out, err = invoke(capsys, command, str(over), "--no-euler-check")
+        assert (code, out) == (1, "")
+        assert err == (f"error: component count {sp.MAX_COMPONENTS + 1} "
+                       f"exceeds {sp.MAX_COMPONENTS}\n")
+
+
 # -- every mutated input exits 0 or 1 -----------------------------------------
 
 _BAD_LINES = ["zap 0", "cup", "cup x", "cap 0 1", "xp -1", "tp 9", "framing",
@@ -520,17 +537,23 @@ _BIG = "123456789012345678901234567890"     # a 30-digit part of a rational
 _MALFORMED = ["", "x", "1.5e", "--", "=", "1/0", "0x10"]
 
 
-def _fuzz_value(rng: random.Random, kind: str) -> str:
+def _fuzz_value(rng: random.Random, kind: str, over_bound: tuple[str, ...] = ()) -> str:
     """A value for an option or argument: a plain one, zero, a negative
-    one or a malformed one.  Sizes stay small: hopf K <= 40, lens P and Q
-    within +-50, at most eight framings or indices."""
+    one or a malformed one.  Sizes that would do work stay small: hopf
+    K <= 40, lens P and Q within +-50, at most eight framings or indices.
+    Sizes past a bound are refused before any work: hopf K over
+    ``MAX_CHAIN_COMPONENTS`` (up to 10^30), and the spine files
+    ``over_bound``."""
     if rng.random() < 0.1:
         return rng.choice(_MALFORMED)
     if kind == "rational":
         return rng.choice(["0", "1", "-1", "2/3", "-5/7", "3", _BIG, f"-{_BIG}",
                            f"{_BIG}/{_BIG[::-1]}", f"-1/{_BIG}", f"{_BIG}/7"])
     if kind == "k":
-        return str(rng.randint(-3, 40))
+        if rng.random() < 0.6:
+            return str(rng.randint(-3, 40))
+        over = tg.MAX_CHAIN_COMPONENTS + 1
+        return str(rng.choice([over, rng.randint(over, 10 ** 9), 10 ** 30]))
     if kind == "pq":
         return str(rng.randint(-50, 50))
     if kind == "list":
@@ -542,7 +565,8 @@ def _fuzz_value(rng: random.Random, kind: str) -> str:
                            link("unknot.txt"), link("unlink2.txt"), link("empty.txt"),
                            spine("sphere.txt"), link("missing.txt")])
     if kind == "spine":
-        return rng.choice([spine("sphere.txt")] * 3 + [link("hopf.txt"), spine("missing.txt")])
+        return rng.choice([spine("sphere.txt")] * 3
+                          + [link("hopf.txt"), spine("missing.txt"), *over_bound])
     return rng.choice({"epsilon": ["pos", "neg", "positive", "negative", "zero"],
                        "beta": ["plus", "minus", "neither"],
                        "output": ["exact", "float", "both", "json"],
@@ -590,11 +614,11 @@ def _fuzz_options(rng: random.Random, options: dict, most: int) -> list[str]:
     return out
 
 
-def _fuzz_argv(rng: random.Random) -> list[str]:
+def _fuzz_argv(rng: random.Random, over_bound: tuple[str, ...]) -> list[str]:
     command = rng.choice(sorted(_COMMANDS) + ["frobnicate"])
     positional, options = _COMMANDS.get(command, ([], {}))
-    args = [[kind[0], _fuzz_value(rng, kind[1])] if isinstance(kind, tuple)
-            else [_fuzz_value(rng, kind)] for kind in positional]
+    args = [[kind[0], _fuzz_value(rng, kind[1], over_bound)] if isinstance(kind, tuple)
+            else [_fuzz_value(rng, kind, over_bound)] for kind in positional]
     if args and rng.random() < 0.2:
         del args[rng.randrange(len(args))]          # a missing argument
     if rng.random() < 0.1:
@@ -605,13 +629,30 @@ def _fuzz_argv(rng: random.Random) -> list[str]:
     return before + [command] + [token for group in args for token in group] + after
 
 
-def test_seeded_argument_fuzz_exits_cleanly(capsys, monkeypatch):
+@pytest.mark.parametrize("argv", [
+    ["-x=--", "hopf", "2"], ["--epsilon=--", "hopf", "2"], ["--output=--", "hopf", "2"],
+    ["--seed=--", "check-axioms"], ["hopf", "2", "--framings=--"],
+    ["lens", "--framings=--"], ["eval-link", link("hopf.txt"), "--colors=--"],
+    ["compare-rt-tv", "--link=--", f"--spine={spine('sphere.txt')}"]])
+def test_option_value_double_dash_is_refused(capsys, argv):
+    # argparse before 3.13 reads "--opt=--" as an empty list, unconverted
+    code, out, err = invoke(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert err.startswith(("error:", "usage:")) and "Traceback" not in err, err
+
+
+def test_seeded_argument_fuzz_exits_cleanly(tmp_path, capsys, monkeypatch):
     monkeypatch.delenv("FIBCAT_EPSILON", raising=False)
     monkeypatch.delenv("FIBCAT_BETA", raising=False)
+    over_bound = []
+    for count in (sp.MAX_COMPONENTS + 1, 10 ** 30):
+        path = tmp_path / f"components{count}.txt"
+        path.write_text(f"spine\ncomponents {count}\nend\n")
+        over_bound.append(str(path))
     rng = random.Random("cli-argv-fuzz")
     codes = {0: 0, 1: 0, 2: 0}
     for _ in range(300):
-        argv = _fuzz_argv(rng)
+        argv = _fuzz_argv(rng, tuple(over_bound))
         code, _, err = invoke(capsys, *argv)
         assert code in codes, (argv, code, err)
         assert "Traceback" not in err, (argv, err)

@@ -8,9 +8,10 @@ import pytest
 
 from conftest import read_fixture
 from fibcat import ALL_THEORIES, Theory
+from fibcat import spines as sp
 from fibcat.category import A, ONE
-from fibcat.spines import (MAX_ELIMINATION_WIDTH, SPHERE_SPINE, Spine,
-                           SpineParseError, SpineValidationError, admissible,
+from fibcat.spines import (MAX_COMPONENTS, MAX_ELIMINATION_WIDTH, SPHERE_SPINE,
+                           Spine, SpineParseError, SpineValidationError, admissible,
                            module_iso_check, pairing_categorical,
                            pairing_table, parse_spine, sixj_categorical,
                            sixj_table, t_epsilon, tv, vertex_triples)
@@ -328,3 +329,16 @@ def test_elimination_width_limit():
         tv(spine, Theory())
     with pytest.raises(SpineValidationError, match=message):
         t_epsilon(spine, Theory())
+
+
+def test_component_count_limit(monkeypatch):
+    # refused before the elimination is planned, so no count costs work
+    def planned(*args):
+        raise AssertionError("an elimination was planned")
+
+    monkeypatch.setattr(sp, "_elimination_order", planned)
+    for n in (MAX_COMPONENTS + 1, 10 ** 30):
+        message = f"component count {n} exceeds {MAX_COMPONENTS}"
+        for state_sum in (tv, t_epsilon):
+            with pytest.raises(SpineValidationError, match=message):
+                state_sum(Spine(n, (), ()), Theory())
