@@ -274,10 +274,13 @@ def _dispatch(args, theory: Theory) -> int:
             framings = _parse_framings(args.framings)
         elif args.p is not None and args.q is not None:
             framings = inv.continued_fraction_framings(args.p, args.q)
-            print(f"framings: {list(framings)}")
         else:
             raise CliError("lens needs either P Q or --framings")
-        print(f"tr: {_render(inv.lens_tr_closed_form(framings, theory), mode)}")
+        # before any output, since it may refuse the framings
+        value = inv.lens_tr_closed_form(framings, theory)
+        if args.framings is None:
+            print(f"framings: {list(framings)}")
+        print(f"tr: {_render(value, mode)}")
         return 0
 
     if args.command == "c-function":
@@ -297,10 +300,12 @@ def _dispatch(args, theory: Theory) -> int:
         return 0
 
     if args.command == "compare-rt-tv":
-        tr = inv.tr_manifold(tg.parse_link(_read(args.link)), theory)
+        diagram = tg.parse_link(_read(args.link))
+        # the spine first: refusing it costs far less than tr_manifold
         spine = sp.parse_spine(_read(args.spine),
                                euler_check=not args.no_euler_check)
         tv_value = sp.tv(spine, theory)
+        tr = inv.tr_manifold(diagram, theory)
         squared = tr.conjugate() * tr * (theory.epsilon + 2)
         print(f"|tr|^2 (eps+2): {_render(squared, mode)}")
         print(f"tv:             {_render(tv_value, mode)}")

@@ -193,11 +193,7 @@ def _analyze(events: Sequence[LinkEvent]) -> dict:
     first-created segment and derive crossing signs.  Returns the derived
     fields of ``LinkDiagram`` by name."""
     slots: list[int] = []                 # segment id per strand slot
-    n_segments = 0
-    cup_legs: dict[int, tuple[int, int]] = {}
-    cap_ends: dict[int, tuple[int, int]] = {}
-    seg_left: dict[int, int] = {}         # segment -> cup event index
-    seg_right: dict[int, int] = {}        # segment -> cap event index
+    capped: list[int] = []                # segment -> the segment it meets at its cap
     raw_crossings: list[tuple[int, int, int]] = []   # (seg_a, seg_b, nominal)
     raw_kinks: list[tuple[int, int]] = []            # (seg, sign)
     event_segments: list[tuple[int, ...]] = []
@@ -209,20 +205,15 @@ def _analyze(events: Sequence[LinkEvent]) -> dict:
         if ev.kind is EventKind.CUP:
             if ev.pos > n:
                 raise LinkValidationError(f"event {idx}: cup at {ev.pos} with {n} strands")
-            s1, s2 = n_segments, n_segments + 1
-            n_segments += 2
-            cup_legs[idx] = (s1, s2)
-            seg_left[s1] = idx
-            seg_left[s2] = idx
+            s1, s2 = len(capped), len(capped) + 1
+            capped += (-1, -1)
             slots[ev.pos:ev.pos] = [s1, s2]
             event_segments.append((s1, s2))
         elif ev.kind is EventKind.CAP:
             if ev.pos + 1 >= n:
                 raise LinkValidationError(f"event {idx}: cap at {ev.pos} with {n} strands")
             s1, s2 = slots[ev.pos], slots[ev.pos + 1]
-            cap_ends[idx] = (s1, s2)
-            seg_right[s1] = idx
-            seg_right[s2] = idx
+            capped[s1], capped[s2] = s2, s1
             del slots[ev.pos:ev.pos + 2]
             event_segments.append((s1, s2))
         elif ev.kind in (EventKind.CROSS_POS, EventKind.CROSS_NEG):
@@ -244,24 +235,19 @@ def _analyze(events: Sequence[LinkEvent]) -> dict:
 
     # one traversal per component, from its lowest segment, so components
     # are numbered by first appearance; direction +1 = rightward, and each
-    # cup/cap junction reverses it
-    component = [-1] * n_segments
-    direction = [0] * n_segments
+    # cup/cap junction reverses it.  A cup makes its two legs the segments
+    # 2m and 2m + 1, so the partner of s at its cup is s ^ 1.
+    component = [-1] * len(capped)
+    direction = [0] * len(capped)
     n_components = 0
-    for s0 in range(n_segments):
+    for s0 in range(len(capped)):
         if component[s0] >= 0:
             continue
         s, d = s0, 1
         while component[s] < 0:
             component[s] = n_components
             direction[s] = d
-            if d > 0:
-                j = seg_right[s]
-                pair = cap_ends[j]
-            else:
-                j = seg_left[s]
-                pair = cup_legs[j]
-            s = pair[1] if pair[0] == s else pair[0]
+            s = capped[s] if d > 0 else s ^ 1
             d = -d
         n_components += 1
 

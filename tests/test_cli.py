@@ -10,6 +10,7 @@ from decimal import Context, Decimal, localcontext
 
 import pytest
 from conftest import FIXTURES, random_morse_word
+from fibcat import invariants as inv
 from fibcat import spines as sp
 from fibcat import tangles as tg
 from fibcat.cli import run
@@ -85,6 +86,22 @@ def test_lens_very_long_chain(capsys):
     code, out, _ = invoke(capsys, "lens", "20001", "20000", "--output", "float")
     assert code == 0
     assert out.startswith(f"framings: {[2] * 20000}\ntr: (")
+
+
+def test_lens_framing_limit(capsys, monkeypatch):
+    # (n + 1)/n expands to n twos; past the bound the expansion stops, and
+    # a framing list is refused before any scalar work
+    def refuse(*_):
+        raise AssertionError("signature reached past the framing limit")
+
+    monkeypatch.setattr(inv, "signature", refuse)
+    over = inv.MAX_LENS_FRAMINGS + 1
+    for argv in (["lens", str(over + 1), str(over)],
+                 ["lens", str(10 ** 12 + 1), str(10 ** 12)],
+                 ["lens", "--framings=" + ",".join(["2"] * over)]):
+        code, out, err = invoke(capsys, *argv)
+        assert (code, out) == (1, ""), argv[:2]
+        assert err.startswith("error:") and str(inv.MAX_LENS_FRAMINGS) in err, err
 
 
 def test_closed_stdout_exits_without_traceback():
@@ -292,6 +309,22 @@ def test_compare_rt_tv_cannot_separate_lens_from_sphere(capsys):
                           "--spine", spine("sphere.txt"))
     assert code == 0
     assert "match: yes" in out
+
+
+def test_compare_rt_tv_refuses_the_spine_before_the_link_work(tmp_path, capsys,
+                                                              monkeypatch):
+    def refuse(*_):
+        raise AssertionError("tr_manifold ran before the spine was read")
+
+    monkeypatch.setattr(inv, "tr_manifold", refuse)
+    header, over = tmp_path / "header.txt", tmp_path / "over.txt"
+    header.write_text("link\nend\n")
+    over.write_text(f"spine\ncomponents {sp.MAX_COMPONENTS + 1}\nend\n")
+    for path, flags in ((header, []), (over, ["--no-euler-check"])):
+        code, out, err = invoke(capsys, "compare-rt-tv", "--link", link("hopf.txt"),
+                                "--spine", str(path), *flags)
+        assert (code, out) == (1, ""), path
+        assert err.startswith("error:"), err
 
 
 def test_hopf_framed_matches_lens_closed_form(capsys):
@@ -542,8 +575,8 @@ def _fuzz_value(rng: random.Random, kind: str, over_bound: tuple[str, ...] = ())
     one or a malformed one.  Sizes that would do work stay small: hopf
     K <= 40, lens P and Q within +-50, at most eight framings or indices.
     Sizes past a bound are refused before any work: hopf K over
-    ``MAX_CHAIN_COMPONENTS`` (up to 10^30), and the spine files
-    ``over_bound``."""
+    ``MAX_CHAIN_COMPONENTS`` (up to 10^30), a lens framing list one over
+    ``MAX_LENS_FRAMINGS``, and the spine files ``over_bound``."""
     if rng.random() < 0.1:
         return rng.choice(_MALFORMED)
     if kind == "rational":
@@ -556,7 +589,9 @@ def _fuzz_value(rng: random.Random, kind: str, over_bound: tuple[str, ...] = ())
         return str(rng.choice([over, rng.randint(over, 10 ** 9), 10 ** 30]))
     if kind == "pq":
         return str(rng.randint(-50, 50))
-    if kind == "list":
+    if kind == "framings" and rng.random() < 0.4:
+        return ",".join(["2"] * (inv.MAX_LENS_FRAMINGS + 1))
+    if kind in ("list", "framings"):
         return ",".join(str(rng.randint(-9, 9)) for _ in range(rng.randint(0, 8)))
     if kind == "colors":
         return "".join(rng.choice("1Aax ") for _ in range(rng.randint(0, 4)))
@@ -585,7 +620,7 @@ _COMMANDS = {
     "tr-link": (["link"], {}),
     "tr-manifold": (["link"], {}),
     "hopf": (["k"], {"--framings": "list"}),
-    "lens": (["pq", "pq"], {"--framings": "list"}),
+    "lens": (["pq", "pq"], {"--framings": "framings"}),
     "c-function": (["list"], {}),
     "tv-spine": (["spine"], {}),
     "t-spine": (["spine"], {}),
@@ -619,6 +654,11 @@ def _fuzz_argv(rng: random.Random, over_bound: tuple[str, ...]) -> list[str]:
     positional, options = _COMMANDS.get(command, ([], {}))
     args = [[kind[0], _fuzz_value(rng, kind[1], over_bound)] if isinstance(kind, tuple)
             else [_fuzz_value(rng, kind, over_bound)] for kind in positional]
+    if command == "lens" and rng.random() < 0.3:
+        # P = Q + 1 expands to Q twos, past MAX_LENS_FRAMINGS
+        over = inv.MAX_LENS_FRAMINGS + 1
+        q = rng.choice([over, rng.randint(over, 10 ** 9), 10 ** 30])
+        args = [[str(q + 1)], [str(q)]]
     if args and rng.random() < 0.2:
         del args[rng.randrange(len(args))]          # a missing argument
     if rng.random() < 0.1:

@@ -11,6 +11,7 @@ import pytest
 from conftest import random_morse_word, read_fixture
 from fibcat import ALL_THEORIES, Scalar, Theory, scalars
 from fibcat import category as cat
+from fibcat import invariants
 from fibcat.category import A, ONE
 from fibcat.invariants import (_chain_matrix, c_function,
                                continued_fraction_framings,
@@ -298,6 +299,26 @@ def test_signature_matches_dense_elimination_on_random_matrices():
         assert signature(_rows(m)) == _dense_signature(m), m
 
 
+def test_signature_matches_dense_elimination_on_sparse_matrices():
+    # most diagonal entries vanish, so zero pivots meet at every depth of
+    # the elimination, also after earlier pivots have filled rows in
+    rng = random.Random(17)
+    zero_pivots = 0
+    for _ in range(3000):
+        n = rng.randint(2, 10)
+        density = rng.choice([0.2, 0.35, 0.5])
+        m = [[0] * n for _ in range(n)]
+        for i in range(n):
+            if rng.random() < 0.25:
+                m[i][i] = rng.choice([-2, -1, 1, 2])
+            for j in range(i + 1, n):
+                if rng.random() < density:
+                    m[i][j] = m[j][i] = rng.choice([-2, -1, 1, 2])
+        zero_pivots += sum(1 for i in range(n) if not m[i][i])
+        assert signature(_rows(m)) == _dense_signature(m), m
+    assert zero_pivots > 10000
+
+
 def _random_symmetric(rng, n):
     m = [[0] * n for _ in range(n)]
     for i in range(n):
@@ -551,6 +572,19 @@ def test_continued_fraction_validation():
         continued_fraction_framings(4, 0)
     with pytest.raises(ValueError):
         continued_fraction_framings(4, 2)
+
+
+def test_lens_framing_limit(th, monkeypatch):
+    # (n + 1)/n expands to n twos: the bound is inclusive, and a longer
+    # expansion stops as soon as it passes the bound
+    monkeypatch.setattr(invariants, "MAX_LENS_FRAMINGS", 5)
+    assert continued_fraction_framings(6, 5) == (2,) * 5
+    assert lens_tr_closed_form((2,) * 5, th) == lens_tr_closed_form((-6,), th)
+    for p, q in ((7, 6), (10 ** 30 + 1, 10 ** 30)):
+        with pytest.raises(ValueError, match="more than 5 framings"):
+            continued_fraction_framings(p, q)
+    with pytest.raises(ValueError, match="6 framings exceed 5"):
+        lens_tr_closed_form((2,) * 6, th)
 
 
 def test_lens_space_framed_link(th):
