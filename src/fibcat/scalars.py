@@ -9,13 +9,14 @@ one negative), each its own field; a :class:`Theory` of either is the
 image of the (positive, plus) one under z20 -> z20^k, s -> s.
 
 Scalars are immutable, compared by exact coordinates over the basis
-{z20^i * s^j : 0 <= i <= 7, 0 <= j <= 1}, stored as 16 integer
-numerators over one positive common denominator in lowest terms.  Each
-field carries one table of the integer coordinates of every product of
-two basis elements, which multiplication reads, one of their conjugates,
-and one of their images under three automorphisms of Q(z20), with which
-inversion multiplies down to a rational norm, and the twenty roots z20^k
-and s as shared scalars.  The complex embedding at z20 = exp(i*pi/10) is
+{z20^i * s^j : 0 <= i <= 7, 0 <= j <= 1}, and stored as their nonzero
+terms: integer numerators of basis elements over one positive common
+denominator, in lowest terms.  Each field carries one table of the
+integer coordinates of every product of two basis elements, which
+multiplication reads term by term, one of their conjugates, and one of
+their images under three automorphisms of Q(z20), with which inversion
+multiplies down to a rational norm, and the twenty roots z20^k and s as
+shared scalars.  The complex embedding at z20 = exp(i*pi/10) is
 for display and diagnostics only.
 """
 
@@ -81,8 +82,8 @@ class _Field:
                      for p in range(16)]
         # z20 -> z20^k on Q(z20), for the norm tower that inversion climbs
         self.galois = {k: [coords(i * k, 0) for i in range(8)] for k in (3, 11, 19)}
-        self.roots = tuple(Scalar._lowest(self, z + (0,) * 8, 1) for z in zpow)
-        self.s = Scalar._lowest(self, (0,) * 8 + (1,) + (0,) * 7, 1)
+        self.roots = tuple(Scalar(self, z) for z in zpow)
+        self.s = Scalar(self, (0,) * 8 + (1,))
 
     def __reduce__(self):
         # one field per sign: a pickled scalar loads with this process's
@@ -96,41 +97,45 @@ def _field(positive_eps: bool) -> _Field:
     return _FIELDS[positive_eps]
 
 
-_ZEROS15 = (0,) * 15
-
-
 class Scalar:
     """An element of Q(z20, s), canonical over the 16-element basis.
 
-    Stored as 16 integer numerators ``nums`` over one positive common
-    denominator ``den``, in lowest terms (zero is all zeros over 1), so
-    equal values have equal ``(nums, den)``.  ``coeffs[j*8 + i]`` is the
-    rational coordinate of z20^i * s^j.
+    Stored as its nonzero terms: ``terms`` is a tuple of pairs ``(p, n)``,
+    p strictly ascending, each n the nonzero integer numerator of basis
+    element p over one positive common denominator ``den``, in lowest
+    terms (zero is ``()`` over 1), so equal values have equal
+    ``(terms, den)``.  ``coeffs[j*8 + i]`` is the rational coordinate of
+    z20^i * s^j.
     """
 
-    __slots__ = ("field", "nums", "den")
+    __slots__ = ("field", "terms", "den")
 
     def __init__(self, field: _Field, coeffs: Iterable[Rational]):
         fracs = [Fraction(c) for c in coeffs]
         den = lcm(*(f.denominator for f in fracs))
         self.field = field
-        self.nums = tuple(f.numerator * (den // f.denominator) for f in fracs)
+        self.terms = tuple((p, f.numerator * (den // f.denominator))
+                           for p, f in enumerate(fracs) if f)
         self.den = den
 
     @classmethod
-    def _reduced(cls, field: _Field, nums: Iterable[int], den: int) -> Scalar:
-        g = gcd(den, *nums)
+    def _collect(cls, field: _Field, out: list[int], den: int) -> Scalar:
+        """The scalar out / den, in lowest terms, from the numerators of all
+        16 basis elements: the zeros, cancelled ones too, are dropped."""
+        g = gcd(den, *out)
+        # n // 1 would copy n, and numerators can run to thousands of digits
         if g != 1:
-            nums = [n // g for n in nums]
+            out = [n // g for n in out]
             den //= g
-        return cls._lowest(field, tuple(nums), den)
+        return cls._lowest(field, tuple([(p, n) for p, n in enumerate(out) if n]), den)
 
     @classmethod
-    def _lowest(cls, field: _Field, nums: tuple[int, ...], den: int) -> Scalar:
-        """The scalar nums / den, which the caller gives in lowest terms."""
+    def _lowest(cls, field: _Field, terms: tuple[tuple[int, int], ...], den: int) -> Scalar:
+        """The scalar of ``terms`` over den, which the caller gives in
+        canonical form and lowest terms."""
         self = object.__new__(cls)
         self.field = field
-        self.nums = nums
+        self.terms = terms
         self.den = den
         return self
 
@@ -139,26 +144,30 @@ class Scalar:
     @staticmethod
     def from_rational(field: _Field, q: Rational) -> Scalar:
         # an int or a Fraction is in lowest terms, over a positive denominator
-        return Scalar._lowest(field, (q.numerator,) + _ZEROS15, q.denominator)
+        return Scalar._lowest(field, ((0, q.numerator),) if q else (), q.denominator)
 
     # -- predicates ----------------------------------------------------
 
     @property
     def coeffs(self) -> tuple[Fraction, ...]:
-        return tuple(Fraction(n, self.den) for n in self.nums)
+        out = [Fraction(0)] * 16
+        for p, n in self.terms:
+            out[p] = Fraction(n, self.den)
+        return tuple(out)
 
     @property
     def is_zero(self) -> bool:
-        return not any(self.nums)
+        return not self.terms
 
     @property
     def is_rational(self) -> bool:
-        return not any(self.nums[1:])
+        # the terms ascend, so only a lone term can be the last at p = 0
+        return not self.terms or self.terms[-1][0] == 0
 
     def as_rational(self) -> Fraction:
         if not self.is_rational:
             raise ValueError(f"not a rational scalar: {self}")
-        return Fraction(self.nums[0], self.den)
+        return Fraction(self.terms[0][1] if self.terms else 0, self.den)
 
     def _check(self, other: Scalar) -> None:
         if self.field is not other.field:
@@ -167,25 +176,28 @@ class Scalar:
     # -- ring operations ------------------------------------------------
 
     def __add__(self, other: Scalar | Rational) -> Scalar:
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        self._check(other)
-        d1, d2 = self.den, other.den
-        return Scalar._reduced(self.field, [a * d2 + b * d1 for a, b in
-                                            zip(self.nums, other.nums)], d1 * d2)
+        return self._sum(other, 1)
 
     def __sub__(self, other: Scalar | Rational) -> Scalar:
+        return self._sum(other, -1)
+
+    def _sum(self, other: Scalar | Rational, sign: int) -> Scalar:
+        """self + sign * other."""
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
         self._check(other)
         d1, d2 = self.den, other.den
-        return Scalar._reduced(self.field, [a * d2 - b * d1 for a, b in
-                                            zip(self.nums, other.nums)], d1 * d2)
+        out = [0] * 16
+        for p, n in self.terms:
+            out[p] = n * d2
+        scale = sign * d1
+        for p, n in other.terms:
+            out[p] += n * scale
+        return Scalar._collect(self.field, out, d1 * d2)
 
     def __neg__(self) -> Scalar:
-        return Scalar._reduced(self.field, [-a for a in self.nums], self.den)
+        return Scalar._lowest(self.field, tuple([(p, -n) for p, n in self.terms]), self.den)
 
     def __mul__(self, other: Scalar | Rational) -> Scalar:
         # the hot path: _coerce and _check, inlined for a Scalar operand
@@ -195,36 +207,22 @@ class Scalar:
                 return NotImplemented
         if self.field is not other.field:
             self._check(other)
-        # a rational operand in lowest terms is 1 exactly when its numerator
-        # equals its denominator; scalars are immutable, so the other
-        # operand itself is the product
-        den = self.den * other.den
-        if not any(other.nums[1:]):
-            b = other.nums[0]
-            if b == other.den:
-                return self
-            if not any(self.nums[1:]):
-                n = self.nums[0] * b
-                g = gcd(n, den)
-                return Scalar._lowest(self.field, (n // g,) + _ZEROS15, den // g)
-            return Scalar._reduced(self.field, [a * b for a in self.nums], den)
-        if not any(self.nums[1:]):
-            a = self.nums[0]
-            if a == self.den:
-                return other
-            return Scalar._reduced(self.field, [a * b for b in other.nums], den)
+        # 1 is the one term (0, 1) over 1; scalars are immutable, so the
+        # other factor itself is the product
+        if other.terms == ((0, 1),) and other.den == 1:
+            return self
+        if self.terms == ((0, 1),) and self.den == 1:
+            return other
         table = self.field.table
-        bs = [(q, b) for q, b in enumerate(other.nums) if b]
+        bs = other.terms
         out = [0] * 16
-        for p, a in enumerate(self.nums):
-            if not a:
-                continue
+        for p, a in self.terms:
             row = table[p]
             for q, b in bs:
                 ab = a * b
                 for m, c in row[q]:
                     out[m] += ab * c
-        return Scalar._reduced(self.field, out, den)
+        return Scalar._collect(self.field, out, self.den * other.den)
 
     __radd__ = __add__
     __rmul__ = __mul__
@@ -275,18 +273,17 @@ class Scalar:
         if self.is_zero:
             raise ZeroDivisionError("scalar division by zero")
         if self.is_rational:
-            return Scalar.from_rational(self.field, Fraction(self.den, self.nums[0]))
+            return Scalar.from_rational(self.field, Fraction(self.den, self.terms[0][1]))
         return _invert_cached(self)
 
     def _image(self, images: list[list[tuple[int, int]]]) -> Scalar:
         """The image under the automorphism of Z[z20, s] that takes basis
-        element p to ``images[p]``, so it stays in lowest terms."""
+        element p to ``images[p]``."""
         out = [0] * 16
-        for a, image in zip(self.nums, images):
-            if a:
-                for m, c in image:
-                    out[m] += a * c
-        return Scalar._lowest(self.field, tuple(out), self.den)
+        for p, n in self.terms:
+            for m, c in images[p]:
+                out[m] += n * c
+        return Scalar._collect(self.field, out, self.den)
 
     def conjugate(self) -> Scalar:
         """Complex conjugation of the chosen embedding: z20 -> z20^-1."""
@@ -312,16 +309,17 @@ class Scalar:
         coordinates and a value near eps^(1-k)), so the digits double until
         a sum exceeds that error by 12 digits.  A nonzero scalar has a
         nonzero image, so this ends."""
-        size = sum(map(abs, self.nums))
+        size = sum(abs(n) for _, n in self.terms)
         if not size:
             return 0, 0, 1
         digits = 32
         while True:
+            basis = _scaled_basis(self.field.positive_eps, digits)
             re = im = 0
-            for n, (c, d) in zip(self.nums, _scaled_basis(self.field.positive_eps, digits)):
-                if n:
-                    re += n * c
-                    im += n * d
+            for p, n in self.terms:
+                c, d = basis[p]
+                re += n * c
+                im += n * d
             if max(abs(re), abs(im)) > size * 10 ** 12:
                 break
             digits *= 2
@@ -335,21 +333,19 @@ class Scalar:
             other = Scalar.from_rational(self.field, other)
         if not isinstance(other, Scalar):
             return NotImplemented
-        return (self.field is other.field and self.nums == other.nums
+        return (self.field is other.field and self.terms == other.terms
                 and self.den == other.den)
 
     def __hash__(self) -> int:
-        return hash((self.field.positive_eps, self.nums, self.den))
+        return hash((self.field.positive_eps, self.terms, self.den))
 
     def __bool__(self) -> bool:
-        return any(self.nums)
+        return bool(self.terms)
 
     def render(self) -> str:
         """Canonical text form: terms q*z20^i*s^j ordered by (j, i)."""
         terms = []
-        for p, n in enumerate(self.nums):
-            if not n:
-                continue
+        for p, n in self.terms:
             factors = []
             if p & 7:
                 factors.append(f"z20^{p & 7}")
@@ -438,14 +434,14 @@ def _invert_cached(a: Scalar) -> Scalar:
         n = f * f(z20^3)    rational,
 
     so 1/a = (u - v*s) * c(z20^11) * d(z20^19) * f(z20^3) / n."""
-    nums = a.nums
-    cofactor = Scalar._lowest(a.field, nums[:8] + tuple(-n for n in nums[8:]), a.den)
+    cofactor = Scalar._lowest(a.field, tuple([(p, -n if p >> 3 else n) for p, n in a.terms]),
+                              a.den)
     norm = a * cofactor
     for k in (11, 19, 3):
         image = norm._image(a.field.galois[k])
         cofactor = cofactor * image
         norm = norm * image
-    return cofactor * Fraction(norm.den, norm.nums[0])
+    return cofactor * Fraction(norm.den, norm.terms[0][1])
 
 
 _FIELDS = {True: _Field(True), False: _Field(False)}

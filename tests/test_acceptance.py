@@ -51,7 +51,7 @@ def plat3(braid_word) -> LinkDiagram:
 
 
 def test_criterion_1_axiom_suite():
-    rep = axiom_suite(Theory(), seed=2026, naturality_samples=100)
+    rep = axiom_suite(Theory(), seed=2026)
     assert rep.all_passed, rep.summary()
     names = {c.name: c.cases for c in rep.checks}
     assert names["pentagon"] >= 16

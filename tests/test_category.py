@@ -377,14 +377,14 @@ def test_zigzag_mixed_word(th):
 
 
 def test_axiom_suite_passes(any_theory):
-    report = axiom_suite(any_theory, seed=11, naturality_samples=30)
+    report = axiom_suite(any_theory, seed=11)
     assert report.all_passed, report.summary()
     assert "passed" in report.summary()
 
 
 def test_axiom_suite_reproducible(th):
-    first = axiom_suite(th, seed=12, naturality_samples=10)
-    second = axiom_suite(th, seed=12, naturality_samples=10)
+    first = axiom_suite(th, seed=12)
+    second = axiom_suite(th, seed=12)
     assert first.summary() == second.summary()
 
 

@@ -47,11 +47,10 @@ def image(v: Scalar, k: int, target: Theory) -> Scalar:
     field of ``target``: the coordinate of z20^i * s^j goes to
     z20^(i k) * s^j."""
     out = [0] * 16
-    for p, n in enumerate(v.nums):
-        if n:
-            j = p >> 3
-            for i, c in enumerate(_power((p & 7) * k)):
-                out[8 * j + i] += n * c
+    for p, n in v.terms:
+        j = p >> 3
+        for i, c in enumerate(_power((p & 7) * k)):
+            out[8 * j + i] += n * c
     return Scalar(target.field, [Fraction(n, v.den) for n in out])
 
 

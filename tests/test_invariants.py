@@ -557,14 +557,15 @@ def test_continued_fraction_examples():
 
 
 def test_continued_fraction_round_trip():
-    rng = random.Random(15)
-    for _ in range(40):
-        q = rng.randint(1, 12)
-        p = rng.randint(-20, 20)
-        if q == 0 or gcd(p, q) != 1:
-            continue
+    # every coprime p/q with |p| <= 50 and 1 <= |q| <= 50, and the longest
+    # expansion the bound allows: (n + 1)/n is n twos
+    n = invariants.MAX_LENS_FRAMINGS
+    pairs = [(p, q) for p in range(-50, 51) for q in range(-50, 51)
+             if q and gcd(p, q) == 1] + [(n + 1, n)]
+    for p, q in pairs:
         framings = continued_fraction_framings(p, q)
-        assert expand_minus_continued_fraction(framings) == Fraction(p, q)
+        assert expand_minus_continued_fraction(framings) == Fraction(p, q), (p, q)
+    assert framings == (2,) * n
 
 
 def test_continued_fraction_validation():

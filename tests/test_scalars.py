@@ -7,6 +7,7 @@ import random
 import subprocess
 import sys
 from fractions import Fraction
+from math import gcd
 from pathlib import Path
 
 import pytest
@@ -85,6 +86,17 @@ def test_divide_by_zero():
         Theory().zero.invert()
 
 
+def assert_canonical(v: Scalar) -> None:
+    """The form that equality and hashing rest on: nonzero numerators of
+    strictly ascending basis elements over a positive denominator, in
+    lowest terms, so zero is no terms over 1."""
+    ps = [p for p, _ in v.terms]
+    ns = [n for _, n in v.terms]
+    assert ps == sorted(set(ps)) and all(0 <= p < 16 for p in ps), v.terms
+    assert all(ns), v.terms
+    assert v.den >= 1 and gcd(v.den, *ns) == 1, (v.terms, v.den)
+
+
 def test_field_axioms_random(any_theory):
     rng = random.Random(2)
     for _ in range(6):
@@ -96,6 +108,17 @@ def test_field_axioms_random(any_theory):
         assert (a * b) * c == a * (b * c)
         assert a * b == b * a
         assert a * (b + c) == a * b + a * c
+        # every result is canonical, also where coordinates cancel
+        results = [a + b, a - b, a - a, (a + b) - b, -a, a * b, a ** 3,
+                   a.conjugate(), (a + b.conjugate()).conjugate()]
+        if not a.is_zero:
+            results += [b / a, a.invert(), a ** -2]
+        m = rng.randint(2, 6)
+        results.append(Scalar(any_theory.field, [
+            Fraction(rng.choice((0, rng.randint(-9, 9))) * m, rng.randint(1, 4) * m)
+            for _ in range(16)]))
+        for v in results:
+            assert_canonical(v)
 
 
 def test_canonical_form_idempotent(theory):
