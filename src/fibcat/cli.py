@@ -42,7 +42,7 @@ def _fraction(text: str) -> Fraction:
         raise argparse.ArgumentTypeError(f"not a rational number: {text!r}")
 
 
-_DEFAULTS = {"epsilon": None, "beta": None, "x": Fraction(1), "y": Fraction(1),
+_DEFAULTS = {"epsilon": "pos", "beta": "plus", "x": Fraction(1), "y": Fraction(1),
              "z": Fraction(1), "output": "both", "seed": 0,
              "no_euler_check": False}
 
@@ -55,10 +55,10 @@ _NEGATIVE_VALUES = ("A value that starts with '-' and is not a plain integer "
 
 def build_parser() -> argparse.ArgumentParser:
     common = _Parser(add_help=False, argument_default=argparse.SUPPRESS)
-    common.add_argument("--epsilon", metavar="pos|neg",
-                        help="sign of eps (default positive; env FIBCAT_EPSILON)")
-    common.add_argument("--beta", metavar="plus|minus",
-                        help="choice of braiding constant (env FIBCAT_BETA)")
+    common.add_argument("--epsilon", metavar="pos|neg", choices=tuple(_EPS_CHOICES),
+                        help="sign of eps (default pos; also positive, negative)")
+    common.add_argument("--beta", metavar="plus|minus", choices=("plus", "minus"),
+                        help="choice of braiding constant (default plus)")
     common.add_argument("-x", type=_fraction,
                         help="associator parameter (nonzero rational)")
     common.add_argument("-y", type=_fraction,
@@ -129,21 +129,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _theory_from_args(args) -> Theory:
-    eps = args.epsilon or os.environ.get("FIBCAT_EPSILON", "pos")
-    beta = args.beta or os.environ.get("FIBCAT_BETA", "plus")
-    if eps not in _EPS_CHOICES:
-        raise CliError(f"bad epsilon sign {eps!r} (want pos or neg)")
-    if beta not in ("plus", "minus"):
-        raise CliError(f"bad beta sign {beta!r} (want plus or minus)")
-    try:
-        return Theory(epsilon_sign=_EPS_CHOICES[eps],
-                      beta_sign=beta,
-                      x=args.x, y=args.y, z=args.z)
-    except ValueError as exc:
-        raise CliError(str(exc)) from None
-
-
 def _render(value: Scalar, mode: str) -> str:
     if mode == "exact":
         return value.render()
@@ -205,7 +190,8 @@ def run(argv: list[str] | None = None) -> int:
         for name, value in vars(args).items():
             if value == []:
                 raise CliError(f"option {name!r} needs a value")
-        theory = _theory_from_args(args)
+        theory = Theory(epsilon_sign=_EPS_CHOICES[args.epsilon], beta_sign=args.beta,
+                        x=args.x, y=args.y, z=args.z)
         return _dispatch(args, theory)
     # the link and spine parse and validation errors are ValueErrors
     except (CliError, ValueError) as exc:

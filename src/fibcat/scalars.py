@@ -105,13 +105,16 @@ class Scalar:
     element p over one positive common denominator ``den``, in lowest
     terms (zero is ``()`` over 1), so equal values have equal
     ``(terms, den)``.  ``coeffs[j*8 + i]`` is the rational coordinate of
-    z20^i * s^j.
+    z20^i * s^j; the constructor takes at most these 16 coordinates, and
+    pads a shorter list with zeros.
     """
 
     __slots__ = ("field", "terms", "den")
 
     def __init__(self, field: _Field, coeffs: Iterable[Rational]):
         fracs = [Fraction(c) for c in coeffs]
+        if len(fracs) > 16:
+            raise ValueError(f"{len(fracs)} coordinates, but the basis has 16")
         den = lcm(*(f.denominator for f in fracs))
         self.field = field
         self.terms = tuple((p, f.numerator * (den // f.denominator))

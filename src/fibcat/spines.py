@@ -17,9 +17,12 @@ same engine, so it equals ``tv`` at unit parameters.
 The engine does not enumerate the 2^C colorings.  It treats the sum as a
 factor graph with one variable per component and sums the components out
 one at a time (bucket elimination), so its cost is exponential in the
-elimination width of the spine, not in its number of components.  A spine
-whose planned width exceeds ``MAX_ELIMINATION_WIDTH``, or with more than
-``MAX_COMPONENTS`` components, is refused.
+elimination width of the spine, not in its number of components.  The
+i-th component of the planned order is bit i of every factor's scope and
+table keys, and a factor waits in the bucket of its lowest bit, the first
+of its components to be summed out.  A spine whose planned width
+exceeds ``MAX_ELIMINATION_WIDTH``, or with more than ``MAX_COMPONENTS``
+components, is refused.
 """
 
 from __future__ import annotations
@@ -41,10 +44,6 @@ def admissible(x: str, y: str, z: str) -> bool:
     return (x, y, z).count(A) != 1
 
 
-def _a_count(colors) -> int:
-    return colors.count(A)
-
-
 # ---------------------------------------------------------------------------
 # multiplicity-module basis elements
 
@@ -62,7 +61,7 @@ def _hom_unit_basis(x: str, y: str, z: str, coeff: Scalar, theory: Theory) -> Mo
     ones = [p for p, letter in enumerate(cod) if letter == ONE]
     if len(ones) > 1:
         raise AssertionError(f"unexpected multiplicity for {x}{y}{z}")
-    value = coeff * theory.y_scalar ** _a_count((x, y, z))
+    value = coeff * theory.y_scalar ** (x, y, z).count(A)
     arrows = {} if value.is_zero else {(0, p): value for p in ones}
     return Morphism._unchecked(cat.UNIT, cod, arrows, theory)
 
@@ -87,7 +86,7 @@ def _simple_cap(x: str, theory: Theory) -> Morphism:
 
 def pairing_table(x: str, y: str, z: str, a: Scalar, b: Scalar, theory: Theory) -> Scalar:
     """(a, b)^{xyz} for an admissible triple: ab, ab y^2 z^2, or ab x y^3 z^3."""
-    n = _a_count((x, y, z))
+    n = (x, y, z).count(A)
     if n == 1:
         raise ValueError(f"triple {x}{y}{z} is not admissible")
     return a * b * _pairing_unit(n, theory)
@@ -145,7 +144,7 @@ _PROFILES = ((0, 0, 0, 0), (0, 2, 2, 2), (2, 2, 2, 2), (2, 2, 3, 3), (3, 3, 3, 3
 def _profile(colors: SixColors) -> tuple[int, ...] | None:
     """The sorted per-triple A-counts of a vertex configuration, or None
     when one of its four triples is not admissible."""
-    counts = sorted(_a_count(t) for t in vertex_triples(colors))
+    counts = sorted(t.count(A) for t in vertex_triples(colors))
     return None if 1 in counts else tuple(counts)
 
 
@@ -411,9 +410,10 @@ MAX_ELIMINATION_WIDTH = 16
 # under the 4,300 that Python converts to text by default.
 MAX_COMPONENTS = 5000
 
-# A factor is (scope, table): a sorted tuple of component ids and a dict
-# of its nonzero values, keyed by an int mask whose bit i set means
-# scope[i] is colored A.
+# A factor is (scope, table): scope is the OR of its components' bits, a
+# component's bit being 1 << (its place in the elimination order), and
+# table is a dict of the factor's nonzero values, keyed by the subset of
+# scope's bits colored A.
 
 
 def _state_sum(spine: Spine, theory: Theory,
@@ -426,10 +426,13 @@ def _state_sum(spine: Spine, theory: Theory,
     The sum is a product of factors, one per component, triple line and
     vertex, summed over the colors of their components.  It is evaluated
     by bucket elimination: the components are summed out one at a time in
-    a greedy order planned from the scopes alone, each step joining the
-    factors that contain the component.  The cost is exponential in the
-    elimination width (the largest joined scope), which is at most
-    ``MAX_ELIMINATION_WIDTH``, over at most ``MAX_COMPONENTS`` components."""
+    a greedy order planned from the scopes alone, and component i of that
+    order is bit i of every mask.  A factor waits in the bucket of its
+    lowest bit, the first of its components to be summed out, and step i
+    joins the factors of bucket i and sums out bit i.  The cost is
+    exponential in the elimination width (the largest joined scope), which
+    is at most ``MAX_ELIMINATION_WIDTH``, over at most ``MAX_COMPONENTS``
+    components."""
     if spine.n_components > MAX_COMPONENTS:
         raise SpineValidationError(
             f"component count {spine.n_components} exceeds {MAX_COMPONENTS}")
@@ -440,45 +443,43 @@ def _state_sum(spine: Spine, theory: Theory,
         raise SpineValidationError(
             f"elimination width {width} exceeds {MAX_ELIMINATION_WIDTH}")
     vertex_weights = {p: _sixj_unit(p, theory) for p in _PROFILES}
-    # edge patterns have three slots and vertex patterns six, so they
-    # share one cache of tables
-    tables: dict[tuple[int, ...], dict[int, Scalar]] = {}
-    factors = [((c,), {0: theory.one, 1: theory.epsilon})
-               for c in range(spine.n_components)]
-    factors += [_local_factor(e, edge_weights, tables) for e in lines]
-    factors += [_local_factor(v, vertex_weights, tables) for v in spine.vertices]
-    position = {c: i for i, c in enumerate(order)}
+    bit = [0] * spine.n_components
+    for i, c in enumerate(order):
+        bit[c] = 1 << i
+    factors = [(b, {0: theory.one, b: theory.epsilon}) for b in bit]
+    factors += [_local_factor(e, edge_weights, bit) for e in lines]
+    factors += [_local_factor(v, vertex_weights, bit) for v in spine.vertices]
     buckets: list[list] = [[] for _ in order]
     total = theory.one
     for scope, table in factors:
-        buckets[min(position[c] for c in scope)].append((scope, table))
-    for i, c in enumerate(order):
+        buckets[(scope & -scope).bit_length() - 1].append((scope, table))
+    for i in range(len(order)):
         bucket, buckets[i] = buckets[i], []
         scope, table = bucket[0]
-        for other_scope, other_table in bucket[1:]:
-            scope, table = _join(scope, table, other_scope, other_table)
-        scope, table = _sum_out(scope, table, scope.index(c))
+        for other in bucket[1:]:
+            scope, table = _join(scope, table, *other)
+        scope, table = _sum_out(scope, table, 1 << i)
         if not table:
             return theory.zero
         if scope:
-            buckets[min(position[d] for d in scope)].append((scope, table))
+            buckets[(scope & -scope).bit_length() - 1].append((scope, table))
         else:
             total = total * table[0]
     return total
 
 
-def _local_factor(slots: tuple[int, ...], weights: dict, tables: dict) -> tuple:
-    """The factor of one triple line or vertex, its weights looked up by
-    the keys of ``_pattern_keys``.  A component repeated among the slots
-    is one scope bit read at each of its slots, and slot tuples with the
-    same pattern of repeats share one table."""
-    scope = tuple(sorted(set(slots)))
-    pattern = tuple(scope.index(c) for c in slots)
-    table = tables.get(pattern)
-    if table is None:
-        table = {mask: weights[key] for mask, key in _pattern_keys(pattern)}
-        tables[pattern] = table
-    return scope, table
+def _local_factor(slots: tuple[int, ...], weights: dict, bit: list[int]) -> tuple:
+    """The factor of one triple line or vertex: its weights looked up by
+    the keys of ``_pattern_keys``, each local mask spread onto the slots'
+    component bits.  A component repeated among the slots is one bit read
+    at each of its slots."""
+    local: dict[int, int] = {}
+    pattern = tuple(local.setdefault(c, len(local)) for c in slots)
+    bits = [bit[c] for c in local]
+    table = {}
+    for mask, key in _pattern_keys(pattern):
+        table[sum(b for j, b in enumerate(bits) if mask >> j & 1)] = weights[key]
+    return sum(bits), table
 
 
 @lru_cache(maxsize=4096)
@@ -491,7 +492,7 @@ def _pattern_keys(pattern: tuple[int, ...]) -> tuple[tuple[int, object], ...]:
     for mask in range(1 << (max(pattern) + 1)):
         colors = tuple(A if mask >> i & 1 else ONE for i in pattern)
         if len(pattern) == 3:
-            n = _a_count(colors)
+            n = colors.count(A)
             key = None if n == 1 else n
         else:
             key = _profile(colors)
@@ -532,43 +533,28 @@ def _elimination_order(n_components: int,
     return order, width
 
 
-def _spread(mask: int, positions: list[int]) -> int:
-    """Move bit i of ``mask`` to bit ``positions[i]``."""
-    out = 0
-    for i, p in enumerate(positions):
-        if mask >> i & 1:
-            out |= 1 << p
-    return out
-
-
-def _join(scope_a: tuple[int, ...], table_a: dict[int, Scalar],
-          scope_b: tuple[int, ...], table_b: dict[int, Scalar]) -> tuple:
+def _join(scope_a: int, table_a: dict[int, Scalar],
+          scope_b: int, table_b: dict[int, Scalar]) -> tuple:
     """The product of two factors, matching entries on their shared bits."""
-    scope = tuple(sorted(set(scope_a) | set(scope_b)))
-    pos_a = [scope.index(c) for c in scope_a]
-    pos_b = [scope.index(c) for c in scope_b]
-    shared = sum(1 << scope.index(c) for c in set(scope_a) & set(scope_b))
+    shared = scope_a & scope_b
     index: dict[int, list] = {}
     for m, value in table_b.items():
-        u = _spread(m, pos_b)
-        index.setdefault(u & shared, []).append((u, value))
+        index.setdefault(m & shared, []).append((m, value))
     table = {}
     for m, value in table_a.items():
-        u = _spread(m, pos_a)
-        for w, other in index.get(u & shared, ()):
-            table[u | w] = value * other
-    return scope, table
+        for w, other in index.get(m & shared, ()):
+            table[m | w] = value * other
+    return scope_a | scope_b, table
 
 
-def _sum_out(scope: tuple[int, ...], table: dict[int, Scalar], j: int) -> tuple:
-    """Sum over both colors of scope[j], dropping entries that cancel."""
-    low = (1 << j) - 1
+def _sum_out(scope: int, table: dict[int, Scalar], b: int) -> tuple:
+    """Sum over both colors of bit ``b``, dropping entries that cancel."""
     sums: dict[int, Scalar] = {}
     for m, value in table.items():
-        key = m & low | (m >> (j + 1)) << j
+        key = m & ~b
         prev = sums.get(key)
         sums[key] = value if prev is None else prev + value
-    return (scope[:j] + scope[j + 1:],
+    return (scope & ~b,
             {key: value for key, value in sums.items() if not value.is_zero})
 
 

@@ -6,6 +6,7 @@ from pathlib import Path
 import pytest
 
 from fibcat import ALL_THEORIES, Theory
+from fibcat.spines import Spine, vertex_triples
 from fibcat.tangles import EventKind, LinkEvent
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
@@ -46,6 +47,30 @@ def random_morse_word(rng: random.Random, width: int = 12) -> list[LinkEvent]:
         events.append(LinkEvent(cap, rng.randrange(n - 1)))
         n -= 2
     return events
+
+
+def random_spine(n_components: int, rng: random.Random) -> Spine:
+    """n-1 vertices with random slots; two of each vertex's four triples
+    become triple lines, so every triple line is one of its vertices'
+    triples and tv = t at unit parameters."""
+    vertices, edges = [], []
+    for _ in range(n_components - 1):
+        v = tuple(rng.randrange(n_components) for _ in range(6))
+        vertices.append(v)
+        edges.extend(rng.sample(vertex_triples(v), 2))
+    return Spine(n_components, tuple(edges), tuple(vertices))
+
+
+def banded_spine(n_components: int, rng: random.Random) -> Spine:
+    """Like ``random_spine``, but each vertex's slots come from a window
+    of four consecutive components, so the elimination width stays small."""
+    vertices, edges = [], []
+    for _ in range(n_components - 1):
+        low = rng.randrange(n_components - 3)
+        v = tuple(low + rng.randrange(4) for _ in range(6))
+        vertices.append(v)
+        edges.extend(rng.sample(vertex_triples(v), 2))
+    return Spine(n_components, tuple(edges), tuple(vertices))
 
 
 @pytest.fixture

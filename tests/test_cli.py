@@ -429,13 +429,13 @@ def test_help_lists_global_options(capsys, argv):
     assert "joined to its option with '=': -y=-5/7, --framings=-1,2" in " ".join(out.split())
 
 
-def test_env_overrides(capsys, monkeypatch):
+def test_environment_does_not_select_the_theory(capsys, monkeypatch):
+    # only --epsilon and --beta choose the signs
+    commands = [["hopf", "2"], ["tr-link", link("trefoil.txt")]]
+    default = [invoke(capsys, *command) for command in commands]
     monkeypatch.setenv("FIBCAT_EPSILON", "neg")
-    _, out_env, _ = invoke(capsys, "hopf", "2", "--output", "float")
-    monkeypatch.delenv("FIBCAT_EPSILON")
-    _, out_flag, _ = invoke(capsys, "hopf", "2", "--output", "float",
-                            "--epsilon", "neg")
-    assert out_env == out_flag
+    monkeypatch.setenv("FIBCAT_BETA", "minus")
+    assert [invoke(capsys, *command) for command in commands] == default
 
 
 def test_output_reproducible(capsys):
@@ -681,9 +681,7 @@ def test_option_value_double_dash_is_refused(capsys, argv):
     assert err.startswith(("error:", "usage:")) and "Traceback" not in err, err
 
 
-def test_seeded_argument_fuzz_exits_cleanly(tmp_path, capsys, monkeypatch):
-    monkeypatch.delenv("FIBCAT_EPSILON", raising=False)
-    monkeypatch.delenv("FIBCAT_BETA", raising=False)
+def test_seeded_argument_fuzz_exits_cleanly(tmp_path, capsys):
     over_bound = []
     for count in (sp.MAX_COMPONENTS + 1, 10 ** 30):
         path = tmp_path / f"components{count}.txt"

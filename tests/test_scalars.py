@@ -309,6 +309,10 @@ def test_equal_values_share_one_key(any_theory):
         assert len({left: 0, right: 1}) == 1
         assert left.coeffs == right.coeffs
         assert left.render() == right.render()
+    # a shorter list pads with zeros, and a longer one is refused
+    assert Scalar(any_theory.field, [Fraction(1, 2)]) == half
+    with pytest.raises(ValueError, match="17 coordinates, but the basis has 16"):
+        Scalar(any_theory.field, [0] * 16 + [1])
 
 
 # -- inversion by norm, against Gaussian elimination -----------------------

@@ -6,7 +6,7 @@ from itertools import product
 
 import pytest
 
-from conftest import read_fixture
+from conftest import banded_spine, random_spine, read_fixture
 from fibcat import ALL_THEORIES, Theory
 from fibcat import spines as sp
 from fibcat.category import A, ONE
@@ -164,8 +164,8 @@ def test_parse_sphere_spine():
 def test_render_round_trip():
     rng = random.Random("spine-render")
     spines = [SPHERE_SPINE, parse_spine(read_fixture("spines/sphere.txt"))]
-    spines += [_random_spine(rng.randint(1, 12), rng) for _ in range(40)]
-    spines += [_banded_spine(rng.randint(4, 30), rng) for _ in range(20)]
+    spines += [random_spine(rng.randint(1, 12), rng) for _ in range(40)]
+    spines += [banded_spine(rng.randint(4, 30), rng) for _ in range(20)]
     for spine in spines:
         text = spine.render()
         assert parse_spine(text) == spine, text
@@ -241,30 +241,6 @@ def test_non_admissible_coloring_contributes_zero(th):
 
 # -- the elimination engine against the coloring sum --------------------------------------
 
-def _random_spine(n_components, rng):
-    """n-1 vertices with random slots; two of each vertex's four triples
-    become triple lines, so every triple line is one of its vertices'
-    triples and tv = t at unit parameters."""
-    vertices, edges = [], []
-    for _ in range(n_components - 1):
-        v = tuple(rng.randrange(n_components) for _ in range(6))
-        vertices.append(v)
-        edges.extend(rng.sample(vertex_triples(v), 2))
-    return Spine(n_components, tuple(edges), tuple(vertices))
-
-
-def _banded_spine(n_components, rng):
-    """Like ``_random_spine``, but each vertex's slots come from a window
-    of four consecutive components, so the elimination width stays small."""
-    vertices, edges = [], []
-    for _ in range(n_components - 1):
-        low = rng.randrange(n_components - 3)
-        v = tuple(low + rng.randrange(4) for _ in range(6))
-        vertices.append(v)
-        edges.extend(rng.sample(vertex_triples(v), 2))
-    return Spine(n_components, tuple(edges), tuple(vertices))
-
-
 def _coloring_sum(spine, theory, with_edges):
     """The state sum as the plain loop over all 2^C colorings."""
     one = theory.one
@@ -289,7 +265,7 @@ def _coloring_sum(spine, theory, with_edges):
 
 def test_state_sums_match_coloring_sum():
     rng = random.Random(6)
-    spines = [_random_spine(rng.randint(0, 9), rng) for _ in range(20)]
+    spines = [random_spine(rng.randint(0, 9), rng) for _ in range(20)]
     repeated = [s for s in spines
                 if any(len(set(slots)) < len(slots) for slots in s.edges + s.vertices)]
     assert len(repeated) >= 15
@@ -307,23 +283,25 @@ def test_state_sums_match_coloring_sum():
 
 
 def test_state_sums_without_vertices(any_theory):
-    # 2^40 colorings, each weighted eps^#A: the binomial sum
-    spine = Spine(40, (), ())
-    expected = (any_theory.one + any_theory.epsilon) ** 40
-    assert tv(spine, any_theory) == expected
-    assert t_epsilon(spine, any_theory) == expected
+    # 2^n colorings, each weighted eps^#A: the binomial sum; at the
+    # component bound, in one theory, the masks reach bit 4,999
+    for n in (40, MAX_COMPONENTS) if any_theory == Theory() else (40,):
+        spine = Spine(n, (), ())
+        expected = (any_theory.one + any_theory.epsilon) ** n
+        assert tv(spine, any_theory) == expected
+        assert t_epsilon(spine, any_theory) == expected
 
 
 def test_banded_spine_tv_equals_t():
     theory = Theory(epsilon_sign="negative")
-    spine = _banded_spine(48, random.Random(48))
+    spine = banded_spine(48, random.Random(48))
     assert tv(spine, theory) == t_epsilon(spine, theory)
 
 
 def test_elimination_width_limit():
     # dense random incidence whose planned width is 17; the plan alone
     # refuses it, so no table of 2^17 entries is ever built
-    spine = _random_spine(23, random.Random(0))
+    spine = random_spine(23, random.Random(0))
     message = f"elimination width 17 exceeds {MAX_ELIMINATION_WIDTH}"
     with pytest.raises(SpineValidationError, match=message):
         tv(spine, Theory())
