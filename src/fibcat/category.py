@@ -10,9 +10,10 @@ its arrows, one scalar per pair (dom letter, cod letter) of the same
 simple type; letters of different type are never connected, and absent
 arrows are zero.
 The single nontrivial fusion rule A (x) A = 1 + A makes iterated tensor
-products depend on the bracketing, which is why the associator machinery
-below tracks, for every letter of an expansion, the simple letters it
-descends from.
+products depend on the bracketing, which is why every expansion comes
+with its index: for each pair of letters, the positions of its summands.
+The tensor product, associator, braiding and duality maps all route
+their arrows by that index.
 """
 
 from __future__ import annotations
@@ -57,36 +58,26 @@ def _pair_letters(x: str, y: str) -> Word:
 
 
 @lru_cache(maxsize=4096)
-def expand_pair(x_word: Word, y_word: Word) -> tuple[Word, tuple[tuple[int, int, int], ...]]:
-    """Expansion of X (x) Y with, per letter, its origin (i, j, t).
+def expand_pair(x_word: Word, y_word: Word) -> tuple[Word, dict[tuple[int, int], tuple[int, ...]]]:
+    """X (x) Y and, for each pair (i, j) of letters, the positions of the
+    summands of x_i (x) y_j in it, in order.
 
-    Pairs (x_i, y_j) are enumerated lexicographically; a pair of two A's
-    contributes its 1-summand (t = 0) then its A-summand (t = 1), any
-    other pair a single letter (t = 0).
+    Pairs are enumerated lexicographically, so the positions of all pairs
+    partition the word in ascending order.  A pair of two A's has two
+    summands, its 1-summand first; any other pair has one.
     """
     word: list[str] = []
-    labels: list[tuple[int, int, int]] = []
+    positions: dict[tuple[int, int], tuple[int, ...]] = {}
     for i, x in enumerate(x_word):
         for j, y in enumerate(y_word):
-            for t, letter in enumerate(_pair_letters(x, y)):
-                word.append(letter)
-                labels.append((i, j, t))
-    return "".join(word), tuple(labels)
+            summands = _pair_letters(x, y)
+            positions[i, j] = tuple(range(len(word), len(word) + len(summands)))
+            word += summands
+    return "".join(word), positions
 
 
 def tensor_words(x_word: Word, y_word: Word) -> Word:
     return expand_pair(x_word, y_word)[0]
-
-
-@lru_cache(maxsize=4096)
-def _pair_index(x_word: Word, y_word: Word) -> tuple[Word, dict[tuple[int, int], tuple[int, ...]]]:
-    """X (x) Y and, for each pair (i, j), the positions of its summands in
-    it, in the order of ``expand_pair``'s t."""
-    word, labels = expand_pair(x_word, y_word)
-    positions: dict[tuple[int, int], tuple[int, ...]] = {}
-    for p, (i, j, _) in enumerate(labels):
-        positions[(i, j)] = positions.get((i, j), ()) + (p,)
-    return word, positions
 
 
 # ---------------------------------------------------------------------------
@@ -204,8 +195,8 @@ def tensor_morphisms(f: Morphism, g: Morphism) -> Morphism:
     product of their values; a pair of A->A arrows feeds both the 1 and
     the A summand generated by A (x) A, and cross-summands stay zero.
     """
-    dom, dpos = _pair_index(f.dom, g.dom)
-    cod, cpos = _pair_index(f.cod, g.cod)
+    dom, dpos = expand_pair(f.dom, g.dom)
+    cod, cpos = expand_pair(f.cod, g.cod)
     arrows: Arrows = {}
     for (di, ci), fv in f.arrows.items():
         for (dj, cj), gv in g.arrows.items():
@@ -249,33 +240,31 @@ def _associator_plan(x_word: Word, y_word: Word, z_word: Word):
     """(left word, right word, entries) of the associator between
     (X(x)Y)(x)Z and X(x)(Y(x)Z), which depend on the words alone.
 
-    Rows and columns are routed by the simple-triple origin (i, j, k, t)
-    of every letter of the two expansions.  An entry (p, q, r, c) joins
-    letter p on the left to letter q on the right with the value at row
-    r and column c of ``_assoc_block``: the A, A, A block where its
-    summands have one type, else the identity entry (_ID, _ID).
+    Each simple triple (i, j, k) lists its summands on either side, on
+    the left each summand of x_i (x) y_j and then its summands with z_k,
+    on the right each summand of y_j (x) z_k and then those of x_i with
+    it; that listing is the order of the rows and columns of the triple's
+    block.  An entry (p, q, r, c) joins letter p on the left to letter q
+    on the right with the value at row r and column c of
+    ``_assoc_block``: the A, A, A block where its summands have one type,
+    else the identity entry (_ID, _ID).  Entries are in the order of
+    (p, q).
     """
-    # A letter's summand index t within its simple triple is t1 + t2 on the
-    # left and t_yz + t on the right: only A (x) A has two summands, and its
-    # 1-summand comes first and meets the third letter in a single summand.
-    yz, lab_yz = expand_pair(y_word, z_word)
-    right, lab = expand_pair(x_word, yz)
-    rindex = {}
-    for q, (i, pyz, t) in enumerate(lab):
-        j, k, t_yz = lab_yz[pyz]
-        rindex[i, j, k, t_yz + t] = q
-    xy, lab_xy = expand_pair(x_word, y_word)
-    left, lab = expand_pair(xy, z_word)
+    xy, xy_pos = expand_pair(x_word, y_word)
+    left, left_pos = expand_pair(xy, z_word)
+    yz, yz_pos = expand_pair(y_word, z_word)
+    right, right_pos = expand_pair(x_word, yz)
     entries = []
-    for p, (pxy, k, t2) in enumerate(lab):
-        i, j, t1 = lab_xy[pxy]
-        tl = t1 + t2
-        if x_word[i] == y_word[j] == z_word[k] == A:
-            entries += [(p, rindex[(i, j, k, tr)], tr, tl)
-                        for tr in range(len(_AAA)) if _AAA[tr] == _AAA[tl]]
-        else:
-            entries.append((p, rindex[(i, j, k, tl)], _ID, _ID))
-    return left, right, tuple(entries)
+    for (i, j), xy_summands in xy_pos.items():
+        for k, z in enumerate(z_word):
+            lhs = [p for s in xy_summands for p in left_pos[s, k]]
+            rhs = [q for s in yz_pos[j, k] for q in right_pos[i, s]]
+            if x_word[i] == y_word[j] == z == A:
+                entries += [(lhs[tl], rhs[tr], tr, tl) for tl in range(len(_AAA))
+                            for tr in range(len(_AAA)) if _AAA[tr] == _AAA[tl]]
+            else:
+                entries += [(p, q, _ID, _ID) for p, q in zip(lhs, rhs)]
+    return left, right, tuple(sorted(entries))
 
 
 def associator(x_word: Word, y_word: Word, z_word: Word,
@@ -302,15 +291,15 @@ def associator(x_word: Word, y_word: Word, z_word: Word,
 @lru_cache(maxsize=4096)
 def _braiding_plan(x_word: Word, y_word: Word):
     """(dom, cod, entries) of c_{X,Y}, which depend on the words alone: an
-    entry (p, q, e) joins letter p of X(x)Y to letter q of Y(x)X with value
-    beta^e, where e is 2 on the 1-summand of a pair of A's, 1 on its
-    A-summand and 0 on any other pair."""
-    dom, dlab = expand_pair(x_word, y_word)
-    cod, clab = expand_pair(y_word, x_word)
-    cpos = {lab: q for q, lab in enumerate(clab)}
-    entries = tuple((p, cpos[(j, i, t)],
+    entry (p, q, e) joins summand t of the pair (i, j) of X(x)Y, at p, to
+    summand t of the pair (j, i) of Y(x)X, at q, with value beta^e, where
+    e is 2 on the 1-summand of a pair of A's, 1 on its A-summand and 0 on
+    any other pair."""
+    dom, dom_pos = expand_pair(x_word, y_word)
+    cod, cod_pos = expand_pair(y_word, x_word)
+    entries = tuple((p, cod_pos[j, i][t],
                      (1 if t else 2) if x_word[i] == y_word[j] == A else 0)
-                    for p, (i, j, t) in enumerate(dlab))
+                    for (i, j), ps in dom_pos.items() for t, p in enumerate(ps))
     return dom, cod, entries
 
 
@@ -334,29 +323,23 @@ def twist(word: Word, theory: Theory, sign: int = 1) -> Morphism:
         theory)
 
 
-def _self_pair_firsts(word: Word) -> dict[int, int]:
-    """For X(x)X: word position of the leading 1-summand of x_i (x) x_i."""
-    _, labels = expand_pair(word, word)
-    return {i: p for p, (i, j, t) in enumerate(labels) if i == j and t == 0}
-
-
 def birth(word: Word, theory: Theory) -> Morphism:
     """b_X: 1 -> X(x)X; value y at 1-letters' leading summands, y*s at A's."""
-    cod = tensor_words(word, word)
+    cod, positions = expand_pair(word, word)
     y = theory.y_scalar
     ys = y * theory.s
-    arrows = {(0, p): (y if word[i] == ONE else ys)
-              for i, p in _self_pair_firsts(word).items()}
+    arrows = {(0, positions[i, i][0]): (y if x == ONE else ys)
+              for i, x in enumerate(word)}
     return Morphism._unchecked(UNIT, cod, arrows, theory)
 
 
 def death(word: Word, theory: Theory) -> Morphism:
     """d_X: X(x)X -> 1; value 1/y at 1-letters' leading summands, s/y at A's."""
-    dom = tensor_words(word, word)
+    dom, positions = expand_pair(word, word)
     y_inv = theory.y_scalar.invert()
     sy = theory.s * y_inv
-    arrows = {(p, 0): (y_inv if word[i] == ONE else sy)
-              for i, p in _self_pair_firsts(word).items()}
+    arrows = {(positions[i, i][0], 0): (y_inv if x == ONE else sy)
+              for i, x in enumerate(word)}
     return Morphism._unchecked(dom, UNIT, arrows, theory)
 
 
@@ -576,13 +559,12 @@ def axiom_suite(theory: Theory, seed: int = 0) -> AxiomReport:
         x = _random_word(rng, 3)
         m = tensor_morphisms(twist(x, theory), identity(x, theory)).then(
             braiding(x, x, theory))
-        word, labels = expand_pair(x, x)
-        pos = {lab: p for p, lab in enumerate(labels)}
+        word, positions = expand_pair(x, x)
+        swap = {p: q for (i, j), ps in positions.items() for p, q in zip(ps, positions[j, i])}
         ones = [p for p, letter in enumerate(word) if letter == ONE]
         for p in ones:
-            i, j, t = labels[p]
             for q in ones:
-                expect = theory.one if q == pos[(j, i, t)] else theory.zero
+                expect = theory.one if q == swap[p] else theory.zero
                 if m.entry(p, q) != expect:
                     return False
         return True

@@ -163,19 +163,6 @@ def _parse_framings(text: str) -> tuple[int, ...]:
     return framings
 
 
-def _coloring(diagram: tg.LinkDiagram, spec: str | None):
-    if spec is None:
-        return tg.all_a_coloring(diagram)
-    try:
-        colors = cat.parse_word(spec)
-    except ValueError as exc:
-        raise CliError(str(exc)) from None
-    if len(colors) != diagram.n_components:
-        raise CliError(f"coloring {spec!r} names {len(colors)} of "
-                       f"{diagram.n_components} components")
-    return colors
-
-
 _PARSER = build_parser()
 
 
@@ -217,7 +204,8 @@ def _dispatch(args, theory: Theory) -> int:
 
     if args.command == "eval-link":
         diagram = tg.parse_link(_read(args.file))
-        colors = _coloring(diagram, args.colors)
+        colors = (tg.all_a_coloring(diagram) if args.colors is None
+                  else cat.parse_word(args.colors))
         value = tg.evaluate(diagram, colors, theory)
         print(f"components: {diagram.n_components}")
         print(f"evaluation: {_render(value, mode)}")

@@ -70,7 +70,12 @@ def signature(rows: Sequence[Mapping[int, int]]) -> int:
     d - 2a = -4a); row r is then eliminated as usual.  Elimination
     updates only the rows that meet the pivot, so a chain of k circles
     costs O(k).  An entry is kept as a pair (numerator, denominator) in
-    lowest terms with a positive denominator.
+    lowest terms with a positive denominator, and sums and products are
+    reduced as in Knuth, TAOCP 4.5.1: never by the gcd of a whole new
+    numerator and denominator, only of a denominator or a cross factor
+    with its partner.  The pivots of a chain are ratios of continuants
+    (4,519 bits long after 2,000 fives), but each of their gcds meets an
+    entry that elimination has not yet touched, so it stays cheap.
     """
     n = len(rows)
     for i, row in enumerate(rows):
@@ -91,9 +96,10 @@ def signature(rows: Sequence[Mapping[int, int]]) -> int:
             t = 1 if 2 * an * dd + dn * ad else -1
             for j, (yn, yd) in list(partner.items()):   # (r, j) += t (c, j)
                 if j != r:
-                    _subtract(row, j, -t * yn, yd)
-                    _subtract(live[j], r, -t * yn, yd)
-            _subtract(row, r, -(2 * t * an * dd + dn * ad), ad * dd)
+                    _add(row, j, t * yn, yd)
+                    _add(live[j], r, t * yn, yd)
+            _add(row, r, *_product((2 * t, 1), (an, ad)))
+            _add(row, r, dn, dd)
         if row:
             sigma += _pivot(live, r)
         else:
@@ -107,24 +113,36 @@ _ZERO = (0, 1)
 
 def _pivot(live: _Rows, p: int) -> int:
     """Eliminate row p on its nonzero diagonal entry a: each entry (v, w)
-    of the rows that meet p loses x_v x_w / a.  Returns the sign of a."""
+    of the rows that meet p gains (-x_v / a) x_w.  Returns the sign of a."""
     pivot = live.pop(p)
     an, ad = pivot.pop(p)
-    for v, (xn, xd) in pivot.items():
+    minus_inv = (-ad, an) if an > 0 else (ad, -an)   # -1/a
+    for v, x in pivot.items():
         row = live[v]
         del row[p]
-        for w, (yn, yd) in pivot.items():
-            _subtract(row, w, xn * yn * ad, xd * yd * an)
+        m = _product(x, minus_inv)
+        for w, y in pivot.items():
+            _add(row, w, *_product(m, y))
     return 1 if an > 0 else -1
 
 
-def _subtract(row: dict[int, tuple[int, int]], w: int, num: int, den: int) -> None:
-    """row[w] -= num / den (den nonzero), keeping only nonzero entries."""
+def _product(u: tuple[int, int], v: tuple[int, int]) -> tuple[int, int]:
+    """u v in lowest terms, for u and v in lowest terms with positive
+    denominators: only the cross factors can cancel."""
+    (un, ud), (vn, vd) = u, v
+    g, h = gcd(un, vd), gcd(ud, vn)
+    return (un // g) * (vn // h), (ud // h) * (vd // g)
+
+
+def _add(row: dict[int, tuple[int, int]], w: int, num: int, den: int) -> None:
+    """row[w] += num / den, for num / den in lowest terms with den > 0,
+    keeping only nonzero entries."""
     on, od = row.get(w, _ZERO)
-    new_num, new_den = on * den - num * od, od * den
-    if new_num:
-        g = gcd(new_num, new_den)
-        row[w] = (new_num // g, new_den // g) if new_den > 0 else (-new_num // g, -new_den // g)
+    g = gcd(od, den)
+    total = on * (den // g) + num * (od // g)
+    if total:
+        h = gcd(total, g)
+        row[w] = (total // h, (od // g) * (den // h))
     else:
         row.pop(w, None)
 
@@ -182,8 +200,9 @@ def _chain_matrix(framings: tuple[int, ...]) -> list[dict[int, int]]:
 
 # The most framings a lens chain may have.  Its exact value carries
 # coordinates that grow with the chain: a fresh ``fibcat lens 20001
-# 20000`` (20,000 framings) takes 1.5-1.8 s, and ``lens 30001 30000``
-# 2.5-2.7 s (x86_64, Python 3.11).
+# 20000`` (20,000 framings) takes 1.7-1.8 s, the slowest 20,000-entry
+# ``--framings`` list measured, 20,000 fives, 2.7-2.8 s, and ``lens 30001
+# 30000`` 2.5-2.7 s (x86_64, Python 3.11).
 MAX_LENS_FRAMINGS = 20000
 
 

@@ -344,8 +344,8 @@ def _windows(word: cat.Word, c: str) -> list[str]:
     if len(word) == 1:
         return [c]
     ac = cat.tensor_words(A, c)
-    labels = cat.expand_pair(A, ac)[1]
-    return [t + ac[j] + c for t, (_, j, _) in zip(word, labels)]
+    positions = cat.expand_pair(A, ac)[1]
+    return [word[p] + ac[j] + c for (_, j), ps in positions.items() for p in ps]
 
 
 @lru_cache(maxsize=256)

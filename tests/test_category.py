@@ -55,11 +55,38 @@ def test_tensor_power_fibonacci_counts():
             assert (w.count(ONE), w.count(A)) == (2, 3)
 
 
+def _labels(x_word, y_word):
+    """X (x) Y and, per letter, its origin (i, j, t): the pair (x_i, y_j),
+    pairs taken lexicographically, and its summand t, where a pair of
+    A's gives its 1-summand then its A-summand; built apart from
+    ``expand_pair`` as a reference."""
+    word, labels = "", []
+    for i, x in enumerate(x_word):
+        for j, y in enumerate(y_word):
+            summands = ONE + A if x == y == A else (A if A in (x, y) else ONE)
+            word += summands
+            labels += [(i, j, t) for t in range(len(summands))]
+    return word, tuple(labels)
+
+
 def test_expansion_labels_are_positional():
-    word, labels = expand_pair("AA", "1A")
+    word, labels = _labels("AA", "1A")
     assert word == parse_word("A1AA1A")
     assert labels == ((0, 0, 0), (0, 1, 0), (0, 1, 1),
                       (1, 0, 0), (1, 1, 0), (1, 1, 1))
+    words = ["".join(w) for n in (1, 2, 3) for w in itertools.product((ONE, A), repeat=n)]
+    rng = random.Random(20)
+    pairs = list(itertools.product(words, repeat=2))
+    pairs += [(_random_word(rng, 6), _random_word(rng, 6)) for _ in range(100)]
+    for x, y in pairs:
+        word, positions = expand_pair(x, y)
+        ref_word, labels = _labels(x, y)
+        assert word == ref_word
+        # the positions partition the word in ascending order ...
+        assert [p for ps in positions.values() for p in ps] == list(range(len(word)))
+        # ... and summand t of the pair (i, j) sits at positions[i, j][t]
+        assert len(positions) == len(x) * len(y)
+        assert all(positions[i, j][t] == p for p, (i, j, t) in enumerate(labels))
 
 
 # -- composition ------------------------------------------------------------
@@ -241,11 +268,11 @@ def _routed_ranks(triples):
 
 
 def routed_associator(x_word, y_word, z_word, th, inverse=False):
-    xy, lab_xy = expand_pair(x_word, y_word)
-    left, lab = expand_pair(xy, z_word)
+    xy, lab_xy = _labels(x_word, y_word)
+    left, lab = _labels(xy, z_word)
     llab = _routed_ranks(lab_xy[pxy][:2] + (k,) for pxy, k, _ in lab)
-    yz, lab_yz = expand_pair(y_word, z_word)
-    right, lab = expand_pair(x_word, yz)
+    yz, lab_yz = _labels(y_word, z_word)
+    right, lab = _labels(x_word, yz)
     rlab = _routed_ranks((i,) + lab_yz[pyz][:2] for i, pyz, _ in lab)
     rindex = {key: q for q, key in enumerate(rlab)}
     arrows = {}
@@ -262,8 +289,8 @@ def routed_associator(x_word, y_word, z_word, th, inverse=False):
 
 
 def routed_braiding(x_word, y_word, th, inverse=False):
-    dom, dlab = expand_pair(x_word, y_word)
-    cod, clab = expand_pair(y_word, x_word)
+    dom, dlab = _labels(x_word, y_word)
+    cod, clab = _labels(y_word, x_word)
     cpos = {lab: q for q, lab in enumerate(clab)}
     beta = th.beta_inv if inverse else th.beta
     arrows = {}
@@ -459,8 +486,7 @@ def test_every_cache_is_bounded():
 def test_word_caches_stop_growing_across_theories():
     # a long-lived process that varies x, y, z: the caches keyed on words
     # alone fill under the first theory, and later theories add nothing
-    word_caches = [expand_pair, category._pair_index,
-                   category._associator_plan, category._braiding_plan]
+    word_caches = [expand_pair, category._associator_plan, category._braiding_plan]
     for cache in word_caches:
         cache.cache_clear()
     rng = random.Random(16)

@@ -319,6 +319,20 @@ def test_signature_matches_dense_elimination_on_sparse_matrices():
     assert zero_pivots > 10000
 
 
+def test_signature_gcds_stay_small_on_long_chains(monkeypatch):
+    # the pivots of a chain of fives are ratios of continuants thousands
+    # of bits long; a gcd of two of them would make the chain quadratic
+    smaller_bits = []
+
+    def recording_gcd(a, b):
+        smaller_bits.append(min(abs(a).bit_length(), abs(b).bit_length()))
+        return gcd(a, b)
+
+    monkeypatch.setattr(invariants, "gcd", recording_gcd)
+    assert signature(_chain_matrix((5,) * 2000)) == 2000
+    assert smaller_bits and max(smaller_bits) < 64
+
+
 def _random_symmetric(rng, n):
     m = [[0] * n for _ in range(n)]
     for i in range(n):

@@ -379,8 +379,8 @@ def _comb(n: int):
     inner comb it comes from; the unit word's one letter is the path 1."""
     word, paths = cat.UNIT, ["1"]
     for _ in range(n):
-        new, labels = cat.expand_pair(A, word)
-        paths = [letter + paths[j] for letter, (_, j, _) in zip(new, labels)]
+        new, positions = cat.expand_pair(A, word)
+        paths = [new[p] + paths[j] for (_, j), ps in positions.items() for p in ps]
         word = new
     return word, paths
 
