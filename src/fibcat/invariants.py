@@ -35,13 +35,9 @@ def tr_link(diagram: LinkDiagram, theory: Theory) -> Scalar:
 
 def linking_matrix(diagram: LinkDiagram) -> list[dict[int, int]]:
     """The symmetric integer linking matrix as sparse rows (see
-    ``signature``): framings on the diagonal, linking numbers (half the
-    signed inter-component crossing count) off it."""
-    counts = diagram.pair_counts()
-    if any(signed % 2 for signed in counts.values()):
-        raise ValueError("odd signed crossing count between components")
-    return _symmetric_rows(diagram.framings(),
-                           ((pair, signed // 2) for pair, signed in counts.items()))
+    ``signature``): framings on the diagonal, and off it the diagram's
+    ``linking`` numbers, each half the signed crossing count of a pair."""
+    return _symmetric_rows(diagram.framings(), diagram.linking)
 
 
 def _symmetric_rows(diagonal: Sequence[int],
@@ -163,7 +159,7 @@ def tr_manifold(diagram: LinkDiagram, theory: Theory) -> Scalar:
     """
     k = diagram.n_components
     sigma = signature(linking_matrix(diagram))
-    excess = [f - w for f, w in zip(diagram.framings(), diagram.self_writhes())]
+    excess = [f - w for f, w in zip(diagram.framings(), diagram.writhes)]
     weight = {d: theory.epsilon * theory.theta(d) for d in set(excess)}
     total = colored_sum(diagram, [weight[d] for d in excess], theory)
     return theory.phase(sigma) * theory.big_d ** (-k - 1) * total
@@ -222,8 +218,6 @@ def lens_tr_closed_form(framings: tuple[int, ...], theory: Theory) -> Scalar:
     k = len(framings)
     if k > MAX_LENS_FRAMINGS:
         raise ValueError(f"{k} framings exceed {MAX_LENS_FRAMINGS}")
-    if k == 0:
-        return theory.big_d.invert()
     sigma = signature(_chain_matrix(framings))
     e2 = theory.epsilon ** 2
     outside, inside = theory.one, theory.zero

@@ -32,8 +32,9 @@ first cup and is merged away after its last cap, so the sum costs
 2^(most components open at once) times the vector work, a peak bounded
 by ``MAX_OPEN_COMPONENTS``.
 
-Writhes are read off a diagram with ``LinkDiagram.self_writhes`` and
-``total_writhe``.
+A diagram sums its crossings and kinks once, when it is built, into
+per-component writhes and twists (net kinks) and per-pair linking
+numbers, and refuses more than ``MAX_COMPONENTS`` components.
 A diagram carries its framings: ``framing i=f`` lines declare them, and
 the rest default to the self-writhes.  ``build_hopf_chain`` can draw
 framings as kinks, but surgery does not need them drawn:
@@ -82,20 +83,6 @@ class LinkValidationError(ValueError):
     """Structurally impossible event sequence (strand bookkeeping fails)."""
 
 
-@dataclass(frozen=True)
-class Crossing:
-    """One crossing with the data needed for all sign bookkeeping."""
-    comp_a: int
-    comp_b: int
-    dir_a: int
-    dir_b: int
-    nominal: int
-
-    @property
-    def sign(self) -> int:
-        return self.nominal * self.dir_a * self.dir_b
-
-
 def _derived():
     """A ``LinkDiagram`` field that ``_analyze`` sets from the events."""
     return field(init=False, repr=False, compare=False)
@@ -110,8 +97,13 @@ class LinkDiagram:
     declared_framings: tuple[tuple[int, int], ...] = ()
     n_components: int = _derived()
     event_components: tuple[tuple[int, ...], ...] = _derived()
-    crossings: tuple[Crossing, ...] = _derived()
-    kinks: tuple[tuple[int, int], ...] = _derived()   # (component, sign)
+    # per component, its signed self-crossings plus its kinks, and its
+    # net signed kinks alone
+    writhes: tuple[int, ...] = _derived()
+    twists: tuple[int, ...] = _derived()
+    # ((i, j), lk) for each pair i < j of nonzero linking number, in the
+    # order of the pairs' first crossings
+    linking: tuple[tuple[tuple[int, int], int], ...] = _derived()
     # per component, the index of its first event (a cup) and of its last
     # (a cap); it holds strands in between
     first_events: tuple[int, ...] = _derived()
@@ -120,6 +112,9 @@ class LinkDiagram:
     def __post_init__(self):
         for name, value in _analyze(self.events).items():
             object.__setattr__(self, name, value)
+        if self.n_components > MAX_COMPONENTS:
+            raise LinkValidationError(f"link of {self.n_components} components "
+                                      f"exceeds {MAX_COMPONENTS}")
         seen: set[int] = set()
         for comp, _ in self.declared_framings:
             if not 0 <= comp < self.n_components:
@@ -141,25 +136,10 @@ class LinkDiagram:
 
     def self_writhes(self) -> list[int]:
         """w(l_i): signed self-crossing count (kinks included), per component."""
-        w = [0] * self.n_components
-        for c in self.crossings:
-            if c.comp_a == c.comp_b:
-                w[c.comp_a] += c.sign
-        for comp, sign in self.kinks:
-            w[comp] += sign
-        return w
+        return list(self.writhes)
 
     def total_writhe(self) -> int:
-        return sum(self.self_writhes())
-
-    def pair_counts(self) -> dict[tuple[int, int], int]:
-        """Signed crossing count per unordered component pair (i < j)."""
-        out: dict[tuple[int, int], int] = {}
-        for c in self.crossings:
-            if c.comp_a != c.comp_b:
-                key = (min(c.comp_a, c.comp_b), max(c.comp_a, c.comp_b))
-                out[key] = out.get(key, 0) + c.sign
-        return out
+        return sum(self.writhes)
 
     def with_events(self, events: Iterable[LinkEvent]) -> LinkDiagram:
         return LinkDiagram(tuple(events), self.declared_framings)
@@ -190,12 +170,13 @@ class LinkDiagram:
 def _analyze(events: Sequence[LinkEvent]) -> dict:
     """Check the strand bookkeeping of the events and trace strands
     through them; orient each component along its traversal from the
-    first-created segment and derive crossing signs.  Returns the derived
-    fields of ``LinkDiagram`` by name."""
+    first-created segment and sum each crossing's sign, nominal times
+    both strand directions, into a writhe or a linking number.  Returns
+    the derived fields of ``LinkDiagram`` by name."""
     slots: list[int] = []                 # segment id per strand slot
     capped: list[int] = []                # segment -> the segment it meets at its cap
+    kinked: list[int] = []                # segment -> its net signed kinks
     raw_crossings: list[tuple[int, int, int]] = []   # (seg_a, seg_b, nominal)
-    raw_kinks: list[tuple[int, int]] = []            # (seg, sign)
     event_segments: list[tuple[int, ...]] = []
 
     for idx, ev in enumerate(events):
@@ -207,6 +188,7 @@ def _analyze(events: Sequence[LinkEvent]) -> dict:
                 raise LinkValidationError(f"event {idx}: cup at {ev.pos} with {n} strands")
             s1, s2 = len(capped), len(capped) + 1
             capped += (-1, -1)
+            kinked += (0, 0)
             slots[ev.pos:ev.pos] = [s1, s2]
             event_segments.append((s1, s2))
         elif ev.kind is EventKind.CAP:
@@ -228,7 +210,7 @@ def _analyze(events: Sequence[LinkEvent]) -> dict:
             if ev.pos >= n:
                 raise LinkValidationError(f"event {idx}: kink at {ev.pos} with {n} strands")
             s = slots[ev.pos]
-            raw_kinks.append((s, 1 if ev.kind is EventKind.TWIST_POS else -1))
+            kinked[s] += 1 if ev.kind is EventKind.TWIST_POS else -1
             event_segments.append((s,))
     if slots:
         raise LinkValidationError(f"diagram leaves {len(slots)} strands open")
@@ -239,22 +221,33 @@ def _analyze(events: Sequence[LinkEvent]) -> dict:
     # 2m and 2m + 1, so the partner of s at its cup is s ^ 1.
     component = [-1] * len(capped)
     direction = [0] * len(capped)
-    n_components = 0
+    twists: list[int] = []
     for s0 in range(len(capped)):
         if component[s0] >= 0:
             continue
-        s, d = s0, 1
+        s, d, c = s0, 1, len(twists)
+        twists.append(0)
         while component[s] < 0:
-            component[s] = n_components
+            component[s] = c
             direction[s] = d
+            twists[c] += kinked[s]
             s = capped[s] if d > 0 else s ^ 1
             d = -d
-        n_components += 1
+    n_components = len(twists)
 
-    crossings = tuple(
-        Crossing(component[a], component[b], direction[a], direction[b], nominal)
-        for a, b, nominal in raw_crossings)
-    kinks = tuple((component[s], sign) for s, sign in raw_kinks)
+    writhes = list(twists)
+    signed: dict[tuple[int, int], int] = {}   # crossings between a pair i < j
+    for a, b, nominal in raw_crossings:
+        i, j = component[a], component[b]
+        sign = nominal * direction[a] * direction[b]
+        if i == j:
+            writhes[i] += sign
+        else:
+            pair = (i, j) if i < j else (j, i)
+            signed[pair] = signed.get(pair, 0) + sign
+    # two closed curves in the plane cross an even number of times
+    linking = tuple((pair, count // 2) for pair, count in signed.items() if count)
+
     event_components = tuple(tuple(component[s] for s in segs)
                              for segs in event_segments)
     first: list[int | None] = [None] * n_components
@@ -265,7 +258,7 @@ def _analyze(events: Sequence[LinkEvent]) -> dict:
                 first[c] = idx
             last[c] = idx
     return {"n_components": n_components, "event_components": event_components,
-            "crossings": crossings, "kinks": kinks,
+            "writhes": tuple(writhes), "twists": tuple(twists), "linking": linking,
             "first_events": tuple(first), "last_events": tuple(last)}
 
 
@@ -325,6 +318,12 @@ def all_a_coloring(diagram: LinkDiagram) -> Coloring:
 
 _Vector = dict[str, Scalar]
 _Table = dict[str, tuple[tuple[str, Scalar], ...]]
+
+# The most components a link may have, read or drawn.  Its exact value
+# carries coordinates of about k/5 digits: a fresh ``fibcat hopf 5000``
+# takes 0.8 s and ``hopf 5000 --framings`` 2.2 s, and 20,000 disjoint
+# unknots pass the 4,300 digits Python renders (x86_64, Python 3.11).
+MAX_COMPONENTS = 5000
 
 # The most components a colored sum lets hold strands at once; its keys
 # number up to 2 to this power (as ``spines.MAX_ELIMINATION_WIDTH``).
@@ -409,10 +408,10 @@ def _merge(states: dict[int, _Vector], key: int, vector: _Vector) -> None:
         del states[key]
 
 
-# The colors a component may take when it opens: (A-colored, weight).  A
-# 1-colored component is deleted, so its branch keeps the state as it is
-# and its weight is 1.
-_Branches = Sequence[tuple[bool, Scalar]]
+# The colors a component may take when it opens: None for 1, or the
+# weight of A.  A 1-colored component is deleted, so its branch keeps the
+# state as it is and carries no weight.
+_Branches = Sequence[Scalar | None]
 
 
 def _sweep(diagram: LinkDiagram, branches: Sequence[_Branches],
@@ -431,15 +430,12 @@ def _sweep(diagram: LinkDiagram, branches: Sequence[_Branches],
     strands.
 
     A kink is the ribbon twist, beta^(-2 sign) on an A-colored strand and
-    1 on a 1-colored one, so it is no event of the sweep: the net signed
-    kinks k of a component scale its A branch by beta^(-2 k).  A kink
-    moves no strand, and it is never a component's first or last event.
+    1 on a 1-colored one, so it is no event of the sweep: the twist k of
+    a component, its net signed kinks, scales its A branch by
+    beta^(-2 k).  A kink moves no strand, and it is never a component's
+    first or last event.
     """
     first, last = diagram.first_events, diagram.last_events
-    bit = [1 << c for c in range(diagram.n_components)]
-    net_kinks = [0] * diagram.n_components
-    for comp, sign in diagram.kinks:
-        net_kinks[comp] += sign
     tables = {kind: _table(kind, theory)
               for kind in {ev.kind for ev in diagram.events} if kind in _WINDOW}
     states: dict[int, _Vector] = {0: {ONE: theory.one}}
@@ -450,7 +446,7 @@ def _sweep(diagram: LinkDiagram, branches: Sequence[_Branches],
         if table is None:     # a kink, applied when its component opens
             continue
         c = comps[0]
-        bits = bit[c] | bit[comps[-1]]
+        bits = 1 << c | 1 << comps[-1]
         # strands left of pos per component bit, counted once for all keys
         counts: dict[int, int] = {}
         for b in slots[:pos]:
@@ -459,13 +455,13 @@ def _sweep(diagram: LinkDiagram, branches: Sequence[_Branches],
         out: dict[int, _Vector] = {}
         if first[c] == idx:
             # the cup opens c: every key branches into c's colors, and the
-            # weight of an A branch, with c's kinks, scales the cup's table,
+            # weight of an A branch, with c's twist, scales the cup's table,
             # not each vector; a weight of 1 leaves the table as it is
-            for is_a, weight in branches[c]:
-                if not is_a:
+            for weight in branches[c]:
+                if weight is None:
                     out.update(states)
                     continue
-                weight = weight * theory.theta(net_kinks[c])
+                weight = weight * theory.theta(diagram.twists[c])
                 cup = table
                 if weight != theory.one:
                     cup = {window: tuple((new, v * weight) for new, v in entries)
@@ -514,7 +510,7 @@ def evaluate(diagram: LinkDiagram, coloring: Coloring, theory: Theory) -> Scalar
     if len(coloring) != diagram.n_components:
         raise ValueError(f"coloring names {len(coloring)} of "
                          f"{diagram.n_components} components")
-    return _sweep(diagram, [((c == A, theory.one),) for c in coloring], theory)
+    return _sweep(diagram, [(theory.one if c == A else None,) for c in coloring], theory)
 
 
 def colored_sum(diagram: LinkDiagram, weights: Sequence[Scalar],
@@ -534,7 +530,7 @@ def colored_sum(diagram: LinkDiagram, weights: Sequence[Scalar],
     if peak > MAX_OPEN_COMPONENTS:
         raise ValueError(f"{peak} components open at once exceeds "
                          f"{MAX_OPEN_COMPONENTS}")
-    return _sweep(diagram, [((False, theory.one), (True, w)) for w in weights], theory)
+    return _sweep(diagram, [(None, w) for w in weights], theory)
 
 
 def evaluate_all_a(diagram: LinkDiagram, theory: Theory) -> Scalar:
@@ -545,21 +541,14 @@ def evaluate_all_a(diagram: LinkDiagram, theory: Theory) -> Scalar:
 # builders
 
 
-# The most circles a chain may link.  Its exact value carries coordinates
-# of about k/5 digits: a fresh ``fibcat hopf 5000`` takes 0.8 s and
-# ``hopf 5000 --framings`` 2.2 s, against 4.4 s for an unframed
-# ``hopf 20000`` (x86_64, Python 3.11).
-MAX_CHAIN_COMPONENTS = 5000
-
-
 def build_hopf_chain(k: int, framings: Sequence[int] | None = None) -> LinkDiagram:
     """The k-component chain of consecutively linked circles; when framings
     are given, kinks are inserted so component i has self-writhe f_i.
-    A chain of more than ``MAX_CHAIN_COMPONENTS`` circles is refused."""
+    A chain of more than ``MAX_COMPONENTS`` circles is refused."""
     if k < 1:
         raise ValueError("chain needs at least one component")
-    if k > MAX_CHAIN_COMPONENTS:
-        raise ValueError(f"chain of {k} components exceeds {MAX_CHAIN_COMPONENTS}")
+    if k > MAX_COMPONENTS:
+        raise ValueError(f"chain of {k} components exceeds {MAX_COMPONENTS}")
     if framings is not None and len(framings) != k:
         raise ValueError(f"expected {k} framings, got {len(framings)}")
 

@@ -10,6 +10,7 @@ from decimal import Context, Decimal, localcontext
 
 import pytest
 from conftest import FIXTURES, random_morse_word
+from fibcat import Theory
 from fibcat import invariants as inv
 from fibcat import spines as sp
 from fibcat import tangles as tg
@@ -146,13 +147,43 @@ def test_hopf_chain_length_bound(capsys, monkeypatch, framed):
         raise AssertionError("a chain event was built")
 
     monkeypatch.setattr(tg, "LinkEvent", no_events)
-    k = tg.MAX_CHAIN_COMPONENTS + 1
+    k = tg.MAX_COMPONENTS + 1
     argv = ["hopf", str(k)] + ([f"--framings={','.join(['1'] * k)}"] if framed else [])
     code, out, err = invoke(capsys, *argv)
     assert (code, out) == (1, "")
-    assert err == f"error: chain of {k} components exceeds {tg.MAX_CHAIN_COMPONENTS}\n"
+    assert err == f"error: chain of {k} components exceeds {tg.MAX_COMPONENTS}\n"
     with pytest.raises(ValueError, match="exceeds"):
         tg.build_hopf_chain(k)
+
+
+def _disjoint_unknots(tmp_path, n):
+    path = tmp_path / f"unknots{n}.txt"
+    path.write_text("link\n" + "cup 0\ncap 0\n" * n + "end\n")
+    return str(path)
+
+
+@pytest.mark.parametrize("argv", [["tr-link"], ["eval-link"], ["tr-manifold"],
+                                  ["compare-rt-tv", f"--spine={spine('sphere.txt')}", "--link"]],
+                         ids=["tr-link", "eval-link", "tr-manifold", "compare-rt-tv"])
+def test_link_component_bound(capsys, monkeypatch, tmp_path, argv):
+    # refused when the file is read, before any output or any sweep
+    def no_sweep(*args):
+        raise AssertionError("the sweep ran")
+
+    monkeypatch.setattr(tg, "_sweep", no_sweep)
+    k = tg.MAX_COMPONENTS + 1
+    assert invoke(capsys, *argv, _disjoint_unknots(tmp_path, k)) \
+        == (1, "", f"error: link of {k} components exceeds {tg.MAX_COMPONENTS}\n")
+
+
+def test_link_component_bound_admits_its_bound(capsys, tmp_path):
+    # k disjoint unknots: tr = eps^(k - 1), rendered exactly
+    k = tg.MAX_COMPONENTS
+    code, out, err = invoke(capsys, "tr-link", "--output", "exact",
+                            _disjoint_unknots(tmp_path, k))
+    assert (code, err) == (0, "")
+    assert out == (f"components: {k}, writhe: 0 {[0] * k}\n"
+                   f"tr: {(Theory().epsilon ** (k - 1)).render()}\n")
 
 
 def _nested_unknots(tmp_path, n):
@@ -575,7 +606,7 @@ def _fuzz_value(rng: random.Random, kind: str, over_bound: tuple[str, ...] = ())
     one or a malformed one.  Sizes that would do work stay small: hopf
     K <= 40, lens P and Q within +-50, at most eight framings or indices.
     Sizes past a bound are refused before any work: hopf K over
-    ``MAX_CHAIN_COMPONENTS`` (up to 10^30), a lens framing list one over
+    ``tangles.MAX_COMPONENTS`` (up to 10^30), a lens framing list one over
     ``MAX_LENS_FRAMINGS``, and the spine files ``over_bound``."""
     if rng.random() < 0.1:
         return rng.choice(_MALFORMED)
@@ -585,7 +616,7 @@ def _fuzz_value(rng: random.Random, kind: str, over_bound: tuple[str, ...] = ())
     if kind == "k":
         if rng.random() < 0.6:
             return str(rng.randint(-3, 40))
-        over = tg.MAX_CHAIN_COMPONENTS + 1
+        over = tg.MAX_COMPONENTS + 1
         return str(rng.choice([over, rng.randint(over, 10 ** 9), 10 ** 30]))
     if kind == "pq":
         return str(rng.randint(-50, 50))

@@ -502,6 +502,11 @@ def test_lens_closed_form_examples(th, unknot):
         == tr_manifold(unknot.with_framings((4,)), th)
 
 
+def test_lens_closed_form_empty_chain(any_theory):
+    # surgery on the empty link is S^3: the general formula at k = 0
+    assert lens_tr_closed_form((), any_theory) == any_theory.big_d.invert()
+
+
 def test_lens_closed_form_matches_surgery_sum(th):
     for k in (1, 2):
         for framings in itertools.product(range(-2, 5), repeat=k):

@@ -50,19 +50,18 @@ def plat3(braid_word) -> LinkDiagram:
 
 def test_parse_unknot(unknot):
     assert unknot.n_components == 1
-    assert unknot.crossings == ()
+    assert (unknot.writhes, unknot.linking) == ((0,), ())
 
 
 def test_parse_trefoil(trefoil):
     assert trefoil.n_components == 1
-    assert len(trefoil.crossings) == 3
-    assert all(c.sign == 1 for c in trefoil.crossings)
+    assert (trefoil.writhes, trefoil.linking) == ((3,), ())
 
 
 def test_parse_two_component_unlink():
     d = parse_link("link\ncup 0\ncup 1\ncap 1\ncap 0\nend\n")
     assert d.n_components == 2
-    assert d.crossings == ()
+    assert (d.writhes, d.linking) == ((0, 0), ())
 
 
 def test_parse_comments_and_framings():
@@ -95,6 +94,13 @@ def test_validation_errors():
         parse_link("link\ncup 0\nend\n")
     with pytest.raises(LinkValidationError):
         parse_link("link\ncup 0\ntp 2\ncap 0\nend\n")
+
+
+def test_component_bound():
+    k = tangles.MAX_COMPONENTS + 1
+    with pytest.raises(LinkValidationError,
+                       match=f"^link of {k} components exceeds {tangles.MAX_COMPONENTS}$"):
+        parse_link("link\n" + "cup 0\ncap 0\n" * k + "end\n")
 
 
 def test_framing_validation_when_built():
@@ -135,33 +141,105 @@ def test_mirror_trefoil_writhe(trefoil):
 def test_hopf_pair_counts():
     h2 = build_hopf_chain(2)
     assert h2.self_writhes() == [0, 0]
-    counts = h2.pair_counts()
-    assert set(counts) == {(0, 1)}
-    assert abs(counts[(0, 1)]) == 2
+    assert h2.linking in ((((0, 1), 1),), (((0, 1), -1),))
 
 
 def test_kinks_count_in_writhe():
     d = parse_link("link\ncup 0\ntp 0\ntp 1\ntn 0\ncap 0\nend\n")
     assert d.self_writhes() == [1]
-    assert d.kinks == ((0, 1), (0, 1), (0, -1))
+    assert d.twists == (1,)
+
+
+def _traced(events) -> tuple[int, list, list]:
+    """The components of a diagram with their crossings and kinks, traced
+    without ``_analyze``: a union-find over the cups, where each cup's
+    upper leg runs along the cup's orientation and its lower leg against
+    it, and a cap joins two legs running opposite ways.  A component is
+    oriented so that its first cup's upper leg runs right, and components
+    are numbered by their first cups.  Returns the component count, each
+    crossing as ((component, direction), (component, direction), nominal
+    sign) and each kink as (component, sign)."""
+    parent: list[int] = []
+    parity: list[int] = []      # a cup's orientation against its parent's
+
+    def find(n: int) -> tuple[int, int]:
+        p = 1
+        while parent[n] != n:
+            p *= parity[n]
+            n = parent[n]
+        return n, p
+
+    slots: list[tuple[int, int]] = []    # (cup, direction against the cup)
+    crossings, kinks = [], []
+    for ev in events:
+        pos = ev.pos
+        if ev.kind is EventKind.CUP:
+            cup = len(parent)
+            parent.append(cup)
+            parity.append(1)
+            slots[pos:pos] = [(cup, 1), (cup, -1)]
+        elif ev.kind is EventKind.CAP:
+            (a, da), (b, db) = slots[pos:pos + 2]
+            (ra, pa), (rb, pb) = find(a), find(b)
+            if ra != rb:
+                parent[ra], parity[ra] = rb, -da * pa * db * pb
+            else:
+                assert da * pa == -db * pb
+            del slots[pos:pos + 2]
+        elif ev.kind in (EventKind.CROSS_POS, EventKind.CROSS_NEG):
+            nominal = 1 if ev.kind is EventKind.CROSS_POS else -1
+            crossings.append((slots[pos], slots[pos + 1], nominal))
+            slots[pos], slots[pos + 1] = slots[pos + 1], slots[pos]
+        else:
+            kinks.append((slots[pos][0], 1 if ev.kind is EventKind.TWIST_POS else -1))
+    number: dict[int, int] = {}     # root -> component
+    flip: dict[int, int] = {}       # root -> its first cup's parity
+    orient: list[tuple[int, int]] = []   # per cup: (component, orientation)
+    for cup in range(len(parent)):
+        root, p = find(cup)
+        if root not in number:
+            number[root], flip[root] = len(number), p
+        orient.append((number[root], p * flip[root]))
+
+    def strand(cup: int, d: int) -> tuple[int, int]:
+        return orient[cup][0], d * orient[cup][1]
+
+    return (len(number),
+            [(strand(*a), strand(*b), nominal) for a, b, nominal in crossings],
+            [(orient[cup][0], sign) for cup, sign in kinks])
 
 
 def test_self_writhe_orientation_independent(trefoil):
-    # flipping the traversal orientation of any subset of components
-    # flips both strand directions at a self-crossing, so its sign and
-    # hence w(l_i) cannot change
-    for diagram in (trefoil, build_hopf_chain(3, (1, -2, 0))):
-        base = diagram.self_writhes()
-        k = diagram.n_components
+    # flipping the orientation of any subset of components flips both
+    # strand directions at a self-crossing, so its sign and hence w(l_i)
+    # cannot change, while the signed crossings between two components
+    # change by the product of their flips; and two closed components
+    # cross an even number of times
+    rng = random.Random("orientation")
+    diagrams = [trefoil, build_hopf_chain(3, (1, -2, 0))]
+    for width in (2, 4, 6, 8):
+        for _ in range(5):
+            plain = _random_plat(rng, width, [rng.randrange(width - 1) for _ in range(width)])
+            diagrams.append(_with_kinks(rng, plain, rng.randint(1, 6)))
+    for diagram in diagrams:
+        k, crossings, kinks = _traced(diagram.events)
+        assert k == diagram.n_components <= 4
         for flips in itertools.product((1, -1), repeat=k):
             w = [0] * k
-            for c in diagram.crossings:
-                if c.comp_a == c.comp_b:
-                    w[c.comp_a] += (c.nominal * c.dir_a * flips[c.comp_a]
-                                    * c.dir_b * flips[c.comp_b])
-            for comp, sign in diagram.kinks:
+            for comp, sign in kinks:
                 w[comp] += sign
-            assert w == base
+            signed: dict[tuple[int, int], int] = {}
+            for (i, di), (j, dj), nominal in crossings:
+                sign = nominal * di * flips[i] * dj * flips[j]
+                if i == j:
+                    w[i] += sign
+                else:
+                    pair = (min(i, j), max(i, j))
+                    signed[pair] = signed.get(pair, 0) + sign
+            assert w == diagram.self_writhes(), diagram.render()
+            assert all(count % 2 == 0 for count in signed.values())
+            assert {pair: count // 2 for pair, count in signed.items() if count} \
+                == {(i, j): flips[i] * flips[j] * lk for (i, j), lk in diagram.linking}
 
 
 # -- evaluation --------------------------------------------------------------------
@@ -365,7 +443,8 @@ def test_kinks_apply_no_event(monkeypatch, th):
     rng = random.Random(5)
     plain = _random_plat(rng, 6, [rng.randrange(5) for _ in range(8)])
     kinked = _with_kinks(rng, plain, 100)
-    assert len(kinked.kinks) == 100
+    assert sum(ev.kind in (EventKind.TWIST_POS, EventKind.TWIST_NEG)
+               for ev in kinked.events) == 100
     assert apply_calls(plain) > 0
     assert apply_calls(kinked) == apply_calls(plain)
 
@@ -451,7 +530,7 @@ def test_framed_chain_evaluation_closed_form(th):
 def test_build_hopf_chain_unknot():
     h1 = build_hopf_chain(1)
     assert h1.n_components == 1
-    assert h1.crossings == ()
+    assert (h1.writhes, h1.linking) == ((0,), ())
 
 
 def test_build_hopf_chain_framings():
