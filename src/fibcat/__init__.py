@@ -6,7 +6,7 @@ from .category import (Morphism, Word, associator, axiom_suite, birth, braiding,
 from .invariants import (c_function, continued_fraction_framings,
                          expand_minus_continued_fraction, hopf_tr_closed_form,
                          lens_space_framed_link, lens_tr_closed_form,
-                         linking_matrix, signature, tr_link, tr_manifold)
+                         signature, surgery, tr_link, tr_manifold)
 from .scalars import ALL_THEORIES, Rational, Scalar, Theory
 from .spines import (SPHERE_SPINE, Spine, admissible, module_iso_check,
                      pairing_categorical, pairing_table, parse_spine,
@@ -21,10 +21,10 @@ __all__ = [
     "braiding", "build_hopf_chain", "c_function", "compose",
     "continued_fraction_framings", "death", "evaluate", "evaluate_all_a",
     "expand_minus_continued_fraction", "hopf_tr_closed_form", "identity",
-    "lens_space_framed_link", "lens_tr_closed_form", "linking_matrix",
-    "module_iso_check", "pairing_categorical", "pairing_table", "parse_link",
-    "parse_spine", "parse_word", "s_matrix", "scale_identity", "signature",
-    "sixj_categorical", "sixj_table", "t_epsilon", "tensor_morphisms",
+    "lens_space_framed_link", "lens_tr_closed_form", "module_iso_check",
+    "pairing_categorical", "pairing_table", "parse_link", "parse_spine",
+    "parse_word", "s_matrix", "scale_identity", "signature", "sixj_categorical",
+    "sixj_table", "surgery", "t_epsilon", "tensor_morphisms",
     "tensor_words", "tr_link", "tr_manifold", "tv", "twist",
 ]
 

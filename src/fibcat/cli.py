@@ -35,8 +35,18 @@ class _Parser(argparse.ArgumentParser):
         raise CliError(message)
 
 
+# The largest exponent a rational option may carry, in magnitude: Python's
+# default cap on the digits of an int, which bounds the digit strings
+# already.  ``Fraction('1e10000000')`` alone builds 10^(10^7), for 10 s.
+MAX_EXPONENT = 4300
+
+
 def _fraction(text: str) -> Fraction:
+    _, e, exponent = text.lower().partition("e")
     try:
+        if e and abs(int(exponent)) > MAX_EXPONENT:
+            raise argparse.ArgumentTypeError(
+                f"exponent of {text!r} exceeds {MAX_EXPONENT} in magnitude")
         return Fraction(text)
     except (ValueError, ZeroDivisionError):
         raise argparse.ArgumentTypeError(f"not a rational number: {text!r}")
@@ -220,9 +230,8 @@ def _dispatch(args, theory: Theory) -> int:
 
     if args.command == "tr-manifold":
         diagram = tg.parse_link(_read(args.file))
-        sigma = inv.signature(inv.linking_matrix(diagram))
         # before any output, since it may refuse the diagram
-        value = inv.tr_manifold(diagram, theory)
+        sigma, value = inv.surgery(diagram, theory)
         print(f"framings: {diagram.framings()}, signature: {sigma}")
         print(f"tr: {_render(value, mode)}")
         return 0

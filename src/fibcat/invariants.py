@@ -13,15 +13,15 @@ else the self-writhes); where a framing differs from the drawn
 self-writhe, the missing kinks enter ``tr_manifold`` as one power of
 beta in the component's A weight, never as events.
 Closed forms for chains of linked circles (hence for lens spaces) are
-provided as independent oracles; the lens closed form takes time linear
-in the number of framings.
+provided as independent oracles; the lens closed form takes O(k) scalar
+steps for k framings, on coordinates that grow with k.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
 from .scalars import Scalar, Theory
 from .tangles import LinkDiagram, build_hopf_chain, colored_sum, evaluate_all_a
@@ -33,29 +33,23 @@ def tr_link(diagram: LinkDiagram, theory: Theory) -> Scalar:
     return theory.theta(-w) * evaluate_all_a(diagram, theory) / theory.epsilon
 
 
-def linking_matrix(diagram: LinkDiagram) -> list[dict[int, int]]:
-    """The symmetric integer linking matrix as sparse rows (see
-    ``signature``): framings on the diagonal, and off it the diagram's
-    ``linking`` numbers, each half the signed crossing count of a pair."""
-    return _symmetric_rows(diagram.framings(), diagram.linking)
+# The most work ``signature`` takes on, in the units of its predicted
+# cost (see there): that of 20,000 fives, the chain ``fibcat lens
+# --framings`` has long admitted.  The floor in the prediction is set by
+# measurement: at this bound, the signatures of chains of 10,690 to
+# 20,000 framings from 4 to 181, and of 1,552 framings of 10^100, took
+# medians of 1.44-1.66 s against the fives' 1.69-1.71 s in the same runs
+# (x86_64, Python 3.11).
+MAX_SIGNATURE_WORK = 16 * 10 ** 8
 
 
-def _symmetric_rows(diagonal: Sequence[int],
-                    off_diagonal: Iterable[tuple[tuple[int, int], int]]
-                    ) -> list[dict[int, int]]:
-    """Sparse rows with the given diagonal and entries ((i, j), v) at both
-    (i, j) and (j, i); zero entries are left out."""
-    rows = [{i: d} if d else {} for i, d in enumerate(diagonal)]
-    for (i, j), v in off_diagonal:
-        if v:
-            rows[i][j] = rows[j][i] = v
-    return rows
-
-
-def signature(rows: Sequence[Mapping[int, int]]) -> int:
-    """Signature of a symmetric integer matrix, given as sparse rows:
-    ``rows[i]`` maps a column j to the entry (i, j), and zero entries may
-    be left out.
+def signature(diagonal: Sequence[int],
+              pairs: Iterable[tuple[tuple[int, int], int]]) -> int:
+    """Signature of the symmetric integer matrix with the given diagonal
+    and, for each ((i, j), v) of ``pairs``, the entry v at (i, j) and at
+    (j, i); the entries of pairs left out are zero, and a pair is given
+    at most once.  A pair outside the matrix or on its diagonal is a
+    ``ValueError``.
 
     Exact congruence diagonalization over the rationals, taking the rows
     in order.  A row with a nonzero diagonal entry is eliminated on it.
@@ -72,16 +66,28 @@ def signature(rows: Sequence[Mapping[int, int]]) -> int:
     with its partner.  The pivots of a chain are ratios of continuants
     (4,519 bits long after 2,000 fives), but each of their gcds meets an
     entry that elimination has not yet touched, so it stays cheap.
+
+    Those O(k) steps are on entries that grow, so the work is predicted
+    before any elimination: n rows times the sum over the rows of
+    floor(log2 q), for q = sum_j m_ij^2 a row's squared length.  Half the
+    sum of the log2 q bounds (Hadamard) the bits of every minor, hence
+    of every pivot, and on a matrix that elimination does not fill in,
+    such as a chain, each row meets pivots of that size once.  A matrix
+    predicted past ``MAX_SIGNATURE_WORK`` is a ``ValueError``.
     """
-    n = len(rows)
-    for i, row in enumerate(rows):
-        for j, v in row.items():
-            if not 0 <= j < n:
-                raise ValueError(f"row {i} has column {j} outside a {n}x{n} matrix")
-            if rows[j].get(i, 0) != v:
-                raise ValueError("matrix is not symmetric")
-    live = {i: {j: (v, 1) for j, v in row.items() if v}
-            for i, row in enumerate(rows)}   # the rows still to eliminate
+    n = len(diagonal)
+    live = {i: {i: (d, 1)} if d else {}    # the rows still to eliminate
+            for i, d in enumerate(diagonal)}
+    for (i, j), v in pairs:
+        if not (0 <= i < n and 0 <= j < n) or i == j:
+            raise ValueError(f"pair ({i}, {j}) is off a {n}x{n} matrix or on its diagonal")
+        if v:
+            live[i][j] = live[j][i] = (v, 1)
+    work = n * sum((sum(v * v for v, _ in row.values()) >> 1).bit_length()
+                   for row in live.values())          # floor(log2 q), 0 at q = 0
+    if work > MAX_SIGNATURE_WORK:
+        raise ValueError(f"signature of this {n}x{n} matrix: predicted work {work} "
+                         f"exceeds {MAX_SIGNATURE_WORK}")
     sigma = 0
     for r in range(n):
         row = live[r]
@@ -143,9 +149,9 @@ def _add(row: dict[int, tuple[int, int]], w: int, num: int, den: int) -> None:
         row.pop(w, None)
 
 
-def tr_manifold(diagram: LinkDiagram, theory: Theory) -> Scalar:
-    """Surgery invariant of the closed manifold presented by the framed
-    link diagram.
+def surgery(diagram: LinkDiagram, theory: Theory) -> tuple[int, Scalar]:
+    """The signature sigma of the framed link's linking matrix, and the
+    surgery invariant of the closed manifold the link presents.
 
     The sum over all colorings of the colored evaluation, weighted by
     eps per A-colored component, taken in one sweep by
@@ -157,11 +163,23 @@ def tr_manifold(diagram: LinkDiagram, theory: Theory) -> Scalar:
     beyond those drawn, enters its weight as another, so the weight of an
     A-colored component i is eps beta^(-2 (f_i - w_i)).
     """
-    k = diagram.n_components
-    sigma = signature(linking_matrix(diagram))
+    sigma = signature(diagram.framings(), diagram.linking)
     excess = [f - w for f, w in zip(diagram.framings(), diagram.writhes)]
     weight = {d: theory.epsilon * theory.theta(d) for d in set(excess)}
     total = colored_sum(diagram, [weight[d] for d in excess], theory)
+    return sigma, _normalized(sigma, diagram.n_components, total, theory)
+
+
+def tr_manifold(diagram: LinkDiagram, theory: Theory) -> Scalar:
+    """Surgery invariant of the closed manifold presented by the framed
+    link diagram: the value of ``surgery``."""
+    return surgery(diagram, theory)[1]
+
+
+def _normalized(sigma: int, k: int, total: Scalar, theory: Theory) -> Scalar:
+    """phase(sigma) D^(-k-1) total: a colored sum over the k components
+    of a framed link whose linking matrix has signature sigma, normalized
+    into the surgery invariant."""
     return theory.phase(sigma) * theory.big_d ** (-k - 1) * total
 
 
@@ -189,16 +207,13 @@ def hopf_tr_closed_form(k: int, theory: Theory) -> Scalar:
     return theory.zeta(10 * (k - 1)) * theory.epsilon ** (1 - k)
 
 
-def _chain_matrix(framings: tuple[int, ...]) -> list[dict[int, int]]:
-    """The linking matrix of a chain of circles, as sparse rows."""
-    return _symmetric_rows(framings, (((i, i + 1), 1) for i in range(len(framings) - 1)))
-
-
 # The most framings a lens chain may have.  Its exact value carries
-# coordinates that grow with the chain: a fresh ``fibcat lens 20001
-# 20000`` (20,000 framings) takes 1.7-1.8 s, the slowest 20,000-entry
-# ``--framings`` list measured, 20,000 fives, 2.7-2.8 s, and ``lens 30001
-# 30000`` 2.5-2.7 s (x86_64, Python 3.11).
+# coordinates that grow with the chain, and its signature is bounded by
+# ``MAX_SIGNATURE_WORK`` too: a fresh ``fibcat lens 20001 20000`` (20,000
+# twos) takes 1.0-1.6 s, 20,000 fives, at the signature bound, 2.5-2.8 s,
+# and the slowest admitted ``--framings`` lists measured, 20,000 fours
+# and 16,329 elevens (each step of the transfer costs more than with
+# fives), 2.8-3.2 s (x86_64, Python 3.11).
 MAX_LENS_FRAMINGS = 20000
 
 
@@ -218,12 +233,12 @@ def lens_tr_closed_form(framings: tuple[int, ...], theory: Theory) -> Scalar:
     k = len(framings)
     if k > MAX_LENS_FRAMINGS:
         raise ValueError(f"{k} framings exceed {MAX_LENS_FRAMINGS}")
-    sigma = signature(_chain_matrix(framings))
+    sigma = signature(framings, (((i, i + 1), 1) for i in range(k - 1)))
     e2 = theory.epsilon ** 2
     outside, inside = theory.one, theory.zero
     for f in framings:
         outside, inside = outside + inside, theory.theta(f) * (e2 * outside - inside)
-    return theory.phase(sigma) * theory.big_d ** (-k - 1) * (outside + inside)
+    return _normalized(sigma, k, outside + inside, theory)
 
 
 def continued_fraction_framings(p: int, q: int) -> tuple[int, ...]:

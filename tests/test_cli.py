@@ -14,6 +14,7 @@ from fibcat import Theory
 from fibcat import invariants as inv
 from fibcat import spines as sp
 from fibcat import tangles as tg
+from fibcat import cli
 from fibcat.cli import run
 from fibcat.tangles import LinkDiagram
 
@@ -103,6 +104,47 @@ def test_lens_framing_limit(capsys, monkeypatch):
         code, out, err = invoke(capsys, *argv)
         assert (code, out) == (1, ""), argv[:2]
         assert err.startswith("error:") and str(inv.MAX_LENS_FRAMINGS) in err, err
+
+
+def test_one_signature_per_command(capsys, monkeypatch):
+    # tr-manifold prints the signature its value used; hopf --framings
+    # checks the drawn chain against the closed form, one signature each
+    calls = []
+    signature = inv.signature
+
+    def counted(*args):
+        calls.append(args)
+        return signature(*args)
+
+    monkeypatch.setattr(inv, "signature", counted)
+    for argv, expected in ((["tr-manifold", link("trefoil_framed1.txt")], 1),
+                           (["lens", "5", "2"], 1), (["lens", "--framings=3,2"], 1),
+                           (["hopf", "2", "--framings=3,2"], 2), (["hopf", "2"], 0)):
+        calls.clear()
+        code, _, err = invoke(capsys, *argv)
+        assert (code, err, len(calls)) == (0, "", expected), argv
+
+
+def test_signature_work_bound(capsys, monkeypatch, tmp_path):
+    # chains just over inv.MAX_SIGNATURE_WORK are refused before any
+    # elimination or sweep: 19,999 fives and a six (20,000 fives are
+    # admitted), and 1,553 framings of 10^100 (1,552 are admitted)
+    def refuse(*_):
+        raise AssertionError("work started past the signature bound")
+
+    monkeypatch.setattr(inv, "_pivot", refuse)
+    monkeypatch.setattr(tg, "_sweep", refuse)
+    big = [10 ** 100] * 1553
+    path = tmp_path / "chain.txt"
+    path.write_text(tg.build_hopf_chain(len(big)).with_framings(big).render())
+    for argv in (["lens", "--framings=" + ",".join(["5"] * 19999 + ["6"])],
+                 ["lens", "--framings=" + ",".join(map(str, big))],
+                 ["hopf", str(len(big)), "--framings=" + ",".join(map(str, big))],
+                 ["tr-manifold", str(path)]):
+        code, out, err = invoke(capsys, *argv)
+        assert (code, out) == (1, ""), argv[0]
+        assert err.startswith("error: signature of this ") \
+            and err.endswith(f"exceeds {inv.MAX_SIGNATURE_WORK}\n"), err
 
 
 def test_closed_stdout_exits_without_traceback():
@@ -247,6 +289,26 @@ def test_negative_option_values(capsys, argv, message):
     else:
         assert (code, out) == (1, "")
         assert err.endswith(f"error: {message}\n")
+
+
+def test_large_exponent_refused(capsys, monkeypatch):
+    # Fraction('1e100000000') would build 10^(10^8); the exponent is read
+    # first, and a value past cli.MAX_EXPONENT is never built
+    fraction = cli.Fraction
+
+    def guarded(value, *rest):
+        if isinstance(value, str) and "e" in value:
+            raise AssertionError(f"Fraction({value!r}) was built")
+        return fraction(value, *rest)
+
+    monkeypatch.setattr(cli, "Fraction", guarded)
+    for option in ("-x=1e100000000", "-y=1e-100000000", "-z=-2.5e4301"):
+        code, out, err = invoke(capsys, option, "hopf", "2")
+        assert (code, out) == (1, ""), option
+        assert err.endswith(f"exceeds {cli.MAX_EXPONENT} in magnitude\n"), err
+    monkeypatch.setattr(cli, "Fraction", fraction)
+    assert invoke(capsys, "-x=2e3", "hopf", "2") == invoke(capsys, "-x=2000", "hopf", "2")
+    assert invoke(capsys, "-y=-5e-4300", "hopf", "2")[0] == 0
 
 
 def _float_parts(out: str) -> tuple[Decimal, Decimal]:

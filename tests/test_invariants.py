@@ -13,12 +13,11 @@ from fibcat import ALL_THEORIES, Scalar, Theory, scalars
 from fibcat import category as cat
 from fibcat import invariants
 from fibcat.category import A, ONE
-from fibcat.invariants import (_chain_matrix, c_function,
-                               continued_fraction_framings,
+from fibcat.invariants import (c_function, continued_fraction_framings,
                                expand_minus_continued_fraction,
                                hopf_tr_closed_form, lens_space_framed_link,
-                               lens_tr_closed_form, linking_matrix, signature,
-                               tr_link, tr_manifold)
+                               lens_tr_closed_form, signature, tr_link,
+                               tr_manifold)
 from fibcat.spines import module_iso_check
 from fibcat.tangles import (MAX_OPEN_COMPONENTS, EventKind, LinkDiagram, LinkEvent,
                             build_hopf_chain, evaluate, evaluate_all_a, parse_link)
@@ -193,31 +192,41 @@ def test_huge_framing_is_a_scalar(unknot, any_theory):
     assert value == lens_tr_closed_form((1000000,), any_theory)
 
 
+# the linking matrix of a diagram is its framings on the diagonal and its
+# ``linking`` pairs off it
+
 def test_linking_matrix_hopf():
     framed = build_hopf_chain(2, (0, 0))
-    m = linking_matrix(framed)
-    assert 0 not in m[0] and 1 not in m[1]
-    assert abs(m[0][1]) == 1 and m[0][1] == m[1][0]
+    assert framed.framings() == [0, 0]
+    [((i, j), v)] = framed.linking
+    assert (i, j) == (0, 1) and abs(v) == 1
 
 
 def test_linking_matrix_split_unlink():
     d = parse_link("link\ncup 0\ncup 1\ncap 1\ncap 0\nend\nframing 0=1\nframing 1=-2\n")
-    assert linking_matrix(d) == [{0: 1}, {1: -2}]
+    assert (d.framings(), d.linking) == ([1, -2], ())
 
 
 def test_linking_matrix_chain_tridiagonal():
     framed = build_hopf_chain(3, (5, -1, 2))
-    m = linking_matrix(framed)
-    assert [m[i][i] for i in range(3)] == [5, -1, 2]
-    assert abs(m[0][1]) == 1 and abs(m[1][2]) == 1
-    assert 2 not in m[0] and 0 not in m[2]
+    assert framed.framings() == [5, -1, 2]
+    linking = dict(framed.linking)
+    assert linking.keys() == {(0, 1), (1, 2)}
+    assert abs(linking[0, 1]) == 1 and abs(linking[1, 2]) == 1
 
 
 # -- signature -----------------------------------------------------------------------
 
-def _rows(matrix):
-    """The sparse rows of a dense matrix."""
-    return [{j: v for j, v in enumerate(row) if v} for row in matrix]
+def _split(matrix):
+    """The diagonal of a dense symmetric matrix, and its pairs above it."""
+    n = len(matrix)
+    return ([matrix[i][i] for i in range(n)],
+            [((i, j), matrix[i][j]) for i in range(n) for j in range(i + 1, n)])
+
+
+def _chain_pairs(k):
+    """The linked pairs of a chain of k circles."""
+    return [((i, i + 1), 1) for i in range(k - 1)]
 
 
 def _chain(framings):
@@ -231,23 +240,22 @@ def _chain(framings):
 
 
 def test_signature_examples():
-    assert signature(_rows([[1]])) == 1
-    assert signature(_rows([[0, 1], [1, 0]])) == 0
-    assert signature(_rows([[1, 0, 0], [0, -2, 0], [0, 0, 3]])) == 1
-    assert signature(_rows([[0, 1, 1], [1, 0, 1], [1, 1, 0]])) == -1
-    assert signature(_rows([[0, 0], [0, 0]])) == 0
-    assert signature([{0: 0}, {}]) == 0
-    assert signature([]) == 0
-    assert signature(_rows(_chain([2] * 1100))) == 1100
+    assert signature(*_split([[1]])) == 1
+    assert signature(*_split([[0, 1], [1, 0]])) == 0
+    assert signature(*_split([[1, 0, 0], [0, -2, 0], [0, 0, 3]])) == 1
+    assert signature(*_split([[0, 1, 1], [1, 0, 1], [1, 1, 0]])) == -1
+    assert signature(*_split([[0, 0], [0, 0]])) == 0
+    assert signature((0, 0), [((1, 0), 0)]) == 0
+    assert signature((), ()) == 0
+    assert signature(*_split(_chain([2] * 1100))) == 1100
 
 
 def test_signature_input_validation():
-    with pytest.raises(ValueError):
-        signature(_rows([[0, 1], [2, 0]]))
-    with pytest.raises(ValueError):
-        signature(_rows([[0, 1]]))
-    with pytest.raises(ValueError):
-        signature([{-1: 1}])
+    # a pair must name an entry of the matrix off its diagonal
+    for diagonal, pair in (((0,), (0, 1)), ((0,), (0, -1)), ((0, 0), (2, 0)),
+                           ((0, 0), (-1, 1)), ((1, 2), (1, 1))):
+        with pytest.raises(ValueError, match="off a .* matrix or on its diagonal"):
+            signature(diagonal, [(pair, 1)])
 
 
 def _dense_signature(matrix) -> int:
@@ -288,7 +296,7 @@ def _dense_signature(matrix) -> int:
 def test_signature_matches_dense_elimination_on_chains():
     for k in range(1, 7):
         for framings in itertools.product(range(-3, 4), repeat=k):
-            assert signature(_chain_matrix(framings)) \
+            assert signature(framings, _chain_pairs(k)) \
                 == _dense_signature(_chain(framings)), framings
 
 
@@ -296,7 +304,7 @@ def test_signature_matches_dense_elimination_on_random_matrices():
     rng = random.Random(5)
     for _ in range(300):
         m = _random_symmetric(rng, rng.randint(1, 7))
-        assert signature(_rows(m)) == _dense_signature(m), m
+        assert signature(*_split(m)) == _dense_signature(m), m
 
 
 def test_signature_matches_dense_elimination_on_sparse_matrices():
@@ -315,7 +323,7 @@ def test_signature_matches_dense_elimination_on_sparse_matrices():
                 if rng.random() < density:
                     m[i][j] = m[j][i] = rng.choice([-2, -1, 1, 2])
         zero_pivots += sum(1 for i in range(n) if not m[i][i])
-        assert signature(_rows(m)) == _dense_signature(m), m
+        assert signature(*_split(m)) == _dense_signature(m), m
     assert zero_pivots > 10000
 
 
@@ -329,8 +337,55 @@ def test_signature_gcds_stay_small_on_long_chains(monkeypatch):
         return gcd(a, b)
 
     monkeypatch.setattr(invariants, "gcd", recording_gcd)
-    assert signature(_chain_matrix((5,) * 2000)) == 2000
+    assert signature((5,) * 2000, _chain_pairs(2000)) == 2000
     assert smaller_bits and max(smaller_bits) < 64
+
+
+def test_signature_of_random_links_matches_dense_elimination():
+    # the link route: a diagram's framings and linking pairs, in any order
+    # and either orientation, against the dense matrix built from them
+    rng = random.Random(22)
+    linked = 0
+    for _ in range(200):
+        diagram = LinkDiagram(tuple(random_morse_word(rng, width=12)))
+        k = diagram.n_components
+        d = diagram.with_framings(tuple(rng.randint(-3, 3) for _ in range(k)))
+        dense = [[0] * k for _ in range(k)]
+        for i, f in enumerate(d.framings()):
+            dense[i][i] = f
+        for (i, j), v in d.linking:
+            dense[i][j] = dense[j][i] = v
+        sigma = signature(d.framings(), d.linking)
+        assert sigma == _dense_signature(dense), (diagram.events, d.framings())
+        pairs = [((j, i), v) if rng.random() < 0.5 else ((i, j), v)
+                 for (i, j), v in d.linking]
+        rng.shuffle(pairs)
+        assert signature(d.framings(), pairs) == sigma
+        linked += len(d.linking)
+    assert linked > 40
+
+
+def test_signature_work_bound(monkeypatch):
+    # 20,000 fives are admitted, one six among them is not: an admitted
+    # matrix reaches its first pivot, and a refused one is refused before
+    class Pivoted(Exception):
+        pass
+
+    def refuse(*_):
+        raise Pivoted
+
+    monkeypatch.setattr(invariants, "_pivot", refuse)
+    fives = (5,) * 20000
+    with pytest.raises(Pivoted):
+        signature(fives, _chain_pairs(20000))
+    for framings, pairs in ((fives[1:] + (6,), _chain_pairs(20000)),
+                            ((10007,) * 20000, _chain_pairs(20000)),
+                            ((10 ** 100,) * 1553, _chain_pairs(1553)),
+                            ((10 ** 100,) * 2000, _chain_pairs(2000))):
+        with pytest.raises(ValueError, match=f"exceeds {invariants.MAX_SIGNATURE_WORK}"):
+            signature(framings, pairs)
+    with pytest.raises(Pivoted):
+        signature((10 ** 100,) * 1552, _chain_pairs(1552))
 
 
 def _random_symmetric(rng, n):
@@ -346,18 +401,18 @@ def test_signature_invariance_under_reorientation_and_permutation():
     for _ in range(20):
         n = rng.randint(1, 5)
         m = _random_symmetric(rng, n)
-        base = signature(_rows(m))
+        base = signature(*_split(m))
         i = rng.randrange(n)
         flipped = [row[:] for row in m]
         for j in range(n):
             flipped[i][j] = -flipped[i][j]
         for j in range(n):
             flipped[j][i] = -flipped[j][i]
-        assert signature(_rows(flipped)) == base
+        assert signature(*_split(flipped)) == base
         perm = list(range(n))
         rng.shuffle(perm)
         permuted = [[m[perm[i]][perm[j]] for j in range(n)] for i in range(n)]
-        assert signature(_rows(permuted)) == base
+        assert signature(*_split(permuted)) == base
 
 
 # -- tr for manifolds ----------------------------------------------------------------
@@ -411,7 +466,7 @@ def _coloring_sum(diagram: LinkDiagram, theory: Theory) -> Scalar:
     """tr_manifold as the sum of ``evaluate`` over all 2^k colorings, each
     weighted by eps beta^(-2 (f_i - w_i)) per A-colored component i."""
     k = diagram.n_components
-    sigma = signature(linking_matrix(diagram))
+    sigma = signature(diagram.framings(), diagram.linking)
     excess = [f - w for f, w in zip(diagram.framings(), diagram.self_writhes())]
     total = theory.zero
     for colors in itertools.product((ONE, A), repeat=k):
@@ -529,7 +584,7 @@ def _subset_sum_closed_form(framings, theory):
         subset = tuple(i + 1 for i in range(k) if mask >> i & 1)
         twist = sum(framings[i - 1] for i in subset)
         total = total + _subset_weight(subset, theory) * _twist_factor(twist, theory)
-    sigma = signature(_rows(_chain(framings)))
+    sigma = signature(*_split(_chain(framings)))
     return theory.delta ** sigma * theory.big_d ** (-sigma - k - 1) * total
 
 
