@@ -24,6 +24,7 @@ from math import gcd
 from typing import Iterable, Sequence
 
 from .scalars import Scalar, Theory
+from .spines import _elimination_order
 from .tangles import LinkDiagram, build_hopf_chain, colored_sum, evaluate_all_a
 
 
@@ -52,7 +53,12 @@ def signature(diagonal: Sequence[int],
     ``ValueError``.
 
     Exact congruence diagonalization over the rationals, taking the rows
-    in order.  A row with a nonzero diagonal entry is eliminated on it.
+    in a minimum-degree order, planned before any elimination by the
+    spines' greedy planner (``spines._elimination_order``): rows that meet
+    the fewest others first, ties to the lowest index, so the keys of a
+    key ring go before the ring and no row fills in.  The signature does
+    not depend on the order.  A row with a nonzero diagonal entry is
+    eliminated on it.
     A row r whose diagonal entry vanishes borrows its first partner c's
     row by one congruence, e_r -> e_r + t e_c with t = +-1: its diagonal
     entry becomes 2ta + d, with a = (r, c) nonzero and d = (c, c), and
@@ -88,8 +94,9 @@ def signature(diagonal: Sequence[int],
     if work > MAX_SIGNATURE_WORK:
         raise ValueError(f"signature of this {n}x{n} matrix: predicted work {work} "
                          f"exceeds {MAX_SIGNATURE_WORK}")
+    order, _ = _elimination_order(n, [(i, j) for i, row in live.items() for j in row if i < j])
     sigma = 0
-    for r in range(n):
+    for r in order:
         row = live[r]
         if row and r not in row:
             c = next(iter(row))

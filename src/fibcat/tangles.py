@@ -24,6 +24,17 @@ category from the single-letter cup, cap, braiding and associator (the
 F R F^-1 form for a crossing).  No lifted morphism is built, and the
 work per event is proportional to the vector's nonzero entries.
 
+Every value of the sweep lies in Q(z5) or in Q(z5) s, for z = z20^2:
+beta and the twist are even powers of z20, and eps, x, y and z lie in
+Q(sqrt 5), while s enters only through cups, caps and the F block.  So
+a vector entry is four integers, the coordinates at z20^0, 2, 4, 6, with
+an s-parity, and each vector keeps one positive denominator for all its
+entries; each table keeps its values the same way.  An event is integer
+multiply-adds, the Q(z5) product with z^4 folded as z^3 - z^2 + z - 1
+(s s = eps, which each odd table value holds multiplied in), and one
+reduction of the vector by its gcd.  The result becomes a ``Scalar``
+once, at the end of the sweep.
+
 One sweep over the events serves a single coloring (``evaluate``) and
 the weighted sum over all colorings (``colored_sum``, the surgery sum of
 ``invariants.tr_manifold``).  Its state maps the set of open A-colored
@@ -47,6 +58,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import lru_cache
+from math import gcd, lcm
 from typing import Iterable, Sequence
 
 from . import category as cat
@@ -316,8 +328,17 @@ def all_a_coloring(diagram: LinkDiagram) -> Coloring:
     return A * diagram.n_components
 
 
-_Vector = dict[str, Scalar]
-_Table = dict[str, tuple[tuple[str, Scalar], ...]]
+# A sweep value lies in Q(z5) or in Q(z5) s, for z = z20^2 a primitive
+# 10th root of unity (z^5 = -1): it is an s-parity and the integer
+# coordinates at 1, z, z^2, z^3 (z20^0, 2, 4, 6), which a vector or a
+# table keeps over one positive denominator for all its values.
+_Coords = tuple[int, int, int, int]
+_Entry = tuple[int, _Coords]
+_Vector = tuple[dict[str, _Entry], int]
+# window -> (new window, s-parity, coordinates, the coordinates an odd
+# vector entry reads) per value, and the table's denominator
+_Table = tuple[dict[str, tuple[tuple[str, int, _Coords, _Coords], ...]], int]
+_UNIT: _Coords = (1, 0, 0, 0)
 
 # The most components a link may have, read or drawn.  Its exact value
 # carries coordinates of about k/5 digits: a fresh ``fibcat hopf 5000``
@@ -336,6 +357,37 @@ _WINDOW = {EventKind.CUP: 1, EventKind.CAP: 3,
            EventKind.CROSS_POS: 3, EventKind.CROSS_NEG: 3}
 
 
+def _coordinates(value: Scalar) -> _Entry:
+    """The s-parity and the coordinates over ``value.den`` of a value in
+    Q(z5) or in Q(z5) s; any other value is a ``ValueError``."""
+    parities = {p >> 3 for p, _ in value.terms}
+    if len(parities) > 1 or any(p & 1 for p, _ in value.terms):
+        raise ValueError(f"{value} lies in neither Q(z5) nor Q(z5) s")
+    coords = [0, 0, 0, 0]
+    for p, n in value.terms:
+        coords[(p & 7) >> 1] = n
+    return (parities.pop() if parities else 0), tuple(coords)
+
+
+def _times(a: _Coords, b: _Coords) -> _Coords:
+    """The product in Q(z5), z^4 folded as z^3 - z^2 + z - 1."""
+    a0, a1, a2, a3 = a
+    b0, b1, b2, b3 = b
+    c4 = a1 * b3 + a2 * b2 + a3 * b1
+    c5 = a2 * b3 + a3 * b2
+    c6 = a3 * b3
+    return (a0 * b0 - c4 - c5, a0 * b1 + a1 * b0 + c4 - c6,
+            a0 * b2 + a1 * b1 + a2 * b0 - c4, a0 * b3 + a1 * b2 + a2 * b1 + a3 * b0 + c4)
+
+
+def _scalar(entry: _Entry, den: int, theory: Theory) -> Scalar:
+    """The scalar of an entry over ``den``."""
+    parity, coords = entry
+    out = [0] * 16
+    out[8 * parity:8 * parity + 8:2] = coords
+    return Scalar._collect(theory.field, out, den)
+
+
 def _windows(word: cat.Word, c: str) -> list[str]:
     """The label window of each letter of a step's dom or cod, its labels
     being letters: c for the one-letter word c, and t m c for a letter t
@@ -349,15 +401,19 @@ def _windows(word: cat.Word, c: str) -> list[str]:
 
 @lru_cache(maxsize=256)
 def _table(kind: EventKind, theory: Theory) -> _Table:
-    """Window of labels -> (new window, value) pairs for a cup, cap or
-    crossing, read off one morphism composed in the category, so the x,
-    y, z gauge is the category's own.
+    """Window of labels -> (new window, value) entries for a cup, cap or
+    crossing, and the values' denominator, read off one morphism composed
+    in the category, so the x, y, z gauge is the category's own.
 
     For each letter c after the pair, the step is the local cup, cap or
     crossing on the two A's, tensored with id_c and conjugated by the
     associator: associator^-1 ; (local (x) id_c) ; associator, from and
     to A (x) (A (x) c).  A cup starts at the one letter c, so it has no
     leading associator, and a cap ends there, so it has no trailing one.
+
+    A value is kept as its s-parity and its coordinates over that
+    denominator, beside their product with eps if it is odd: an odd
+    entry of a vector reads that product, since s s = eps.
     """
     if kind is EventKind.CUP:
         local = cat.birth(A, theory)
@@ -365,7 +421,7 @@ def _table(kind: EventKind, theory: Theory) -> _Table:
         local = cat.death(A, theory)
     else:
         local = cat.braiding(A, A, theory, inverse=kind is EventKind.CROSS_NEG)
-    table: dict[str, list[tuple[str, Scalar]]] = {}
+    values: list[tuple[str, str, Scalar]] = []
     for c in (ONE, A):
         step = cat.tensor_morphisms(local, cat.identity(c, theory))
         if kind is not EventKind.CUP:
@@ -373,45 +429,97 @@ def _table(kind: EventKind, theory: Theory) -> _Table:
         if kind is not EventKind.CAP:
             step = step.then(cat.associator(A, A, c, theory))
         dom, cod = _windows(step.dom, c), _windows(step.cod, c)
-        for (p, q), v in step.arrows.items():
-            table.setdefault(dom[p], []).append((cod[q], v))
-    return {window: tuple(entries) for window, entries in table.items()}
+        values += [(dom[p], cod[q], v) for (p, q), v in step.arrows.items()]
+    den = lcm(*(v.den for _, _, v in values))
+    eps = _coordinates(theory.epsilon)[1]
+    table: dict[str, list] = {}
+    for window, new, v in values:
+        parity, coords = _coordinates(v)
+        coords = tuple([n * (den // v.den) for n in coords])
+        table.setdefault(window, []).append(
+            (new, parity, coords, _times(coords, eps) if parity else coords))
+    return {window: tuple(entries) for window, entries in table.items()}, den
 
 
 def _apply(vector: _Vector, kind: EventKind, pos: int, table: _Table) -> _Vector:
     """One event of the given kind at ``pos``, with its kind's table,
-    applied to a vector of fusion paths (see ``evaluate``)."""
+    applied to a vector of fusion paths (see ``evaluate``): integer Q(z5)
+    products over the product of the two denominators, then the vector
+    in lowest terms."""
+    entries, den = vector
+    rows, table_den = table
     hi = pos + _WINDOW[kind]
-    out: _Vector = {}
-    for path, u in vector.items():
+    out: dict[str, list[int]] = {}
+    for path, (u, (a0, a1, a2, a3)) in entries.items():
         head, tail = path[:pos], path[hi:]
-        for window, v in table.get(path[pos:hi], ()):
+        for window, v, even, odd in rows.get(path[pos:hi], ()):
+            b0, b1, b2, b3 = odd if u else even
+            # the product of ``_times``, inlined
+            c4 = a1 * b3 + a2 * b2 + a3 * b1
+            r0 = a0 * b0 - c4 - a2 * b3 - a3 * b2
+            r1 = a0 * b1 + a1 * b0 + c4 - a3 * b3
+            r2 = a0 * b2 + a1 * b1 + a2 * b0 - c4
+            r3 = a0 * b3 + a1 * b2 + a2 * b1 + a3 * b0 + c4
             key = head + window + tail
-            term = u * v
-            out[key] = out[key] + term if key in out else term
-    return {key: v for key, v in out.items() if v}
+            old = out.get(key)
+            if old is None:
+                out[key] = [u ^ v, r0, r1, r2, r3]
+            else:
+                old[1] += r0
+                old[2] += r1
+                old[3] += r2
+                old[4] += r3
+    return _lowest(out, den * table_den)
+
+
+def _lowest(out: dict[str, list[int]], den: int) -> _Vector:
+    """The vector of the [s-parity, coordinates] of ``out`` over den, in
+    lowest terms and without its zero entries."""
+    g = gcd(den, *[n for entry in out.values() for n in entry[1:]]) if den != 1 else 1
+    if g != 1:
+        return {path: (p, (r0 // g, r1 // g, r2 // g, r3 // g))
+                for path, (p, r0, r1, r2, r3) in out.items() if r0 or r1 or r2 or r3}, den // g
+    return {path: (p, (r0, r1, r2, r3)) for path, (p, r0, r1, r2, r3) in out.items()
+            if r0 or r1 or r2 or r3}, den
 
 
 def _merge(states: dict[int, _Vector], key: int, vector: _Vector) -> None:
-    """Add ``vector`` to the vector of ``key`` in ``states``."""
+    """Add ``vector`` to the vector of ``key`` in ``states``; the two
+    agree on the s-parity of every path they share."""
     old = states.get(key)
     if old is None:
         states[key] = vector
         return
-    total = dict(old)
-    for path, v in vector.items():
-        total[path] = total[path] + v if path in total else v
-    total = {path: v for path, v in total.items() if v}
+    (mine, d1), (theirs, d2) = old, vector
+    g = gcd(d1, d2)
+    s1, s2 = d2 // g, d1 // g
+    total = {path: [p, *(n * s1 for n in coords)] for path, (p, coords) in mine.items()}
+    for path, (p, coords) in theirs.items():
+        entry = total.setdefault(path, [p, 0, 0, 0, 0])
+        for i, n in enumerate(coords, 1):
+            entry[i] += n * s2
+    total, den = _lowest(total, d1 * s1)
     if total:
-        states[key] = total
+        states[key] = total, den
     else:
         del states[key]
 
 
+def _weighted(table: _Table, weight: _Coords, den: int) -> _Table:
+    """The table with every value times weight / den, a value in Q(z5)."""
+    if weight == _UNIT and den == 1:      # every cup of ``evaluate``
+        return table
+    rows, table_den = table
+    return ({window: tuple((new, parity, _times(even, weight), _times(odd, weight))
+                           for new, parity, even, odd in entries)
+             for window, entries in rows.items()}, table_den * den)
+
+
 # The colors a component may take when it opens: None for 1, or the
-# weight of A.  A 1-colored component is deleted, so its branch keeps the
-# state as it is and carries no weight.
-_Branches = Sequence[Scalar | None]
+# weight of A, its coordinates in Q(z5) over a denominator.  A 1-colored
+# component is deleted, so its branch keeps the state as it is and
+# carries no weight.
+_Branches = Sequence[tuple[_Coords, int] | None]
 
 
 def _sweep(diagram: LinkDiagram, branches: Sequence[_Branches],
@@ -438,7 +546,9 @@ def _sweep(diagram: LinkDiagram, branches: Sequence[_Branches],
     first, last = diagram.first_events, diagram.last_events
     tables = {kind: _table(kind, theory)
               for kind in {ev.kind for ev in diagram.events} if kind in _WINDOW}
-    states: dict[int, _Vector] = {0: {ONE: theory.one}}
+    # the cup table times each A weight with a twist, made once per sweep
+    cups: dict[tuple, _Table] = {}
+    states: dict[int, _Vector] = {0: ({ONE: (0, _UNIT)}, 1)}
     slots: list[int] = []    # the bit of each open strand's component
     for idx, (ev, comps) in enumerate(zip(diagram.events, diagram.event_components)):
         kind, pos = ev.kind, ev.pos
@@ -456,25 +566,28 @@ def _sweep(diagram: LinkDiagram, branches: Sequence[_Branches],
         if first[c] == idx:
             # the cup opens c: every key branches into c's colors, and the
             # weight of an A branch, with c's twist, scales the cup's table,
-            # not each vector; a weight of 1 leaves the table as it is
-            for weight in branches[c]:
-                if weight is None:
+            # not each vector
+            for branch in branches[c]:
+                if branch is None:
                     out.update(states)
                     continue
-                weight = weight * theory.theta(diagram.twists[c])
-                cup = table
-                if weight != theory.one:
-                    cup = {window: tuple((new, v * weight) for new, v in entries)
-                           for window, entries in table.items()}
+                twist = diagram.twists[c]
+                cup = cups.get((branch, twist))
+                if cup is None:
+                    weight, den = branch
+                    theta = _coordinates(theory.theta(twist))[1]
+                    cup = cups[branch, twist] = _weighted(table, _times(weight, theta), den)
                 for key, vector in states.items():
                     at = sum(n for b, n in left if key & b)
-                    out[key | bits] = _apply(vector, kind, at, cup)
+                    vector = _apply(vector, kind, at, cup)
+                    if vector[0]:
+                        out[key | bits] = vector
         else:
             for key, vector in states.items():
                 if key & bits == bits:
                     at = sum(n for b, n in left if key & b)
                     vector = _apply(vector, kind, at, table)
-                    if not vector:
+                    if not vector[0]:
                         continue
                 if last[c] == idx:
                     _merge(out, key & ~bits, vector)
@@ -487,8 +600,16 @@ def _sweep(diagram: LinkDiagram, branches: Sequence[_Branches],
             del slots[pos:pos + 2]
         else:
             slots[pos], slots[pos + 1] = slots[pos + 1], slots[pos]
-    final = states.get(0)
-    return final.get(ONE, theory.zero) if final else theory.zero
+    entries, den = states.get(0, ({}, 1))
+    return _scalar(entries[ONE], den, theory) if ONE in entries else theory.zero
+
+
+def _weight(value: Scalar) -> tuple[_Coords, int]:
+    """A component's A weight as its coordinates in Q(z5) over a
+    denominator; a value outside Q(z5) is a ``ValueError``."""
+    if any(p & 9 for p, _ in value.terms):      # an odd power of z20, or s
+        raise ValueError(f"weight {value} lies outside Q(z5)")
+    return _coordinates(value)[1], value.den
 
 
 def evaluate(diagram: LinkDiagram, coloring: Coloring, theory: Theory) -> Scalar:
@@ -502,21 +623,28 @@ def evaluate(diagram: LinkDiagram, coloring: Coloring, theory: Theory) -> Scalar
     pos, pos + 1 reads only the labels l_pos .. l_pos+2 (just l_pos for a
     cup) and rewrites them from its theory's table: a cup inserts two
     labels, a cap removes two and a crossing rewrites the middle one; the
-    kinks of an A-colored component scale it once (see ``_sweep``).  The
-    work per event is proportional to the vector's nonzero entries.  This
-    is the sweep of ``colored_sum`` with every component's color fixed,
-    so it keeps one key.
+    kinks of an A-colored component scale it once (see ``_sweep``).  An
+    entry is four integer numerators, its coordinates at z20^0, 2, 4, 6,
+    and an s-parity, over the vector's one denominator, and an event does
+    integer multiply-adds on them, so the work per event is proportional
+    to the vector's nonzero entries.  This is the sweep of
+    ``colored_sum`` with every component's color fixed, so it keeps one
+    key.
     """
     if len(coloring) != diagram.n_components:
         raise ValueError(f"coloring names {len(coloring)} of "
                          f"{diagram.n_components} components")
-    return _sweep(diagram, [(theory.one if c == A else None,) for c in coloring], theory)
+    return _sweep(diagram, [((_UNIT, 1) if c == A else None,) for c in coloring], theory)
 
 
 def colored_sum(diagram: LinkDiagram, weights: Sequence[Scalar],
                 theory: Theory) -> Scalar:
     """The sum over all 2^k colorings of ``evaluate``, each times the
     product of ``weights[i]`` over its A-colored components i.
+
+    A weight must lie in Q(z5), the field of the sweep's integer
+    coordinates; every caller's eps theta^d does.  Another weight, such
+    as an odd power of z20 or s, is a ``ValueError`` before any sweep.
 
     One sweep over the events: each component branches into its two
     colors when it opens and is merged away when it closes, so the cost
@@ -530,7 +658,8 @@ def colored_sum(diagram: LinkDiagram, weights: Sequence[Scalar],
     if peak > MAX_OPEN_COMPONENTS:
         raise ValueError(f"{peak} components open at once exceeds "
                          f"{MAX_OPEN_COMPONENTS}")
-    return _sweep(diagram, [(None, w) for w in weights], theory)
+    branches = [(None, _weight(w)) for w in weights]
+    return _sweep(diagram, branches, theory)
 
 
 def evaluate_all_a(diagram: LinkDiagram, theory: Theory) -> Scalar:

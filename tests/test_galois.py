@@ -91,8 +91,12 @@ def _values(theory: Theory, rng: random.Random) -> list:
         spine = _spine(rng)
         values += [tv(spine, theory), t_epsilon(spine, theory)]
     for kind in (EventKind.CUP, EventKind.CAP, EventKind.CROSS_POS, EventKind.CROSS_NEG):
-        for window, entries in sorted(tangles._table(kind, theory).items()):
-            values += [window] + [e for entry in entries for e in entry]
+        rows, den = tangles._table(kind, theory)
+        for window, entries in sorted(rows.items()):
+            # each value, and its product with eps for an odd entry
+            values += [window] + [e for new, parity, even, odd in entries
+                                  for e in (new, tangles._scalar((parity, even), den, theory),
+                                            tangles._scalar((0, odd), den, theory))]
     values += [v for row in cat._assoc_block(theory) for v in row]
     values += [spines._sixj_unit(p, theory) for p in spines._PROFILES]
     values += [spines._pairing_unit(n, theory) for n in (0, 2, 3)]

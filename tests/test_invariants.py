@@ -365,6 +365,33 @@ def test_signature_of_random_links_matches_dense_elimination():
     assert linked > 40
 
 
+def test_signature_pivots_leaves_before_their_hub(monkeypatch):
+    # a key ring's linking matrix is a star whose hub, the ring, is row 0:
+    # pivoting the keys first fills nothing in, so the entry updates grow
+    # linearly with the keys (taking the hub first made them quadratic),
+    # and the signature is that of the star with its hub last
+    adds = []
+    add = invariants._add
+
+    def counting(*args):
+        adds.append(args[1])
+        return add(*args)
+
+    monkeypatch.setattr(invariants, "_add", counting)
+    rng = random.Random(31)
+    counts = []
+    for n in (100, 200, 400):
+        keys = [rng.choice((-3, -2, -1, 1, 2, 3)) for _ in range(n)]
+        hub = rng.randint(-3, 3)
+        adds.clear()
+        first = signature([hub] + keys, [((0, i + 1), 1) for i in range(n)])
+        counts.append(len(adds))
+        assert first == signature(keys + [hub], [((i, n), 1) for i in range(n)])
+        schur = hub - sum(Fraction(1, f) for f in keys)
+        assert first == sum(1 if f > 0 else -1 for f in keys) + (schur > 0) - (schur < 0)
+    assert counts[2] <= 4 * counts[0], counts
+
+
 def test_signature_work_bound(monkeypatch):
     # 20,000 fives are admitted, one six among them is not: an admitted
     # matrix reaches its first pivot, and a refused one is refused before

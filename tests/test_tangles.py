@@ -8,14 +8,14 @@ from fractions import Fraction
 import pytest
 
 from conftest import random_morse_word, read_fixture
-from fibcat import ALL_THEORIES, Theory
+from fibcat import ALL_THEORIES, Scalar, Theory
 from fibcat import category as cat
 from fibcat import tangles
 from fibcat.category import A, ONE
 from fibcat.invariants import tr_link, tr_manifold
 from fibcat.tangles import (EventKind, LinkDiagram, LinkEvent, LinkParseError,
-                            LinkValidationError, _apply, _table, build_hopf_chain,
-                            evaluate, evaluate_all_a, parse_link)
+                            LinkValidationError, _apply, _scalar, _table,
+                            build_hopf_chain, evaluate, evaluate_all_a, parse_link)
 
 
 @pytest.fixture
@@ -449,6 +449,148 @@ def test_kinks_apply_no_event(monkeypatch, th):
     assert apply_calls(kinked) == apply_calls(plain)
 
 
+# -- the integer sweep against the Scalar oracle ------------------------------------
+
+PARAMETER_THEORIES = ALL_THEORIES + tuple(
+    Theory(t.epsilon_sign, t.beta_sign, Fraction(2, 3), Fraction(-5, 7), 3)
+    for t in ALL_THEORIES)
+
+
+def _theory_id(t: Theory) -> str:
+    return f"{t.epsilon_sign}-{t.beta_sign}-{t.x}-{t.y}-{t.z}"
+
+
+def _scalar_table(kind: EventKind, theory: Theory) -> dict:
+    """The event's table with each value a scalar: window -> (new window,
+    value) pairs."""
+    rows, den = _table(kind, theory)
+    return {window: tuple((new, _scalar((parity, even), den, theory))
+                          for new, parity, even, _ in entries)
+            for window, entries in rows.items()}
+
+
+def _oracle_apply(vector: dict, kind: EventKind, pos: int, table: dict) -> dict:
+    """One event applied to a vector of fusion paths with scalar entries,
+    product by product."""
+    hi = pos + tangles._WINDOW[kind]
+    out: dict = {}
+    for path, u in vector.items():
+        head, tail = path[:pos], path[hi:]
+        for window, v in table.get(path[pos:hi], ()):
+            key = head + window + tail
+            term = u * v
+            out[key] = out[key] + term if key in out else term
+    return {key: v for key, v in out.items() if v}
+
+
+def _oracle_evaluate(diagram: LinkDiagram, coloring: str, theory: Theory) -> Scalar:
+    """The colored evaluation in scalars: the events of the A-colored
+    components, one at a time, and beta^(-2 k) per A-colored component of
+    twist k."""
+    tables = {kind: _scalar_table(kind, theory) for kind in tangles._WINDOW}
+    vector = {ONE: theory.one}
+    slots: list[int] = []     # the component of each open strand
+    for ev, comps in zip(diagram.events, diagram.event_components):
+        if ev.kind not in tables:
+            continue
+        if all(coloring[c] == A for c in comps):
+            at = sum(coloring[c] == A for c in slots[:ev.pos])
+            vector = _oracle_apply(vector, ev.kind, at, tables[ev.kind])
+        if ev.kind is EventKind.CUP:
+            slots[ev.pos:ev.pos] = [comps[0]] * 2
+        elif ev.kind is EventKind.CAP:
+            del slots[ev.pos:ev.pos + 2]
+        else:
+            slots[ev.pos], slots[ev.pos + 1] = slots[ev.pos + 1], slots[ev.pos]
+    value = vector.get(ONE, theory.zero)
+    for color, twist in zip(coloring, diagram.twists):
+        if color == A:
+            value = value * theory.theta(twist)
+    return value
+
+
+def _oracle_colored_sum(diagram: LinkDiagram, weights, theory: Theory) -> Scalar:
+    total = theory.zero
+    for coloring in itertools.product((ONE, A), repeat=diagram.n_components):
+        value = _oracle_evaluate(diagram, "".join(coloring), theory)
+        for color, w in zip(coloring, weights):
+            if color == A:
+                value = value * w
+        total = total + value
+    return total
+
+
+def _z5_element(rng: random.Random, theory: Theory) -> Scalar:
+    """A seeded element of Q(z5): rational coordinates at z20^0, 2, 4, 6."""
+    coords = [0] * 8
+    for i in (0, 2, 4, 6):
+        coords[i] = Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+    return Scalar(theory.field, coords)
+
+
+@pytest.mark.parametrize("theory", PARAMETER_THEORIES, ids=_theory_id)
+def test_sweep_matches_scalar_oracle(theory):
+    # seeded Morse words and plats with kinks, up to 10 strands:
+    # evaluate at three colorings and colored_sum under eps theta^d
+    # weights and under seeded weights of Q(z5), against the
+    # product-by-product scalar sweep
+    rng = random.Random(f"oracle-{_theory_id(theory)}")
+    diagrams = [_with_kinks(rng, _random_plat(rng, width, [rng.randrange(width - 1)
+                                                           for _ in range(2 * width)]), 5)
+                for width in (8, 10)]
+    while len(diagrams) < 12:
+        diagram = LinkDiagram(tuple(random_morse_word(rng, width=10)))
+        if diagram.n_components <= 5:
+            diagrams.append(diagram)
+    for diagram in diagrams:
+        k = diagram.n_components
+        for coloring in {A * k, ONE * k, "".join(rng.choice((ONE, A)) for _ in range(k))}:
+            assert evaluate(diagram, coloring, theory) \
+                == _oracle_evaluate(diagram, coloring, theory), diagram.render()
+        for weights in ([theory.epsilon * theory.theta(rng.randint(-3, 3)) for _ in range(k)],
+                        [_z5_element(rng, theory) for _ in range(k)]):
+            assert tangles.colored_sum(diagram, weights, theory) \
+                == _oracle_colored_sum(diagram, weights, theory), diagram.render()
+
+
+def test_colored_sum_weights_lie_in_q_z5(monkeypatch, th):
+    # the sweep's integer kernel holds Q(z5): an odd power of z20, or s,
+    # as a weight is refused before any sweep
+    def no_sweep(*args):
+        raise AssertionError("a sweep started")
+
+    monkeypatch.setattr(tangles, "_sweep", no_sweep)
+    diagram = build_hopf_chain(3)
+    for bad in (th.zeta(1), th.s, th.epsilon + th.zeta(3)):
+        weights = [th.epsilon, bad, th.epsilon]
+        with pytest.raises(ValueError, match="outside Q\\(z5\\)"):
+            tangles.colored_sum(diagram, weights, th)
+
+
+def test_evaluate_multiplies_no_scalar_per_entry(monkeypatch, th):
+    # a warm evaluation of a width-12 plat makes the same number of
+    # Scalar products at 60 crossings as at 240: none per vector entry
+    calls = Counter()
+    mul = Scalar.__mul__
+
+    def counting(self, other):
+        calls["mul"] += 1
+        return mul(self, other)
+
+    diagrams = [_random_plat(random.Random(12), 12,
+                             [random.Random(n).randrange(11) for _ in range(n)])
+                for n in (60, 240)]
+    for diagram in diagrams:
+        evaluate_all_a(diagram, th)
+    monkeypatch.setattr(Scalar, "__mul__", counting)
+    counts = []
+    for diagram in diagrams:
+        calls.clear()
+        evaluate_all_a(diagram, th)
+        counts.append(calls["mul"])
+    assert counts[0] == counts[1], counts
+
+
 # -- the local tables against the lifted morphisms ------------------------------------
 
 
@@ -508,7 +650,8 @@ def test_tables_match_lifted_steps(theory):
                 for (p, q), v in m.arrows.items():
                     rows.setdefault(p, {})[cod_paths[q]] = v
                 for p, path in enumerate(dom_paths):
-                    got = _apply({path: theory.one}, kind, pos, table)
+                    entries, den = _apply(({path: (0, (1, 0, 0, 0))}, 1), kind, pos, table)
+                    got = {q: _scalar(e, den, theory) for q, e in entries.items()}
                     assert got == rows.get(p, {}), (kind, n, pos, path)
                     cases += 1
                 m = cat.tensor_morphisms(id_a, m)
