@@ -24,16 +24,19 @@ category from the single-letter cup, cap, braiding and associator (the
 F R F^-1 form for a crossing).  No lifted morphism is built, and the
 work per event is proportional to the vector's nonzero entries.
 
-Every value of the sweep lies in Q(z5) or in Q(z5) s, for z = z20^2:
+The sweep holds each fusion path P gauged by s^a(P), a(P) the number of
+its A labels, so every value of the sweep lies in Q(z5), for z = z20^2:
 beta and the twist are even powers of z20, and eps, x, y and z lie in
-Q(sqrt 5), while s enters only through cups, caps and the F block.  So
-a vector entry is four integers, the coordinates at z20^0, 2, 4, 6, with
-an s-parity, and each vector keeps one positive denominator for all its
-entries; each table keeps its values the same way.  An event is integer
-multiply-adds, the Q(z5) product with z^4 folded as z^3 - z^2 + z - 1
-(s s = eps, which each odd table value holds multiplied in), and one
-reduction of the vector by its gcd.  The result becomes a ``Scalar``
-once, at the end of the sweep.
+Q(sqrt 5), while s enters only through cups, caps and the F block, each
+value of which has the s-parity of the A labels its event adds or
+removes, and the gauge cancels it.  So a vector entry is four integers,
+the coordinates at z20^0, 2, 4, 6, and each vector keeps one positive
+denominator for all its entries; each table keeps its values the same
+way.  An event is integer multiply-adds, the Q(z5) product with z^4
+folded as z^3 - z^2 + z - 1, and one reduction of the vector by its
+gcd.  The sweep starts and ends at the path 1, which has no A label, so
+the gauge changes no result; that becomes a ``Scalar`` once, at the end
+of the sweep.
 
 One sweep over the events serves a single coloring (``evaluate``) and
 the weighted sum over all colorings (``colored_sum``, the surgery sum of
@@ -328,16 +331,15 @@ def all_a_coloring(diagram: LinkDiagram) -> Coloring:
     return A * diagram.n_components
 
 
-# A sweep value lies in Q(z5) or in Q(z5) s, for z = z20^2 a primitive
-# 10th root of unity (z^5 = -1): it is an s-parity and the integer
-# coordinates at 1, z, z^2, z^3 (z20^0, 2, 4, 6), which a vector or a
-# table keeps over one positive denominator for all its values.
+# A sweep value lies in Q(z5), for z = z20^2 a primitive 10th root of
+# unity (z^5 = -1): it is its integer coordinates at 1, z, z^2, z^3
+# (z20^0, 2, 4, 6), which a vector or a table keeps over one positive
+# denominator for all its values.
 _Coords = tuple[int, int, int, int]
-_Entry = tuple[int, _Coords]
-_Vector = tuple[dict[str, _Entry], int]
-# window -> (new window, s-parity, coordinates, the coordinates an odd
-# vector entry reads) per value, and the table's denominator
-_Table = tuple[dict[str, tuple[tuple[str, int, _Coords, _Coords], ...]], int]
+_Vector = tuple[dict[str, _Coords], int]
+# window -> (new window, coordinates) per value, and the table's
+# denominator
+_Table = tuple[dict[str, tuple[tuple[str, _Coords], ...]], int]
 _UNIT: _Coords = (1, 0, 0, 0)
 
 # The most components a link may have, read or drawn.  Its exact value
@@ -357,18 +359,6 @@ _WINDOW = {EventKind.CUP: 1, EventKind.CAP: 3,
            EventKind.CROSS_POS: 3, EventKind.CROSS_NEG: 3}
 
 
-def _coordinates(value: Scalar) -> _Entry:
-    """The s-parity and the coordinates over ``value.den`` of a value in
-    Q(z5) or in Q(z5) s; any other value is a ``ValueError``."""
-    parities = {p >> 3 for p, _ in value.terms}
-    if len(parities) > 1 or any(p & 1 for p, _ in value.terms):
-        raise ValueError(f"{value} lies in neither Q(z5) nor Q(z5) s")
-    coords = [0, 0, 0, 0]
-    for p, n in value.terms:
-        coords[(p & 7) >> 1] = n
-    return (parities.pop() if parities else 0), tuple(coords)
-
-
 def _times(a: _Coords, b: _Coords) -> _Coords:
     """The product in Q(z5), z^4 folded as z^3 - z^2 + z - 1."""
     a0, a1, a2, a3 = a
@@ -378,14 +368,6 @@ def _times(a: _Coords, b: _Coords) -> _Coords:
     c6 = a3 * b3
     return (a0 * b0 - c4 - c5, a0 * b1 + a1 * b0 + c4 - c6,
             a0 * b2 + a1 * b1 + a2 * b0 - c4, a0 * b3 + a1 * b2 + a2 * b1 + a3 * b0 + c4)
-
-
-def _scalar(entry: _Entry, den: int, theory: Theory) -> Scalar:
-    """The scalar of an entry over ``den``."""
-    parity, coords = entry
-    out = [0] * 16
-    out[8 * parity:8 * parity + 8:2] = coords
-    return Scalar._collect(theory.field, out, den)
 
 
 def _windows(word: cat.Word, c: str) -> list[str]:
@@ -411,9 +393,10 @@ def _table(kind: EventKind, theory: Theory) -> _Table:
     to A (x) (A (x) c).  A cup starts at the one letter c, so it has no
     leading associator, and a cap ends there, so it has no trailing one.
 
-    A value is kept as its s-parity and its coordinates over that
-    denominator, beside their product with eps if it is odd: an odd
-    entry of a vector reads that product, since s s = eps.
+    The sweep gauges each fusion path P by s^a(P), a(P) its number of A
+    labels, so a value v for window -> new is kept as v s^(a(window) -
+    a(new)), which lies in Q(z5): its coordinates over that denominator.
+    A value the gauge leaves outside Q(z5) is a ``ValueError`` here.
     """
     if kind is EventKind.CUP:
         local = cat.birth(A, theory)
@@ -429,15 +412,13 @@ def _table(kind: EventKind, theory: Theory) -> _Table:
         if kind is not EventKind.CAP:
             step = step.then(cat.associator(A, A, c, theory))
         dom, cod = _windows(step.dom, c), _windows(step.cod, c)
-        values += [(dom[p], cod[q], v) for (p, q), v in step.arrows.items()]
+        values += [(dom[p], cod[q], v * theory.s ** (dom[p].count(A) - cod[q].count(A)))
+                   for (p, q), v in step.arrows.items()]
     den = lcm(*(v.den for _, _, v in values))
-    eps = _coordinates(theory.epsilon)[1]
     table: dict[str, list] = {}
     for window, new, v in values:
-        parity, coords = _coordinates(v)
-        coords = tuple([n * (den // v.den) for n in coords])
-        table.setdefault(window, []).append(
-            (new, parity, coords, _times(coords, eps) if parity else coords))
+        coords, v_den = v.z5_coordinates()
+        table.setdefault(window, []).append((new, tuple([n * (den // v_den) for n in coords])))
     return {window: tuple(entries) for window, entries in table.items()}, den
 
 
@@ -450,10 +431,9 @@ def _apply(vector: _Vector, kind: EventKind, pos: int, table: _Table) -> _Vector
     rows, table_den = table
     hi = pos + _WINDOW[kind]
     out: dict[str, list[int]] = {}
-    for path, (u, (a0, a1, a2, a3)) in entries.items():
+    for path, (a0, a1, a2, a3) in entries.items():
         head, tail = path[:pos], path[hi:]
-        for window, v, even, odd in rows.get(path[pos:hi], ()):
-            b0, b1, b2, b3 = odd if u else even
+        for window, (b0, b1, b2, b3) in rows.get(path[pos:hi], ()):
             # the product of ``_times``, inlined
             c4 = a1 * b3 + a2 * b2 + a3 * b1
             r0 = a0 * b0 - c4 - a2 * b3 - a3 * b2
@@ -463,29 +443,28 @@ def _apply(vector: _Vector, kind: EventKind, pos: int, table: _Table) -> _Vector
             key = head + window + tail
             old = out.get(key)
             if old is None:
-                out[key] = [u ^ v, r0, r1, r2, r3]
+                out[key] = [r0, r1, r2, r3]
             else:
-                old[1] += r0
-                old[2] += r1
-                old[3] += r2
-                old[4] += r3
+                old[0] += r0
+                old[1] += r1
+                old[2] += r2
+                old[3] += r3
     return _lowest(out, den * table_den)
 
 
 def _lowest(out: dict[str, list[int]], den: int) -> _Vector:
-    """The vector of the [s-parity, coordinates] of ``out`` over den, in
-    lowest terms and without its zero entries."""
-    g = gcd(den, *[n for entry in out.values() for n in entry[1:]]) if den != 1 else 1
+    """The vector of the coordinates in ``out`` over den, in lowest terms
+    and without its zero entries."""
+    g = gcd(den, *[n for entry in out.values() for n in entry]) if den != 1 else 1
     if g != 1:
-        return {path: (p, (r0 // g, r1 // g, r2 // g, r3 // g))
-                for path, (p, r0, r1, r2, r3) in out.items() if r0 or r1 or r2 or r3}, den // g
-    return {path: (p, (r0, r1, r2, r3)) for path, (p, r0, r1, r2, r3) in out.items()
+        return {path: (r0 // g, r1 // g, r2 // g, r3 // g)
+                for path, (r0, r1, r2, r3) in out.items() if r0 or r1 or r2 or r3}, den // g
+    return {path: (r0, r1, r2, r3) for path, (r0, r1, r2, r3) in out.items()
             if r0 or r1 or r2 or r3}, den
 
 
 def _merge(states: dict[int, _Vector], key: int, vector: _Vector) -> None:
-    """Add ``vector`` to the vector of ``key`` in ``states``; the two
-    agree on the s-parity of every path they share."""
+    """Add ``vector`` to the vector of ``key`` in ``states``."""
     old = states.get(key)
     if old is None:
         states[key] = vector
@@ -493,10 +472,10 @@ def _merge(states: dict[int, _Vector], key: int, vector: _Vector) -> None:
     (mine, d1), (theirs, d2) = old, vector
     g = gcd(d1, d2)
     s1, s2 = d2 // g, d1 // g
-    total = {path: [p, *(n * s1 for n in coords)] for path, (p, coords) in mine.items()}
-    for path, (p, coords) in theirs.items():
-        entry = total.setdefault(path, [p, 0, 0, 0, 0])
-        for i, n in enumerate(coords, 1):
+    total = {path: [n * s1 for n in coords] for path, coords in mine.items()}
+    for path, coords in theirs.items():
+        entry = total.setdefault(path, [0, 0, 0, 0])
+        for i, n in enumerate(coords):
             entry[i] += n * s2
     total, den = _lowest(total, d1 * s1)
     if total:
@@ -510,8 +489,7 @@ def _weighted(table: _Table, weight: _Coords, den: int) -> _Table:
     if weight == _UNIT and den == 1:      # every cup of ``evaluate``
         return table
     rows, table_den = table
-    return ({window: tuple((new, parity, _times(even, weight), _times(odd, weight))
-                           for new, parity, even, odd in entries)
+    return ({window: tuple((new, _times(coords, weight)) for new, coords in entries)
              for window, entries in rows.items()}, table_den * den)
 
 
@@ -548,7 +526,7 @@ def _sweep(diagram: LinkDiagram, branches: Sequence[_Branches],
               for kind in {ev.kind for ev in diagram.events} if kind in _WINDOW}
     # the cup table times each A weight with a twist, made once per sweep
     cups: dict[tuple, _Table] = {}
-    states: dict[int, _Vector] = {0: ({ONE: (0, _UNIT)}, 1)}
+    states: dict[int, _Vector] = {0: ({ONE: _UNIT}, 1)}
     slots: list[int] = []    # the bit of each open strand's component
     for idx, (ev, comps) in enumerate(zip(diagram.events, diagram.event_components)):
         kind, pos = ev.kind, ev.pos
@@ -557,11 +535,7 @@ def _sweep(diagram: LinkDiagram, branches: Sequence[_Branches],
             continue
         c = comps[0]
         bits = 1 << c | 1 << comps[-1]
-        # strands left of pos per component bit, counted once for all keys
-        counts: dict[int, int] = {}
-        for b in slots[:pos]:
-            counts[b] = counts.get(b, 0) + 1
-        left = counts.items()
+        left = slots[:pos]      # the component bit of each strand left of pos
         out: dict[int, _Vector] = {}
         if first[c] == idx:
             # the cup opens c: every key branches into c's colors, and the
@@ -575,17 +549,17 @@ def _sweep(diagram: LinkDiagram, branches: Sequence[_Branches],
                 cup = cups.get((branch, twist))
                 if cup is None:
                     weight, den = branch
-                    theta = _coordinates(theory.theta(twist))[1]
+                    theta, _ = theory.theta(twist).z5_coordinates()
                     cup = cups[branch, twist] = _weighted(table, _times(weight, theta), den)
                 for key, vector in states.items():
-                    at = sum(n for b, n in left if key & b)
+                    at = sum(1 for b in left if key & b)
                     vector = _apply(vector, kind, at, cup)
                     if vector[0]:
                         out[key | bits] = vector
         else:
             for key, vector in states.items():
                 if key & bits == bits:
-                    at = sum(n for b, n in left if key & b)
+                    at = sum(1 for b in left if key & b)
                     vector = _apply(vector, kind, at, table)
                     if not vector[0]:
                         continue
@@ -601,15 +575,7 @@ def _sweep(diagram: LinkDiagram, branches: Sequence[_Branches],
         else:
             slots[pos], slots[pos + 1] = slots[pos + 1], slots[pos]
     entries, den = states.get(0, ({}, 1))
-    return _scalar(entries[ONE], den, theory) if ONE in entries else theory.zero
-
-
-def _weight(value: Scalar) -> tuple[_Coords, int]:
-    """A component's A weight as its coordinates in Q(z5) over a
-    denominator; a value outside Q(z5) is a ``ValueError``."""
-    if any(p & 9 for p, _ in value.terms):      # an odd power of z20, or s
-        raise ValueError(f"weight {value} lies outside Q(z5)")
-    return _coordinates(value)[1], value.den
+    return Scalar.from_z5(theory.field, entries[ONE], den) if ONE in entries else theory.zero
 
 
 def evaluate(diagram: LinkDiagram, coloring: Coloring, theory: Theory) -> Scalar:
@@ -623,9 +589,10 @@ def evaluate(diagram: LinkDiagram, coloring: Coloring, theory: Theory) -> Scalar
     pos, pos + 1 reads only the labels l_pos .. l_pos+2 (just l_pos for a
     cup) and rewrites them from its theory's table: a cup inserts two
     labels, a cap removes two and a crossing rewrites the middle one; the
-    kinks of an A-colored component scale it once (see ``_sweep``).  An
-    entry is four integer numerators, its coordinates at z20^0, 2, 4, 6,
-    and an s-parity, over the vector's one denominator, and an event does
+    kinks of an A-colored component scale it once (see ``_sweep``).  A
+    path P holds its entry gauged by s^(its A labels), which puts it in
+    Q(z5) (see ``_table``): four integer numerators, its coordinates at
+    z20^0, 2, 4, 6, over the vector's one denominator, and an event does
     integer multiply-adds on them, so the work per event is proportional
     to the vector's nonzero entries.  This is the sweep of
     ``colored_sum`` with every component's color fixed, so it keeps one
@@ -658,7 +625,7 @@ def colored_sum(diagram: LinkDiagram, weights: Sequence[Scalar],
     if peak > MAX_OPEN_COMPONENTS:
         raise ValueError(f"{peak} components open at once exceeds "
                          f"{MAX_OPEN_COMPONENTS}")
-    branches = [(None, _weight(w)) for w in weights]
+    branches = [(None, w.z5_coordinates()) for w in weights]
     return _sweep(diagram, branches, theory)
 
 

@@ -228,15 +228,15 @@ def test_link_component_bound_admits_its_bound(capsys, tmp_path):
                    f"tr: {(Theory().epsilon ** (k - 1)).render()}\n")
 
 
-def _nested_unknots(tmp_path, n):
-    path = tmp_path / f"nested{n}.txt"
+def _side_by_side_unknots(tmp_path, n):
+    path = tmp_path / f"side_by_side{n}.txt"
     path.write_text("link\n" + "cup 0\n" * n + "cap 0\n" * n + "end\n")
     return str(path)
 
 
 def test_tr_manifold_open_component_bound(capsys, tmp_path):
     # refused from the event analysis, before any branch
-    code, out, err = invoke(capsys, "tr-manifold", _nested_unknots(tmp_path, 17))
+    code, out, err = invoke(capsys, "tr-manifold", _side_by_side_unknots(tmp_path, 17))
     assert code == 1
     assert "error: 17 components open at once exceeds 16" in err
     assert out == ""

@@ -93,10 +93,9 @@ def _values(theory: Theory, rng: random.Random) -> list:
     for kind in (EventKind.CUP, EventKind.CAP, EventKind.CROSS_POS, EventKind.CROSS_NEG):
         rows, den = tangles._table(kind, theory)
         for window, entries in sorted(rows.items()):
-            # each value, and its product with eps for an odd entry
-            values += [window] + [e for new, parity, even, odd in entries
-                                  for e in (new, tangles._scalar((parity, even), den, theory),
-                                            tangles._scalar((0, odd), den, theory))]
+            # each value, gauged by a power of s, which the map fixes
+            values += [window] + [e for new, coords in entries
+                                  for e in (new, Scalar.from_z5(theory.field, coords, den))]
     values += [v for row in cat._assoc_block(theory) for v in row]
     values += [spines._sixj_unit(p, theory) for p in spines._PROFILES]
     values += [spines._pairing_unit(n, theory) for n in (0, 2, 3)]

@@ -538,21 +538,22 @@ def test_tr_manifold_long_chain_matches_closed_form(any_theory):
         assert tr_manifold(framed, any_theory) == lens_tr_closed_form(framings, any_theory)
 
 
-def _nested_unknots(n: int) -> LinkDiagram:
+def _side_by_side_unknots(n: int) -> LinkDiagram:
+    """n unknots side by side, all open at once: n cups at 0, then n caps."""
     return LinkDiagram((LinkEvent(CUP, 0),) * n + (LinkEvent(CAP, 0),) * n)
 
 
 def test_tr_manifold_open_component_bound(th):
-    # 16 nested 0-framed unknots: every coloring evaluates to eps^(#A),
-    # so the weighted sum is (1 + eps^2)^16
+    # 16 side-by-side 0-framed unknots: every coloring evaluates to
+    # eps^(#A), so the weighted sum is (1 + eps^2)^16
     assert MAX_OPEN_COMPONENTS == 16
-    framed = _nested_unknots(16)
+    framed = _side_by_side_unknots(16)
     assert tr_manifold(framed, th) \
         == (th.one + th.epsilon ** 2) ** 16 * th.big_d ** -17
     with pytest.raises(ValueError, match="17 components open at once exceeds 16"):
-        tr_manifold(_nested_unknots(17), th)
+        tr_manifold(_side_by_side_unknots(17), th)
     # a fixed coloring keeps one key, so evaluate is not bounded
-    assert evaluate_all_a(_nested_unknots(17), th) == th.epsilon ** 17
+    assert evaluate_all_a(_side_by_side_unknots(17), th) == th.epsilon ** 17
 
 
 def test_c_function_examples(th):

@@ -14,7 +14,7 @@ from fibcat import tangles
 from fibcat.category import A, ONE
 from fibcat.invariants import tr_link, tr_manifold
 from fibcat.tangles import (EventKind, LinkDiagram, LinkEvent, LinkParseError,
-                            LinkValidationError, _apply, _scalar, _table,
+                            LinkValidationError, _apply, _table,
                             build_hopf_chain, evaluate, evaluate_all_a, parse_link)
 
 
@@ -460,12 +460,18 @@ def _theory_id(t: Theory) -> str:
     return f"{t.epsilon_sign}-{t.beta_sign}-{t.x}-{t.y}-{t.z}"
 
 
+def _ungauged(path: str, new: str, coords, den: int, theory: Theory) -> Scalar:
+    """The scalar of a sweep value for ``path`` -> ``new`` with the gauge
+    of each fusion path by s^(its A labels) undone."""
+    return Scalar.from_z5(theory.field, coords, den) * theory.s ** (new.count(A) - path.count(A))
+
+
 def _scalar_table(kind: EventKind, theory: Theory) -> dict:
-    """The event's table with each value a scalar: window -> (new window,
-    value) pairs."""
+    """The event's table with each value an ungauged scalar: window ->
+    (new window, value) pairs."""
     rows, den = _table(kind, theory)
-    return {window: tuple((new, _scalar((parity, even), den, theory))
-                          for new, parity, even, _ in entries)
+    return {window: tuple((new, _ungauged(window, new, coords, den, theory))
+                          for new, coords in entries)
             for window, entries in rows.items()}
 
 
@@ -650,8 +656,8 @@ def test_tables_match_lifted_steps(theory):
                 for (p, q), v in m.arrows.items():
                     rows.setdefault(p, {})[cod_paths[q]] = v
                 for p, path in enumerate(dom_paths):
-                    entries, den = _apply(({path: (0, (1, 0, 0, 0))}, 1), kind, pos, table)
-                    got = {q: _scalar(e, den, theory) for q, e in entries.items()}
+                    entries, den = _apply(({path: (1, 0, 0, 0)}, 1), kind, pos, table)
+                    got = {q: _ungauged(path, q, e, den, theory) for q, e in entries.items()}
                     assert got == rows.get(p, {}), (kind, n, pos, path)
                     cases += 1
                 m = cat.tensor_morphisms(id_a, m)
