@@ -165,10 +165,10 @@ def surgery(diagram: LinkDiagram, theory: Theory) -> tuple[int, Scalar]:
     ``tangles.colored_sum`` (a ``ValueError`` when more than
     ``tangles.MAX_OPEN_COMPONENTS`` components are open at once).
     A kink scales an A-colored component by beta^(-2 sign), whether it
-    is drawn or not: the sweep applies the drawn kinks of component i as
-    one power of beta^(-2), and its framing excess f_i - w_i, the kinks
-    beyond those drawn, enters its weight as another, so the weight of an
-    A-colored component i is eps beta^(-2 (f_i - w_i)).
+    is drawn or not: ``colored_sum`` folds the drawn kinks of component i
+    into its weight as one power of beta^(-2), and its framing excess
+    f_i - w_i, the kinks beyond those drawn, enters the weight given as
+    another, so that weight is eps beta^(-2 (f_i - w_i)).
     """
     sigma = signature(diagram.framings(), diagram.linking)
     excess = [f - w for f, w in zip(diagram.framings(), diagram.writhes)]

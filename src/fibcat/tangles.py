@@ -24,19 +24,17 @@ category from the single-letter cup, cap, braiding and associator (the
 F R F^-1 form for a crossing).  No lifted morphism is built, and the
 work per event is proportional to the vector's nonzero entries.
 
-The sweep holds each fusion path P gauged by s^a(P), a(P) the number of
-its A labels, so every value of the sweep lies in Q(z5), for z = z20^2:
-beta and the twist are even powers of z20, and eps, x, y and z lie in
-Q(sqrt 5), while s enters only through cups, caps and the F block, each
-value of which has the s-parity of the A labels its event adds or
-removes, and the gauge cancels it.  So a vector entry is four integers,
-the coordinates at z20^0, 2, 4, 6, and each vector keeps one positive
-denominator for all its entries; each table keeps its values the same
-way.  An event is integer multiply-adds, the Q(z5) product with z^4
-folded as z^3 - z^2 + z - 1, and one reduction of the vector by its
-gcd.  The sweep starts and ends at the path 1, which has no A label, so
-the gauge changes no result; that becomes a ``Scalar`` once, at the end
-of the sweep.
+The sweep holds the entry of each fusion path P of n(P) strands gauged
+by x^(p(P)/2) / (s^a(P) y^(n(P)/2)), where a(P) counts its A labels and
+p(P) its adjacent pairs of A labels (see ``_table``).  Every table
+value then lies in Z[z5], for z = z20^2, and equals its value at
+x = y = z = 1: the gauge absorbs s, which enters only through cups,
+caps and the F block, and the free parameters x and y, on which no
+invariant depends.  So a vector entry is four integers, the
+coordinates at z20^0, 2, 4, 6, and an event is integer multiply-adds,
+the Z[z5] product with z^4 folded as z^3 - z^2 + z - 1.  The sweep
+starts and ends at the path 1, whose gauge is 1, so the gauge changes
+no result; that becomes a ``Scalar`` once, at the end of the sweep.
 
 One sweep over the events serves a single coloring (``evaluate``) and
 the weighted sum over all colorings (``colored_sum``, the surgery sum of
@@ -61,7 +59,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import lru_cache
-from math import gcd, lcm
 from typing import Iterable, Sequence
 
 from . import category as cat
@@ -331,15 +328,13 @@ def all_a_coloring(diagram: LinkDiagram) -> Coloring:
     return A * diagram.n_components
 
 
-# A sweep value lies in Q(z5), for z = z20^2 a primitive 10th root of
+# A sweep value lies in Z[z5], for z = z20^2 a primitive 10th root of
 # unity (z^5 = -1): it is its integer coordinates at 1, z, z^2, z^3
-# (z20^0, 2, 4, 6), which a vector or a table keeps over one positive
-# denominator for all its values.
+# (z20^0, 2, 4, 6).
 _Coords = tuple[int, int, int, int]
-_Vector = tuple[dict[str, _Coords], int]
-# window -> (new window, coordinates) per value, and the table's
-# denominator
-_Table = tuple[dict[str, tuple[tuple[str, _Coords], ...]], int]
+_Vector = dict[str, _Coords]
+# window -> (new window, coordinates) per value
+_Table = dict[str, tuple[tuple[str, _Coords], ...]]
 _UNIT: _Coords = (1, 0, 0, 0)
 
 # The most components a link may have, read or drawn.  Its exact value
@@ -359,8 +354,17 @@ _WINDOW = {EventKind.CUP: 1, EventKind.CAP: 3,
            EventKind.CROSS_POS: 3, EventKind.CROSS_NEG: 3}
 
 
+def _integers(value: Scalar) -> _Coords:
+    """The coordinates of a value of Z[z5]; any other value is a
+    ``ValueError``."""
+    coords, den = value.z5_coordinates()
+    if den != 1:
+        raise ValueError(f"{value} lies outside Z[z5]")
+    return coords
+
+
 def _times(a: _Coords, b: _Coords) -> _Coords:
-    """The product in Q(z5), z^4 folded as z^3 - z^2 + z - 1."""
+    """The product in Z[z5], z^4 folded as z^3 - z^2 + z - 1."""
     a0, a1, a2, a3 = a
     b0, b1, b2, b3 = b
     c4 = a1 * b3 + a2 * b2 + a3 * b1
@@ -381,11 +385,16 @@ def _windows(word: cat.Word, c: str) -> list[str]:
     return [word[p] + ac[j] + c for (_, j), ps in positions.items() for p in ps]
 
 
+def _pairs(labels: str) -> int:
+    """The adjacent pairs of A labels in a path or window."""
+    return sum(1 for a, b in zip(labels, labels[1:]) if a == b == A)
+
+
 @lru_cache(maxsize=256)
 def _table(kind: EventKind, theory: Theory) -> _Table:
     """Window of labels -> (new window, value) entries for a cup, cap or
-    crossing, and the values' denominator, read off one morphism composed
-    in the category, so the x, y, z gauge is the category's own.
+    crossing, read off one morphism composed in the category, so the x,
+    y, z gauge is the category's own.
 
     For each letter c after the pair, the step is the local cup, cap or
     crossing on the two A's, tensored with id_c and conjugated by the
@@ -393,10 +402,15 @@ def _table(kind: EventKind, theory: Theory) -> _Table:
     to A (x) (A (x) c).  A cup starts at the one letter c, so it has no
     leading associator, and a cap ends there, so it has no trailing one.
 
-    The sweep gauges each fusion path P by s^a(P), a(P) its number of A
-    labels, so a value v for window -> new is kept as v s^(a(window) -
-    a(new)), which lies in Q(z5): its coordinates over that denominator.
-    A value the gauge leaves outside Q(z5) is a ``ValueError`` here.
+    The sweep gauges the entry of each fusion path P by x^(p(P)/2) /
+    (s^a(P) y^(n(P)/2)), a(P) its number of A labels, p(P) its adjacent
+    pairs of A labels and n(P) its strands, so a value v for window ->
+    new is kept as v s^(a(window) - a(new)) x^((p(new) - p(window))/2)
+    y^((n(window) - n(new))/2); an event changes p by an even number, so
+    the powers of x and y are whole.  That lies in Z[z5] and is the
+    value at x = y = z = 1: its four integer coordinates.  A value the
+    gauge leaves outside Z[z5] is a ``ValueError`` here, so each
+    theory's dependence on x and y is checked, not assumed.
     """
     if kind is EventKind.CUP:
         local = cat.birth(A, theory)
@@ -404,7 +418,7 @@ def _table(kind: EventKind, theory: Theory) -> _Table:
         local = cat.death(A, theory)
     else:
         local = cat.braiding(A, A, theory, inverse=kind is EventKind.CROSS_NEG)
-    values: list[tuple[str, str, Scalar]] = []
+    table: dict[str, list] = {}
     for c in (ONE, A):
         step = cat.tensor_morphisms(local, cat.identity(c, theory))
         if kind is not EventKind.CUP:
@@ -412,28 +426,24 @@ def _table(kind: EventKind, theory: Theory) -> _Table:
         if kind is not EventKind.CAP:
             step = step.then(cat.associator(A, A, c, theory))
         dom, cod = _windows(step.dom, c), _windows(step.cod, c)
-        values += [(dom[p], cod[q], v * theory.s ** (dom[p].count(A) - cod[q].count(A)))
-                   for (p, q), v in step.arrows.items()]
-    den = lcm(*(v.den for _, _, v in values))
-    table: dict[str, list] = {}
-    for window, new, v in values:
-        coords, v_den = v.z5_coordinates()
-        table.setdefault(window, []).append((new, tuple([n * (den // v_den) for n in coords])))
-    return {window: tuple(entries) for window, entries in table.items()}, den
+        for (p, q), v in step.arrows.items():
+            window, new = dom[p], cod[q]
+            gauge = theory.rational(theory.x ** ((_pairs(new) - _pairs(window)) // 2)
+                                    * theory.y ** ((len(window) - len(new)) // 2))
+            v = v * gauge * theory.s ** (window.count(A) - new.count(A))
+            table.setdefault(window, []).append((new, _integers(v)))
+    return {window: tuple(entries) for window, entries in table.items()}
 
 
 def _apply(vector: _Vector, kind: EventKind, pos: int, table: _Table) -> _Vector:
     """One event of the given kind at ``pos``, with its kind's table,
-    applied to a vector of fusion paths (see ``evaluate``): integer Q(z5)
-    products over the product of the two denominators, then the vector
-    in lowest terms."""
-    entries, den = vector
-    rows, table_den = table
+    applied to a vector of fusion paths (see ``evaluate``): integer Z[z5]
+    products, and the vector without its zero entries."""
     hi = pos + _WINDOW[kind]
     out: dict[str, list[int]] = {}
-    for path, (a0, a1, a2, a3) in entries.items():
+    for path, (a0, a1, a2, a3) in vector.items():
         head, tail = path[:pos], path[hi:]
-        for window, (b0, b1, b2, b3) in rows.get(path[pos:hi], ()):
+        for window, (b0, b1, b2, b3) in table.get(path[pos:hi], ()):
             # the product of ``_times``, inlined
             c4 = a1 * b3 + a2 * b2 + a3 * b1
             r0 = a0 * b0 - c4 - a2 * b3 - a3 * b2
@@ -449,18 +459,8 @@ def _apply(vector: _Vector, kind: EventKind, pos: int, table: _Table) -> _Vector
                 old[1] += r1
                 old[2] += r2
                 old[3] += r3
-    return _lowest(out, den * table_den)
-
-
-def _lowest(out: dict[str, list[int]], den: int) -> _Vector:
-    """The vector of the coordinates in ``out`` over den, in lowest terms
-    and without its zero entries."""
-    g = gcd(den, *[n for entry in out.values() for n in entry]) if den != 1 else 1
-    if g != 1:
-        return {path: (r0 // g, r1 // g, r2 // g, r3 // g)
-                for path, (r0, r1, r2, r3) in out.items() if r0 or r1 or r2 or r3}, den // g
     return {path: (r0, r1, r2, r3) for path, (r0, r1, r2, r3) in out.items()
-            if r0 or r1 or r2 or r3}, den
+            if r0 or r1 or r2 or r3}
 
 
 def _merge(states: dict[int, _Vector], key: int, vector: _Vector) -> None:
@@ -469,41 +469,35 @@ def _merge(states: dict[int, _Vector], key: int, vector: _Vector) -> None:
     if old is None:
         states[key] = vector
         return
-    (mine, d1), (theirs, d2) = old, vector
-    g = gcd(d1, d2)
-    s1, s2 = d2 // g, d1 // g
-    total = {path: [n * s1 for n in coords] for path, coords in mine.items()}
-    for path, coords in theirs.items():
-        entry = total.setdefault(path, [0, 0, 0, 0])
-        for i, n in enumerate(coords):
-            entry[i] += n * s2
-    total, den = _lowest(total, d1 * s1)
+    total = dict(old)
+    for path, (b0, b1, b2, b3) in vector.items():
+        a0, a1, a2, a3 = total.get(path, (0, 0, 0, 0))
+        total[path] = (a0 + b0, a1 + b1, a2 + b2, a3 + b3)
+    total = {path: coords for path, coords in total.items() if any(coords)}
     if total:
-        states[key] = total, den
+        states[key] = total
     else:
         del states[key]
 
 
-def _weighted(table: _Table, weight: _Coords, den: int) -> _Table:
-    """The table with every value times weight / den, a value in Q(z5)."""
-    if weight == _UNIT and den == 1:      # every cup of ``evaluate``
+def _weighted(table: _Table, weight: _Coords) -> _Table:
+    """The table with every value times weight, a value of Z[z5]."""
+    if weight == _UNIT:      # every cup of an untwisted A component of ``evaluate``
         return table
-    rows, table_den = table
-    return ({window: tuple((new, _times(coords, weight)) for new, coords in entries)
-             for window, entries in rows.items()}, table_den * den)
+    return {window: tuple((new, _times(coords, weight)) for new, coords in entries)
+            for window, entries in table.items()}
 
 
 # The colors a component may take when it opens: None for 1, or the
-# weight of A, its coordinates in Q(z5) over a denominator.  A 1-colored
-# component is deleted, so its branch keeps the state as it is and
-# carries no weight.
-_Branches = Sequence[tuple[_Coords, int] | None]
+# weight of A, its coordinates in Z[z5].  A 1-colored component is
+# deleted, so its branch keeps the state as it is and carries no weight.
+_Branches = Sequence[_Coords | None]
 
 
 def _sweep(diagram: LinkDiagram, branches: Sequence[_Branches],
            theory: Theory) -> Scalar:
     """The sum over the colorings that ``branches`` allows of the weighted
-    colored evaluations, in one pass over the events.
+    colored evaluations of the strands, in one pass over the events.
 
     The state maps a key, the bit set of the open A-colored components,
     to a vector over fusion paths of their strands.  At a component's
@@ -515,23 +509,20 @@ def _sweep(diagram: LinkDiagram, branches: Sequence[_Branches],
     over the same paths, since only open A-colored components hold
     strands.
 
-    A kink is the ribbon twist, beta^(-2 sign) on an A-colored strand and
-    1 on a 1-colored one, so it is no event of the sweep: the twist k of
-    a component, its net signed kinks, scales its A branch by
-    beta^(-2 k).  A kink moves no strand, and it is never a component's
-    first or last event.
+    A kink moves no strand, so it is no event of the sweep: the callers
+    fold each A-colored component's twist into its weight.
     """
     first, last = diagram.first_events, diagram.last_events
     tables = {kind: _table(kind, theory)
               for kind in {ev.kind for ev in diagram.events} if kind in _WINDOW}
-    # the cup table times each A weight with a twist, made once per sweep
-    cups: dict[tuple, _Table] = {}
-    states: dict[int, _Vector] = {0: ({ONE: _UNIT}, 1)}
+    # the cup table times each A weight, made once per sweep
+    cups: dict[_Coords, _Table] = {}
+    states: dict[int, _Vector] = {0: {ONE: _UNIT}}
     slots: list[int] = []    # the bit of each open strand's component
     for idx, (ev, comps) in enumerate(zip(diagram.events, diagram.event_components)):
         kind, pos = ev.kind, ev.pos
         table = tables.get(kind)
-        if table is None:     # a kink, applied when its component opens
+        if table is None:     # a kink, in its component's weight
             continue
         c = comps[0]
         bits = 1 << c | 1 << comps[-1]
@@ -539,29 +530,25 @@ def _sweep(diagram: LinkDiagram, branches: Sequence[_Branches],
         out: dict[int, _Vector] = {}
         if first[c] == idx:
             # the cup opens c: every key branches into c's colors, and the
-            # weight of an A branch, with c's twist, scales the cup's table,
-            # not each vector
-            for branch in branches[c]:
-                if branch is None:
+            # weight of an A branch scales the cup's table, not each vector
+            for weight in branches[c]:
+                if weight is None:
                     out.update(states)
                     continue
-                twist = diagram.twists[c]
-                cup = cups.get((branch, twist))
+                cup = cups.get(weight)
                 if cup is None:
-                    weight, den = branch
-                    theta, _ = theory.theta(twist).z5_coordinates()
-                    cup = cups[branch, twist] = _weighted(table, _times(weight, theta), den)
+                    cup = cups[weight] = _weighted(table, weight)
                 for key, vector in states.items():
                     at = sum(1 for b in left if key & b)
                     vector = _apply(vector, kind, at, cup)
-                    if vector[0]:
+                    if vector:
                         out[key | bits] = vector
         else:
             for key, vector in states.items():
                 if key & bits == bits:
                     at = sum(1 for b in left if key & b)
                     vector = _apply(vector, kind, at, table)
-                    if not vector[0]:
+                    if not vector:
                         continue
                 if last[c] == idx:
                     _merge(out, key & ~bits, vector)
@@ -574,8 +561,8 @@ def _sweep(diagram: LinkDiagram, branches: Sequence[_Branches],
             del slots[pos:pos + 2]
         else:
             slots[pos], slots[pos + 1] = slots[pos + 1], slots[pos]
-    entries, den = states.get(0, ({}, 1))
-    return Scalar.from_z5(theory.field, entries[ONE], den) if ONE in entries else theory.zero
+    coords = states.get(0, {}).get(ONE)
+    return Scalar.from_z5(theory.field, coords, 1) if coords else theory.zero
 
 
 def evaluate(diagram: LinkDiagram, coloring: Coloring, theory: Theory) -> Scalar:
@@ -588,11 +575,11 @@ def evaluate(diagram: LinkDiagram, coloring: Coloring, theory: Theory) -> Scalar
     l_0 = 1 on every path reached from the unit.  An event on strands
     pos, pos + 1 reads only the labels l_pos .. l_pos+2 (just l_pos for a
     cup) and rewrites them from its theory's table: a cup inserts two
-    labels, a cap removes two and a crossing rewrites the middle one; the
-    kinks of an A-colored component scale it once (see ``_sweep``).  A
-    path P holds its entry gauged by s^(its A labels), which puts it in
-    Q(z5) (see ``_table``): four integer numerators, its coordinates at
-    z20^0, 2, 4, 6, over the vector's one denominator, and an event does
+    labels, a cap removes two and a crossing rewrites the middle one.  A
+    kink is the ribbon twist, a scalar: the net kinks k of an A-colored
+    component are its weight theta^k, which scales its cup.  A path
+    holds its entry gauged so that it lies in Z[z5] (see ``_table``):
+    four integers, its coordinates at z20^0, 2, 4, 6, and an event does
     integer multiply-adds on them, so the work per event is proportional
     to the vector's nonzero entries.  This is the sweep of
     ``colored_sum`` with every component's color fixed, so it keeps one
@@ -601,7 +588,8 @@ def evaluate(diagram: LinkDiagram, coloring: Coloring, theory: Theory) -> Scalar
     if len(coloring) != diagram.n_components:
         raise ValueError(f"coloring names {len(coloring)} of "
                          f"{diagram.n_components} components")
-    return _sweep(diagram, [((_UNIT, 1) if c == A else None,) for c in coloring], theory)
+    return _sweep(diagram, [(_integers(theory.theta(twist)),) if color == A else (None,)
+                            for color, twist in zip(coloring, diagram.twists)], theory)
 
 
 def colored_sum(diagram: LinkDiagram, weights: Sequence[Scalar],
@@ -609,9 +597,11 @@ def colored_sum(diagram: LinkDiagram, weights: Sequence[Scalar],
     """The sum over all 2^k colorings of ``evaluate``, each times the
     product of ``weights[i]`` over its A-colored components i.
 
-    A weight must lie in Q(z5), the field of the sweep's integer
+    A weight must lie in Z[z5], the ring of the sweep's integer
     coordinates; every caller's eps theta^d does.  Another weight, such
-    as an odd power of z20 or s, is a ``ValueError`` before any sweep.
+    as an odd power of z20, s or eps/3, is a ``ValueError`` before any
+    sweep.  The twist of component i, theta^k for its net kinks k, is
+    folded into ``weights[i]``.
 
     One sweep over the events: each component branches into its two
     colors when it opens and is merged away when it closes, so the cost
@@ -625,7 +615,8 @@ def colored_sum(diagram: LinkDiagram, weights: Sequence[Scalar],
     if peak > MAX_OPEN_COMPONENTS:
         raise ValueError(f"{peak} components open at once exceeds "
                          f"{MAX_OPEN_COMPONENTS}")
-    branches = [(None, w.z5_coordinates()) for w in weights]
+    branches = [(None, _times(_integers(w), _integers(theory.theta(twist))))
+                for w, twist in zip(weights, diagram.twists)]
     return _sweep(diagram, branches, theory)
 
 

@@ -91,11 +91,11 @@ def _values(theory: Theory, rng: random.Random) -> list:
         spine = _spine(rng)
         values += [tv(spine, theory), t_epsilon(spine, theory)]
     for kind in (EventKind.CUP, EventKind.CAP, EventKind.CROSS_POS, EventKind.CROSS_NEG):
-        rows, den = tangles._table(kind, theory)
-        for window, entries in sorted(rows.items()):
-            # each value, gauged by a power of s, which the map fixes
+        for window, entries in sorted(tangles._table(kind, theory).items()):
+            # each value, gauged by a power of s and rationals, which the
+            # map fixes
             values += [window] + [e for new, coords in entries
-                                  for e in (new, Scalar.from_z5(theory.field, coords, den))]
+                                  for e in (new, Scalar.from_z5(theory.field, coords, 1))]
     values += [v for row in cat._assoc_block(theory) for v in row]
     values += [spines._sixj_unit(p, theory) for p in spines._PROFILES]
     values += [spines._pairing_unit(n, theory) for n in (0, 2, 3)]

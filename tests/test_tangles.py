@@ -460,19 +460,25 @@ def _theory_id(t: Theory) -> str:
     return f"{t.epsilon_sign}-{t.beta_sign}-{t.x}-{t.y}-{t.z}"
 
 
-def _ungauged(path: str, new: str, coords, den: int, theory: Theory) -> Scalar:
+def _ungauged(path: str, new: str, coords, theory: Theory) -> Scalar:
     """The scalar of a sweep value for ``path`` -> ``new`` with the gauge
-    of each fusion path by s^(its A labels) undone."""
-    return Scalar.from_z5(theory.field, coords, den) * theory.s ** (new.count(A) - path.count(A))
+    of each fusion path P by x^(p/2) / (s^a y^(n/2)) undone: a its A
+    labels, p its adjacent pairs of A labels and n its strands."""
+    def pairs(labels: str) -> int:
+        return sum(1 for a, b in zip(labels, labels[1:]) if a == b == A)
+
+    gauge = theory.rational(theory.x ** ((pairs(path) - pairs(new)) // 2)
+                            * theory.y ** ((len(new) - len(path)) // 2))
+    return Scalar.from_z5(theory.field, coords, 1) * gauge \
+        * theory.s ** (new.count(A) - path.count(A))
 
 
 def _scalar_table(kind: EventKind, theory: Theory) -> dict:
     """The event's table with each value an ungauged scalar: window ->
     (new window, value) pairs."""
-    rows, den = _table(kind, theory)
-    return {window: tuple((new, _ungauged(window, new, coords, den, theory))
+    return {window: tuple((new, _ungauged(window, new, coords, theory))
                           for new, coords in entries)
-            for window, entries in rows.items()}
+            for window, entries in _table(kind, theory).items()}
 
 
 def _oracle_apply(vector: dict, kind: EventKind, pos: int, table: dict) -> dict:
@@ -527,10 +533,10 @@ def _oracle_colored_sum(diagram: LinkDiagram, weights, theory: Theory) -> Scalar
 
 
 def _z5_element(rng: random.Random, theory: Theory) -> Scalar:
-    """A seeded element of Q(z5): rational coordinates at z20^0, 2, 4, 6."""
+    """A seeded element of Z[z5]: integer coordinates at z20^0, 2, 4, 6."""
     coords = [0] * 8
     for i in (0, 2, 4, 6):
-        coords[i] = Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+        coords[i] = rng.randint(-4, 4)
     return Scalar(theory.field, coords)
 
 
@@ -538,7 +544,7 @@ def _z5_element(rng: random.Random, theory: Theory) -> Scalar:
 def test_sweep_matches_scalar_oracle(theory):
     # seeded Morse words and plats with kinks, up to 10 strands:
     # evaluate at three colorings and colored_sum under eps theta^d
-    # weights and under seeded weights of Q(z5), against the
+    # weights and under seeded weights of Z[z5], against the
     # product-by-product scalar sweep
     rng = random.Random(f"oracle-{_theory_id(theory)}")
     diagrams = [_with_kinks(rng, _random_plat(rng, width, [rng.randrange(width - 1)
@@ -560,8 +566,9 @@ def test_sweep_matches_scalar_oracle(theory):
 
 
 def test_colored_sum_weights_lie_in_q_z5(monkeypatch, th):
-    # the sweep's integer kernel holds Q(z5): an odd power of z20, or s,
-    # as a weight is refused before any sweep
+    # the sweep's integer kernel holds Z[z5]: an odd power of z20, or s,
+    # as a weight is refused before any sweep, and so is a weight of
+    # Q(z5) with a denominator
     def no_sweep(*args):
         raise AssertionError("a sweep started")
 
@@ -571,6 +578,9 @@ def test_colored_sum_weights_lie_in_q_z5(monkeypatch, th):
         weights = [th.epsilon, bad, th.epsilon]
         with pytest.raises(ValueError, match="outside Q\\(z5\\)"):
             tangles.colored_sum(diagram, weights, th)
+    with pytest.raises(ValueError, match="outside Z\\[z5\\]"):
+        tangles.colored_sum(diagram, [th.epsilon, th.epsilon * th.rational(Fraction(1, 3)),
+                                      th.epsilon], th)
 
 
 def test_evaluate_multiplies_no_scalar_per_entry(monkeypatch, th):
@@ -656,12 +666,28 @@ def test_tables_match_lifted_steps(theory):
                 for (p, q), v in m.arrows.items():
                     rows.setdefault(p, {})[cod_paths[q]] = v
                 for p, path in enumerate(dom_paths):
-                    entries, den = _apply(({path: (1, 0, 0, 0)}, 1), kind, pos, table)
-                    got = {q: _ungauged(path, q, e, den, theory) for q, e in entries.items()}
+                    entries = _apply({path: (1, 0, 0, 0)}, kind, pos, table)
+                    got = {q: _ungauged(path, q, e, theory) for q, e in entries.items()}
                     assert got == rows.get(p, {}), (kind, n, pos, path)
                     cases += 1
                 m = cat.tensor_morphisms(id_a, m)
     assert cases == 2111
+
+
+@pytest.mark.parametrize("unit", ALL_THEORIES, ids=_theory_id)
+def test_tables_are_independent_of_parameters(unit):
+    # the gauge absorbs x and y, and z enters no table: at seeded x, y, z,
+    # negative and non-integer ones among them, each kind's table of a
+    # theory equals that of the unit theory with the same signs
+    rng = random.Random(f"tables-{_theory_id(unit)}")
+    parameters = [(Fraction(2, 3), Fraction(-5, 7), Fraction(3))]
+    while len(parameters) < 10:
+        parameters.append(tuple(Fraction(rng.choice((-1, 1)) * rng.randint(1, 12),
+                                         rng.randint(1, 12)) for _ in range(3)))
+    for x, y, z in parameters:
+        theory = Theory(unit.epsilon_sign, unit.beta_sign, x, y, z)
+        for kind in (EventKind.CUP, EventKind.CAP, EventKind.CROSS_POS, EventKind.CROSS_NEG):
+            assert _table(kind, theory) == _table(kind, unit), (kind, x, y, z)
 
 
 # -- builders -----------------------------------------------------------------------
