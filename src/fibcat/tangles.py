@@ -18,23 +18,24 @@ labels, each the letter 1 or A of one tail of the strands (the
 golden-chain basis), so a path and a table window are spelled with the
 category's own letters.
 By naturality of the associator, an event on two adjacent strands reads
-and rewrites at most three adjacent labels, so each theory has one small
-table per strand event kind, read off one morphism composed in the
-category from the single-letter cup, cap, braiding and associator (the
-F R F^-1 form for a crossing).  No lifted morphism is built, and the
-work per event is proportional to the vector's nonzero entries.
+and rewrites at most three adjacent labels, so each sign pair (eps, beta)
+has one small table per strand event kind, read off one morphism
+composed in the category of its unit theory, x = y = z = 1, from the
+single-letter cup, cap, braiding and associator (the F R F^-1 form for
+a crossing).  No invariant depends on the free parameters x, y and z,
+so every theory of those signs sweeps with the same tables.  No lifted
+morphism is built, and the work per event is proportional to the
+vector's nonzero entries.
 
-The sweep holds the entry of each fusion path P of n(P) strands gauged
-by x^(p(P)/2) / (s^a(P) y^(n(P)/2)), where a(P) counts its A labels and
-p(P) its adjacent pairs of A labels (see ``_table``).  Every table
-value then lies in Z[z5], for z = z20^2, and equals its value at
-x = y = z = 1: the gauge absorbs s, which enters only through cups,
-caps and the F block, and the free parameters x and y, on which no
-invariant depends.  So a vector entry is four integers, the
-coordinates at z20^0, 2, 4, 6, and an event is integer multiply-adds,
-the Z[z5] product with z^4 folded as z^3 - z^2 + z - 1.  The sweep
-starts and ends at the path 1, whose gauge is 1, so the gauge changes
-no result; that becomes a ``Scalar`` once, at the end of the sweep.
+The sweep holds the entry of each fusion path P gauged by s^-a(P),
+where a(P) counts its A labels (see ``_table``).  The gauge absorbs s,
+which enters only through cups, caps and the F block, so every table
+value lies in Z[z5], for z = z20^2.  A vector entry is four integers,
+the coordinates at z20^0, 2, 4, 6, and an event is integer
+multiply-adds, the Z[z5] product with z^4 folded as z^3 - z^2 + z - 1.
+The sweep starts and ends at the path 1, whose gauge is 1, so the gauge
+changes no result; that becomes a ``Scalar`` once, at the end of the
+sweep.
 
 One sweep over the events serves a single coloring (``evaluate``) and
 the weighted sum over all colorings (``colored_sum``, the surgery sum of
@@ -385,16 +386,15 @@ def _windows(word: cat.Word, c: str) -> list[str]:
     return [word[p] + ac[j] + c for (_, j), ps in positions.items() for p in ps]
 
 
-def _pairs(labels: str) -> int:
-    """The adjacent pairs of A labels in a path or window."""
-    return sum(1 for a, b in zip(labels, labels[1:]) if a == b == A)
-
-
-@lru_cache(maxsize=256)
-def _table(kind: EventKind, theory: Theory) -> _Table:
+@lru_cache(maxsize=16)
+def _table(kind: EventKind, epsilon_sign: str, beta_sign: str) -> _Table:
     """Window of labels -> (new window, value) entries for a cup, cap or
-    crossing, read off one morphism composed in the category, so the x,
-    y, z gauge is the category's own.
+    crossing of the theories with the signs ``epsilon_sign`` and
+    ``beta_sign``, read off one morphism composed in the category of
+    their unit theory, x = y = z = 1.  The key is the two signs, never a
+    theory, whose x and y would change the values read here: no
+    invariant depends on x, y or z, so every theory of those signs
+    sweeps with these tables.
 
     For each letter c after the pair, the step is the local cup, cap or
     crossing on the two A's, tensored with id_c and conjugated by the
@@ -402,16 +402,13 @@ def _table(kind: EventKind, theory: Theory) -> _Table:
     to A (x) (A (x) c).  A cup starts at the one letter c, so it has no
     leading associator, and a cap ends there, so it has no trailing one.
 
-    The sweep gauges the entry of each fusion path P by x^(p(P)/2) /
-    (s^a(P) y^(n(P)/2)), a(P) its number of A labels, p(P) its adjacent
-    pairs of A labels and n(P) its strands, so a value v for window ->
-    new is kept as v s^(a(window) - a(new)) x^((p(new) - p(window))/2)
-    y^((n(window) - n(new))/2); an event changes p by an even number, so
-    the powers of x and y are whole.  That lies in Z[z5] and is the
-    value at x = y = z = 1: its four integer coordinates.  A value the
-    gauge leaves outside Z[z5] is a ``ValueError`` here, so each
-    theory's dependence on x and y is checked, not assumed.
+    The sweep gauges the entry of each fusion path P by s^-a(P), a(P) its
+    number of A labels, so a value v for window -> new is kept as
+    v s^(a(window) - a(new)).  That lies in Z[z5]: its four integer
+    coordinates.  A value the gauge leaves outside Z[z5] is a
+    ``ValueError`` here.
     """
+    theory = Theory(epsilon_sign, beta_sign)
     if kind is EventKind.CUP:
         local = cat.birth(A, theory)
     elif kind is EventKind.CAP:
@@ -428,9 +425,7 @@ def _table(kind: EventKind, theory: Theory) -> _Table:
         dom, cod = _windows(step.dom, c), _windows(step.cod, c)
         for (p, q), v in step.arrows.items():
             window, new = dom[p], cod[q]
-            gauge = theory.rational(theory.x ** ((_pairs(new) - _pairs(window)) // 2)
-                                    * theory.y ** ((len(window) - len(new)) // 2))
-            v = v * gauge * theory.s ** (window.count(A) - new.count(A))
+            v = v * theory.s ** (window.count(A) - new.count(A))
             table.setdefault(window, []).append((new, _integers(v)))
     return {window: tuple(entries) for window, entries in table.items()}
 
@@ -513,7 +508,7 @@ def _sweep(diagram: LinkDiagram, branches: Sequence[_Branches],
     fold each A-colored component's twist into its weight.
     """
     first, last = diagram.first_events, diagram.last_events
-    tables = {kind: _table(kind, theory)
+    tables = {kind: _table(kind, theory.epsilon_sign, theory.beta_sign)
               for kind in {ev.kind for ev in diagram.events} if kind in _WINDOW}
     # the cup table times each A weight, made once per sweep
     cups: dict[_Coords, _Table] = {}
@@ -574,9 +569,10 @@ def evaluate(diagram: LinkDiagram, coloring: Coloring, theory: Theory) -> Scalar
     l_k is the charge (1 or A) of the strands k .. n-1, so l_n = 1, and
     l_0 = 1 on every path reached from the unit.  An event on strands
     pos, pos + 1 reads only the labels l_pos .. l_pos+2 (just l_pos for a
-    cup) and rewrites them from its theory's table: a cup inserts two
-    labels, a cap removes two and a crossing rewrites the middle one.  A
-    kink is the ribbon twist, a scalar: the net kinks k of an A-colored
+    cup) and rewrites them from the table of the (eps, beta) unit theory,
+    which every x, y, z of those signs shares: a cup inserts two labels,
+    a cap removes two and a crossing rewrites the middle one.  A kink is
+    the ribbon twist, a scalar: the net kinks k of an A-colored
     component are its weight theta^k, which scales its cup.  A path
     holds its entry gauged so that it lies in Z[z5] (see ``_table``):
     four integers, its coordinates at z20^0, 2, 4, 6, and an event does

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -10,6 +11,15 @@ from fibcat.spines import Spine, vertex_triples
 from fibcat.tangles import EventKind, LinkEvent
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
+
+# each (eps, beta) theory at unit parameters and at x, y, z = 2/3, -5/7, 3
+PARAMETER_THEORIES = ALL_THEORIES + tuple(
+    Theory(t.epsilon_sign, t.beta_sign, Fraction(2, 3), Fraction(-5, 7), 3)
+    for t in ALL_THEORIES)
+
+
+def theory_id(t: Theory) -> str:
+    return f"{t.epsilon_sign}-{t.beta_sign}-{t.x}-{t.y}-{t.z}"
 
 
 def read_fixture(relpath: str) -> str:

@@ -13,7 +13,7 @@ import pytest
 
 import fibcat
 from conftest import read_fixture
-from fibcat import ALL_THEORIES, Theory, axiom_suite, category, s_matrix
+from fibcat import ALL_THEORIES, Theory, axiom_suite, category, s_matrix, tangles
 from fibcat.category import (A, ONE, UNIT, Morphism, _random_morphism,
                              _random_word, associator, birth, braiding,
                              compose, death, expand_pair,
@@ -507,13 +507,15 @@ _TABLE_ENTRY_BYTES = 2800
 
 
 def test_memory_stays_bounded_across_theories():
-    # a long-lived process that varies x, y, z: tangles._table, the last
-    # cache to fill, holds 256 entries, three per theory here, so every
-    # cache is full after about 86 theories.  From then on a new theory
-    # only replaces entries of other sizes, and the traced memory over
-    # the 100 theories after a warm-up of 120 grew by 0 to 3.8 entries'
-    # worth (Python 3.10-3.13, alone and after the rest of the suite);
-    # with _table unbounded it grows by about 250
+    # a long-lived process that varies x, y, z: tangles._table is keyed
+    # by the two signs, so its 12 tables here (three kinds in four sign
+    # pairs) are built in the warm-up, and no later theory builds one.
+    # The per-theory caches are full after the warm-up of 120 theories,
+    # and from then on a new theory only replaces entries of other sizes:
+    # the traced memory over the next 100 theories changed by -212 bytes
+    # alone and -140 after the rest of the suite (Python 3.11, x86_64),
+    # where a _table keyed by theory, 256 entries of which three per
+    # theory, grew by 3,668 and 9,796
     trefoil = parse_link(read_fixture("links/trefoil_framed1.txt"))
     rng = random.Random("memory")
     tracemalloc.start()
@@ -522,6 +524,7 @@ def test_memory_stays_bounded_across_theories():
             if i == 120:
                 gc.collect()
                 start = tracemalloc.get_traced_memory()[0]
+                misses = tangles._table.cache_info().misses
             th = dataclasses.replace(rng.choice(ALL_THEORIES), **_seeded_parameters(rng))
             tr_link(trefoil, th)
             tr_manifold(trefoil, th)
@@ -531,4 +534,5 @@ def test_memory_stays_bounded_across_theories():
         growth = tracemalloc.get_traced_memory()[0] - start
     finally:
         tracemalloc.stop()
+    assert tangles._table.cache_info().misses == misses
     assert growth < 8 * _TABLE_ENTRY_BYTES, growth

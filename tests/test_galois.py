@@ -91,9 +91,9 @@ def _values(theory: Theory, rng: random.Random) -> list:
         spine = _spine(rng)
         values += [tv(spine, theory), t_epsilon(spine, theory)]
     for kind in (EventKind.CUP, EventKind.CAP, EventKind.CROSS_POS, EventKind.CROSS_NEG):
-        for window, entries in sorted(tangles._table(kind, theory).items()):
-            # each value, gauged by a power of s and rationals, which the
-            # map fixes
+        for window, entries in sorted(tangles._table(kind, theory.epsilon_sign,
+                                                     theory.beta_sign).items()):
+            # each value, gauged by a power of s, which the map fixes
             values += [window] + [e for new, coords in entries
                                   for e in (new, Scalar.from_z5(theory.field, coords, 1))]
     values += [v for row in cat._assoc_block(theory) for v in row]

@@ -8,7 +8,7 @@ from math import gcd
 
 import pytest
 
-from conftest import random_morse_word, read_fixture
+from conftest import PARAMETER_THEORIES, random_morse_word, read_fixture, theory_id
 from fibcat import ALL_THEORIES, Scalar, Theory, scalars
 from fibcat import category as cat
 from fibcat import invariants
@@ -536,6 +536,39 @@ def test_tr_manifold_long_chain_matches_closed_form(any_theory):
         framed = build_hopf_chain(k).with_framings(framings)
         assert framed.peak_open() == 2
         assert tr_manifold(framed, any_theory) == lens_tr_closed_form(framings, any_theory)
+
+
+def _torus_knot(p: int, q: int, kind: EventKind) -> LinkDiagram:
+    """The closure of the braid (s_1 .. s_(p-1))^q on 2p strands, the
+    torus knot T(p, q) with crossings ``xp`` and its mirror with ``xn``:
+    p nested cups, q times the crossings at 0 .. p - 2, then p caps."""
+    return LinkDiagram(tuple([LinkEvent(CUP, i) for i in range(p)]
+                             + [LinkEvent(kind, j) for _ in range(q) for j in range(p - 1)]
+                             + [LinkEvent(CAP, p - 1 - i) for i in range(p)]))
+
+
+# every T(p, q) with 2 <= p < q, gcd 1 and pq <= 40, and three of up to
+# 16 strands
+TORUS_KNOTS = [(p, q) for q in range(3, 21) for p in range(2, q)
+               if gcd(p, q) == 1 and p * q <= 40] + [(6, 7), (7, 8), (8, 9)]
+
+
+@pytest.mark.parametrize("theory", PARAMETER_THEORIES, ids=theory_id)
+def test_torus_knot_surgery_is_a_lens_space(theory):
+    # Moser, "Elementary surgery along a torus knot" (Pacific J. Math. 38,
+    # 1971): surgery on T(p, q) with framing P = pq +- 1 is the lens
+    # space L(P, q^2), and on the mirror with framing -P its mirror
+    # image, whose invariant is the conjugate.  Wide knots at non-unit
+    # x, y, z meet the sweep's tables of the unit theories
+    assert len(TORUS_KNOTS) == 25
+    for p, q in TORUS_KNOTS:
+        knot, mirror = _torus_knot(p, q, XP), _torus_knot(p, q, XN)
+        for big_p in (p * q - 1, p * q + 1):
+            lens = lens_tr_closed_form(continued_fraction_framings(big_p, q * q % big_p),
+                                       theory)
+            assert tr_manifold(knot.with_framings((big_p,)), theory) == lens, (p, q, big_p)
+            assert tr_manifold(mirror.with_framings((-big_p,)), theory) \
+                == lens.conjugate(), (p, q, big_p)
 
 
 def _side_by_side_unknots(n: int) -> LinkDiagram:

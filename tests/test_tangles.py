@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import random_morse_word, read_fixture
+from conftest import PARAMETER_THEORIES, random_morse_word, read_fixture, theory_id
 from fibcat import ALL_THEORIES, Scalar, Theory
 from fibcat import category as cat
 from fibcat import tangles
@@ -451,19 +451,11 @@ def test_kinks_apply_no_event(monkeypatch, th):
 
 # -- the integer sweep against the Scalar oracle ------------------------------------
 
-PARAMETER_THEORIES = ALL_THEORIES + tuple(
-    Theory(t.epsilon_sign, t.beta_sign, Fraction(2, 3), Fraction(-5, 7), 3)
-    for t in ALL_THEORIES)
-
-
-def _theory_id(t: Theory) -> str:
-    return f"{t.epsilon_sign}-{t.beta_sign}-{t.x}-{t.y}-{t.z}"
-
-
 def _ungauged(path: str, new: str, coords, theory: Theory) -> Scalar:
-    """The scalar of a sweep value for ``path`` -> ``new`` with the gauge
-    of each fusion path P by x^(p/2) / (s^a y^(n/2)) undone: a its A
-    labels, p its adjacent pairs of A labels and n its strands."""
+    """The scalar, in ``theory``, of a sweep value for ``path`` -> ``new``
+    of its (eps, beta) unit theory's table: the value with ``theory``'s
+    gauge of each fusion path P by x^(p/2) / (s^a y^(n/2)) undone, a its
+    A labels, p its adjacent pairs of A labels and n its strands."""
     def pairs(labels: str) -> int:
         return sum(1 for a, b in zip(labels, labels[1:]) if a == b == A)
 
@@ -474,11 +466,13 @@ def _ungauged(path: str, new: str, coords, theory: Theory) -> Scalar:
 
 
 def _scalar_table(kind: EventKind, theory: Theory) -> dict:
-    """The event's table with each value an ungauged scalar: window ->
-    (new window, value) pairs."""
+    """The event's table, the (eps, beta) unit theory's, with each value
+    an ungauged scalar of ``theory``: window -> (new window, value)
+    pairs."""
     return {window: tuple((new, _ungauged(window, new, coords, theory))
                           for new, coords in entries)
-            for window, entries in _table(kind, theory).items()}
+            for window, entries in _table(kind, theory.epsilon_sign,
+                                          theory.beta_sign).items()}
 
 
 def _oracle_apply(vector: dict, kind: EventKind, pos: int, table: dict) -> dict:
@@ -540,13 +534,13 @@ def _z5_element(rng: random.Random, theory: Theory) -> Scalar:
     return Scalar(theory.field, coords)
 
 
-@pytest.mark.parametrize("theory", PARAMETER_THEORIES, ids=_theory_id)
+@pytest.mark.parametrize("theory", PARAMETER_THEORIES, ids=theory_id)
 def test_sweep_matches_scalar_oracle(theory):
     # seeded Morse words and plats with kinks, up to 10 strands:
     # evaluate at three colorings and colored_sum under eps theta^d
     # weights and under seeded weights of Z[z5], against the
     # product-by-product scalar sweep
-    rng = random.Random(f"oracle-{_theory_id(theory)}")
+    rng = random.Random(f"oracle-{theory_id(theory)}")
     diagrams = [_with_kinks(rng, _random_plat(rng, width, [rng.randrange(width - 1)
                                                            for _ in range(2 * width)]), 5)
                 for width in (8, 10)]
@@ -644,18 +638,30 @@ def _local_step(kind: EventKind, r: int, theory: Theory) -> cat.Morphism:
     return m
 
 
-@pytest.mark.parametrize("theory", ALL_THEORIES + (
-    Theory(x=Fraction(2, 3), y=Fraction(-5, 7), z=3),),
-    ids=lambda t: f"{t.epsilon_sign}-{t.beta_sign}-{t.x}-{t.y}-{t.z}")
+def _seeded_theories(unit: Theory) -> list[Theory]:
+    """The theories of ``unit``'s signs at nine seeded x, y, z, signed
+    fractions with numerators and denominators up to 12."""
+    rng = random.Random(f"tables-{theory_id(unit)}")
+    return [Theory(unit.epsilon_sign, unit.beta_sign,
+                   *(Fraction(rng.choice((-1, 1)) * rng.randint(1, 12), rng.randint(1, 12))
+                     for _ in range(3)))
+            for _ in range(9)]
+
+
+@pytest.mark.parametrize("theory", PARAMETER_THEORIES + tuple(
+    t for unit in ALL_THEORIES for t in _seeded_theories(unit)), ids=theory_id)
 def test_tables_match_lifted_steps(theory):
     # every strand event kind at every position of n <= 8 strands: the
-    # table update of each basis path equals its row of the materialized
-    # step, id_A^pos (x) (the local step), built with tensor_morphisms
+    # table update of each basis path, read from the (eps, beta) unit
+    # theory's table and ungauged with this theory's x, y and s, equals
+    # its row of this theory's materialized step, id_A^pos (x) (the local
+    # step), built with tensor_morphisms; so the tables' independence of
+    # x, y and z is checked, not assumed
     id_a = cat.identity(A, theory)
     grow = {EventKind.CUP: 2, EventKind.CAP: -2}
     cases = 0
     for kind in (EventKind.CUP, EventKind.CAP, EventKind.CROSS_POS, EventKind.CROSS_NEG):
-        table = _table(kind, theory)
+        table = _table(kind, theory.epsilon_sign, theory.beta_sign)
         for r in range(0 if kind is EventKind.CUP else 2, 9):
             m = _local_step(kind, r, theory)
             for pos in range(9 - r):
@@ -674,20 +680,26 @@ def test_tables_match_lifted_steps(theory):
     assert cases == 2111
 
 
-@pytest.mark.parametrize("unit", ALL_THEORIES, ids=_theory_id)
+@pytest.mark.parametrize("unit", ALL_THEORIES, ids=theory_id)
 def test_tables_are_independent_of_parameters(unit):
-    # the gauge absorbs x and y, and z enters no table: at seeded x, y, z,
-    # negative and non-integer ones among them, each kind's table of a
-    # theory equals that of the unit theory with the same signs
-    rng = random.Random(f"tables-{_theory_id(unit)}")
-    parameters = [(Fraction(2, 3), Fraction(-5, 7), Fraction(3))]
-    while len(parameters) < 10:
-        parameters.append(tuple(Fraction(rng.choice((-1, 1)) * rng.randint(1, 12),
-                                         rng.randint(1, 12)) for _ in range(3)))
-    for x, y, z in parameters:
-        theory = Theory(unit.epsilon_sign, unit.beta_sign, x, y, z)
-        for kind in (EventKind.CUP, EventKind.CAP, EventKind.CROSS_POS, EventKind.CROSS_NEG):
-            assert _table(kind, theory) == _table(kind, unit), (kind, x, y, z)
+    # the gauge absorbs x and y, and z enters no table, so a theory's
+    # sweep reads the tables of its signs' unit theory: once the unit
+    # theory has evaluated, the sweep at ten x, y, z of the same signs,
+    # negative and non-integer ones among them, builds no table, and each
+    # value equals the scalar oracle's, ungauged with that theory's x, y, s
+    rng = random.Random(f"independent-{theory_id(unit)}")
+    diagrams = [_with_kinks(rng, _random_plat(rng, 8, [rng.randrange(7) for _ in range(16)]), 3),
+                parse_link(read_fixture("links/trefoil_framed1.txt"))]
+    for diagram in diagrams:
+        assert evaluate_all_a(diagram, unit) \
+            == _oracle_evaluate(diagram, A * diagram.n_components, unit)
+    misses = _table.cache_info().misses
+    for theory in (Theory(unit.epsilon_sign, unit.beta_sign, Fraction(2, 3), Fraction(-5, 7), 3),
+                   *_seeded_theories(unit)):
+        for diagram in diagrams:
+            assert evaluate_all_a(diagram, theory) \
+                == _oracle_evaluate(diagram, A * diagram.n_components, theory), theory
+    assert _table.cache_info().misses == misses
 
 
 # -- builders -----------------------------------------------------------------------
