@@ -10,18 +10,21 @@ its arrows, one scalar per pair (dom letter, cod letter) of the same
 simple type; letters of different type are never connected, and absent
 arrows are zero.
 The single nontrivial fusion rule A (x) A = 1 + A makes iterated tensor
-products depend on the bracketing, which is why every expansion comes
-with its index: for each pair of letters, the positions of its summands.
-The tensor product, associator, braiding and duality maps all route
-their arrows by that index.
+products depend on the bracketing.  In X (x) Y the summands of each pair
+of letters follow one another, pairs taken lexicographically, so where
+they start is a sum of counts of letters and of A's (``_starts``).  The
+tensor product, associator, braiding and duality maps all route their
+arrows by that rule.
 """
 
 from __future__ import annotations
 
 import random
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
+from itertools import repeat
 
 from .scalars import Scalar, Theory
 
@@ -58,26 +61,34 @@ def _pair_letters(x: str, y: str) -> Word:
 
 
 @lru_cache(maxsize=4096)
-def expand_pair(x_word: Word, y_word: Word) -> tuple[Word, dict[tuple[int, int], tuple[int, ...]]]:
-    """X (x) Y and, for each pair (i, j) of letters, the positions of the
-    summands of x_i (x) y_j in it, in order.
-
-    Pairs are enumerated lexicographically, so the positions of all pairs
-    partition the word in ascending order.  A pair of two A's has two
-    summands, its 1-summand first; any other pair has one.
-    """
-    word: list[str] = []
-    positions: dict[tuple[int, int], tuple[int, ...]] = {}
-    for i, x in enumerate(x_word):
-        for j, y in enumerate(y_word):
-            summands = _pair_letters(x, y)
-            positions[i, j] = tuple(range(len(word), len(word) + len(summands)))
-            word += summands
-    return "".join(word), positions
-
-
 def tensor_words(x_word: Word, y_word: Word) -> Word:
-    return expand_pair(x_word, y_word)[0]
+    """X (x) Y: the summands of each pair of letters, pairs taken
+    lexicographically."""
+    return "".join(_pair_letters(x, y) for x in x_word for y in y_word)
+
+
+@lru_cache(maxsize=4096)
+def _starts(x_word: Word, y_word: Word) -> tuple[tuple[int, ...], tuple[Sequence[int], ...]]:
+    """(rows, cols): the summands of x_i (x) y_j start at position
+    rows[i] + cols[x_i == A][j] of X (x) Y.
+
+    Pairs are taken lexicographically, and a pair of two A's has two
+    summands, its 1-summand first; any other pair has one.  So the pairs
+    before (i, j) fill i|Y| + j positions, and one more for each of them
+    that is a pair of two A's: a_X(i) a(Y) + [x_i = A] a_Y(j), where
+    a_W(k) counts the A's among the first k letters of W and a(Y) =
+    a_Y(|Y|).
+    """
+    n, a_y = len(y_word), y_word.count(A)
+    rows, a = [], 0
+    for i, x in enumerate(x_word):
+        rows.append(i * n + a * a_y)
+        a += x == A
+    shifted, a = [], 0
+    for j, y in enumerate(y_word):
+        shifted.append(j + a)
+        a += y == A
+    return tuple(rows), (range(n), tuple(shifted))
 
 
 # ---------------------------------------------------------------------------
@@ -101,8 +112,8 @@ class Morphism:
     ``scale_identity``, ``associator``, ``braiding``, ``twist``, ``birth``,
     ``death`` and ``spines._hom_unit_basis`` build through ``_unchecked``,
     as their arrows are valid by construction: positions and letter types
-    carry over from the operands' words, or from the expansions of
-    ``expand_pair``, which pair letters of one type, and a unit-word side
+    carry over from the operands' words, or from the summand positions
+    of ``_starts``, which pair letters of one type, and a unit-word side
     meets only 1-letters; ``then`` drops the sums that vanish, and every
     other stored value is a product of nonzero field elements, a nonzero
     block entry, a power of beta, or 1, y, s and their quotients.
@@ -195,76 +206,81 @@ def tensor_morphisms(f: Morphism, g: Morphism) -> Morphism:
     product of their values; a pair of A->A arrows feeds both the 1 and
     the A summand generated by A (x) A, and cross-summands stay zero.
     """
-    dom, dpos = expand_pair(f.dom, g.dom)
-    cod, cpos = expand_pair(f.cod, g.cod)
+    drows, dcols = _starts(f.dom, g.dom)
+    crows, ccols = _starts(f.cod, g.cod)
+    g_dom = g.dom
+    g_arrows = g.arrows.items()
     arrows: Arrows = {}
     for (di, ci), fv in f.arrows.items():
-        for (dj, cj), gv in g.arrows.items():
+        # both letter pairs have the same types, so the same summands
+        x = f.dom[di]
+        drow, dcol, crow, ccol = drows[di], dcols[x == A], crows[ci], ccols[x == A]
+        for (dj, cj), gv in g_arrows:
             v = fv * gv
-            # both letter pairs have the same types, so the same summands
-            for key in zip(dpos[(di, dj)], cpos[(ci, cj)]):
-                arrows[key] = v
-    return Morphism._unchecked(dom, cod, arrows, f.theory)
+            p, q = drow + dcol[dj], crow + ccol[cj]
+            arrows[p, q] = v
+            if x == g_dom[dj] == A:
+                arrows[p + 1, q + 1] = v
+    return Morphism._unchecked(tensor_words(f.dom, g.dom), tensor_words(f.cod, g.cod),
+                               arrows, f.theory)
 
 
 # ---------------------------------------------------------------------------
 # associativity isomorphisms
 
 
-# The associator block on the simple triple A, A, A, from the summands of
-# (A (x) A) (x) A to those of A (x) (A (x) A), both spelled by this word;
-# every other simple triple has an identity block.  Plans mark an identity
-# entry by _ID, which indexes the 1 that ``_assoc_block`` appends.
-_AAA = "A1A"
-_ID = len(_AAA)
-
-
 @lru_cache(maxsize=64)
-def _assoc_block(theory: Theory) -> tuple[tuple[Scalar, ...], ...]:
-    """The A, A, A block, rows = target summand, cols = source summand,
-    with a row and a column _ID that hold 1, for identity blocks."""
+def _assoc_block(theory: Theory) -> tuple[Scalar, Scalar, Scalar, Scalar]:
+    """The A, A, A block, on the summands A, 1, A of (A (x) A) (x) A and
+    of A (x) (A (x) A), rows = target summand, cols = source summand: its
+    entries (0, 0), (0, 2), (2, 0) and (2, 2), in that order; entry
+    (1, 1) is 1 and the others are 0."""
     e_inv = theory.epsilon.invert()
     xs = theory.x_scalar
     s_inv = theory.s_inv
-    zero, one = theory.zero, theory.one
-    return (
-        (e_inv, zero, xs * s_inv, zero),
-        (zero, one, zero, zero),
-        (xs.invert() * s_inv, zero, -e_inv, zero),
-        (zero, zero, zero, one),
-    )
+    return e_inv, xs * s_inv, xs.invert() * s_inv, -e_inv
 
 
 @lru_cache(maxsize=4096)
 def _associator_plan(x_word: Word, y_word: Word, z_word: Word):
-    """(left word, right word, entries) of the associator between
+    """(left word, right word, ps, qs, quads) of the associator between
     (X(x)Y)(x)Z and X(x)(Y(x)Z), which depend on the words alone.
 
     Each simple triple (i, j, k) lists its summands on either side, on
     the left each summand of x_i (x) y_j and then its summands with z_k,
     on the right each summand of y_j (x) z_k and then those of x_i with
-    it; that listing is the order of the rows and columns of the triple's
-    block.  An entry (p, q, r, c) joins letter p on the left to letter q
-    on the right with the value at row r and column c of
-    ``_assoc_block``: the A, A, A block where its summands have one type,
-    else the identity entry (_ID, _ID).  Entries are in the order of
-    (p, q).
+    it.  A triple other than A, A, A has an identity block, which joins
+    its n-th summand on the left to its n-th on the right: letter ps[e]
+    on the left to letter qs[e] on the right.  An A, A, A triple lists
+    A, 1, A on either side, at l0, l1, l1 + 1 on the left and r0, r1,
+    r1 + 1 on the right, and keeps the quadruple (l0, l1, r0, r1).
     """
-    xy, xy_pos = expand_pair(x_word, y_word)
-    left, left_pos = expand_pair(xy, z_word)
-    yz, yz_pos = expand_pair(y_word, z_word)
-    right, right_pos = expand_pair(x_word, yz)
-    entries = []
-    for (i, j), xy_summands in xy_pos.items():
-        for k, z in enumerate(z_word):
-            lhs = [p for s in xy_summands for p in left_pos[s, k]]
-            rhs = [q for s in yz_pos[j, k] for q in right_pos[i, s]]
-            if x_word[i] == y_word[j] == z == A:
-                entries += [(lhs[tl], rhs[tr], tr, tl) for tl in range(len(_AAA))
-                            for tr in range(len(_AAA)) if _AAA[tr] == _AAA[tl]]
-            else:
-                entries += [(p, q, _ID, _ID) for p, q in zip(lhs, rhs)]
-    return left, right, tuple(sorted(entries))
+    xy, yz = tensor_words(x_word, y_word), tensor_words(y_word, z_word)
+    xy_rows, xy_cols = _starts(x_word, y_word)
+    yz_rows, yz_cols = _starts(y_word, z_word)
+    left_rows, left_cols = _starts(xy, z_word)
+    right_rows, right_cols = _starts(x_word, yz)
+    ps, qs, quads = [], [], []
+    for i, x in enumerate(x_word):
+        right_row, right_col = right_rows[i], right_cols[x == A]
+        for j, y in enumerate(y_word):
+            s = xy_rows[i] + xy_cols[x == A][j]
+            xy_summands = range(s, s + len(_pair_letters(x, y)))
+            yz_row, yz_col = yz_rows[j], yz_cols[y == A]
+            for k, z in enumerate(z_word):
+                u = yz_row + yz_col[k]
+                yz_summands = range(u, u + len(_pair_letters(y, z)))
+                lhs = [left_rows[t] + left_cols[xy[t] == A][k] + e for t in xy_summands
+                       for e in range(len(_pair_letters(xy[t], z)))]
+                rhs = [right_row + right_col[t] + e for t in yz_summands
+                       for e in range(len(_pair_letters(x, yz[t])))]
+                if x == y == z == A:
+                    quads.append((lhs[0], lhs[1], rhs[0], rhs[1]))
+                else:
+                    ps.extend(lhs)
+                    qs.extend(rhs)
+    return (tensor_words(xy, z_word), tensor_words(x_word, yz),
+            tuple(ps), tuple(qs), tuple(quads))
 
 
 def associator(x_word: Word, y_word: Word, z_word: Word,
@@ -273,46 +289,60 @@ def associator(x_word: Word, y_word: Word, z_word: Word,
 
     Each simple triple (i, j, k) of letters receives the block of the
     corresponding simple associator, routed by ``_associator_plan``.  The
-    inverse direction uses the same blocks, which square to the identity.
+    blocks square to the identity, so the inverse direction writes the
+    same entries with the roles of the two sides exchanged.
     """
-    left, right, plan = _associator_plan(x_word, y_word, z_word)
-    block = _assoc_block(theory)
+    left, right, ps, qs, quads = _associator_plan(x_word, y_word, z_word)
     if inverse:
-        return Morphism._unchecked(
-            right, left, {(q, p): block[c][r] for p, q, r, c in plan}, theory)
-    return Morphism._unchecked(
-        left, right, {(p, q): block[r][c] for p, q, r, c in plan}, theory)
+        left, right, ps, qs = right, left, qs, ps
+        quads = [(s0, s1, t0, t1) for t0, t1, s0, s1 in quads]
+    one = theory.one
+    e_inv, top, bottom, neg_e_inv = _assoc_block(theory)
+    arrows = dict(zip(zip(ps, qs), repeat(one)))
+    for s0, s1, t0, t1 in quads:
+        # source summands A, 1, A at s0, s1, s1 + 1, target ones at t0, t1, t1 + 1
+        arrows[s0, t0] = e_inv
+        arrows[s1 + 1, t0] = top
+        arrows[s1, t1] = one
+        arrows[s0, t1 + 1] = bottom
+        arrows[s1 + 1, t1 + 1] = neg_e_inv
+    return Morphism._unchecked(left, right, arrows, theory)
 
 
 # ---------------------------------------------------------------------------
 # braiding, twist, duality
 
 
-@lru_cache(maxsize=4096)
-def _braiding_plan(x_word: Word, y_word: Word):
-    """(dom, cod, entries) of c_{X,Y}, which depend on the words alone: an
-    entry (p, q, e) joins summand t of the pair (i, j) of X(x)Y, at p, to
-    summand t of the pair (j, i) of Y(x)X, at q, with value beta^e, where
-    e is 2 on the 1-summand of a pair of A's, 1 on its A-summand and 0 on
-    any other pair."""
-    dom, dom_pos = expand_pair(x_word, y_word)
-    cod, cod_pos = expand_pair(y_word, x_word)
-    entries = tuple((p, cod_pos[j, i][t],
-                     (1 if t else 2) if x_word[i] == y_word[j] == A else 0)
-                    for (i, j), ps in dom_pos.items() for t, p in enumerate(ps))
-    return dom, cod, entries
-
-
 def braiding(x_word: Word, y_word: Word, theory: Theory,
              inverse: bool = False) -> Morphism:
-    """c_{X,Y}: X(x)Y -> Y(x)X (inverse: Y(x)X -> X(x)Y), by linearity,
-    routed by ``_braiding_plan``; the inverse takes beta^-1 for beta."""
-    dom, cod, plan = _braiding_plan(x_word, y_word)
+    """c_{X,Y}: X(x)Y -> Y(x)X (inverse: Y(x)X -> X(x)Y), by linearity:
+    summand t of the pair (i, j) of U(x)V goes to summand t of the pair
+    (j, i) of V(x)U, where U, V are X, Y (inverse: Y, X), with value
+    beta^2 on the 1-summand of a pair of A's, beta on its A-summand and 1
+    on any other pair; the inverse takes beta^-1 for beta."""
     if inverse:
-        power = (theory.one, theory.beta_inv, theory.theta(1))
-        return Morphism._unchecked(cod, dom, {(q, p): power[e] for p, q, e in plan}, theory)
-    power = (theory.one, theory.beta, theory.theta(-1))
-    return Morphism._unchecked(dom, cod, {(p, q): power[e] for p, q, e in plan}, theory)
+        u_word, v_word = y_word, x_word
+        beta, beta2 = theory.beta_inv, theory.theta(1)
+    else:
+        u_word, v_word = x_word, y_word
+        beta, beta2 = theory.beta, theory.theta(-1)
+    uv_rows, uv_cols = _starts(u_word, v_word)
+    vu_rows, vu_cols = _starts(v_word, u_word)
+    one = theory.one
+    arrows: Arrows = {}
+    for i, u in enumerate(u_word):
+        # the column term of pair (j, i) of V(x)U, as v_j is 1 or A
+        vu_col = (vu_cols[0][i], vu_cols[1][i])
+        uv_row = uv_rows[i]
+        for v, uv_col, vu_row in zip(v_word, uv_cols[u == A], vu_rows):
+            p, q = uv_row + uv_col, vu_row + vu_col[v == A]
+            if u == v == A:
+                arrows[p, q] = beta2
+                arrows[p + 1, q + 1] = beta
+            else:
+                arrows[p, q] = one
+    return Morphism._unchecked(tensor_words(u_word, v_word), tensor_words(v_word, u_word),
+                               arrows, theory)
 
 
 def twist(word: Word, theory: Theory, sign: int = 1) -> Morphism:
@@ -325,22 +355,22 @@ def twist(word: Word, theory: Theory, sign: int = 1) -> Morphism:
 
 def birth(word: Word, theory: Theory) -> Morphism:
     """b_X: 1 -> X(x)X; value y at 1-letters' leading summands, y*s at A's."""
-    cod, positions = expand_pair(word, word)
+    rows, cols = _starts(word, word)
     y = theory.y_scalar
     ys = y * theory.s
-    arrows = {(0, positions[i, i][0]): (y if x == ONE else ys)
+    arrows = {(0, rows[i] + cols[x == A][i]): (y if x == ONE else ys)
               for i, x in enumerate(word)}
-    return Morphism._unchecked(UNIT, cod, arrows, theory)
+    return Morphism._unchecked(UNIT, tensor_words(word, word), arrows, theory)
 
 
 def death(word: Word, theory: Theory) -> Morphism:
     """d_X: X(x)X -> 1; value 1/y at 1-letters' leading summands, s/y at A's."""
-    dom, positions = expand_pair(word, word)
+    rows, cols = _starts(word, word)
     y_inv = theory.y_scalar.invert()
     sy = theory.s * y_inv
-    arrows = {(positions[i, i][0], 0): (y_inv if x == ONE else sy)
+    arrows = {(rows[i] + cols[x == A][i], 0): (y_inv if x == ONE else sy)
               for i, x in enumerate(word)}
-    return Morphism._unchecked(dom, UNIT, arrows, theory)
+    return Morphism._unchecked(tensor_words(word, word), UNIT, arrows, theory)
 
 
 # ---------------------------------------------------------------------------
@@ -559,9 +589,10 @@ def axiom_suite(theory: Theory, seed: int = 0) -> AxiomReport:
         x = _random_word(rng, 3)
         m = tensor_morphisms(twist(x, theory), identity(x, theory)).then(
             braiding(x, x, theory))
-        word, positions = expand_pair(x, x)
-        swap = {p: q for (i, j), ps in positions.items() for p, q in zip(ps, positions[j, i])}
-        ones = [p for p, letter in enumerate(word) if letter == ONE]
+        rows, cols = _starts(x, x)
+        swap = {rows[i] + cols[a == A][j]: rows[j] + cols[b == A][i]
+                for i, a in enumerate(x) for j, b in enumerate(x)}
+        ones = [p for p, letter in enumerate(tensor_words(x, x)) if letter == ONE]
         for p in ones:
             for q in ones:
                 expect = theory.one if q == swap[p] else theory.zero

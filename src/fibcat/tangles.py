@@ -378,12 +378,11 @@ def _times(a: _Coords, b: _Coords) -> _Coords:
 def _windows(word: cat.Word, c: str) -> list[str]:
     """The label window of each letter of a step's dom or cod, its labels
     being letters: c for the one-letter word c, and t m c for a letter t
-    of A (x) (A (x) c), m the letter of A (x) c it comes from."""
+    of A (x) (A (x) c), m the letter of A (x) c it comes from: that word
+    lists the summands of A (x) m for each m in turn."""
     if len(word) == 1:
         return [c]
-    ac = cat.tensor_words(A, c)
-    positions = cat.expand_pair(A, ac)[1]
-    return [word[p] + ac[j] + c for (_, j), ps in positions.items() for p in ps]
+    return [t + m + c for m in cat.tensor_words(A, c) for t in cat.tensor_words(A, m)]
 
 
 @lru_cache(maxsize=16)

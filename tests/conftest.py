@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 from fibcat import ALL_THEORIES, Theory
+from fibcat.category import A, ONE
 from fibcat.spines import Spine, vertex_triples
 from fibcat.tangles import EventKind, LinkEvent
 
@@ -20,6 +21,20 @@ PARAMETER_THEORIES = ALL_THEORIES + tuple(
 
 def theory_id(t: Theory) -> str:
     return f"{t.epsilon_sign}-{t.beta_sign}-{t.x}-{t.y}-{t.z}"
+
+
+def expansion_labels(x_word, y_word):
+    """X (x) Y and, per letter, its origin (i, j, t): the pair (x_i, y_j),
+    pairs taken lexicographically, and its summand t, where a pair of
+    A's gives its 1-summand then its A-summand; built apart from the
+    offset rule of ``category._starts`` as a reference."""
+    word, labels = "", []
+    for i, x in enumerate(x_word):
+        for j, y in enumerate(y_word):
+            summands = ONE + A if x == y == A else (A if A in (x, y) else ONE)
+            word += summands
+            labels += [(i, j, t) for t in range(len(summands))]
+    return word, tuple(labels)
 
 
 def read_fixture(relpath: str) -> str:

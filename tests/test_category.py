@@ -12,11 +12,11 @@ from fractions import Fraction
 import pytest
 
 import fibcat
-from conftest import read_fixture
+from conftest import expansion_labels, read_fixture
 from fibcat import ALL_THEORIES, Theory, axiom_suite, category, s_matrix, tangles
 from fibcat.category import (A, ONE, UNIT, Morphism, _random_morphism,
                              _random_word, associator, birth, braiding,
-                             compose, death, expand_pair,
+                             compose, death,
                              identity, parse_word, scale_identity,
                              tensor_morphisms, tensor_words, twist)
 from fibcat.invariants import tr_link, tr_manifold
@@ -55,22 +55,8 @@ def test_tensor_power_fibonacci_counts():
             assert (w.count(ONE), w.count(A)) == (2, 3)
 
 
-def _labels(x_word, y_word):
-    """X (x) Y and, per letter, its origin (i, j, t): the pair (x_i, y_j),
-    pairs taken lexicographically, and its summand t, where a pair of
-    A's gives its 1-summand then its A-summand; built apart from
-    ``expand_pair`` as a reference."""
-    word, labels = "", []
-    for i, x in enumerate(x_word):
-        for j, y in enumerate(y_word):
-            summands = ONE + A if x == y == A else (A if A in (x, y) else ONE)
-            word += summands
-            labels += [(i, j, t) for t in range(len(summands))]
-    return word, tuple(labels)
-
-
 def test_expansion_labels_are_positional():
-    word, labels = _labels("AA", "1A")
+    word, labels = expansion_labels("AA", "1A")
     assert word == parse_word("A1AA1A")
     assert labels == ((0, 0, 0), (0, 1, 0), (0, 1, 1),
                       (1, 0, 0), (1, 1, 0), (1, 1, 1))
@@ -79,14 +65,18 @@ def test_expansion_labels_are_positional():
     pairs = list(itertools.product(words, repeat=2))
     pairs += [(_random_word(rng, 6), _random_word(rng, 6)) for _ in range(100)]
     for x, y in pairs:
-        word, positions = expand_pair(x, y)
-        ref_word, labels = _labels(x, y)
-        assert word == ref_word
-        # the positions partition the word in ascending order ...
-        assert [p for ps in positions.values() for p in ps] == list(range(len(word)))
-        # ... and summand t of the pair (i, j) sits at positions[i, j][t]
-        assert len(positions) == len(x) * len(y)
-        assert all(positions[i, j][t] == p for p, (i, j, t) in enumerate(labels))
+        ref_word, labels = expansion_labels(x, y)
+        assert tensor_words(x, y) == ref_word
+        at: dict = {}
+        for p, (i, j, t) in enumerate(labels):
+            at.setdefault((i, j), []).append(p)
+        # the summands of x_i (x) y_j, as many as the fusion rule gives,
+        # sit one after another from the start the offset rule gives
+        rows, cols = category._starts(x, y)
+        for i, j in itertools.product(range(len(x)), range(len(y))):
+            start = rows[i] + cols[x[i] == A][j]
+            count = len(category._pair_letters(x[i], y[j]))
+            assert at[i, j] == list(range(start, start + count)), (x, y, i, j)
 
 
 # -- composition ------------------------------------------------------------
@@ -245,8 +235,22 @@ def test_associator_self_composition_is_identity(th):
     assert al.then(al) == identity("A1A", th)
 
 
-# The associator and braiding routed by the letter labels on every call,
-# with the blocks built per call: a reference for the word plans only.
+# The tensor product, associator and braiding routed by the letter labels
+# on every call, with the blocks built per call: a reference for the
+# offset rule and the associator plans.
+
+def routed_tensor(f, g):
+    dom, dlab = expansion_labels(f.dom, g.dom)
+    cod, clab = expansion_labels(f.cod, g.cod)
+    cpos = {lab: q for q, lab in enumerate(clab)}
+    arrows = {}
+    for p, (i, j, t) in enumerate(dlab):
+        for (fi, ci), fv in f.arrows.items():
+            for (gj, cj), gv in g.arrows.items():
+                if (fi, gj) == (i, j):
+                    arrows[p, cpos[ci, cj, t]] = fv * gv
+    return Morphism(dom, cod, arrows, f.theory)
+
 
 def _routed_block(x, y, z, th):
     if x == y == z == A:
@@ -268,11 +272,11 @@ def _routed_ranks(triples):
 
 
 def routed_associator(x_word, y_word, z_word, th, inverse=False):
-    xy, lab_xy = _labels(x_word, y_word)
-    left, lab = _labels(xy, z_word)
+    xy, lab_xy = expansion_labels(x_word, y_word)
+    left, lab = expansion_labels(xy, z_word)
     llab = _routed_ranks(lab_xy[pxy][:2] + (k,) for pxy, k, _ in lab)
-    yz, lab_yz = _labels(y_word, z_word)
-    right, lab = _labels(x_word, yz)
+    yz, lab_yz = expansion_labels(y_word, z_word)
+    right, lab = expansion_labels(x_word, yz)
     rlab = _routed_ranks((i,) + lab_yz[pyz][:2] for i, pyz, _ in lab)
     rindex = {key: q for q, key in enumerate(rlab)}
     arrows = {}
@@ -289,8 +293,8 @@ def routed_associator(x_word, y_word, z_word, th, inverse=False):
 
 
 def routed_braiding(x_word, y_word, th, inverse=False):
-    dom, dlab = _labels(x_word, y_word)
-    cod, clab = _labels(y_word, x_word)
+    dom, dlab = expansion_labels(x_word, y_word)
+    cod, clab = expansion_labels(y_word, x_word)
     cpos = {lab: q for q, lab in enumerate(clab)}
     beta = th.beta_inv if inverse else th.beta
     arrows = {}
@@ -319,6 +323,10 @@ def test_plans_match_label_routing(any_theory):
                 for u, v in ((x, y), (tensor_words(x, y), z)):
                     assert braiding(u, v, th, inverse) \
                         == routed_braiding(u, v, th, inverse), (u, v, inverse)
+            f = _random_morphism(rng, x, y, th)
+            g = _random_morphism(rng, y, z, th)
+            for m, n in ((f, g), (g, f)):
+                assert tensor_morphisms(m, n) == routed_tensor(m, n), (m, n)
 
 
 # -- braiding, twist, duality ---------------------------------------------------
@@ -483,20 +491,45 @@ def test_every_cache_is_bounded():
     assert caches >= 5
 
 
+# The caches keyed on words alone.
+WORD_CACHES = [tensor_words, category._starts, category._associator_plan]
+
+
 def test_word_caches_stop_growing_across_theories():
     # a long-lived process that varies x, y, z: the caches keyed on words
     # alone fill under the first theory, and later theories add nothing
-    word_caches = [expand_pair, category._associator_plan, category._braiding_plan]
-    for cache in word_caches:
+    for cache in WORD_CACHES:
         cache.cache_clear()
     rng = random.Random(16)
     sizes = []
     for _ in range(16):
         th = dataclasses.replace(Theory(), **_seeded_parameters(rng))
         assert axiom_suite(th, seed=3).all_passed
-        sizes.append(sum(cache.cache_info().currsize for cache in word_caches))
+        sizes.append(sum(cache.cache_info().currsize for cache in WORD_CACHES))
     assert sizes[0] > 0
     assert sizes == [sizes[0]] * 16
+
+
+def test_word_caches_stay_small():
+    # a long-lived process that checks many words: the word caches keep
+    # O(letters) integers per entry, a word pair's summand offsets and an
+    # associator plan's position columns, never a tuple per pair of
+    # letters.  Over these 50 seeds the memory still traced at the end
+    # was 8.8 MiB with a position tuple per letter pair and a braiding
+    # plan per word pair, and 2.3 MiB with the integer caches (Python
+    # 3.11, x86_64)
+    for cache in WORD_CACHES:
+        cache.cache_clear()
+    gc.collect()
+    tracemalloc.start()
+    try:
+        for seed in range(50):
+            axiom_suite(Theory(), seed=seed)
+        gc.collect()
+        traced = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert traced < 4 * 2**20, traced
 
 
 # The bound's unit: a tangles._table entry of the theories below took about

@@ -7,7 +7,8 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import PARAMETER_THEORIES, random_morse_word, read_fixture, theory_id
+from conftest import (PARAMETER_THEORIES, expansion_labels, random_morse_word, read_fixture,
+                      theory_id)
 from fibcat import ALL_THEORIES, Scalar, Theory
 from fibcat import category as cat
 from fibcat import tangles
@@ -610,8 +611,8 @@ def _comb(n: int):
     inner comb it comes from; the unit word's one letter is the path 1."""
     word, paths = cat.UNIT, ["1"]
     for _ in range(n):
-        new, positions = cat.expand_pair(A, word)
-        paths = [new[p] + paths[j] for (_, j), ps in positions.items() for p in ps]
+        new, labels = expansion_labels(A, word)
+        paths = [new[p] + paths[j] for p, (_, j, _) in enumerate(labels)]
         word = new
     return word, paths
 
