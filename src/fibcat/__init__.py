@@ -11,11 +11,11 @@ from .scalars import ALL_THEORIES, Rational, Scalar, Theory
 from .spines import (SPHERE_SPINE, Spine, admissible, module_iso_check,
                      pairing_categorical, pairing_table, parse_spine,
                      sixj_categorical, sixj_table, t_epsilon, tv)
-from .tangles import (EventKind, LinkDiagram, LinkEvent, build_hopf_chain,
-                      evaluate, evaluate_all_a, parse_link)
+from .tangles import (LinkDiagram, LinkEvent, build_hopf_chain, evaluate,
+                      evaluate_all_a, parse_link)
 
 __all__ = [
-    "ALL_THEORIES", "EventKind", "LinkDiagram", "LinkEvent",
+    "ALL_THEORIES", "LinkDiagram", "LinkEvent",
     "Morphism", "Rational", "SPHERE_SPINE", "Scalar", "Spine",
     "Theory", "Word", "admissible", "associator", "axiom_suite", "birth",
     "braiding", "build_hopf_chain", "c_function", "compose",

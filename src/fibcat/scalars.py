@@ -150,24 +150,21 @@ class Scalar:
         return Scalar._lowest(field, ((0, q.numerator),) if q else (), q.denominator)
 
     @classmethod
-    def from_z5(cls, field: _Field, coords: tuple[int, int, int, int], den: int) -> Scalar:
-        """The element of Q(z5), z = z20^2, with integer coordinates
-        ``coords`` at z20^0, 2, 4, 6 over den > 0: the inverse of
-        ``z5_coordinates``."""
-        out = [0] * 16
-        out[0:8:2] = coords
-        return cls._collect(field, out, den)
+    def from_z5(cls, field: _Field, coords: tuple[int, int, int, int]) -> Scalar:
+        """The element of Z[z5], z = z20^2, with integer coordinates
+        ``coords`` at z20^0, 2, 4, 6: the inverse of ``z5_coordinates``."""
+        return cls._lowest(field, tuple([(2 * i, n) for i, n in enumerate(coords) if n]), 1)
 
-    def z5_coordinates(self) -> tuple[tuple[int, int, int, int], int]:
-        """The integer coordinates at z20^0, 2, 4, 6 and the denominator
-        of an element of Q(z5), z = z20^2; any other value, one with an
-        odd power of z20 or with s, is a ``ValueError``."""
+    def z5_coordinates(self) -> tuple[int, int, int, int]:
+        """The integer coordinates at z20^0, 2, 4, 6 of an element of
+        Z[z5], z = z20^2; any other value, one with a denominator, an odd
+        power of z20 or s, is a ``ValueError``."""
         coords = [0, 0, 0, 0]
         for p, n in self.terms:
-            if p & 9:
-                raise ValueError(f"{self} lies outside Q(z5)")
+            if p & 9 or self.den != 1:
+                raise ValueError(f"{self} lies outside Z[z5]")
             coords[p >> 1] = n
-        return tuple(coords), self.den
+        return tuple(coords)
 
     # -- predicates ----------------------------------------------------
 

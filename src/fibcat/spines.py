@@ -335,7 +335,6 @@ def parse_spine(text: str, euler_check: bool = True) -> Spine:
     edges: list[tuple[int, int, int]] = []
     vertices: list[tuple[int, ...]] = []
     state = "expect_header"
-    ended = False
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -355,7 +354,6 @@ def parse_spine(text: str, euler_check: bool = True) -> Spine:
             state = "body"
         elif state == "body":
             if tokens == ["end"]:
-                ended = True
                 state = "done"
             elif tokens[0] == "edge" and len(tokens) == 4:
                 edges.append(tuple(_spine_int(tok, lineno) for tok in tokens[1:]))
@@ -367,7 +365,7 @@ def parse_spine(text: str, euler_check: bool = True) -> Spine:
                     f"'vertex x1 y1 z1 x2 y2 z2', or 'end'")
         else:
             raise SpineParseError(f"line {lineno}: content after 'end'")
-    if n_components is None or not ended:
+    if state != "done":
         raise SpineParseError("incomplete spine file")
     spine = Spine(n_components, tuple(edges), tuple(vertices))
     if euler_check:

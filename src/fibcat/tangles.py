@@ -58,7 +58,6 @@ them as a scalar.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from enum import Enum
 from functools import lru_cache
 from typing import Iterable, Sequence
 
@@ -67,25 +66,20 @@ from .category import A, ONE
 from .scalars import Scalar, Theory
 
 
-class EventKind(str, Enum):
-    CUP = "cup"
-    CAP = "cap"
-    CROSS_POS = "xp"
-    CROSS_NEG = "xn"
-    TWIST_POS = "tp"
-    TWIST_NEG = "tn"
-
-
-_KIND_BY_TOKEN = {k.value: k for k in EventKind}
+# An event's kind is its token in a link file.
+CUP, CAP = "cup", "cap"
+CROSS_POS, CROSS_NEG = "xp", "xn"
+TWIST_POS, TWIST_NEG = "tp", "tn"
+KINDS = (CUP, CAP, CROSS_POS, CROSS_NEG, TWIST_POS, TWIST_NEG)
 
 
 @dataclass(frozen=True)
 class LinkEvent:
-    kind: EventKind
+    kind: str       # one of ``KINDS``
     pos: int
 
     def __str__(self) -> str:
-        return f"{self.kind.value} {self.pos}"
+        return f"{self.kind} {self.pos}"
 
 
 class LinkParseError(ValueError):
@@ -196,7 +190,7 @@ def _analyze(events: Sequence[LinkEvent]) -> dict:
         n = len(slots)
         if ev.pos < 0:
             raise LinkValidationError(f"event {idx}: negative position")
-        if ev.kind is EventKind.CUP:
+        if ev.kind == CUP:
             if ev.pos > n:
                 raise LinkValidationError(f"event {idx}: cup at {ev.pos} with {n} strands")
             s1, s2 = len(capped), len(capped) + 1
@@ -204,27 +198,29 @@ def _analyze(events: Sequence[LinkEvent]) -> dict:
             kinked += (0, 0)
             slots[ev.pos:ev.pos] = [s1, s2]
             event_segments.append((s1, s2))
-        elif ev.kind is EventKind.CAP:
+        elif ev.kind == CAP:
             if ev.pos + 1 >= n:
                 raise LinkValidationError(f"event {idx}: cap at {ev.pos} with {n} strands")
             s1, s2 = slots[ev.pos], slots[ev.pos + 1]
             capped[s1], capped[s2] = s2, s1
             del slots[ev.pos:ev.pos + 2]
             event_segments.append((s1, s2))
-        elif ev.kind in (EventKind.CROSS_POS, EventKind.CROSS_NEG):
+        elif ev.kind in (CROSS_POS, CROSS_NEG):
             if ev.pos + 1 >= n:
                 raise LinkValidationError(f"event {idx}: crossing at {ev.pos} with {n} strands")
             s1, s2 = slots[ev.pos], slots[ev.pos + 1]
-            nominal = 1 if ev.kind is EventKind.CROSS_POS else -1
+            nominal = 1 if ev.kind == CROSS_POS else -1
             raw_crossings.append((s1, s2, nominal))
             slots[ev.pos], slots[ev.pos + 1] = s2, s1
             event_segments.append((s1, s2))
-        else:
+        elif ev.kind in (TWIST_POS, TWIST_NEG):
             if ev.pos >= n:
                 raise LinkValidationError(f"event {idx}: kink at {ev.pos} with {n} strands")
             s = slots[ev.pos]
-            kinked[s] += 1 if ev.kind is EventKind.TWIST_POS else -1
+            kinked[s] += 1 if ev.kind == TWIST_POS else -1
             event_segments.append((s,))
+        else:
+            raise LinkValidationError(f"event {idx}: unknown kind {ev.kind!r}")
     if slots:
         raise LinkValidationError(f"diagram leaves {len(slots)} strands open")
 
@@ -297,13 +293,13 @@ def parse_link(text: str) -> LinkDiagram:
             if tokens == ["end"]:
                 state = "trailer"
                 continue
-            if len(tokens) != 2 or tokens[0] not in _KIND_BY_TOKEN:
+            if len(tokens) != 2 or tokens[0] not in KINDS:
                 raise LinkParseError(f"line {lineno}: expected '<event> <pos>' or 'end'")
             try:
                 pos = int(tokens[1])
             except ValueError:
                 raise LinkParseError(f"line {lineno}: bad position {tokens[1]!r}") from None
-            events.append(LinkEvent(_KIND_BY_TOKEN[tokens[0]], pos))
+            events.append(LinkEvent(tokens[0], pos))
         else:
             if tokens[0] != "framing" or len(tokens) != 2 or "=" not in tokens[1]:
                 raise LinkParseError(f"line {lineno}: expected 'framing i=f' after end")
@@ -351,17 +347,7 @@ MAX_OPEN_COMPONENTS = 16
 # Labels of the path window a strand event reads: one for a cup, the three
 # around the pair for a cap or a crossing.  A kink moves no strand; it is a
 # scalar on its component (see ``_sweep``) and has no table.
-_WINDOW = {EventKind.CUP: 1, EventKind.CAP: 3,
-           EventKind.CROSS_POS: 3, EventKind.CROSS_NEG: 3}
-
-
-def _integers(value: Scalar) -> _Coords:
-    """The coordinates of a value of Z[z5]; any other value is a
-    ``ValueError``."""
-    coords, den = value.z5_coordinates()
-    if den != 1:
-        raise ValueError(f"{value} lies outside Z[z5]")
-    return coords
+_WINDOW = {CUP: 1, CAP: 3, CROSS_POS: 3, CROSS_NEG: 3}
 
 
 def _times(a: _Coords, b: _Coords) -> _Coords:
@@ -386,7 +372,7 @@ def _windows(word: cat.Word, c: str) -> list[str]:
 
 
 @lru_cache(maxsize=16)
-def _table(kind: EventKind, epsilon_sign: str, beta_sign: str) -> _Table:
+def _table(kind: str, epsilon_sign: str, beta_sign: str) -> _Table:
     """Window of labels -> (new window, value) entries for a cup, cap or
     crossing of the theories with the signs ``epsilon_sign`` and
     ``beta_sign``, read off one morphism composed in the category of
@@ -408,28 +394,28 @@ def _table(kind: EventKind, epsilon_sign: str, beta_sign: str) -> _Table:
     ``ValueError`` here.
     """
     theory = Theory(epsilon_sign, beta_sign)
-    if kind is EventKind.CUP:
+    if kind == CUP:
         local = cat.birth(A, theory)
-    elif kind is EventKind.CAP:
+    elif kind == CAP:
         local = cat.death(A, theory)
     else:
-        local = cat.braiding(A, A, theory, inverse=kind is EventKind.CROSS_NEG)
+        local = cat.braiding(A, A, theory, inverse=kind == CROSS_NEG)
     table: dict[str, list] = {}
     for c in (ONE, A):
         step = cat.tensor_morphisms(local, cat.identity(c, theory))
-        if kind is not EventKind.CUP:
+        if kind != CUP:
             step = cat.associator(A, A, c, theory, inverse=True).then(step)
-        if kind is not EventKind.CAP:
+        if kind != CAP:
             step = step.then(cat.associator(A, A, c, theory))
         dom, cod = _windows(step.dom, c), _windows(step.cod, c)
         for (p, q), v in step.arrows.items():
             window, new = dom[p], cod[q]
             v = v * theory.s ** (window.count(A) - new.count(A))
-            table.setdefault(window, []).append((new, _integers(v)))
+            table.setdefault(window, []).append((new, v.z5_coordinates()))
     return {window: tuple(entries) for window, entries in table.items()}
 
 
-def _apply(vector: _Vector, kind: EventKind, pos: int, table: _Table) -> _Vector:
+def _apply(vector: _Vector, kind: str, pos: int, table: _Table) -> _Vector:
     """One event of the given kind at ``pos``, with its kind's table,
     applied to a vector of fusion paths (see ``evaluate``): integer Z[z5]
     products, and the vector without its zero entries."""
@@ -549,14 +535,13 @@ def _sweep(diagram: LinkDiagram, branches: Sequence[_Branches],
                 else:
                     out[key] = vector
         states = out
-        if kind is EventKind.CUP:
+        if kind == CUP:
             slots[pos:pos] = [bits, bits]
-        elif kind is EventKind.CAP:
+        elif kind == CAP:
             del slots[pos:pos + 2]
         else:
             slots[pos], slots[pos + 1] = slots[pos + 1], slots[pos]
-    coords = states.get(0, {}).get(ONE)
-    return Scalar.from_z5(theory.field, coords, 1) if coords else theory.zero
+    return Scalar.from_z5(theory.field, states.get(0, {}).get(ONE, (0, 0, 0, 0)))
 
 
 def evaluate(diagram: LinkDiagram, coloring: Coloring, theory: Theory) -> Scalar:
@@ -583,7 +568,10 @@ def evaluate(diagram: LinkDiagram, coloring: Coloring, theory: Theory) -> Scalar
     if len(coloring) != diagram.n_components:
         raise ValueError(f"coloring names {len(coloring)} of "
                          f"{diagram.n_components} components")
-    return _sweep(diagram, [(_integers(theory.theta(twist)),) if color == A else (None,)
+    for i, color in enumerate(coloring):
+        if color not in (ONE, A):
+            raise ValueError(f"coloring letter {i} is {color!r}, not {ONE!r} or {A!r}")
+    return _sweep(diagram, [(theory.theta(twist).z5_coordinates(),) if color == A else (None,)
                             for color, twist in zip(coloring, diagram.twists)], theory)
 
 
@@ -610,7 +598,7 @@ def colored_sum(diagram: LinkDiagram, weights: Sequence[Scalar],
     if peak > MAX_OPEN_COMPONENTS:
         raise ValueError(f"{peak} components open at once exceeds "
                          f"{MAX_OPEN_COMPONENTS}")
-    branches = [(None, _times(_integers(w), _integers(theory.theta(twist))))
+    branches = [(None, (w * theory.theta(twist)).z5_coordinates())
                 for w, twist in zip(weights, diagram.twists)]
     return _sweep(diagram, branches, theory)
 
@@ -635,19 +623,19 @@ def build_hopf_chain(k: int, framings: Sequence[int] | None = None) -> LinkDiagr
         raise ValueError(f"expected {k} framings, got {len(framings)}")
 
     def kinks(f: int, pos: int) -> list[LinkEvent]:
-        kind = EventKind.TWIST_POS if f > 0 else EventKind.TWIST_NEG
+        kind = TWIST_POS if f > 0 else TWIST_NEG
         return [LinkEvent(kind, pos)] * abs(f)
 
-    events: list[LinkEvent] = [LinkEvent(EventKind.CUP, 0)]
+    events: list[LinkEvent] = [LinkEvent(CUP, 0)]
     if framings is not None:
         events += kinks(framings[0], 1)
     for i in range(1, k):
-        events.append(LinkEvent(EventKind.CUP, 1))
+        events.append(LinkEvent(CUP, 1))
         if framings is not None:
             events += kinks(framings[i], 1)
-        events.append(LinkEvent(EventKind.CROSS_POS, 0))
-        events.append(LinkEvent(EventKind.CROSS_POS, 2))
-        events.append(LinkEvent(EventKind.CAP, 1))
-    events.append(LinkEvent(EventKind.CAP, 0))
+        events.append(LinkEvent(CROSS_POS, 0))
+        events.append(LinkEvent(CROSS_POS, 2))
+        events.append(LinkEvent(CAP, 1))
+    events.append(LinkEvent(CAP, 0))
     declared = tuple((i, f) for i, f in enumerate(framings)) if framings is not None else ()
     return LinkDiagram(tuple(events), declared)

@@ -21,8 +21,8 @@ from fibcat.invariants import (c_function, continued_fraction_framings,
 from fibcat.spines import (SPHERE_SPINE, admissible, module_iso_check,
                            pairing_categorical, pairing_table,
                            sixj_categorical, sixj_table, t_epsilon, tv)
-from fibcat.tangles import (EventKind, LinkDiagram, LinkEvent,
-                            build_hopf_chain, evaluate_all_a, parse_link)
+from fibcat.tangles import (LinkDiagram, LinkEvent, build_hopf_chain,
+                            evaluate_all_a, parse_link)
 
 PARAM_SETS = (
     Theory(),
@@ -40,13 +40,13 @@ def trefoil() -> LinkDiagram:
 
 
 def plat3(braid_word) -> LinkDiagram:
-    events = [LinkEvent(EventKind.CUP, 0), LinkEvent(EventKind.CUP, 2),
-              LinkEvent(EventKind.CUP, 4)]
+    events = [LinkEvent("cup", 0), LinkEvent("cup", 2),
+              LinkEvent("cup", 4)]
     for s in braid_word:
-        kind = EventKind.CROSS_POS if s > 0 else EventKind.CROSS_NEG
+        kind = "xp" if s > 0 else "xn"
         events.append(LinkEvent(kind, abs(s)))
-    events += [LinkEvent(EventKind.CAP, 1), LinkEvent(EventKind.CAP, 1),
-               LinkEvent(EventKind.CAP, 0)]
+    events += [LinkEvent("cap", 1), LinkEvent("cap", 1),
+               LinkEvent("cap", 0)]
     return LinkDiagram(tuple(events))
 
 
@@ -178,7 +178,7 @@ def test_criterion_11_evaluation_properties():
     # an RI kink scales the evaluation by beta^(-2) but leaves tr fixed
     base = trefoil()
     events = list(base.events)
-    kinked = base.with_events(events[:1] + [LinkEvent(EventKind.TWIST_POS, 0)]
+    kinked = base.with_events(events[:1] + [LinkEvent("tp", 0)]
                               + events[1:])
     assert evaluate_all_a(kinked, theory) \
         == evaluate_all_a(base, theory) * theory.beta_inv ** 2

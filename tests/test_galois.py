@@ -22,7 +22,7 @@ from fibcat import spines, tangles
 from fibcat.invariants import (continued_fraction_framings, lens_tr_closed_form,
                                tr_link, tr_manifold)
 from fibcat.spines import Spine, t_epsilon, tv, vertex_triples
-from fibcat.tangles import EventKind, LinkDiagram, parse_link
+from fibcat.tangles import LinkDiagram, parse_link
 
 K = {("positive", "minus"): 19, ("negative", "minus"): 3, ("negative", "plus"): 17}
 PARAMETERS = ((1, 1, 1), (Fraction(2, 3), Fraction(-5, 7), 3))
@@ -90,12 +90,12 @@ def _values(theory: Theory, rng: random.Random) -> list:
     for _ in range(10):
         spine = _spine(rng)
         values += [tv(spine, theory), t_epsilon(spine, theory)]
-    for kind in (EventKind.CUP, EventKind.CAP, EventKind.CROSS_POS, EventKind.CROSS_NEG):
+    for kind in ("cup", "cap", "xp", "xn"):
         for window, entries in sorted(tangles._table(kind, theory.epsilon_sign,
                                                      theory.beta_sign).items()):
             # each value, gauged by a power of s, which the map fixes
             values += [window] + [e for new, coords in entries
-                                  for e in (new, Scalar.from_z5(theory.field, coords, 1))]
+                                  for e in (new, Scalar.from_z5(theory.field, coords))]
     values += list(cat._assoc_block(theory))
     values += [spines._sixj_unit(p, theory) for p in spines._PROFILES]
     values += [spines._pairing_unit(n, theory) for n in (0, 2, 3)]

@@ -19,12 +19,11 @@ import pytest
 from conftest import random_morse_word
 from fibcat import ALL_THEORIES, Theory
 from fibcat.invariants import tr_manifold
-from fibcat.tangles import EventKind, LinkDiagram, LinkEvent
+from fibcat.tangles import LinkDiagram, LinkEvent
 
-CUP, CAP = EventKind.CUP, EventKind.CAP
-XP, XN = EventKind.CROSS_POS, EventKind.CROSS_NEG
-_MIRROR = {XP: XN, XN: XP, EventKind.TWIST_POS: EventKind.TWIST_NEG,
-           EventKind.TWIST_NEG: EventKind.TWIST_POS}
+CUP, CAP = "cup", "cap"
+XP, XN = "xp", "xn"
+_MIRROR = {XP: XN, XN: XP, "tp": "tn", "tn": "tp"}
 
 THEORIES = ALL_THEORIES + (Theory(x=Fraction(2, 3), y=Fraction(-5, 7), z=3),)
 

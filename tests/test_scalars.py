@@ -395,19 +395,20 @@ def test_roots_of_unity_table(any_theory):
 
 
 def test_z5_coordinates_round_trip(any_theory):
-    # Q(z5), z = z20^2, as integer coordinates at z20^0, 2, 4, 6 over a
-    # denominator: seeded elements come back from them, and a value with
-    # an odd power of z20 or with s is refused
+    # Z[z5], z = z20^2, as integer coordinates at z20^0, 2, 4, 6: seeded
+    # elements come back from them, and a value with a denominator, an
+    # odd power of z20 or s is refused
     th = any_theory
     rng = random.Random("z5")
     for _ in range(50):
-        x = Scalar(th.field, [Fraction(rng.randint(-9, 9), rng.randint(1, 6)) if i % 2 == 0
-                              else 0 for i in range(8)])
-        coords, den = x.z5_coordinates()
-        assert den == x.den and Scalar.from_z5(th.field, coords, den) == x
-    assert Scalar.from_z5(th.field, *th.theta(3).z5_coordinates()) == th.theta(3)
-    for bad in (th.zeta(1), th.s, th.one + th.s, th.epsilon + th.zeta(3)):
-        with pytest.raises(ValueError, match="outside Q\\(z5\\)"):
+        x = Scalar(th.field, [rng.randint(-9, 9) if i % 2 == 0 else 0 for i in range(8)])
+        coords = x.z5_coordinates()
+        assert all(type(c) is int for c in coords) and Scalar.from_z5(th.field, coords) == x
+    assert Scalar.from_z5(th.field, th.theta(3).z5_coordinates()) == th.theta(3)
+    assert Scalar.from_z5(th.field, (0, 0, 0, 0)) == th.zero
+    for bad in (th.zeta(1), th.s, th.one + th.s, th.epsilon + th.zeta(3),
+                th.epsilon * th.rational(Fraction(1, 3)), th.rational(Fraction(1, 2))):
+        with pytest.raises(ValueError, match="outside Z\\[z5\\]"):
             bad.z5_coordinates()
 
 

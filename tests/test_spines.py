@@ -196,8 +196,9 @@ def test_parse_errors():
         parse_spine("spine\ncomponents 1\nedge 0 5 0\nend\n")
     with pytest.raises(SpineParseError):
         parse_spine("spine\ncomponents 1\nedge 0 0\nend\n")
-    with pytest.raises(SpineParseError, match="incomplete"):
-        parse_spine("spine\ncomponents 1\n")
+    for text in ("", "spine\n", "spine\ncomponents 1\n"):
+        with pytest.raises(SpineParseError, match="incomplete spine file"):
+            parse_spine(text)
 
 
 # -- state sums -------------------------------------------------------------------------------
