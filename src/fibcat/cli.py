@@ -254,6 +254,8 @@ def _dispatch(args, theory: Theory) -> int:
 
     if args.command == "lens":
         if args.framings is not None:
+            if args.p is not None:
+                raise CliError("lens takes either P Q or --framings, not both")
             framings = _parse_framings(args.framings)
         elif args.p is not None and args.q is not None:
             framings = inv.continued_fraction_framings(args.p, args.q)

@@ -39,7 +39,7 @@ def tr_link(diagram: LinkDiagram, theory: Theory) -> Scalar:
 # --framings`` has long admitted.  The floor in the prediction is set by
 # measurement: at this bound, the signatures of chains of 10,690 to
 # 20,000 framings from 4 to 181, and of 1,552 framings of 10^100, took
-# medians of 1.44-1.66 s against the fives' 1.69-1.71 s in the same runs
+# medians of 0.75-0.95 s against the fives' 1.00 s in the same runs
 # (x86_64, Python 3.11).
 MAX_SIGNATURE_WORK = 16 * 10 ** 8
 
@@ -48,9 +48,9 @@ def signature(diagonal: Sequence[int],
               pairs: Iterable[tuple[tuple[int, int], int]]) -> int:
     """Signature of the symmetric integer matrix with the given diagonal
     and, for each ((i, j), v) of ``pairs``, the entry v at (i, j) and at
-    (j, i); the entries of pairs left out are zero, and a pair is given
-    at most once.  A pair outside the matrix or on its diagonal is a
-    ``ValueError``.
+    (j, i); the entries of pairs left out are zero.  A pair outside the
+    matrix or on its diagonal, or given twice (in either orientation), is
+    a ``ValueError``.
 
     Exact congruence diagonalization over the rationals, taking the rows
     in a minimum-degree order, planned before any elimination by the
@@ -65,13 +65,11 @@ def signature(diagonal: Sequence[int],
     of the two signs at least one makes that nonzero (if 2a + d = 0 then
     d - 2a = -4a); row r is then eliminated as usual.  Elimination
     updates only the rows that meet the pivot, so a chain of k circles
-    costs O(k).  An entry is kept as a pair (numerator, denominator) in
-    lowest terms with a positive denominator, and sums and products are
-    reduced as in Knuth, TAOCP 4.5.1: never by the gcd of a whole new
-    numerator and denominator, only of a denominator or a cross factor
-    with its partner.  The pivots of a chain are ratios of continuants
-    (4,519 bits long after 2,000 fives), but each of their gcds meets an
-    entry that elimination has not yet touched, so it stays cheap.
+    costs O(k).  An entry is an ``int`` until its first division and a
+    ``Fraction`` after, and ``Fraction`` reduces sums and products by
+    cross gcds, each of which, on a chain, meets an entry that
+    elimination has not yet touched, so the pivots (ratios of continuants
+    thousands of bits long) stay cheap.
 
     Those O(k) steps are on entries that grow, so the work is predicted
     before any elimination: n rows times the sum over the rows of
@@ -82,14 +80,19 @@ def signature(diagonal: Sequence[int],
     predicted past ``MAX_SIGNATURE_WORK`` is a ``ValueError``.
     """
     n = len(diagonal)
-    live = {i: {i: (d, 1)} if d else {}    # the rows still to eliminate
+    live = {i: {i: d} if d else {}    # the rows still to eliminate
             for i, d in enumerate(diagonal)}
+    given = set()
     for (i, j), v in pairs:
         if not (0 <= i < n and 0 <= j < n) or i == j:
             raise ValueError(f"pair ({i}, {j}) is off a {n}x{n} matrix or on its diagonal")
+        key = (min(i, j), max(i, j))
+        if key in given:
+            raise ValueError(f"pair ({i}, {j}) is given twice")
+        given.add(key)
         if v:
-            live[i][j] = live[j][i] = (v, 1)
-    work = n * sum((sum(v * v for v, _ in row.values()) >> 1).bit_length()
+            live[i][j] = live[j][i] = v
+    work = n * sum((sum(v * v for v in row.values()) >> 1).bit_length()
                    for row in live.values())          # floor(log2 q), 0 at q = 0
     if work > MAX_SIGNATURE_WORK:
         raise ValueError(f"signature of this {n}x{n} matrix: predicted work {work} "
@@ -101,14 +104,13 @@ def signature(diagonal: Sequence[int],
         if row and r not in row:
             c = next(iter(row))
             partner = live[c]
-            (an, ad), (dn, dd) = row[c], partner.get(c, _ZERO)
-            t = 1 if 2 * an * dd + dn * ad else -1
-            for j, (yn, yd) in list(partner.items()):   # (r, j) += t (c, j)
+            a, d = row[c], partner.get(c, 0)
+            t = 1 if 2 * a + d else -1
+            for j, y in list(partner.items()):   # (r, j) += t (c, j)
                 if j != r:
-                    _add(row, j, t * yn, yd)
-                    _add(live[j], r, t * yn, yd)
-            _add(row, r, *_product((2 * t, 1), (an, ad)))
-            _add(row, r, dn, dd)
+                    _add(row, j, t * y)
+                    _add(live[j], r, t * y)
+            _add(row, r, 2 * t * a + d)
         if row:
             sigma += _pivot(live, r)
         else:
@@ -116,42 +118,25 @@ def signature(diagonal: Sequence[int],
     return sigma
 
 
-_Rows = dict[int, dict[int, tuple[int, int]]]
-_ZERO = (0, 1)
-
-
-def _pivot(live: _Rows, p: int) -> int:
+def _pivot(live: dict[int, dict[int, int | Fraction]], p: int) -> int:
     """Eliminate row p on its nonzero diagonal entry a: each entry (v, w)
     of the rows that meet p gains (-x_v / a) x_w.  Returns the sign of a."""
     pivot = live.pop(p)
-    an, ad = pivot.pop(p)
-    minus_inv = (-ad, an) if an > 0 else (ad, -an)   # -1/a
+    a = pivot.pop(p)
     for v, x in pivot.items():
         row = live[v]
         del row[p]
-        m = _product(x, minus_inv)
+        m = Fraction(-x) / a    # not -x / a, which on two ints is a float
         for w, y in pivot.items():
-            _add(row, w, *_product(m, y))
-    return 1 if an > 0 else -1
+            _add(row, w, m * y)
+    return 1 if a > 0 else -1
 
 
-def _product(u: tuple[int, int], v: tuple[int, int]) -> tuple[int, int]:
-    """u v in lowest terms, for u and v in lowest terms with positive
-    denominators: only the cross factors can cancel."""
-    (un, ud), (vn, vd) = u, v
-    g, h = gcd(un, vd), gcd(ud, vn)
-    return (un // g) * (vn // h), (ud // h) * (vd // g)
-
-
-def _add(row: dict[int, tuple[int, int]], w: int, num: int, den: int) -> None:
-    """row[w] += num / den, for num / den in lowest terms with den > 0,
-    keeping only nonzero entries."""
-    on, od = row.get(w, _ZERO)
-    g = gcd(od, den)
-    total = on * (den // g) + num * (od // g)
+def _add(row: dict[int, int | Fraction], w: int, value: int | Fraction) -> None:
+    """row[w] += value, keeping only nonzero entries."""
+    total = row.get(w, 0) + value
     if total:
-        h = gcd(total, g)
-        row[w] = (total // h, (od // g) * (den // h))
+        row[w] = total
     else:
         row.pop(w, None)
 
@@ -217,10 +202,10 @@ def hopf_tr_closed_form(k: int, theory: Theory) -> Scalar:
 # The most framings a lens chain may have.  Its exact value carries
 # coordinates that grow with the chain, and its signature is bounded by
 # ``MAX_SIGNATURE_WORK`` too: a fresh ``fibcat lens 20001 20000`` (20,000
-# twos) takes 1.0-1.6 s, 20,000 fives, at the signature bound, 2.5-2.8 s,
+# twos) takes 1.1-2.0 s, 20,000 fives, at the signature bound, 1.4-2.2 s,
 # and the slowest admitted ``--framings`` lists measured, 20,000 fours
 # and 16,329 elevens (each step of the transfer costs more than with
-# fives), 2.8-3.2 s (x86_64, Python 3.11).
+# fives), 1.7-2.6 s (x86_64, Python 3.11).
 MAX_LENS_FRAMINGS = 20000
 
 

@@ -261,11 +261,16 @@ def test_hopf_framing_count(capsys):
 
 EMPTY_FRAMINGS = [(["hopf", "2", "--framings="], "--framings needs at least one framing"),
                   (["lens", "--framings="], "--framings needs at least one framing"),
+                  (["lens", "5", "2", "--framings=1"],
+                   "lens takes either P Q or --framings, not both"),
+                  (["lens", "5", "--framings=1,2"],
+                   "lens takes either P Q or --framings, not both"),
                   (["hopf", "2", "--framings=,,1,"], "bad integer list ',,1,'")]
 
 
 @pytest.mark.parametrize("argv, message", EMPTY_FRAMINGS,
-                         ids=["hopf-empty", "lens-empty", "hopf-empty-entries"])
+                         ids=["hopf-empty", "lens-empty", "lens-p-q-and-framings",
+                              "lens-p-and-framings", "hopf-empty-entries"])
 def test_empty_framings_refused(capsys, argv, message):
     assert invoke(capsys, *argv) == (1, "", f"error: {message}\n")
 

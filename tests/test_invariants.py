@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 import random
 from fractions import Fraction
 from math import gcd
@@ -248,6 +249,9 @@ def test_signature_examples():
     assert signature((0, 0), [((1, 0), 0)]) == 0
     assert signature((), ()) == 0
     assert signature(*_split(_chain([2] * 1100))) == 1100
+    # determinant -1: a float multiplier rounds the second pivot to 0
+    n = 10 ** 20
+    assert signature((n + 1, n - 1), [((0, 1), n)]) == 0
 
 
 def test_signature_input_validation():
@@ -256,6 +260,12 @@ def test_signature_input_validation():
                            ((0, 0), (-1, 1)), ((1, 2), (1, 1))):
         with pytest.raises(ValueError, match="off a .* matrix or on its diagonal"):
             signature(diagonal, [(pair, 1)])
+    # and be given once, in either orientation and with any value
+    for pairs in ([((0, 1), 1), ((1, 0), 1)], [((0, 1), 1), ((0, 1), 1)],
+                  [((1, 0), 0), ((0, 1), 2)], [((0, 1), 0), ((1, 0), 0)]):
+        (i, j), _ = pairs[1]
+        with pytest.raises(ValueError, match=rf"pair \({i}, {j}\) is given twice"):
+            signature((1, 1), pairs)
 
 
 def _dense_signature(matrix) -> int:
@@ -336,7 +346,7 @@ def test_signature_gcds_stay_small_on_long_chains(monkeypatch):
         smaller_bits.append(min(abs(a).bit_length(), abs(b).bit_length()))
         return gcd(a, b)
 
-    monkeypatch.setattr(invariants, "gcd", recording_gcd)
+    monkeypatch.setattr(math, "gcd", recording_gcd)    # Fraction's gcd
     assert signature((5,) * 2000, _chain_pairs(2000)) == 2000
     assert smaller_bits and max(smaller_bits) < 64
 
