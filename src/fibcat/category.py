@@ -22,9 +22,9 @@ from __future__ import annotations
 import random
 from collections.abc import Sequence
 from dataclasses import dataclass, field
-from fractions import Fraction
 from functools import lru_cache
 from itertools import repeat
+from math import gcd
 
 from .scalars import Scalar, Theory
 
@@ -53,18 +53,16 @@ def parse_word(text: str) -> Word:
     return "".join(out)
 
 
-def _pair_letters(x: str, y: str) -> Word:
-    """Summands of x (x) y for simple letters, in order."""
-    if x == A and y == A:
-        return ONE + A
-    return A if (x == A or y == A) else ONE
+# A (x) Y is Y with each 1 read as A and each A as 1A, its summands with A
+_TIMES_A = str.maketrans({ONE: A, A: ONE + A})
 
 
 @lru_cache(maxsize=4096)
 def tensor_words(x_word: Word, y_word: Word) -> Word:
     """X (x) Y: the summands of each pair of letters, pairs taken
-    lexicographically."""
-    return "".join(_pair_letters(x, y) for x in x_word for y in y_word)
+    lexicographically, so a copy of Y for each 1 of X and of A (x) Y for
+    each A."""
+    return x_word.translate({ord(ONE): y_word, ord(A): y_word.translate(_TIMES_A)})
 
 
 @lru_cache(maxsize=4096)
@@ -97,7 +95,7 @@ def _starts(x_word: Word, y_word: Word) -> tuple[tuple[int, ...], tuple[Sequence
 Arrows = dict[tuple[int, int], Scalar]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Morphism:
     """A morphism between words, as the map of its nonzero arrows.
 
@@ -135,18 +133,17 @@ class Morphism:
             if v.is_zero:
                 raise ValueError(f"zero arrow stored at ({dp}, {cp})")
 
-    @classmethod
-    def _unchecked(cls, dom: Word, cod: Word, arrows: Arrows, theory: Theory) -> Morphism:
+    @staticmethod
+    def _unchecked(dom: Word, cod: Word, arrows: Arrows, theory: Theory) -> Morphism:
         """A morphism whose arrows the caller guarantees, skipping the checks.
 
-        Set field by field, as the generated ``__init__`` does: writing to
-        ``__dict__`` would give each morphism its own dict, about 90 bytes
-        more for every cached one."""
-        self = object.__new__(cls)
-        object.__setattr__(self, "dom", dom)
-        object.__setattr__(self, "cod", cod)
-        object.__setattr__(self, "arrows", arrows)
-        object.__setattr__(self, "theory", theory)
+        Its four slots are set through their descriptors, which the frozen
+        class's ``__setattr__`` does not guard."""
+        self = _new_morphism(Morphism)
+        _set_dom(self, dom)
+        _set_cod(self, cod)
+        _set_arrows(self, arrows)
+        _set_theory(self, theory)
         return self
 
     def then(self, other: Morphism) -> Morphism:
@@ -154,17 +151,26 @@ class Morphism:
         if self.cod != other.dom:
             raise ValueError(
                 f"cannot compose: cod {self.cod} != dom {other.dom}")
+        one = self.theory.one
         onward: dict[int, list[tuple[int, Scalar]]] = {}
         for (mid, cp), v in other.arrows.items():
             onward.setdefault(mid, []).append((cp, v))
         out: Arrows = {}
+        summed = False
         for (dp, mid), u in self.arrows.items():
             for cp, v in onward.get(mid, ()):
+                # arrows are nonzero, so a product of two is nonzero: only
+                # a sum can vanish
+                w = v if u is one else u if v is one else u * v
                 key = (dp, cp)
-                out[key] = out[key] + u * v if key in out else u * v
-        return Morphism._unchecked(self.dom, other.cod,
-                                   {k: v for k, v in out.items() if not v.is_zero},
-                                   self.theory)
+                if key in out:
+                    out[key] += w
+                    summed = True
+                else:
+                    out[key] = w
+        if summed:
+            out = {k: v for k, v in out.items() if v.terms}
+        return Morphism._unchecked(self.dom, other.cod, out, self.theory)
 
     def entry(self, dom_pos: int, cod_pos: int) -> Scalar | None:
         """Arrow value between word positions; None when types differ."""
@@ -180,6 +186,13 @@ class Morphism:
 
     def __repr__(self) -> str:
         return f"Morphism({self.dom} -> {self.cod})"
+
+
+_new_morphism = object.__new__
+_set_dom = Morphism.dom.__set__
+_set_cod = Morphism.cod.__set__
+_set_arrows = Morphism.arrows.__set__
+_set_theory = Morphism.theory.__set__
 
 
 def compose(first: Morphism, *rest: Morphism) -> Morphism:
@@ -210,13 +223,14 @@ def tensor_morphisms(f: Morphism, g: Morphism) -> Morphism:
     crows, ccols = _starts(f.cod, g.cod)
     g_dom = g.dom
     g_arrows = g.arrows.items()
+    one = f.theory.one
     arrows: Arrows = {}
     for (di, ci), fv in f.arrows.items():
         # both letter pairs have the same types, so the same summands
         x = f.dom[di]
         drow, dcol, crow, ccol = drows[di], dcols[x == A], crows[ci], ccols[x == A]
         for (dj, cj), gv in g_arrows:
-            v = fv * gv
+            v = gv if fv is one else fv if gv is one else fv * gv
             p, q = drow + dcol[dj], crow + ccol[cj]
             arrows[p, q] = v
             if x == g_dom[dj] == A:
@@ -256,29 +270,56 @@ def _associator_plan(x_word: Word, y_word: Word, z_word: Word):
     r1 + 1 on the right, and keeps the quadruple (l0, l1, r0, r1).
     """
     xy, yz = tensor_words(x_word, y_word), tensor_words(y_word, z_word)
-    xy_rows, xy_cols = _starts(x_word, y_word)
-    yz_rows, yz_cols = _starts(y_word, z_word)
-    left_rows, left_cols = _starts(xy, z_word)
-    right_rows, right_cols = _starts(x_word, yz)
+    # the column terms of a 1-letter are the positions themselves
+    xy_rows, (_, xy_shift) = _starts(x_word, y_word)
+    yz_rows, (_, yz_shift) = _starts(y_word, z_word)
+    left_rows, (_, left_shift) = _starts(xy, z_word)
+    right_rows, (_, right_shift) = _starts(x_word, yz)
+    n = len(z_word)
     ps, qs, quads = [], [], []
     for i, x in enumerate(x_word):
-        right_row, right_col = right_rows[i], right_cols[x == A]
+        r_row = right_rows[i]
         for j, y in enumerate(y_word):
-            s = xy_rows[i] + xy_cols[x == A][j]
-            xy_summands = range(s, s + len(_pair_letters(x, y)))
-            yz_row, yz_col = yz_rows[j], yz_cols[y == A]
-            for k, z in enumerate(z_word):
-                u = yz_row + yz_col[k]
-                yz_summands = range(u, u + len(_pair_letters(y, z)))
-                lhs = [left_rows[t] + left_cols[xy[t] == A][k] + e for t in xy_summands
-                       for e in range(len(_pair_letters(xy[t], z)))]
-                rhs = [right_row + right_col[t] + e for t in yz_summands
-                       for e in range(len(_pair_letters(x, yz[t])))]
-                if x == y == z == A:
-                    quads.append((lhs[0], lhs[1], rhs[0], rhs[1]))
-                else:
-                    ps.extend(lhs)
-                    qs.extend(rhs)
+            yz_row = yz_rows[j]
+            if x == y == A:
+                # x_i (x) y_j is 1 at s, then A at s + 1, and y_j (x) z_k
+                # is A at u for z_k = 1, and 1, A at u, u + 1 for z_k = A
+                s = xy_rows[i] + xy_shift[j]
+                l_row, la_row = left_rows[s], left_rows[s + 1]
+                for k, z in enumerate(z_word):
+                    u = yz_row + yz_shift[k]
+                    l0, l1, r0 = l_row + k, la_row + left_shift[k], r_row + right_shift[u]
+                    if z == A:
+                        quads.append((l0, l1, r0, r_row + right_shift[u + 1]))
+                    else:
+                        ps += l0, l1
+                        qs += r0, r0 + 1
+            elif x == A:
+                # x_i (x) y_j is A, and y_j (x) z_k is z_k: one summand
+                # either side, or two, when z_k is A
+                l_row = left_rows[xy_rows[i] + xy_shift[j]]
+                for k, z in enumerate(z_word):
+                    p, q = l_row + left_shift[k], r_row + right_shift[yz_row + k]
+                    ps.append(p)
+                    qs.append(q)
+                    if z == A:
+                        ps.append(p + 1)
+                        qs.append(q + 1)
+            elif y == A:
+                # the same, with 1 (x) (y_j (x) z_k) = y_j (x) z_k
+                l_row = left_rows[xy_rows[i] + j]
+                for k, z in enumerate(z_word):
+                    p, q = l_row + left_shift[k], r_row + yz_row + yz_shift[k]
+                    ps.append(p)
+                    qs.append(q)
+                    if z == A:
+                        ps.append(p + 1)
+                        qs.append(q + 1)
+            else:
+                # 1, 1, z_k: a copy of z on either side
+                l_row, ry_row = left_rows[xy_rows[i] + j], r_row + yz_row
+                ps.extend(range(l_row, l_row + n))
+                qs.extend(range(ry_row, ry_row + n))
     return (tensor_words(xy, z_word), tensor_words(x_word, yz),
             tuple(ps), tuple(qs), tuple(quads))
 
@@ -433,7 +474,7 @@ class AxiomReport:
 
 
 def _random_word(rng: random.Random, max_len: int, min_len: int = 1) -> Word:
-    return "".join(rng.choice((ONE, A)) for _ in range(rng.randint(min_len, max_len)))
+    return "".join([rng.choice((ONE, A)) for _ in range(rng.randint(min_len, max_len))])
 
 
 def _random_morphism(rng: random.Random, dom: Word, cod: Word, theory: Theory) -> Morphism:
@@ -441,9 +482,10 @@ def _random_morphism(rng: random.Random, dom: Word, cod: Word, theory: Theory) -
     for dp, x in enumerate(dom):
         for cp, y in enumerate(cod):
             if x == y:
-                q = Fraction(rng.randint(-3, 3), rng.randint(1, 3))
-                if q:
-                    arrows[(dp, cp)] = theory.rational(q)
+                n, d = rng.randint(-3, 3), rng.randint(1, 3)
+                if n:
+                    g = gcd(n, d)
+                    arrows[(dp, cp)] = Scalar._lowest(theory.field, ((0, n // g),), d // g)
     return Morphism(dom, cod, arrows, theory)
 
 

@@ -244,8 +244,14 @@ def _dispatch(args, theory: Theory) -> int:
             closed = inv.hopf_tr_closed_form(args.k, theory)
             label = "tr (link)"
         else:
-            value = inv.tr_manifold(diagram.with_framings(framings), theory)
-            closed = inv.lens_tr_closed_form(framings, theory)
+            chain = diagram.with_framings(framings)
+            # the closed form's linking pairs are the chain's, so the
+            # signature of the surgery normalizes both
+            if chain.linking != inv.chain_linking(args.k):
+                raise CliError("diagram linking disagrees with the chain")
+            sigma, value = inv.surgery(chain, theory)
+            closed = inv.normalized(sigma, args.k, inv.chain_colored_sum(framings, theory),
+                                    theory)
             label = "tr (manifold)"
         if value != closed:
             raise CliError("diagram value disagrees with the closed form")

@@ -159,7 +159,7 @@ def surgery(diagram: LinkDiagram, theory: Theory) -> tuple[int, Scalar]:
     excess = [f - w for f, w in zip(diagram.framings(), diagram.writhes)]
     weight = {d: theory.epsilon * theory.theta(d) for d in set(excess)}
     total = colored_sum(diagram, [weight[d] for d in excess], theory)
-    return sigma, _normalized(sigma, diagram.n_components, total, theory)
+    return sigma, normalized(sigma, diagram.n_components, total, theory)
 
 
 def tr_manifold(diagram: LinkDiagram, theory: Theory) -> Scalar:
@@ -168,7 +168,7 @@ def tr_manifold(diagram: LinkDiagram, theory: Theory) -> Scalar:
     return surgery(diagram, theory)[1]
 
 
-def _normalized(sigma: int, k: int, total: Scalar, theory: Theory) -> Scalar:
+def normalized(sigma: int, k: int, total: Scalar, theory: Theory) -> Scalar:
     """phase(sigma) D^(-k-1) total: a colored sum over the k components
     of a framed link whose linking matrix has signature sigma, normalized
     into the surgery invariant."""
@@ -209,10 +209,28 @@ def hopf_tr_closed_form(k: int, theory: Theory) -> Scalar:
 MAX_LENS_FRAMINGS = 20000
 
 
+def chain_linking(k: int) -> tuple[tuple[tuple[int, int], int], ...]:
+    """The linking pairs of the chain of k circles: each circle links the
+    next once."""
+    return tuple(((i, i + 1), 1) for i in range(k - 1))
+
+
 def lens_tr_closed_form(framings: tuple[int, ...], theory: Theory) -> Scalar:
     """Closed form of tr for surgery on a chain of circles with the given
-    framings (i.e. for the lens space the chain presents).  More than
-    ``MAX_LENS_FRAMINGS`` framings are refused.
+    framings (i.e. for the lens space the chain presents): the
+    ``chain_colored_sum``, normalized by the signature of the chain's
+    linking matrix.  More than ``MAX_LENS_FRAMINGS`` framings are refused.
+    """
+    k = len(framings)
+    if k > MAX_LENS_FRAMINGS:
+        raise ValueError(f"{k} framings exceed {MAX_LENS_FRAMINGS}")
+    sigma = signature(framings, chain_linking(k))
+    return normalized(sigma, k, chain_colored_sum(framings, theory), theory)
+
+
+def chain_colored_sum(framings: Sequence[int], theory: Theory) -> Scalar:
+    """The colored sum of surgery on a chain of circles with the given
+    framings, before ``normalized``.
 
     The sum over subsets S of the chain of eps^|S| c(S) beta^(-2 sum_S f)
     is taken in one pass.  c is a product over the runs of S, where
@@ -222,15 +240,11 @@ def lens_tr_closed_form(framings: tuple[int, ...], theory: Theory) -> Scalar:
     outside, inside <- outside + inside, w (eps outside - inside / eps),
     that is beta^(-2f) (eps^2 outside - inside).
     """
-    k = len(framings)
-    if k > MAX_LENS_FRAMINGS:
-        raise ValueError(f"{k} framings exceed {MAX_LENS_FRAMINGS}")
-    sigma = signature(framings, (((i, i + 1), 1) for i in range(k - 1)))
     e2 = theory.epsilon ** 2
     outside, inside = theory.one, theory.zero
     for f in framings:
         outside, inside = outside + inside, theory.theta(f) * (e2 * outside - inside)
-    return _normalized(sigma, k, outside + inside, theory)
+    return outside + inside
 
 
 def continued_fraction_framings(p: int, q: int) -> tuple[int, ...]:

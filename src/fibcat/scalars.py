@@ -12,11 +12,13 @@ Scalars are immutable, compared by exact coordinates over the basis
 {z20^i * s^j : 0 <= i <= 7, 0 <= j <= 1}, and stored as their nonzero
 terms: integer numerators of basis elements over one positive common
 denominator, in lowest terms.  Each field carries one table of the
-integer coordinates of every product of two basis elements, which
-multiplication reads term by term, one of their conjugates, and one of
-their images under three automorphisms of Q(z20), with which inversion
-multiplies down to a rational norm, and the twenty roots z20^k and s as
-shared scalars.  The complex embedding at z20 = exp(i*pi/10) is
+integer coordinates of every product of two basis elements, one of their
+conjugates, and one of their images under three automorphisms of Q(z20),
+with which inversion multiplies down to a rational norm, and the twenty
+roots z20^k and s as shared scalars.  A product takes one route by the
+shape of its operands: a rational factor scales the other's numerators,
+two single terms read one table entry, and any other pair reads the
+table term by term.  The complex embedding at z20 = exp(i*pi/10) is
 for display and diagnostics only.
 """
 
@@ -227,22 +229,60 @@ class Scalar:
                 return NotImplemented
         if self.field is not other.field:
             self._check(other)
-        # 1 is the one term (0, 1) over 1; scalars are immutable, so the
-        # other factor itself is the product
-        if other.terms == ((0, 1),) and other.den == 1:
-            return self
-        if self.terms == ((0, 1),) and self.den == 1:
-            return other
+        # One route per shape of the operands: a rational factor, the one
+        # term (0, b) over d, scales the other's numerators (``_scaled``,
+        # where the unit 1 returns the other factor itself); two single
+        # terms read one table entry; anything else, zero included,
+        # multiplies term by term.
+        terms, other_terms = self.terms, other.terms
+        if len(other_terms) == 1:
+            (q, b), = other_terms
+            if not q:
+                return self._scaled(b, other.den)
+            if len(terms) == 1:
+                (p, a), = terms
+                if not p:
+                    return other._scaled(a, self.den)
+                # every table entry's coordinates are coprime, so the
+                # product's content is a * b
+                n, den = a * b, self.den * other.den
+                g = gcd(n, den)
+                if g != 1:
+                    n //= g
+                    den //= g
+                return Scalar._lowest(self.field,
+                                      tuple([(m, n * c) for m, c in self.field.table[p][q]]),
+                                      den)
+        elif len(terms) == 1 and not terms[0][0]:
+            return other._scaled(terms[0][1], self.den)
         table = self.field.table
-        bs = other.terms
         out = [0] * 16
-        for p, a in self.terms:
+        for p, a in terms:
             row = table[p]
-            for q, b in bs:
+            for q, b in other_terms:
                 ab = a * b
                 for m, c in row[q]:
                     out[m] += ab * c
         return Scalar._collect(self.field, out, self.den * other.den)
+
+    def _scaled(self, b: int, d: int) -> Scalar:
+        """self * b/d, for b/d nonzero and in lowest terms, d > 0: each
+        numerator times b over den times d.  Both operands are in lowest
+        terms, so the cross gcds gcd(den, b) and gcd(d, numerators) are
+        all that cancels, as ``Fraction`` multiplies."""
+        if b == 1 and d == 1:
+            return self
+        terms, den = self.terms, self.den
+        g = gcd(den, b)
+        if g != 1:
+            b //= g
+            den //= g
+        if d != 1:
+            h = gcd(d, *[n for _, n in terms])
+            if h != 1:
+                d //= h
+                terms = [(p, n // h) for p, n in terms]
+        return Scalar._lowest(self.field, tuple([(p, n * b) for p, n in terms]), den * d)
 
     __radd__ = __add__
     __rmul__ = __mul__
@@ -349,12 +389,12 @@ class Scalar:
     # -- comparisons / rendering ----------------------------------------
 
     def __eq__(self, other: object) -> bool:
-        if isinstance(other, (int, Fraction)):
+        if other.__class__ is not Scalar:
+            if not isinstance(other, (int, Fraction)):
+                return NotImplemented
             other = Scalar.from_rational(self.field, other)
-        if not isinstance(other, Scalar):
-            return NotImplemented
-        return (self.field is other.field and self.terms == other.terms
-                and self.den == other.den)
+        return (self.terms == other.terms and self.den == other.den
+                and self.field is other.field)
 
     def __hash__(self) -> int:
         return hash((self.field.positive_eps, self.terms, self.den))

@@ -4,6 +4,7 @@ import dataclasses
 import gc
 import importlib
 import itertools
+import pickle
 import pkgutil
 import random
 import tracemalloc
@@ -75,7 +76,7 @@ def test_expansion_labels_are_positional():
         rows, cols = category._starts(x, y)
         for i, j in itertools.product(range(len(x)), range(len(y))):
             start = rows[i] + cols[x[i] == A][j]
-            count = len(category._pair_letters(x[i], y[j]))
+            count = len(tensor_words(x[i], y[j]))
             assert at[i, j] == list(range(start, start + count)), (x, y, i, j)
 
 
@@ -150,6 +151,24 @@ def test_shape_validation(th):
     f = Morphism(A, "AA", {(0, 0): th.one, (0, 1): th.one}, th)
     g = Morphism("AA", A, {(0, 0): th.one, (1, 0): -th.one}, th)
     assert f.then(g) == Morphism(A, A, {}, th)
+
+
+def test_morphism_is_slotted_and_frozen(th):
+    # no per-instance dict, for the checked and the unchecked constructor
+    # alike, and no field can be reassigned
+    other = Theory(x=Fraction(-2, 3))
+    checked = Morphism("1A", "A1", {(0, 1): th.rational(3), (1, 0): th.s}, th)
+    for m in (checked, braiding("1A", A, th), checked.then(identity("A1", th))):
+        assert not hasattr(m, "__dict__")
+        for name in ("dom", "cod", "arrows", "theory"):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(m, name, None)
+        loaded = pickle.loads(pickle.dumps(m))
+        assert loaded == m and loaded.theory == m.theory
+        assert (loaded.dom, loaded.cod, loaded.arrows) == (m.dom, m.cod, m.arrows)
+        # equality ignores the theory: equal arrows are equal morphisms
+        assert Morphism(m.dom, m.cod, m.arrows, other) == m
+    assert braiding("1A", A, th) != braiding("1A", A, th, inverse=True)
 
 
 # -- tensor product of morphisms ---------------------------------------------

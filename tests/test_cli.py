@@ -108,7 +108,8 @@ def test_lens_framing_limit(capsys, monkeypatch):
 
 def test_one_signature_per_command(capsys, monkeypatch):
     # tr-manifold prints the signature its value used; hopf --framings
-    # checks the drawn chain against the closed form, one signature each
+    # checks the drawn chain against the closed form, which has the
+    # chain's linking pairs and so the same signature: one each
     calls = []
     signature = inv.signature
 
@@ -119,10 +120,22 @@ def test_one_signature_per_command(capsys, monkeypatch):
     monkeypatch.setattr(inv, "signature", counted)
     for argv, expected in ((["tr-manifold", link("trefoil_framed1.txt")], 1),
                            (["lens", "5", "2"], 1), (["lens", "--framings=3,2"], 1),
-                           (["hopf", "2", "--framings=3,2"], 2), (["hopf", "2"], 0)):
+                           (["hopf", "2", "--framings=3,2"], 1), (["hopf", "2"], 0)):
         calls.clear()
         code, _, err = invoke(capsys, *argv)
         assert (code, err, len(calls)) == (0, "", expected), argv
+
+
+def test_hopf_checks_the_chain_linking(capsys, monkeypatch):
+    # hopf --framings normalizes the closed form by the surgery's
+    # signature, which holds only while the drawn chain has the closed
+    # form's linking pairs: a chain linked otherwise is refused
+    assert tg.build_hopf_chain(4).linking == inv.chain_linking(4) \
+        == (((0, 1), 1), ((1, 2), 1), ((2, 3), 1))
+    monkeypatch.setattr(inv, "chain_linking", lambda k: (((0, 1), -1),))
+    code, out, err = invoke(capsys, "hopf", "2", "--framings=3,2")
+    assert (code, out) == (1, "")
+    assert err == "error: diagram linking disagrees with the chain\n"
 
 
 def test_signature_work_bound(capsys, monkeypatch, tmp_path):
@@ -148,17 +161,18 @@ def test_signature_work_bound(capsys, monkeypatch, tmp_path):
 
 
 def test_closed_stdout_exits_without_traceback():
+    # stdout is a pipe whose reader has already gone, so the first write
+    # fails however much of the output the pipe could have held
     env = dict(os.environ, PYTHONPATH=str(SRC))
-    proc = subprocess.Popen([sys.executable, "-m", "fibcat.cli", "lens", "3001", "3000"],
-                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
-    assert proc.stdout.read(100).startswith(b"framings: [2, 2")
-    proc.stdout.close()
+    read_end, write_end = os.pipe()
+    os.close(read_end)
     try:
-        assert proc.wait(timeout=60) == 1
+        proc = subprocess.run([sys.executable, "-m", "fibcat.cli", "lens", "3001", "3000"],
+                              stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=60)
     finally:
-        proc.kill()
-    err = proc.stderr.read().decode()
-    proc.stderr.close()
+        os.close(write_end)
+    assert proc.returncode == 1
+    err = proc.stderr.decode()
     assert "Traceback" not in err and "BrokenPipeError" not in err, err
 
 

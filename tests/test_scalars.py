@@ -293,6 +293,61 @@ def test_product_matches_polynomial_reference(any_theory):
             assert 1 * other == other == other * Fraction(3, 3)
 
 
+def shaped_scalars(rng: random.Random, theory: Theory) -> list[Scalar]:
+    """Seeded scalars of each shape a product tells apart: zero, 1,
+    rationals, with large and negative parts, one basis element
+    z20^k s^j times a rational, and values of several terms."""
+
+    def part(bits: int) -> Fraction:
+        return Fraction(rng.choice((-1, 1)) * rng.randint(1, 2 ** bits), rng.randint(1, 2 ** bits))
+
+    def single(p: int, q: Fraction) -> Scalar:
+        coeffs = [Fraction(0)] * 16
+        coeffs[p] = q
+        return Scalar(theory.field, coeffs)
+
+    values = [theory.zero, theory.one, theory.rational(-1)]
+    values += [theory.rational(part(bits)) for bits in (4, 4, 100)]
+    values += [theory.rational(Fraction(6, 35)), theory.rational(Fraction(-35, 6))]
+    values += [single(rng.randrange(1, 16), part(bits)) for bits in (0, 4, 4, 100)]
+    values += [single(8, Fraction(1)), random_scalar(rng, theory), dense_scalar(rng, theory)]
+    values.append(Scalar(theory.field, [part(100) for _ in range(16)]))
+    return values
+
+
+def assert_canonical(x: Scalar) -> None:
+    ps = [p for p, _ in x.terms]
+    assert ps == sorted(set(ps)) and all(0 <= p < 16 for p in ps), x.terms
+    assert all(n for _, n in x.terms), x.terms
+    assert x.den > 0 and gcd(x.den, *(n for _, n in x.terms)) == 1, (x.terms, x.den)
+
+
+def test_table_entries_are_coprime(any_theory):
+    # the product of two single terms relies on it: the content of
+    # a * b times an entry is a * b
+    for row in any_theory.field.table:
+        for entry in row:
+            assert gcd(*(c for _, c in entry)) == 1, entry
+
+
+def test_product_routes_match_polynomial_reference(any_theory):
+    # every pair of shapes, each product by the route its shapes pick:
+    # the value against the Fraction oracle, the terms in canonical form
+    values = shaped_scalars(random.Random(30), any_theory)
+    for x in values:
+        for y in values:
+            product = x * y
+            assert product.coeffs == reference_product(any_theory, x, y), (x, y)
+            assert_canonical(product)
+    # a rational factor of the other's content, on either side, cancels
+    # in full
+    a = Scalar(any_theory.field, [Fraction(6, 35)] + [0] * 7 + [Fraction(-10, 7)])
+    for x, y in ((a, any_theory.rational(Fraction(35, 2))),
+                 (any_theory.rational(Fraction(-35, 2)), a)):
+        assert_canonical(x * y)
+        assert (x * y).den == 1
+
+
 def test_equal_values_share_one_key(any_theory):
     rng = random.Random(6)
     a, b = dense_scalar(rng, any_theory), dense_scalar(rng, any_theory)
