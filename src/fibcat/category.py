@@ -108,13 +108,15 @@ class Morphism:
 
     ``Morphism(...)`` checks every arrow.  ``then``, ``tensor_morphisms``,
     ``scale_identity``, ``associator``, ``braiding``, ``twist``, ``birth``,
-    ``death`` and ``spines._hom_unit_basis`` build through ``_unchecked``,
-    as their arrows are valid by construction: positions and letter types
-    carry over from the operands' words, or from the summand positions
-    of ``_starts``, which pair letters of one type, and a unit-word side
-    meets only 1-letters; ``then`` drops the sums that vanish, and every
-    other stored value is a product of nonzero field elements, a nonzero
-    block entry, a power of beta, or 1, y, s and their quotients.
+    ``death``, ``_random_morphism`` and ``spines._hom_unit_basis`` build
+    through ``_unchecked``, as their arrows are valid by construction:
+    positions and letter types carry over from the operands' words, or
+    from the summand positions of ``_starts``, which pair letters of one
+    type, a random arrow joins two letters it has compared, and a
+    unit-word side meets only 1-letters; ``then`` drops the sums that
+    vanish, and every other stored value is a product of nonzero field
+    elements, a nonzero block entry, a power of beta, a nonzero rational,
+    or 1, y, s and their quotients.
     """
 
     dom: Word
@@ -243,18 +245,6 @@ def tensor_morphisms(f: Morphism, g: Morphism) -> Morphism:
 # associativity isomorphisms
 
 
-@lru_cache(maxsize=64)
-def _assoc_block(theory: Theory) -> tuple[Scalar, Scalar, Scalar, Scalar]:
-    """The A, A, A block, on the summands A, 1, A of (A (x) A) (x) A and
-    of A (x) (A (x) A), rows = target summand, cols = source summand: its
-    entries (0, 0), (0, 2), (2, 0) and (2, 2), in that order; entry
-    (1, 1) is 1 and the others are 0."""
-    e_inv = theory.epsilon.invert()
-    xs = theory.x_scalar
-    s_inv = theory.s_inv
-    return e_inv, xs * s_inv, xs.invert() * s_inv, -e_inv
-
-
 @lru_cache(maxsize=4096)
 def _associator_plan(x_word: Word, y_word: Word, z_word: Word):
     """(left word, right word, ps, qs, quads) of the associator between
@@ -338,7 +328,7 @@ def associator(x_word: Word, y_word: Word, z_word: Word,
         left, right, ps, qs = right, left, qs, ps
         quads = [(s0, s1, t0, t1) for t0, t1, s0, s1 in quads]
     one = theory.one
-    e_inv, top, bottom, neg_e_inv = _assoc_block(theory)
+    e_inv, top, bottom, neg_e_inv = theory.associator_block
     arrows = dict(zip(zip(ps, qs), repeat(one)))
     for s0, s1, t0, t1 in quads:
         # source summands A, 1, A at s0, s1, s1 + 1, target ones at t0, t1, t1 + 1
@@ -486,7 +476,7 @@ def _random_morphism(rng: random.Random, dom: Word, cod: Word, theory: Theory) -
                 if n:
                     g = gcd(n, d)
                     arrows[(dp, cp)] = Scalar._lowest(theory.field, ((0, n // g),), d // g)
-    return Morphism(dom, cod, arrows, theory)
+    return Morphism._unchecked(dom, cod, arrows, theory)
 
 
 def _pentagon_holds(x: Word, y: Word, z: Word, w: Word, theory: Theory) -> bool:

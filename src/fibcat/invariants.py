@@ -31,7 +31,7 @@ from .tangles import LinkDiagram, build_hopf_chain, colored_sum, evaluate_all_a
 def tr_link(diagram: LinkDiagram, theory: Theory) -> Scalar:
     """beta^(2 w(L)) / eps times the all-A evaluation; a link invariant."""
     w = diagram.total_writhe()
-    return theory.theta(-w) * evaluate_all_a(diagram, theory) / theory.epsilon
+    return theory.theta(-w) * evaluate_all_a(diagram, theory) * theory.epsilon_inv
 
 
 # The most work ``signature`` takes on, in the units of its predicted
@@ -172,7 +172,7 @@ def normalized(sigma: int, k: int, total: Scalar, theory: Theory) -> Scalar:
     """phase(sigma) D^(-k-1) total: a colored sum over the k components
     of a framed link whose linking matrix has signature sigma, normalized
     into the surgery invariant."""
-    return theory.phase(sigma) * theory.big_d ** (-k - 1) * total
+    return theory.phase(sigma) * theory.big_d_inv ** (k + 1) * total
 
 
 def c_function(indices: tuple[int, ...], theory: Theory) -> Scalar:
@@ -185,7 +185,8 @@ def c_function(indices: tuple[int, ...], theory: Theory) -> Scalar:
     prev = None
     for i in list(indices) + [None]:
         if prev is not None and (i is None or i != prev + 1):
-            value = value * theory.zeta(10 * (run - 1)) * theory.epsilon ** (2 - run)
+            # (-1)^(run-1) eps^(2-run) = eps (-1/eps)^(run-1)
+            value = value * theory.epsilon * (-theory.epsilon_inv) ** (run - 1)
             run = 0
         run += 1
         prev = i
@@ -196,7 +197,7 @@ def hopf_tr_closed_form(k: int, theory: Theory) -> Scalar:
     """tr of the k-component chain of circles: (-1)^(k-1) eps^(1-k)."""
     if k < 1:
         raise ValueError("chain needs at least one component")
-    return theory.zeta(10 * (k - 1)) * theory.epsilon ** (1 - k)
+    return (-theory.epsilon_inv) ** (k - 1)
 
 
 # The most framings a lens chain may have.  Its exact value carries

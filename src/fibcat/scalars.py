@@ -329,12 +329,29 @@ class Scalar:
 
     def invert(self) -> Scalar:
         """Exact multiplicative inverse: den / num for a rational scalar,
-        otherwise by multiplying down to a rational norm (``_invert_cached``)."""
+        otherwise by field norms.  Write a = u + v*s with u, v in Q(z20).
+        Each product below is of a nonzero element and its image under one
+        more automorphism, so it is nonzero and lies in a smaller field:
+
+            c = a * (u - v*s)   in Q(z20)          (s -> -s)
+            d = c * c(z20^11)   in Q(z20^2)        (z20 -> -z20)
+            f = d * d(z20^19)   in Q(sqrt 5)       (z20 -> 1/z20)
+            n = f * f(z20^3)    rational,
+
+        so 1/a = (u - v*s) * c(z20^11) * d(z20^19) * f(z20^3) / n."""
         if self.is_zero:
             raise ZeroDivisionError("scalar division by zero")
         if self.is_rational:
             return Scalar.from_rational(self.field, Fraction(self.den, self.terms[0][1]))
-        return _invert_cached(self)
+        cofactor = Scalar._lowest(self.field,
+                                  tuple([(p, -n if p >> 3 else n) for p, n in self.terms]),
+                                  self.den)
+        norm = self * cofactor
+        for k in (11, 19, 3):
+            image = norm._image(self.field.galois[k])
+            cofactor = cofactor * image
+            norm = norm * image
+        return cofactor * Fraction(norm.den, norm.terms[0][1])
 
     def _image(self, images: list[list[tuple[int, int]]]) -> Scalar:
         """The image under the automorphism of Z[z20, s] that takes basis
@@ -482,28 +499,6 @@ def _scaled_basis(positive_eps: bool, digits: int) -> tuple[tuple[int, int], ...
                  for c, d in powers + with_s)
 
 
-@lru_cache(maxsize=4096)
-def _invert_cached(a: Scalar) -> Scalar:
-    """1/a by field norms.  Write a = u + v*s with u, v in Q(z20).  Each
-    product below is of a nonzero element and its image under one more
-    automorphism, so it is nonzero and lies in a smaller field:
-
-        c = a * (u - v*s)   in Q(z20)          (s -> -s)
-        d = c * c(z20^11)   in Q(z20^2)        (z20 -> -z20)
-        f = d * d(z20^19)   in Q(sqrt 5)       (z20 -> 1/z20)
-        n = f * f(z20^3)    rational,
-
-    so 1/a = (u - v*s) * c(z20^11) * d(z20^19) * f(z20^3) / n."""
-    cofactor = Scalar._lowest(a.field, tuple([(p, -n if p >> 3 else n) for p, n in a.terms]),
-                              a.den)
-    norm = a * cofactor
-    for k in (11, 19, 3):
-        image = norm._image(a.field.galois[k])
-        cofactor = cofactor * image
-        norm = norm * image
-    return cofactor * Fraction(norm.den, norm.terms[0][1])
-
-
 _FIELDS = {True: _Field(True), False: _Field(False)}
 
 # (epsilon_sign, beta_sign) -> k: the theory is the image of the (positive,
@@ -520,7 +515,12 @@ class Theory:
     image of the (positive, plus) one under z20 -> z20^k, s -> s, so
     eps = z20^2k + z20^-2k, D = z20^k + z20^-k, beta = z20^6k, the twist
     theta = z20^-12k and the surgery phase Delta/D = z20^13k, each root of
-    unity an exponent mod 20 into the field's shared roots.  The
+    unity an exponent mod 20 into the field's shared roots.  The inverses
+    the invariants need have closed forms, as eps^2 = eps + 1 and
+    D^2 = eps + 2: 1/eps = eps - 1, 1/s = s/eps and 1/D = D (3 - eps)/5
+    (``epsilon_inv``, ``s_inv``, ``big_d_inv``), and so has the
+    associator's A, A, A block (``associator_block``).  Each is computed
+    once per theory and kept on it, so no cache outlives the theory.  The
     parameters x, y, z are arbitrary nonzero rationals; every invariant is
     provably independent of them, which the test-suite checks rather than
     assumes.
@@ -542,27 +542,11 @@ class Theory:
             if v == 0:
                 raise ValueError(f"parameter {name} must be nonzero")
             object.__setattr__(self, name, v)
-        k = _GALOIS[self.epsilon_sign, self.beta_sign]
-        object.__setattr__(self, "_k", k)
-        # every lru_cache keyed on a theory hashes it, and compares it with
-        # the equal theory of an earlier call; the fields never change, so
-        # both read one tuple of ints, the same in every process
-        key = (k,) + tuple(
-            n for v in (self.x, self.y, self.z) for n in (v.numerator, v.denominator))
-        object.__setattr__(self, "_key", key)
-        object.__setattr__(self, "_hash", hash(key))
+        object.__setattr__(self, "_k", _GALOIS[self.epsilon_sign, self.beta_sign])
 
     def __reduce__(self):
         # rebuilt from its fields, so no cached scalar or field is copied
         return Theory, (self.epsilon_sign, self.beta_sign, self.x, self.y, self.z)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Theory):
-            return NotImplemented
-        return self._key == other._key
-
-    def __hash__(self) -> int:
-        return self._hash
 
     @property
     def field(self) -> _Field:
@@ -613,13 +597,33 @@ class Theory:
         return self.field.s
 
     @cached_property
+    def epsilon_inv(self) -> Scalar:
+        """1/eps = eps - 1, as eps^2 = eps + 1."""
+        return self.epsilon - 1
+
+    @cached_property
     def s_inv(self) -> Scalar:
-        return self.s.invert()
+        """1/s = s/eps, as s^2 = eps."""
+        return self.s * self.epsilon_inv
 
     @cached_property
     def big_d(self) -> Scalar:
         """D with D^2 = 2 + eps and positive real embedding."""
         return self.zeta(self._k) + self.zeta(-self._k)
+
+    @cached_property
+    def big_d_inv(self) -> Scalar:
+        """1/D = D (3 - eps)/5, as (eps + 2)(3 - eps) = 5."""
+        return self.big_d * (3 - self.epsilon) * Fraction(1, 5)
+
+    @cached_property
+    def associator_block(self) -> tuple[Scalar, Scalar, Scalar, Scalar]:
+        """The associator's A, A, A block, on the summands A, 1, A of
+        (A (x) A) (x) A and of A (x) (A (x) A), rows = target summand,
+        cols = source summand: its entries (0, 0), (0, 2), (2, 0) and
+        (2, 2), in that order; entry (1, 1) is 1 and the others are 0."""
+        return (self.epsilon_inv, self.x_scalar * self.s_inv,
+                self.s_inv * (1 / self.x), -self.epsilon_inv)
 
     @cached_property
     def delta(self) -> Scalar:

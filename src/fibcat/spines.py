@@ -150,7 +150,7 @@ def _profile(colors: SixColors) -> tuple[int, ...] | None:
 
 def _sixj_unit(profile: tuple[int, ...], theory: Theory) -> Scalar:
     """Value on unit arguments, by the multiset of per-triple A-counts."""
-    e = theory.epsilon
+    e_inv = theory.epsilon_inv
     yz = theory.y_scalar * theory.z_scalar
     x = theory.x_scalar
     if profile == (0, 0, 0, 0):
@@ -158,11 +158,11 @@ def _sixj_unit(profile: tuple[int, ...], theory: Theory) -> Scalar:
     if profile == (0, 2, 2, 2):
         return yz ** 3 * theory.s_inv
     if profile == (2, 2, 2, 2):
-        return yz ** 4 / e
+        return yz ** 4 * e_inv
     if profile == (2, 2, 3, 3):
-        return x * yz ** 5 / e
+        return x * yz ** 5 * e_inv
     if profile == (3, 3, 3, 3):
-        return -(x ** 2) * yz ** 6 / (e * e)
+        return -(x ** 2) * yz ** 6 * e_inv ** 2
     raise AssertionError(f"impossible admissible profile {profile}")
 
 

@@ -410,7 +410,7 @@ def _table(kind: str, epsilon_sign: str, beta_sign: str) -> _Table:
         dom, cod = _windows(step.dom, c), _windows(step.cod, c)
         for (p, q), v in step.arrows.items():
             window, new = dom[p], cod[q]
-            v = v * theory.s ** (window.count(A) - new.count(A))
+            v = v * theory.s ** window.count(A) * theory.s_inv ** new.count(A)
             table.setdefault(window, []).append((new, v.z5_coordinates()))
     return {window: tuple(entries) for window, entries in table.items()}
 

@@ -8,13 +8,14 @@ import pickle
 import pkgutil
 import random
 import tracemalloc
+import typing
 from fractions import Fraction
 
 import pytest
 
 import fibcat
 from conftest import expansion_labels, read_fixture
-from fibcat import ALL_THEORIES, Theory, axiom_suite, category, s_matrix, tangles
+from fibcat import ALL_THEORIES, Scalar, Theory, axiom_suite, category, s_matrix, tangles
 from fibcat.category import (A, ONE, UNIT, Morphism, _random_morphism,
                              _random_word, associator, birth, braiding,
                              compose, death,
@@ -497,8 +498,10 @@ def test_builders_pass_the_public_checks(any_theory):
 
 
 def test_every_cache_is_bounded():
-    # a long-lived process that varies x, y, z builds new theories, and
-    # every cache keyed on them must stop growing
+    # a long-lived process that varies x, y, z builds new theories: every
+    # cache must stop growing, and none may take a theory or a field value,
+    # whose entries would outlive the theory; what belongs to one theory
+    # is kept on it
     caches = 0
     for info in pkgutil.iter_modules(fibcat.__path__):
         module = importlib.import_module(f"fibcat.{info.name}")
@@ -507,6 +510,9 @@ def test_every_cache_is_bounded():
                 caches += 1
                 assert obj.cache_parameters()["maxsize"] is not None, \
                     f"{info.name}.{name}"
+                hints = typing.get_type_hints(obj.__wrapped__)
+                hints.pop("return", None)
+                assert not {Theory, Scalar} & set(hints.values()), f"{info.name}.{name}"
     assert caches >= 5
 
 

@@ -10,7 +10,7 @@ from decimal import Context, Decimal, localcontext
 
 import pytest
 from conftest import FIXTURES, random_morse_word
-from fibcat import Theory
+from fibcat import Scalar, Theory
 from fibcat import invariants as inv
 from fibcat import spines as sp
 from fibcat import tangles as tg
@@ -454,6 +454,37 @@ def test_check_axioms(capsys):
     assert code == 0
     assert "all 11 identities passed" in out
     assert "seed 5" in out
+
+
+# one call of every subcommand, hopf and lens in both of their forms
+EVERY_COMMAND = [
+    ["eval-link", link("trefoil.txt")], ["tr-link", link("trefoil.txt")],
+    ["tr-manifold", link("trefoil_framed1.txt")], ["hopf", "3"],
+    ["hopf", "3", "--framings=0,3,-1"], ["lens", "7", "2"], ["lens", "--framings=2,-3,4"],
+    ["c-function", "1,3,4"], ["tv-spine", spine("sphere.txt")],
+    ["t-spine", spine("sphere.txt")],
+    ["compare-rt-tv", "--link", link("unknot_framed4.txt"), "--spine", spine("sphere.txt")],
+    ["check-axioms"]]
+
+
+def test_no_command_inverts_a_field_element(any_theory, capsys, monkeypatch):
+    # eps, s and D have closed-form inverses, kept on the theory, so the
+    # norm tower of Scalar.invert serves only its callers outside fibcat
+    # (and a rational, which it inverts directly); the sweep's tables are
+    # rebuilt, so they are checked too
+    invert = Scalar.invert
+
+    def guarded(self: Scalar) -> Scalar:
+        assert self.is_rational, f"inverted {self}"
+        return invert(self)
+
+    monkeypatch.setattr(Scalar, "invert", guarded)
+    tg._table.cache_clear()
+    theory = ["--epsilon", any_theory.epsilon_sign, "--beta", any_theory.beta_sign,
+              "-x=2/3", "-y=-5/7", "-z=3"]
+    for argv in EVERY_COMMAND:
+        code, _, err = invoke(capsys, *theory, *argv)
+        assert (code, err) == (0, ""), argv
 
 
 def test_unknown_command(capsys):

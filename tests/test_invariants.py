@@ -10,8 +10,7 @@ from math import gcd
 import pytest
 
 from conftest import PARAMETER_THEORIES, random_morse_word, read_fixture, theory_id
-from fibcat import ALL_THEORIES, Scalar, Theory, scalars
-from fibcat import category as cat
+from fibcat import ALL_THEORIES, Scalar, Theory
 from fibcat import invariants
 from fibcat.category import A, ONE
 from fibcat.invariants import (c_function, continued_fraction_framings,
@@ -19,7 +18,6 @@ from fibcat.invariants import (c_function, continued_fraction_framings,
                                hopf_tr_closed_form, lens_space_framed_link,
                                lens_tr_closed_form, signature, tr_link,
                                tr_manifold)
-from fibcat.spines import module_iso_check
 from fibcat.tangles import (MAX_OPEN_COMPONENTS, LinkDiagram, LinkEvent,
                             build_hopf_chain, evaluate, evaluate_all_a, parse_link)
 
@@ -581,6 +579,34 @@ def test_torus_knot_surgery_is_a_lens_space(theory):
                 == lens.conjugate(), (p, q, big_p)
 
 
+# The parameter t of the Jones polynomial in each theory: z20^(16 k) for
+# the theory's Galois exponent k (``test_galois.K``, and 1 for (positive,
+# plus)), found by a float search over the 40th roots of unity
+JONES_T = {("positive", "plus"): 16, ("positive", "minus"): 4,
+           ("negative", "plus"): 12, ("negative", "minus"): 8}
+
+# every T(p, q) with 2 <= p < q <= 9 and gcd 1, up to 16 strands
+JONES_KNOTS = [(p, q) for q in range(3, 10) for p in range(2, q) if gcd(p, q) == 1]
+
+
+@pytest.mark.parametrize("theory", PARAMETER_THEORIES, ids=theory_id)
+def test_torus_knot_tr_link_is_the_jones_polynomial(theory):
+    # Jones, "Hecke algebra representations of braid groups and link
+    # polynomials" (Ann. Math. 126, 1987): the torus knot T(p, q) has
+    # V(t) = t^((p-1)(q-1)/2) (1 - t^(p+1) - t^(q+1) + t^(p+q)) / (1 - t^2),
+    # and its mirror V(1/t).  Compared multiplied through by 1 - t^2, which
+    # is not zero at a 20th root of unity t with t^2 != 1, so no scalar is
+    # divided here
+    assert len(JONES_KNOTS) == 19
+    k = JONES_T[theory.epsilon_sign, theory.beta_sign]
+    for p, q in JONES_KNOTS:
+        for kind, n in ((XP, k), (XN, -k)):
+            t = lambda m: theory.zeta(n * m)
+            jones_times = t((p - 1) * (q - 1) // 2) * (1 - t(p + 1) - t(q + 1) + t(p + q))
+            assert tr_link(_torus_knot(p, q, kind), theory) * (1 - t(2)) == jones_times, \
+                (p, q, kind)
+
+
 def _side_by_side_unknots(n: int) -> LinkDiagram:
     """n unknots side by side, all open at once: n cups at 0, then n caps."""
     return LinkDiagram((LinkEvent(CUP, 0),) * n + (LinkEvent(CAP, 0),) * n)
@@ -737,30 +763,3 @@ def test_lens_space_framed_link(th):
     framed = lens_space_framed_link(7, 3)
     assert framed.framings() == [3, 2, 2]
     assert lens_tr_closed_form((3, 2, 2), th) == tr_manifold(framed, th)
-
-
-def test_roots_of_unity_are_never_inverted(any_theory, monkeypatch):
-    # a fresh theory, so no per-theory cache holds a value computed unpatched
-    th = Theory(any_theory.epsilon_sign, any_theory.beta_sign,
-                x=Fraction(13, 17), y=Fraction(-19, 23), z=Fraction(29, 31))
-    roots = {th.zeta(k) for k in range(20)}
-    invert = scalars._invert_cached
-
-    def guarded(a: Scalar) -> Scalar:
-        assert a not in roots, f"inverted the root of unity {a}"
-        return invert(a)
-
-    monkeypatch.setattr(scalars, "_invert_cached", guarded)
-    for x, y in (("A", "A"), ("1A", "AA"), ("A1A", "A")):
-        for inverse in (False, True):
-            cat.braiding(x, y, th, inverse=inverse)
-    for sign in (1, -1):
-        assert cat.twist("A1A", th, sign).entry(0, 0) == th.theta(sign)
-    trefoil = parse_link(read_fixture("links/trefoil.txt"))
-    assert tr_link(trefoil, th) == tr_link(trefoil, Theory(th.epsilon_sign, th.beta_sign))
-    framed = parse_link(read_fixture("links/trefoil_framed1.txt"))
-    assert tr_manifold(framed, th) == tr_manifold(framed, any_theory)
-    framings = (2, -3, 1, 5)
-    assert lens_tr_closed_form(framings, th) == tr_manifold(
-        build_hopf_chain(len(framings)).with_framings(framings), th)
-    assert module_iso_check(th).all_identities

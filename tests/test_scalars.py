@@ -432,6 +432,16 @@ def test_invert_constants(any_theory):
             any_theory.one / zero
 
 
+def test_closed_form_inverses(any_theory):
+    # eps^2 = eps + 1 and D^2 = eps + 2 give each theory its inverses in
+    # closed form, which must be the norm tower's in both fields
+    th = Theory(any_theory.epsilon_sign, any_theory.beta_sign, x=Fraction(-2, 3))
+    for name in ("epsilon", "s", "big_d"):
+        assert getattr(th, f"{name}_inv") == getattr(th, name).invert(), name
+    e_inv, xs = th.epsilon.invert(), th.x_scalar * th.s
+    assert th.associator_block == (e_inv, xs * e_inv, xs.invert(), -e_inv)
+
+
 # -- roots of unity: exponents mod 20 into the field's shared roots -----------
 
 
