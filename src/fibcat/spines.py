@@ -23,20 +23,33 @@ table keys, and a factor waits in the bucket of its lowest bit, the first
 of its components to be summed out.  A spine whose planned width
 exceeds ``MAX_ELIMINATION_WIDTH``, or with more than ``MAX_COMPONENTS``
 components, is refused.
+
+The engine runs on integers.  Every weight lies in Q(s), s^2 = eps: a unit
+6j-symbol is an element of Z[eps][s] times a rational x^i (yz)^j, and a
+reciprocal pairing is a rational.  A table entry is the four integer
+coordinates (a, b, c, d) of a + b eps + (c + d eps) s, whose product needs
+only eps^2 = eps + 1, true for either sign of eps.  Each factor's weights
+are scaled to integers by the lcm of their denominators.  A coloring takes
+one entry from every factor, so the sum is divided by the product of the
+scales once, at the end, where the one ``Scalar`` of the result is made.
 """
 
 from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import lru_cache
 from itertools import product
+from math import gcd, lcm, prod
 
 from . import category as cat
 from .category import A, ONE, Morphism
 from .scalars import Scalar, Theory
 
 Triple = tuple[str, str, str]
+# An element a + b eps + (c + d eps) s of Z[eps][s], s^2 = eps, as (a, b, c, d).
+_Coords = tuple[int, int, int, int]
 
 
 def admissible(x: str, y: str, z: str) -> bool:
@@ -92,13 +105,14 @@ def pairing_table(x: str, y: str, z: str, a: Scalar, b: Scalar, theory: Theory) 
     return a * b * _pairing_unit(n, theory)
 
 
+# The pairing on unit arguments by the A-count of its triple: the exponents
+# (i, j) of its value x^i (yz)^j.
+_PAIRING_UNIT = {0: (0, 0), 2: (0, 2), 3: (1, 3)}
+
+
 def _pairing_unit(n_a: int, theory: Theory) -> Scalar:
-    y2z2 = (theory.y_scalar * theory.z_scalar) ** 2
-    if n_a == 0:
-        return theory.one
-    if n_a == 2:
-        return y2z2
-    return theory.x_scalar * y2z2 * theory.y_scalar * theory.z_scalar
+    i, j = _PAIRING_UNIT[n_a]
+    return theory.rational(theory.x ** i * (theory.y * theory.z) ** j)
 
 
 def pairing_categorical(x: str, y: str, z: str, a: Scalar, b: Scalar, theory: Theory) -> Scalar:
@@ -138,7 +152,18 @@ def vertex_triples(colors: SixColors) -> tuple[Triple, Triple, Triple, Triple]:
     return ((x1, y1, z1), (x1, y2, z2), (y1, z2, x2), (z1, x2, y2))
 
 
-_PROFILES = ((0, 0, 0, 0), (0, 2, 2, 2), (2, 2, 2, 2), (2, 2, 3, 3), (3, 3, 3, 3))
+# The 6j-symbol on unit arguments by profile, the sorted per-triple A-counts
+# of its configuration: its integer coordinates (a, b, c, d), meaning
+# a + b eps + (c + d eps) s, and the exponents (i, j) of the monomial
+# x^i (yz)^j it is multiplied by.  Its eps^-1 is eps - 1, its s^-1 is
+# s (eps - 1) and its -eps^-2 is eps - 2, as eps^2 = eps + 1 and s^2 = eps.
+_SIXJ_UNIT = {
+    (0, 0, 0, 0): ((1, 0, 0, 0), 0, 0),
+    (0, 2, 2, 2): ((0, 0, -1, 1), 0, 3),
+    (2, 2, 2, 2): ((-1, 1, 0, 0), 0, 4),
+    (2, 2, 3, 3): ((-1, 1, 0, 0), 1, 5),
+    (3, 3, 3, 3): ((-2, 1, 0, 0), 2, 6),
+}
 
 
 def _profile(colors: SixColors) -> tuple[int, ...] | None:
@@ -150,20 +175,15 @@ def _profile(colors: SixColors) -> tuple[int, ...] | None:
 
 def _sixj_unit(profile: tuple[int, ...], theory: Theory) -> Scalar:
     """Value on unit arguments, by the multiset of per-triple A-counts."""
-    e_inv = theory.epsilon_inv
-    yz = theory.y_scalar * theory.z_scalar
-    x = theory.x_scalar
-    if profile == (0, 0, 0, 0):
-        return theory.one
-    if profile == (0, 2, 2, 2):
-        return yz ** 3 * theory.s_inv
-    if profile == (2, 2, 2, 2):
-        return yz ** 4 * e_inv
-    if profile == (2, 2, 3, 3):
-        return x * yz ** 5 * e_inv
-    if profile == (3, 3, 3, 3):
-        return -(x ** 2) * yz ** 6 * e_inv ** 2
-    raise AssertionError(f"impossible admissible profile {profile}")
+    coords, i, j = _SIXJ_UNIT[profile]
+    return _ring_scalar(coords, theory) * (theory.x ** i * (theory.y * theory.z) ** j)
+
+
+def _ring_scalar(coords: _Coords, theory: Theory) -> Scalar:
+    """a + b eps + (c + d eps) s, for coords (a, b, c, d)."""
+    a, b, c, d = coords
+    eps = theory.epsilon
+    return eps * b + a + (eps * d + c) * theory.s
 
 
 def sixj_table(colors: SixColors, a1: Scalar, a2: Scalar, a3: Scalar,
@@ -388,15 +408,17 @@ def tv(spine: Spine, theory: Theory) -> Scalar:
     """Sum over all colorings of eps^(#A) times the product of vertex
     6j-symbols and reciprocal triple-line pairings, by variable
     elimination: the cost is exponential in the elimination width, not in
-    the number of components."""
-    edge_weights = {n: _pairing_unit(n, theory).invert() for n in (0, 2, 3)}
-    return _state_sum(spine, theory, edge_weights)
+    the number of components.  It runs on the integer coordinates of
+    Z[eps][s], each factor scaled to integers by the lcm of its weights'
+    denominators, and makes one ``Scalar`` at the end (``_state_sum``)."""
+    return _state_sum(spine, theory, theory.x, theory.y * theory.z, spine.edges)
 
 
 def t_epsilon(spine: Spine, theory: Theory) -> Scalar:
     """The golden-ratio state sum: the ``tv`` sum with x = y = z = 1 and
-    no edge factors, by the same elimination."""
-    return _state_sum(spine, Theory(epsilon_sign=theory.epsilon_sign), None)
+    no edge factors, by the same elimination, whose integer weights then
+    need no scaling."""
+    return _state_sum(spine, theory, Fraction(1), Fraction(1), ())
 
 
 # The state sums refuse a spine whose planned elimination order joins more
@@ -405,50 +427,63 @@ MAX_ELIMINATION_WIDTH = 16
 # They also refuse a spine of more components than this.  A component can
 # multiply the sum by a factor such as 1 + eps, so the exact coordinates
 # grow by about 0.42 digits per component: 2,090 digits at this bound, well
-# under the 4,300 that Python converts to text by default.
+# under the 4,300 that Python converts to text by default.  The integers of
+# the elimination also carry the scales of the factors, but they are
+# reduced to the value's lowest terms before anything is rendered.
 MAX_COMPONENTS = 5000
 
 # A factor is (scope, table): scope is the OR of its components' bits, a
 # component's bit being 1 << (its place in the elimination order), and
 # table is a dict of the factor's nonzero values, keyed by the subset of
-# scope's bits colored A.
+# scope's bits colored A, of values in Z[eps][s].
+_ONE: _Coords = (1, 0, 0, 0)
 
 
-def _state_sum(spine: Spine, theory: Theory,
-               edge_weights: dict[int, Scalar] | None) -> Scalar:
+def _state_sum(spine: Spine, theory: Theory, x: Fraction, yz: Fraction,
+               lines: tuple[tuple[int, int, int], ...]) -> Scalar:
     """Sum over all colorings of eps^(#A) times the unit 6j-symbols at the
-    vertices and, unless ``edge_weights`` is None, the weight of each
-    triple line by its A-count.  A coloring with an inadmissible vertex,
-    or a triple line with one A, contributes zero.
+    vertices, at the parameters x and yz = y z, and the reciprocal unit
+    pairing of each triple line of ``lines`` by its A-count.  A coloring
+    with an inadmissible vertex, or a triple line with one A, contributes
+    zero.
 
     The sum is a product of factors, one per component, triple line and
-    vertex, summed over the colors of their components.  It is evaluated
-    by bucket elimination: the components are summed out one at a time in
-    a greedy order planned from the scopes alone, and component i of that
-    order is bit i of every mask.  A factor waits in the bucket of its
-    lowest bit, the first of its components to be summed out, and step i
-    joins the factors of bucket i and sums out bit i.  The cost is
-    exponential in the elimination width (the largest joined scope), which
-    is at most ``MAX_ELIMINATION_WIDTH``, over at most ``MAX_COMPONENTS``
-    components."""
+    vertex, summed over the colors of their components.  A factor's table
+    holds the integer coordinates in Z[eps][s] of its weights
+    (``_weights``) times its scale, the lcm of their denominators, so the
+    integer sum is the state sum times ``den``, the product of the scales.
+    The elimination needs no theory: the one ``Scalar`` made at the end is
+    that sum over den, in lowest terms, with the theory's eps and s.
+
+    It is evaluated by bucket elimination: the components are summed out
+    one at a time in a greedy order planned from the scopes alone, and
+    component i of that order is bit i of every mask.  A factor waits in
+    the bucket of its lowest bit, the first of its components to be summed
+    out, and step i joins the factors of bucket i and sums out bit i.  The
+    cost is exponential in the elimination width (the largest joined
+    scope), which is at most ``MAX_ELIMINATION_WIDTH``, over at most
+    ``MAX_COMPONENTS`` components."""
     if spine.n_components > MAX_COMPONENTS:
         raise SpineValidationError(
             f"component count {spine.n_components} exceeds {MAX_COMPONENTS}")
-    lines = spine.edges if edge_weights is not None else ()
     order, width = _elimination_order(spine.n_components,
                                       [*lines, *spine.vertices])
     if width > MAX_ELIMINATION_WIDTH:
         raise SpineValidationError(
             f"elimination width {width} exceeds {MAX_ELIMINATION_WIDTH}")
-    vertex_weights = {p: _sixj_unit(p, theory) for p in _PROFILES}
+    vertex_weights, line_weights = _weights(x, yz)
     bit = [0] * spine.n_components
     for i, c in enumerate(order):
         bit[c] = 1 << i
-    factors = [(b, {0: theory.one, b: theory.epsilon}) for b in bit]
-    factors += [_local_factor(e, edge_weights, bit) for e in lines]
-    factors += [_local_factor(v, vertex_weights, bit) for v in spine.vertices]
+    # a pattern of three slots is a triple line's, of six a vertex's
+    scaled: dict = {}
+    local = [_local_factor(e, line_weights, bit, scaled) for e in lines]
+    local += [_local_factor(v, vertex_weights, bit, scaled) for v in spine.vertices]
+    den = prod(scale for _, _, scale in local)
+    factors = [(b, {0: _ONE, b: (0, 1, 0, 0)}) for b in bit]
+    factors += [(scope, table) for scope, table, _ in local]
     buckets: list[list] = [[] for _ in order]
-    total = theory.one
+    total = {0: _ONE}
     for scope, table in factors:
         buckets[(scope & -scope).bit_length() - 1].append((scope, table))
     for i in range(len(order)):
@@ -462,22 +497,48 @@ def _state_sum(spine: Spine, theory: Theory,
         if scope:
             buckets[(scope & -scope).bit_length() - 1].append((scope, table))
         else:
-            total = total * table[0]
-    return total
+            total = _join(0, total, 0, table)[1]
+    coords = total[0]
+    g = gcd(den, *coords)
+    return _ring_scalar(tuple(n // g for n in coords), theory) * Fraction(1, den // g)
 
 
-def _local_factor(slots: tuple[int, ...], weights: dict, bit: list[int]) -> tuple:
-    """The factor of one triple line or vertex: its weights looked up by
-    the keys of ``_pattern_keys``, each local mask spread onto the slots'
-    component bits.  A component repeated among the slots is one bit read
-    at each of its slots."""
+def _weights(x: Fraction, yz: Fraction) -> tuple[dict, dict]:
+    """The weights of the state sum at the parameters x and yz = y z, each
+    (coordinates, rational): a vertex's by profile, the unit 6j-symbol,
+    and a triple line's by A-count, the reciprocal unit pairing."""
+    vertex = {p: (coords, x ** i * yz ** j) for p, (coords, i, j) in _SIXJ_UNIT.items()}
+    line = {n: (_ONE, x ** -i * yz ** -j) for n, (i, j) in _PAIRING_UNIT.items()}
+    return vertex, line
+
+
+def _local_factor(slots: tuple[int, ...], weights: dict, bit: list[int],
+                  scaled: dict) -> tuple[int, dict, int]:
+    """The factor of one triple line or vertex, and its scale: its weights
+    (coordinates, rational) looked up by the keys of ``_pattern_keys`` and
+    made integers by the scale, the lcm of their denominators, each local
+    mask spread onto the slots' component bits.  A component repeated
+    among the slots is one bit read at each of its slots.  ``scaled``
+    keeps each slot pattern's integer entries and scale for the next
+    factor of that pattern."""
     local: dict[int, int] = {}
     pattern = tuple(local.setdefault(c, len(local)) for c in slots)
-    bits = [bit[c] for c in local]
-    table = {}
-    for mask, key in _pattern_keys(pattern):
-        table[sum(b for j, b in enumerate(bits) if mask >> j & 1)] = weights[key]
-    return sum(bits), table
+    hit = scaled.get(pattern)
+    if hit is None:
+        keys = _pattern_keys(pattern)
+        scale = lcm(*(weights[key][1].denominator for _, key in keys))
+        entries = []
+        for mask, key in keys:
+            coords, q = weights[key]
+            n = q.numerator * (scale // q.denominator)
+            entries.append((mask, tuple(n * c for c in coords)))
+        hit = scaled[pattern] = (entries, scale)
+    entries, scale = hit
+    # spread[mask]: the sum of the component bits of the local mask's bits
+    spread = [0]
+    for c in local:
+        spread += [m + bit[c] for m in spread]
+    return spread[-1], {spread[mask]: value for mask, value in entries}, scale
 
 
 @lru_cache(maxsize=4096)
@@ -531,29 +592,38 @@ def _elimination_order(n_components: int,
     return order, width
 
 
-def _join(scope_a: int, table_a: dict[int, Scalar],
-          scope_b: int, table_b: dict[int, Scalar]) -> tuple:
-    """The product of two factors, matching entries on their shared bits."""
+def _join(scope_a: int, table_a: dict[int, _Coords],
+          scope_b: int, table_b: dict[int, _Coords]) -> tuple:
+    """The product of two factors, matching entries on their shared bits:
+    in Z[eps][s], (u + v s)(u' + v' s) = u u' + v v' eps + (u v' + v u') s
+    for u, v, u', v' in Z[eps], where (a + b eps)(c + d eps) is
+    ac + bd + (ad + bc + bd) eps."""
     shared = scope_a & scope_b
     index: dict[int, list] = {}
     for m, value in table_b.items():
         index.setdefault(m & shared, []).append((m, value))
     table = {}
-    for m, value in table_a.items():
-        for w, other in index.get(m & shared, ()):
-            table[m | w] = value * other
+    for m, (a0, a1, a2, a3) in table_a.items():
+        for w, (b0, b1, b2, b3) in index.get(m & shared, ()):
+            # v v' = p + q eps, so v v' eps = q + (p + q) eps
+            p = a2 * b2 + a3 * b3
+            q = a2 * b3 + a3 * b2 + a3 * b3
+            table[m | w] = (a0 * b0 + a1 * b1 + q,
+                            a0 * b1 + a1 * b0 + a1 * b1 + p + q,
+                            a0 * b2 + a1 * b3 + a2 * b0 + a3 * b1,
+                            a0 * b3 + a1 * b2 + a1 * b3 + a2 * b1 + a3 * b0 + a3 * b1)
     return scope_a | scope_b, table
 
 
-def _sum_out(scope: int, table: dict[int, Scalar], b: int) -> tuple:
+def _sum_out(scope: int, table: dict[int, _Coords], b: int) -> tuple:
     """Sum over both colors of bit ``b``, dropping entries that cancel."""
-    sums: dict[int, Scalar] = {}
+    sums: dict[int, _Coords] = {}
     for m, value in table.items():
         key = m & ~b
         prev = sums.get(key)
-        sums[key] = value if prev is None else prev + value
-    return (scope & ~b,
-            {key: value for key, value in sums.items() if not value.is_zero})
+        sums[key] = value if prev is None else (prev[0] + value[0], prev[1] + value[1],
+                                                prev[2] + value[2], prev[3] + value[3])
+    return scope & ~b, {key: value for key, value in sums.items() if any(value)}
 
 
 # The one-vertex spine of the 3-sphere: a small disk and a large

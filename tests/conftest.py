@@ -8,7 +8,7 @@ import pytest
 
 from fibcat import ALL_THEORIES, Theory
 from fibcat.category import A, ONE
-from fibcat.spines import Spine, vertex_triples
+from fibcat.spines import SPHERE_SPINE, Spine, vertex_triples
 from fibcat.tangles import LinkEvent
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
@@ -96,6 +96,15 @@ def banded_spine(n_components: int, rng: random.Random) -> Spine:
         vertices.append(v)
         edges.extend(rng.sample(vertex_triples(v), 2))
     return Spine(n_components, tuple(edges), tuple(vertices))
+
+
+def sphere_union(copies: int) -> Spine:
+    """``copies`` disjoint copies of the sphere spine."""
+    n = SPHERE_SPINE.n_components
+    shift = lambda slots, k: tuple(c + k * n for c in slots)
+    return Spine(n * copies,
+                 tuple(shift(e, k) for k in range(copies) for e in SPHERE_SPINE.edges),
+                 tuple(shift(v, k) for k in range(copies) for v in SPHERE_SPINE.vertices))
 
 
 @pytest.fixture

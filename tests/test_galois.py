@@ -97,7 +97,7 @@ def _values(theory: Theory, rng: random.Random) -> list:
             values += [window] + [e for new, coords in entries
                                   for e in (new, Scalar.from_z5(theory.field, coords))]
     values += [theory.epsilon_inv, theory.s_inv, theory.big_d_inv, *theory.associator_block]
-    values += [spines._sixj_unit(p, theory) for p in spines._PROFILES]
+    values += [spines._sixj_unit(p, theory) for p in spines._SIXJ_UNIT]
     values += [spines._pairing_unit(n, theory) for n in (0, 2, 3)]
     return values
 

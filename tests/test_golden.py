@@ -17,9 +17,9 @@ import random
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
-from conftest import FIXTURES, banded_spine, random_spine
+from conftest import FIXTURES, banded_spine, random_spine, sphere_union
 from fibcat.cli import run
-from fibcat.spines import MAX_COMPONENTS, SPHERE_SPINE, Spine
+from fibcat.spines import MAX_COMPONENTS, Spine
 
 GOLDEN = Path(__file__).resolve().parent / "golden_outputs.json"
 
@@ -29,23 +29,14 @@ PARAMETERS = [[], ["-x=2/3", "-y=-5/7", "-z=3"]]
 LINKS = sorted(p.name for p in (FIXTURES / "links").glob("*.txt"))
 
 
-def _sphere_union(copies: int) -> Spine:
-    """``copies`` disjoint copies of the sphere spine."""
-    n = SPHERE_SPINE.n_components
-    shift = lambda slots, k: tuple(c + k * n for c in slots)
-    return Spine(n * copies,
-                 tuple(shift(e, k) for k in range(copies) for e in SPHERE_SPINE.edges),
-                 tuple(shift(v, k) for k in range(copies) for v in SPHERE_SPINE.vertices))
-
-
 def _spines() -> dict[str, str]:
     """The generated spine files, by name."""
     rng = random.Random("golden-spines")
     spines = {f"random{i}": random_spine(rng.randint(2, 12), rng) for i in range(6)}
     spines["banded48"] = banded_spine(48, rng)
-    spines["spheres4"] = _sphere_union(4)
+    spines["spheres4"] = sphere_union(4)
     spines["isolated30"] = Spine(30, (), ())
-    spines["spheres2500"] = _sphere_union(MAX_COMPONENTS // 2)
+    spines["spheres2500"] = sphere_union(MAX_COMPONENTS // 2)
     clique = [f"edge {i} {j} {j}" for i in range(17) for j in range(i + 1, 17)]
     texts = {name: spine.render() for name, spine in spines.items()}
     texts["clique17"] = "\n".join(["spine", "components 17", *clique, "end"]) + "\n"

@@ -6,8 +6,9 @@ from itertools import product
 
 import pytest
 
-from conftest import banded_spine, random_spine, read_fixture
-from fibcat import ALL_THEORIES, Theory
+from conftest import (PARAMETER_THEORIES, banded_spine, random_spine, read_fixture,
+                      sphere_union, theory_id)
+from fibcat import ALL_THEORIES, Scalar, Theory
 from fibcat import spines as sp
 from fibcat.category import A, ONE
 from fibcat.spines import (MAX_COMPONENTS, MAX_ELIMINATION_WIDTH, SPHERE_SPINE,
@@ -291,6 +292,60 @@ def test_state_sums_without_vertices(any_theory):
         expected = (any_theory.one + any_theory.epsilon) ** n
         assert tv(spine, any_theory) == expected
         assert t_epsilon(spine, any_theory) == expected
+
+
+@pytest.mark.parametrize("theory", PARAMETER_THEORIES, ids=theory_id)
+def test_engine_weights_match_the_category(theory):
+    # each weight of the integer engine, made a scalar as the engine makes
+    # its sum one, is the categorical 6j-symbol or reciprocal pairing
+    one = theory.one
+    vertex, line = sp._weights(theory.x, theory.y * theory.z)
+    as_scalar = lambda weight: sp._ring_scalar(weight[0], theory) * weight[1]
+    for cfg in product((ONE, A), repeat=6):
+        profile = sp._profile(cfg)
+        if profile is not None:
+            assert as_scalar(vertex[profile]) \
+                == sixj_categorical(cfg, one, one, one, one, theory), cfg
+    for triple in product((ONE, A), repeat=3):
+        if admissible(*triple):
+            assert as_scalar(line[triple.count(A)]) \
+                == 1 / pairing_categorical(*triple, one, one, theory), triple
+
+
+def test_state_sums_make_no_scalar_per_entry(monkeypatch):
+    # the elimination runs on integers: a state sum makes the same few
+    # scalar operations, for its one value, on a spine of any size
+    theory = Theory(x=Fraction(2, 3), y=Fraction(-5, 7), z=3)
+    spines = [banded_spine(n, random.Random(n)) for n in (48, 200)]
+    tv(spines[0], theory)     # the theory's cached constants
+    count = [0]
+
+    def counted(method):
+        def wrapper(*args):
+            count[0] += 1
+            return method(*args)
+        return wrapper
+
+    for name in ("__mul__", "__rmul__", "_sum", "__neg__", "invert"):
+        monkeypatch.setattr(Scalar, name, counted(getattr(Scalar, name)))
+    for state_sum in (tv, t_epsilon):
+        ops = []
+        for spine in spines:
+            count[0] = 0
+            assert not state_sum(spine, theory).is_zero
+            ops.append(count[0])
+        assert ops[0] == ops[1] <= 8, (state_sum.__name__, ops)
+
+
+@pytest.mark.parametrize("signs", ("positive", "negative"))
+def test_sphere_union_gauge_cancels(signs):
+    # the 2,500-copy union at rational x, y, z: the engine's common
+    # denominator reaches its 2,500th power, and cancels to 1
+    spine = sphere_union(MAX_COMPONENTS // 2)
+    for xyz in ((Fraction(2, 3), Fraction(-5, 7), 3),
+                (Fraction(-13, 11), Fraction(7, 5), Fraction(-9, 2))):
+        theory = Theory(signs, "plus", *xyz)
+        assert tv(spine, theory) == theory.one
 
 
 def test_banded_spine_tv_equals_t():
