@@ -20,11 +20,11 @@ arrows by that rule.
 from __future__ import annotations
 
 import random
-from collections.abc import Sequence
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field
-from functools import lru_cache
+from fractions import Fraction
+from functools import cache, lru_cache, partial
 from itertools import repeat
-from math import gcd
 
 from .scalars import Scalar, Theory
 
@@ -464,79 +464,130 @@ class AxiomReport:
 
 
 def _random_word(rng: random.Random, max_len: int, min_len: int = 1) -> Word:
-    return "".join([rng.choice((ONE, A)) for _ in range(rng.randint(min_len, max_len))])
+    """``rng.randint(min_len, max_len)`` letters, each ``rng.choice((ONE, A))``.
+
+    On Python 3.10-3.13 both calls draw an index r below n as
+    ``Random._randbelow`` does, getrandbits(n.bit_length()) until r < n.
+    The loops here are that loop, so they draw the same words and leave
+    the generator in the same state, without two method calls a draw."""
+    span = max_len - min_len + 1
+    if span < 1:
+        raise ValueError(f"no length between {min_len} and {max_len}")
+    getrandbits = rng.getrandbits
+    k = span.bit_length()
+    r = getrandbits(k)
+    while r >= span:
+        r = getrandbits(k)
+    letters = []
+    for _ in range(min_len + r):
+        r = getrandbits(2)
+        while r > 1:
+            r = getrandbits(2)
+        letters.append(A if r else ONE)
+    return "".join(letters)
+
+
+# A random arrow's value by its two draws, one table per field: n/d at
+# 3(n + 3) + d - 1 for n in -3..3 and d in 1..3, None where n = 0, and
+# the shared ``one`` of the field's theories, which ``then`` and
+# ``tensor_morphisms`` skip, where n/d = 1
+_ARROW_VALUES = {
+    t.field: tuple(None if not n else t.one if n == d else t.rational(Fraction(n, d))
+                   for n in range(-3, 4) for d in range(1, 4))
+    for t in (Theory("positive"), Theory("negative"))}
 
 
 def _random_morphism(rng: random.Random, dom: Word, cod: Word, theory: Theory) -> Morphism:
+    """An arrow n/d between each pair of letters of one type, drawn as
+    ``rng.randint(-3, 3)`` then ``rng.randint(1, 3)`` and absent where
+    n = 0.  The two loops draw n + 3 below 7 and d - 1 below 3 as those
+    calls do (see ``_random_word``), so the arrows and the generator's
+    state after them are the same."""
+    values = _ARROW_VALUES[theory.field]
+    getrandbits = rng.getrandbits
     arrows: Arrows = {}
     for dp, x in enumerate(dom):
         for cp, y in enumerate(cod):
             if x == y:
-                n, d = rng.randint(-3, 3), rng.randint(1, 3)
-                if n:
-                    g = gcd(n, d)
-                    arrows[(dp, cp)] = Scalar._lowest(theory.field, ((0, n // g),), d // g)
+                n = getrandbits(3)
+                while n == 7:
+                    n = getrandbits(3)
+                d = getrandbits(2)
+                while d == 3:
+                    d = getrandbits(2)
+                value = values[3 * n + d]
+                if value is not None:
+                    arrows[dp, cp] = value
     return Morphism._unchecked(dom, cod, arrows, theory)
 
 
-def _pentagon_holds(x: Word, y: Word, z: Word, w: Word, theory: Theory) -> bool:
+# A builder of a structural morphism of one theory from words, such as
+# ``partial(associator, theory=theory)``; ``axiom_suite`` hands the checks
+# below memoized ones.
+_Build = Callable[..., Morphism]
+
+
+def _pentagon_holds(x: Word, y: Word, z: Word, w: Word,
+                    assoc: _Build, ident: _Build) -> bool:
     lhs = compose(
-        tensor_morphisms(associator(x, y, z, theory), identity(w, theory)),
-        associator(x, tensor_words(y, z), w, theory),
-        tensor_morphisms(identity(x, theory), associator(y, z, w, theory)))
-    rhs = associator(tensor_words(x, y), z, w, theory).then(
-        associator(x, y, tensor_words(z, w), theory))
+        tensor_morphisms(assoc(x, y, z), ident(w)),
+        assoc(x, tensor_words(y, z), w),
+        tensor_morphisms(ident(x), assoc(y, z, w)))
+    rhs = assoc(tensor_words(x, y), z, w).then(assoc(x, y, tensor_words(z, w)))
     return lhs == rhs
 
 
-def _hexagon1_holds(x: Word, y: Word, z: Word, theory: Theory) -> bool:
-    lhs = compose(associator(x, y, z, theory),
-                  braiding(x, tensor_words(y, z), theory),
-                  associator(y, z, x, theory))
+def _hexagon1_holds(x: Word, y: Word, z: Word,
+                    assoc: _Build, braid: _Build, ident: _Build) -> bool:
+    lhs = compose(assoc(x, y, z),
+                  braid(x, tensor_words(y, z)),
+                  assoc(y, z, x))
     rhs = compose(
-        tensor_morphisms(braiding(x, y, theory), identity(z, theory)),
-        associator(y, x, z, theory),
-        tensor_morphisms(identity(y, theory), braiding(x, z, theory)))
+        tensor_morphisms(braid(x, y), ident(z)),
+        assoc(y, x, z),
+        tensor_morphisms(ident(y), braid(x, z)))
     return lhs == rhs
 
 
-def _hexagon2_holds(x: Word, y: Word, z: Word, theory: Theory) -> bool:
-    lhs = compose(associator(x, y, z, theory, inverse=True),
-                  braiding(tensor_words(x, y), z, theory),
-                  associator(z, x, y, theory, inverse=True))
+def _hexagon2_holds(x: Word, y: Word, z: Word,
+                    assoc: _Build, braid: _Build, ident: _Build) -> bool:
+    lhs = compose(assoc(x, y, z, inverse=True),
+                  braid(tensor_words(x, y), z),
+                  assoc(z, x, y, inverse=True))
     rhs = compose(
-        tensor_morphisms(identity(x, theory), braiding(y, z, theory)),
-        associator(x, z, y, theory, inverse=True),
-        tensor_morphisms(braiding(x, z, theory), identity(y, theory)))
+        tensor_morphisms(ident(x), braid(y, z)),
+        assoc(x, z, y, inverse=True),
+        tensor_morphisms(braid(x, z), ident(y)))
     return lhs == rhs
 
 
-def _zigzags_hold(x: Word, theory: Theory) -> bool:
-    idx = identity(x, theory)
+def _zigzags_hold(x: Word, theory: Theory, assoc: _Build, ident: _Build) -> bool:
+    idx = ident(x)
     b, d = birth(x, theory), death(x, theory)
     first = compose(tensor_morphisms(b, idx),
-                    associator(x, x, x, theory),
+                    assoc(x, x, x),
                     tensor_morphisms(idx, d))
     second = compose(tensor_morphisms(idx, b),
-                     associator(x, x, x, theory, inverse=True),
+                     assoc(x, x, x, inverse=True),
                      tensor_morphisms(d, idx))
     return first == idx and second == idx
 
 
-def _twist_braiding_holds(x: Word, y: Word, theory: Theory) -> bool:
-    lhs = twist(tensor_words(x, y), theory)
-    rhs = compose(tensor_morphisms(twist(x, theory), twist(y, theory)),
-                  braiding(x, y, theory),
-                  braiding(y, x, theory))
+def _twist_braiding_holds(x: Word, y: Word, braid: _Build, tw: _Build) -> bool:
+    lhs = tw(tensor_words(x, y))
+    rhs = compose(tensor_morphisms(tw(x), tw(y)),
+                  braid(x, y),
+                  braid(y, x))
     return lhs == rhs
 
 
-def _duality_twist_holds(x: Word, theory: Theory) -> bool:
-    idx = identity(x, theory)
+def _duality_twist_holds(x: Word, theory: Theory,
+                         braid: _Build, ident: _Build, tw: _Build) -> bool:
+    idx = ident(x)
     b, d = birth(x, theory), death(x, theory)
-    tw_id = tensor_morphisms(twist(x, theory), idx)
-    id_tw = tensor_morphisms(idx, twist(x, theory))
-    c = braiding(x, x, theory)
+    tw_id = tensor_morphisms(tw(x), idx)
+    id_tw = tensor_morphisms(idx, tw(x))
+    c = braid(x, x)
     return (compose(b, tw_id, c) == b
             and compose(tw_id, c, d) == d
             and b.then(tw_id) == b.then(id_tw))
@@ -544,10 +595,21 @@ def _duality_twist_holds(x: Word, theory: Theory) -> bool:
 
 def axiom_suite(theory: Theory, seed: int = 0) -> AxiomReport:
     """Run every structural identity on exhaustive simple tuples plus
-    seeded random words and morphisms; record the first failure per check."""
+    seeded random words and morphisms; record the first failure per check.
+
+    The checks meet the same associators, braidings, identities and
+    twists many times (about 300 associator calls on some 125 word
+    triples per suite), so each is built once per call of the suite:
+    the four builders are memoized on their word arguments (and
+    ``inverse``) by ``functools.cache`` wrappers that this call makes
+    and drops.  Morphisms are never modified, so sharing them changes no
+    result, and the memo goes with the call: no morphism outlives the
+    report, and no cache is keyed on the theory."""
     rng = random.Random(seed)
     simple_words = [ONE, A]
     checks: list[AxiomCheck] = []
+    assoc, braid, ident, tw = (cache(partial(build, theory=theory))
+                               for build in (associator, braiding, identity, twist))
 
     def run(name, argsets, predicate):
         cases = 0
@@ -562,34 +624,35 @@ def axiom_suite(theory: Theory, seed: int = 0) -> AxiomReport:
              for z in simple_words for w in simple_words]
     quads += [tuple(_random_word(rng, 2) for _ in range(4)) for _ in range(6)]
     quads += [tuple(_random_word(rng, 3) for _ in range(4)) for _ in range(2)]
-    run("pentagon", quads, lambda *a: _pentagon_holds(*a, theory))
+    run("pentagon", quads, lambda *a: _pentagon_holds(*a, assoc, ident))
 
     triples = [(x, y, z) for x in simple_words for y in simple_words
                for z in simple_words]
     rand_triples = [tuple(_random_word(rng, 3) for _ in range(3)) for _ in range(6)]
-    run("hexagon-1", triples + rand_triples, lambda *a: _hexagon1_holds(*a, theory))
-    run("hexagon-2", triples + rand_triples, lambda *a: _hexagon2_holds(*a, theory))
+    run("hexagon-1", triples + rand_triples, lambda *a: _hexagon1_holds(*a, assoc, braid, ident))
+    run("hexagon-2", triples + rand_triples, lambda *a: _hexagon2_holds(*a, assoc, braid, ident))
 
     pairs = [(x, y) for x in simple_words for y in simple_words]
     rand_pairs = [tuple(_random_word(rng, 3) for _ in range(2)) for _ in range(6)]
     run("triangle", pairs + rand_pairs,
-        lambda x, y: associator(x, UNIT, y, theory)
-        == identity(tensor_words(x, y), theory))
+        lambda x, y: assoc(x, UNIT, y) == ident(tensor_words(x, y)))
 
     run("twist-braiding", pairs + rand_pairs,
-        lambda x, y: _twist_braiding_holds(x, y, theory))
+        lambda x, y: _twist_braiding_holds(x, y, braid, tw))
 
     zig_words = simple_words + [ONE + A] + [_random_word(rng, 3) for _ in range(4)]
-    run("duality-zigzag", [(w,) for w in zig_words], lambda w: _zigzags_hold(w, theory))
-    run("duality-twist", [(w,) for w in zig_words], lambda w: _duality_twist_holds(w, theory))
+    run("duality-zigzag", [(w,) for w in zig_words],
+        lambda w: _zigzags_hold(w, theory, assoc, ident))
+    run("duality-twist", [(w,) for w in zig_words],
+        lambda w: _duality_twist_holds(w, theory, braid, ident, tw))
 
     def naturality_case():
         x1, x2 = _random_word(rng, 3), _random_word(rng, 3)
         y1, y2 = _random_word(rng, 3), _random_word(rng, 3)
         f = _random_morphism(rng, x1, y1, theory)
         g = _random_morphism(rng, x2, y2, theory)
-        lhs = tensor_morphisms(f, g).then(braiding(y1, y2, theory))
-        rhs = braiding(x1, x2, theory).then(tensor_morphisms(g, f))
+        lhs = tensor_morphisms(f, g).then(braid(y1, y2))
+        rhs = braid(x1, x2).then(tensor_morphisms(g, f))
         return lhs == rhs
 
     run("braiding-naturality", [() for _ in range(100)],
@@ -600,27 +663,23 @@ def axiom_suite(theory: Theory, seed: int = 0) -> AxiomReport:
         f = _random_morphism(rng, x1, y1, theory)
         g = _random_morphism(rng, x2, y2, theory)
         h = _random_morphism(rng, x3, y3, theory)
-        lhs = tensor_morphisms(tensor_morphisms(f, g), h).then(
-            associator(y1, y2, y3, theory))
-        rhs = associator(x1, x2, x3, theory).then(
-            tensor_morphisms(f, tensor_morphisms(g, h)))
+        lhs = tensor_morphisms(tensor_morphisms(f, g), h).then(assoc(y1, y2, y3))
+        rhs = assoc(x1, x2, x3).then(tensor_morphisms(f, tensor_morphisms(g, h)))
         return lhs == rhs
 
     run("associator-naturality", [() for _ in range(20)],
         lambda: assoc_naturality_case())
 
     run("associator-involution", triples + rand_triples,
-        lambda x, y, z: associator(x, y, z, theory).then(
-            associator(x, y, z, theory, inverse=True))
-        == identity(tensor_words(tensor_words(x, y), z), theory))
+        lambda x, y, z: assoc(x, y, z).then(assoc(x, y, z, inverse=True))
+        == ident(tensor_words(tensor_words(x, y), z)))
 
     def twist_unit_case():
         # The 1-block of (theta_X (x) id_X) . c_{X,X} is the summand-swap
         # permutation with unit values; on words without repeated letters
         # (all the braiding example pins down) that is the identity matrix.
         x = _random_word(rng, 3)
-        m = tensor_morphisms(twist(x, theory), identity(x, theory)).then(
-            braiding(x, x, theory))
+        m = tensor_morphisms(tw(x), ident(x)).then(braid(x, x))
         rows, cols = _starts(x, x)
         swap = {rows[i] + cols[a == A][j]: rows[j] + cols[b == A][i]
                 for i, a in enumerate(x) for j, b in enumerate(x)}

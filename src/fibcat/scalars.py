@@ -16,10 +16,11 @@ integer coordinates of every product of two basis elements, one of their
 conjugates, and one of their images under three automorphisms of Q(z20),
 with which inversion multiplies down to a rational norm, and the twenty
 roots z20^k and s as shared scalars.  A product takes one route by the
-shape of its operands: a rational factor scales the other's numerators,
-two single terms read one table entry, and any other pair reads the
-table term by term.  The complex embedding at z20 = exp(i*pi/10) is
-for display and diagnostics only.
+shape of its operands, tried in this order: two single terms read one
+table entry, rational ones too; else a rational factor scales the
+other's numerators; and any other pair reads the table term by term.
+The complex embedding at z20 = exp(i*pi/10) is for display and
+diagnostics only.
 """
 
 from __future__ import annotations
@@ -229,31 +230,33 @@ class Scalar:
                 return NotImplemented
         if self.field is not other.field:
             self._check(other)
-        # One route per shape of the operands: a rational factor, the one
-        # term (0, b) over d, scales the other's numerators (``_scaled``,
-        # where the unit 1 returns the other factor itself); two single
-        # terms read one table entry; anything else, zero included,
+        # One route per shape of the operands, taken in this order: two
+        # single terms read one table entry, also where either is rational
+        # (a product by exactly 1 returns the other operand); a rational
+        # factor, the one term (0, b) over d, scales the other's
+        # numerators (``_scaled``); anything else, zero included,
         # multiplies term by term.
         terms, other_terms = self.terms, other.terms
-        if len(other_terms) == 1:
+        if len(terms) == 1 and len(other_terms) == 1:
+            (p, a), = terms
             (q, b), = other_terms
-            if not q:
-                return self._scaled(b, other.den)
-            if len(terms) == 1:
-                (p, a), = terms
-                if not p:
-                    return other._scaled(a, self.den)
-                # every table entry's coordinates are coprime, so the
-                # product's content is a * b
-                n, den = a * b, self.den * other.den
-                g = gcd(n, den)
-                if g != 1:
-                    n //= g
-                    den //= g
-                return Scalar._lowest(self.field,
-                                      tuple([(m, n * c) for m, c in self.field.table[p][q]]),
-                                      den)
-        elif len(terms) == 1 and not terms[0][0]:
+            if not q and b == 1 and other.den == 1:
+                return self
+            if not p and a == 1 and self.den == 1:
+                return other
+            # every table entry's coordinates are coprime, so the
+            # product's content is a * b
+            n, den = a * b, self.den * other.den
+            g = gcd(n, den)
+            if g != 1:
+                n //= g
+                den //= g
+            return Scalar._lowest(self.field,
+                                  tuple([(m, n * c) for m, c in self.field.table[p][q]]),
+                                  den)
+        if len(other_terms) == 1 and not other_terms[0][0]:
+            return self._scaled(other_terms[0][1], other.den)
+        if len(terms) == 1 and not terms[0][0]:
             return other._scaled(terms[0][1], self.den)
         table = self.field.table
         out = [0] * 16

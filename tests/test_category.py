@@ -466,6 +466,111 @@ def test_axiom_suite_report_is_pinned(any_theory):
         assert [(c.name, c.cases, c.passed) for c in report.checks] == AXIOM_REPORT
 
 
+def _choice_word(rng: random.Random, max_len: int, min_len: int) -> str:
+    return "".join([rng.choice((ONE, A)) for _ in range(rng.randint(min_len, max_len))])
+
+
+def _randint_arrows(rng: random.Random, dom: str, cod: str) -> dict:
+    arrows = {}
+    for dp, x in enumerate(dom):
+        for cp, y in enumerate(cod):
+            if x == y:
+                n, d = rng.randint(-3, 3), rng.randint(1, 3)
+                if n:
+                    q = Fraction(n, d)
+                    arrows[dp, cp] = (((0, q.numerator),), q.denominator)
+    return arrows
+
+
+def test_random_draws_match_choice_and_randint(any_theory):
+    # _random_word and _random_morphism draw through getrandbits loops;
+    # they must draw what rng.choice((ONE, A)) and rng.randint do, and
+    # leave the generator in the same state, on every Python the package
+    # supports: axiom_suite's cases are these draws
+    for seed in range(200):
+        fast, reference = random.Random(seed), random.Random(seed)
+        for min_len in (0, 1):
+            for max_len in range(max(min_len, 1), 7):
+                word = _random_word(fast, max_len, min_len)
+                assert word == _choice_word(reference, max_len, min_len), (seed, max_len)
+        for _ in range(4):
+            dom, cod = _random_word(fast, 4, 0), _random_word(fast, 4, 0)
+            assert (dom, cod) == (_choice_word(reference, 4, 0), _choice_word(reference, 4, 0))
+            m = _random_morphism(fast, dom, cod, any_theory)
+            assert {k: (v.terms, v.den) for k, v in m.arrows.items()} \
+                == _randint_arrows(reference, dom, cod), seed
+            assert all(v.field is any_theory.field for v in m.arrows.values())
+        assert fast.getstate() == reference.getstate(), seed
+    with pytest.raises(ValueError):
+        _random_word(random.Random(0), 0, 1)
+
+
+# Broken categories and the checks of axiom_suite that each must fail.
+AXIOM_MUTANTS = {
+    "associator top doubled": {"pentagon", "hexagon-1", "hexagon-2", "associator-involution"},
+    "beta is beta_inv": {"hexagon-1", "hexagon-2", "twist-braiding"},
+    "twist sign flipped": {"twist-braiding", "duality-twist", "twist-unit-matrix"},
+}
+
+
+@pytest.mark.parametrize("mutant", AXIOM_MUTANTS)
+def test_axiom_suite_catches_broken_categories(any_theory, mutant, monkeypatch):
+    # the suite builds each structural morphism once per call: it must
+    # still see a broken block, constant or builder in every check that
+    # reaches it
+    th = dataclasses.replace(any_theory, x=Fraction(-4, 3), y=Fraction(5, 2))
+    if mutant == "associator top doubled":
+        block = Theory.associator_block
+
+        def doubled(self):
+            e_inv, top, bottom, neg_e_inv = block.func(self)
+            return e_inv, top * 2, bottom, neg_e_inv
+
+        monkeypatch.setattr(Theory, "associator_block", property(doubled))
+    elif mutant == "beta is beta_inv":
+        monkeypatch.setattr(Theory, "beta", property(lambda self: self.beta_inv))
+    else:
+        original = category.twist
+        monkeypatch.setattr(category, "twist",
+                            lambda word, theory, sign=1: original(word, theory, -sign))
+    report = axiom_suite(th, seed=5)
+    assert {c.name for c in report.checks if not c.passed} == AXIOM_MUTANTS[mutant]
+
+
+def test_axiom_suite_passes_under_the_associator_gauge(any_theory, monkeypatch):
+    # swapping the block's top and bottom entries is the gauge x -> 1/x,
+    # a valid associator, so it is no mutant
+    original = Theory.associator_block
+
+    def swapped(self):
+        e_inv, top, bottom, neg_e_inv = original.func(self)
+        return e_inv, bottom, top, neg_e_inv
+
+    monkeypatch.setattr(Theory, "associator_block", property(swapped))
+    th = dataclasses.replace(any_theory, x=Fraction(-4, 3))
+    assert axiom_suite(th, seed=5).all_passed
+
+
+def _morphisms() -> int:
+    return sum(1 for obj in gc.get_objects() if type(obj) is Morphism)
+
+
+def test_axiom_suite_keeps_no_morphism(any_theory):
+    # the suite's memo of built morphisms lives as long as the call, and
+    # is freed by reference counting alone when it returns
+    th = dataclasses.replace(any_theory, z=Fraction(7, 2))
+    gc.collect()
+    gc.disable()
+    try:
+        before = _morphisms()
+        report = axiom_suite(th, seed=9)
+        after = _morphisms()
+    finally:
+        gc.enable()
+    assert report.all_passed
+    assert after == before
+
+
 def test_builders_pass_the_public_checks(any_theory):
     # then, tensor_morphisms, scale_identity, associator, braiding, twist,
     # birth, death and spines._hom_unit_basis skip Morphism's checks;

@@ -607,6 +607,56 @@ def test_torus_knot_tr_link_is_the_jones_polynomial(theory):
                 (p, q, kind)
 
 
+def _jones_fraction(p: int, q: int, kind: str, theory: Theory) -> tuple[Scalar, Scalar]:
+    """Jones's V(t) of T(p, q) drawn with ``kind`` as a numerator over
+    1 - t^2, at the theory's t (its inverse for ``xn``)."""
+    k = JONES_T[theory.epsilon_sign, theory.beta_sign]
+    n = k if kind == XP else -k
+    t = lambda m: theory.zeta(n * m)
+    return t((p - 1) * (q - 1) // 2) * (1 - t(p + 1) - t(q + 1) + t(p + q)), 1 - t(2)
+
+
+def _torus_pair(first: tuple[int, int, str], second: tuple[int, int, str],
+                band: bool) -> LinkDiagram:
+    """Two torus knots side by side, both open at once: the first on
+    strands 0 .. 2p - 1, the second to its right.  With ``band``, a
+    ``cap``, ``cup`` pair at 2p - 1 joins the first's last strand to the
+    second's first, which makes the connected sum; without, the split
+    union."""
+    (p, q, kind), (r, s, other_kind) = first, second
+    width = 2 * p
+    events = [LinkEvent(CUP, i) for i in range(p)]
+    events += [LinkEvent(kind, j) for _ in range(q) for j in range(p - 1)]
+    events += [LinkEvent(CUP, width + i) for i in range(r)]
+    events += [LinkEvent(other_kind, width + j) for _ in range(s) for j in range(r - 1)]
+    if band:
+        events += [LinkEvent(CAP, width - 1), LinkEvent(CUP, width - 1)]
+    events += [LinkEvent(CAP, width + r - 1 - i) for i in range(r)]
+    events += [LinkEvent(CAP, p - 1 - i) for i in range(p)]
+    return LinkDiagram(tuple(events))
+
+
+# pairs of torus knots with p + r <= 6, so at most 12 strands open
+TORUS_PAIRS = [((2, 3), (2, 3)), ((2, 3), (2, 5)), ((2, 5), (2, 7)), ((2, 3), (3, 4)),
+               ((3, 4), (2, 3)), ((3, 5), (2, 9)), ((3, 4), (3, 5)), ((2, 7), (4, 5))]
+
+
+@pytest.mark.parametrize("band", [True, False], ids=["connected-sum", "split-union"])
+def test_torus_knot_pairs_are_jones_products(any_theory, band):
+    # V is multiplicative under connected sum, and tr_link of the unknot
+    # is 1, so a band between two side-by-side torus knots multiplies
+    # their values; without the band, a split union multiplies them by
+    # the loop value eps.  Either mirror of the second knot.  Compared
+    # multiplied through by both knots' 1 - t^2, as above
+    loop = any_theory.one if band else any_theory.epsilon
+    for (p, q), (r, s) in TORUS_PAIRS:
+        for kind in (XP, XN):
+            first, second = (p, q, XP), (r, s, kind)
+            (v1, d1), (v2, d2) = (_jones_fraction(*knot, any_theory) for knot in (first, second))
+            value = tr_link(_torus_pair(first, second, band), any_theory)
+            assert value * d1 * d2 == loop * v1 * v2, (first, second)
+
+
 def _side_by_side_unknots(n: int) -> LinkDiagram:
     """n unknots side by side, all open at once: n cups at 0, then n caps."""
     return LinkDiagram((LinkEvent(CUP, 0),) * n + (LinkEvent(CAP, 0),) * n)

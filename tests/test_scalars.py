@@ -348,6 +348,40 @@ def test_product_routes_match_polynomial_reference(any_theory):
         assert (x * y).den == 1
 
 
+def test_single_term_products_read_one_entry(any_theory):
+    # two single terms take the table route before the rational one:
+    # rational x rational, rational x z20^i s^j and z20^i s^j x z20^k s^l,
+    # against the Fraction oracle, in canonical form and in either order
+    rng = random.Random(33)
+    th = any_theory
+
+    def part(bits: int) -> Fraction:
+        return Fraction(rng.choice((-1, 1)) * rng.randint(1, 2 ** bits), rng.randint(1, 2 ** bits))
+
+    def single(p: int, q: Fraction) -> Scalar:
+        return Scalar(th.field, [q if i == p else 0 for i in range(16)])
+
+    rationals = [th.rational(part(bits)) for bits in (2, 8, 80)]
+    rationals += [th.rational(-1), th.rational(Fraction(6, 35)), th.rational(Fraction(-35, 6))]
+    basis = [single(p, Fraction(1)) for p in range(1, 16)]
+    scaled = [single(p, part(3 if p & 1 else 60)) for p in range(1, 16)]
+    pairs = [(x, y) for i, x in enumerate(rationals) for y in rationals[i:]]
+    pairs += [(x, y) for x in rationals for y in basis[::2] + scaled]
+    pairs += [(x, y) for x in basis for y in scaled]
+    for x, y in pairs:
+        product = x * y
+        assert product.coeffs == reference_product(th, x, y), (x, y)
+        assert_canonical(product)
+        assert y * x == product
+    # a product by exactly 1, in either order, is the other operand itself
+    values = [th.zero, th.s] + rationals + basis[:3] + scaled[:3]
+    values += [random_scalar(rng, th), dense_scalar(rng, th)]
+    for one in (th.one, th.rational(1)):
+        for x in values:
+            assert x * one is x
+            assert one * x is x
+
+
 def test_equal_values_share_one_key(any_theory):
     rng = random.Random(6)
     a, b = dense_scalar(rng, any_theory), dense_scalar(rng, any_theory)
