@@ -250,8 +250,7 @@ def _dispatch(args, theory: Theory) -> int:
             if chain.linking != inv.chain_linking(args.k):
                 raise CliError("diagram linking disagrees with the chain")
             sigma, value = inv.surgery(chain, theory)
-            closed = inv.normalized(sigma, args.k, inv.chain_colored_sum(framings, theory),
-                                    theory)
+            closed = inv.chain_tr(framings, sigma, theory)
             label = "tr (manifold)"
         if value != closed:
             raise CliError("diagram value disagrees with the closed form")

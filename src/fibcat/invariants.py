@@ -13,8 +13,9 @@ else the self-writhes); where a framing differs from the drawn
 self-writhe, the missing kinks enter ``tr_manifold`` as one power of
 beta in the component's A weight, never as events.
 Closed forms for chains of linked circles (hence for lens spaces) are
-provided as independent oracles; the lens closed form takes O(k) scalar
-steps for k framings, on coordinates that grow with k.
+provided as independent oracles; the lens closed form is a walk of O(k)
+steps on small integers for k framings, whose coordinates stay bounded,
+and makes one scalar at the end.
 """
 
 from __future__ import annotations
@@ -25,7 +26,8 @@ from typing import Iterable, Sequence
 
 from .scalars import Scalar, Theory
 from .spines import _elimination_order
-from .tangles import LinkDiagram, build_hopf_chain, colored_sum, evaluate_all_a
+from .tangles import (LinkDiagram, _Coords, _times, build_hopf_chain, colored_sum,
+                      evaluate_all_a)
 
 
 def tr_link(diagram: LinkDiagram, theory: Theory) -> Scalar:
@@ -159,7 +161,7 @@ def surgery(diagram: LinkDiagram, theory: Theory) -> tuple[int, Scalar]:
     excess = [f - w for f, w in zip(diagram.framings(), diagram.writhes)]
     weight = {d: theory.epsilon * theory.theta(d) for d in set(excess)}
     total = colored_sum(diagram, [weight[d] for d in excess], theory)
-    return sigma, normalized(sigma, diagram.n_components, total, theory)
+    return sigma, normalized(sigma, diagram.n_components, total.z5_coordinates(), theory)
 
 
 def tr_manifold(diagram: LinkDiagram, theory: Theory) -> Scalar:
@@ -168,11 +170,33 @@ def tr_manifold(diagram: LinkDiagram, theory: Theory) -> Scalar:
     return surgery(diagram, theory)[1]
 
 
-def normalized(sigma: int, k: int, total: Scalar, theory: Theory) -> Scalar:
-    """phase(sigma) D^(-k-1) total: a colored sum over the k components
-    of a framed link whose linking matrix has signature sigma, normalized
-    into the surgery invariant."""
-    return theory.phase(sigma) * theory.big_d_inv ** (k + 1) * total
+def normalized(sigma: int, k: int, total: _Coords, theory: Theory,
+               fives: int = 0) -> Scalar:
+    """phase(sigma) D^(-k-1) total / 5^fives: a colored sum ``total``,
+    given by its coordinates in Z[z5] (``Scalar.z5_coordinates``), over
+    the k components of a framed link whose linking matrix has signature
+    sigma, normalized into the surgery invariant.
+
+    D^-(k+1) is built on integers: D^-2 = (3 - eps)/5, as
+    (eps + 2)(3 - eps) = 5, so D^-(k+1) is (3 - eps)^m / 5^m for
+    k + 1 = 2m, and D times that for k + 1 = 2m - 1.  One scalar is made,
+    then multiplied by the phase and, for even k, by D."""
+    m = n = k // 2 + 1
+    base = _five_over_d2(theory)
+    while n:                    # total (3 - eps)^m, by squaring
+        if n & 1:
+            total = _times(total, base)
+        n >>= 1
+        if n:
+            base = _times(base, base)
+    value = theory.phase(sigma) * Scalar.from_z5(theory.field, total, 5 ** (m + fives))
+    return value if k & 1 else value * theory.big_d
+
+
+def _five_over_d2(theory: Theory) -> _Coords:
+    """3 - eps = 5 / D^2, in Z[z5]."""
+    e0, e1, e2, e3 = theory.epsilon.z5_coordinates()
+    return (3 - e0, -e1, -e2, -e3)
 
 
 def c_function(indices: tuple[int, ...], theory: Theory) -> Scalar:
@@ -200,13 +224,13 @@ def hopf_tr_closed_form(k: int, theory: Theory) -> Scalar:
     return (-theory.epsilon_inv) ** (k - 1)
 
 
-# The most framings a lens chain may have.  Its exact value carries
-# coordinates that grow with the chain, and its signature is bounded by
-# ``MAX_SIGNATURE_WORK`` too: a fresh ``fibcat lens 20001 20000`` (20,000
-# twos) takes 1.1-2.0 s, 20,000 fives, at the signature bound, 1.4-2.2 s,
-# and the slowest admitted ``--framings`` lists measured, 20,000 fours
-# and 16,329 elevens (each step of the transfer costs more than with
-# fives), 1.7-2.6 s (x86_64, Python 3.11).
+# The most framings a lens chain may have.  The walk of ``chain_tr`` takes
+# about 0.03 s over 20,000 framings, so the signature, bounded by
+# ``MAX_SIGNATURE_WORK`` too, sets the cost of a long chain: in process it
+# takes 0.6-0.8 s of ``lens_tr_closed_form``'s 0.6-0.8 s on 20,000 fives
+# or fours or 16,329 elevens, and 0.3 of 0.3-0.4 s on 20,000 twos.  A
+# fresh ``fibcat lens 20001 20000`` takes 0.33-0.34 s, and the three
+# longer ``--framings`` lists 0.7-0.8 s (x86_64, Python 3.11).
 MAX_LENS_FRAMINGS = 20000
 
 
@@ -218,20 +242,19 @@ def chain_linking(k: int) -> tuple[tuple[tuple[int, int], int], ...]:
 
 def lens_tr_closed_form(framings: tuple[int, ...], theory: Theory) -> Scalar:
     """Closed form of tr for surgery on a chain of circles with the given
-    framings (i.e. for the lens space the chain presents): the
-    ``chain_colored_sum``, normalized by the signature of the chain's
-    linking matrix.  More than ``MAX_LENS_FRAMINGS`` framings are refused.
+    framings (i.e. for the lens space the chain presents): ``chain_tr`` at
+    the signature of the chain's linking matrix.  More than
+    ``MAX_LENS_FRAMINGS`` framings are refused.
     """
     k = len(framings)
     if k > MAX_LENS_FRAMINGS:
         raise ValueError(f"{k} framings exceed {MAX_LENS_FRAMINGS}")
-    sigma = signature(framings, chain_linking(k))
-    return normalized(sigma, k, chain_colored_sum(framings, theory), theory)
+    return chain_tr(framings, signature(framings, chain_linking(k)), theory)
 
 
-def chain_colored_sum(framings: Sequence[int], theory: Theory) -> Scalar:
-    """The colored sum of surgery on a chain of circles with the given
-    framings, before ``normalized``.
+def chain_tr(framings: Sequence[int], sigma: int, theory: Theory) -> Scalar:
+    """tr of surgery on a chain of circles with the given framings, whose
+    linking matrix has signature sigma: the colored sum, ``normalized``.
 
     The sum over subsets S of the chain of eps^|S| c(S) beta^(-2 sum_S f)
     is taken in one pass.  c is a product over the runs of S, where
@@ -239,13 +262,40 @@ def chain_colored_sum(framings: Sequence[int], theory: Theory) -> Scalar:
     w = eps beta^(-2f) two partial sums suffice, over the subsets that
     leave out (``outside``) or contain (``inside``) the latest component:
     outside, inside <- outside + inside, w (eps outside - inside / eps),
-    that is beta^(-2f) (eps^2 outside - inside).
+    that is theta^f (eps^2 outside - inside), theta = beta^(-2) a fifth
+    root of unity.  Each sum is four integers in Z[z5].  A step's matrix
+    has determinant of absolute value D^2 = eps + 2, so after every
+    second framing the pair is divided by D^2: multiplied by 3 - eps and
+    divided by 5 when all eight coordinates allow it, and otherwise the 5
+    is kept for the end.  So the coordinates stay bounded (by 10 over
+    random chains of up to 20,000 framings), and the walk is O(k) work on
+    small integers.
     """
-    e2 = theory.epsilon ** 2
-    outside, inside = theory.one, theory.zero
-    for f in framings:
-        outside, inside = outside + inside, theory.theta(f) * (e2 * outside - inside)
-    return outside + inside
+    e0, e1, e2, e3 = theory.epsilon.z5_coordinates()
+    e_squared = (e0 + 1, e1, e2, e3)          # eps^2 = eps + 1
+    five_over_d2 = _five_over_d2(theory)
+    thetas = [theory.theta(r).z5_coordinates() for r in range(5)]
+    steps = [(theta, _times(theta, e_squared)) for theta in thetas]
+    outside, inside = (1, 0, 0, 0), (0, 0, 0, 0)
+    fives = 0
+    for n, f in enumerate(framings, 1):
+        theta, theta_e2 = steps[f % 5]
+        a0, a1, a2, a3 = _times(theta_e2, outside)
+        b0, b1, b2, b3 = _times(theta, inside)
+        o0, o1, o2, o3 = outside
+        i0, i1, i2, i3 = inside
+        outside = (o0 + i0, o1 + i1, o2 + i2, o3 + i3)
+        inside = (a0 - b0, a1 - b1, a2 - b2, a3 - b3)
+        if not n & 1:
+            outside, inside = _times(outside, five_over_d2), _times(inside, five_over_d2)
+            if any(c % 5 for c in outside + inside):
+                fives += 1
+            else:
+                outside = tuple([c // 5 for c in outside])
+                inside = tuple([c // 5 for c in inside])
+    total = tuple([o + i for o, i in zip(outside, inside)])
+    # the divisions took D^(2 floor(k/2)) of D^(k+1) already
+    return normalized(sigma, len(framings) & 1, total, theory, fives)
 
 
 def continued_fraction_framings(p: int, q: int) -> tuple[int, ...]:

@@ -153,9 +153,12 @@ class Scalar:
         return Scalar._lowest(field, ((0, q.numerator),) if q else (), q.denominator)
 
     @classmethod
-    def from_z5(cls, field: _Field, coords: tuple[int, int, int, int]) -> Scalar:
-        """The element of Z[z5], z = z20^2, with integer coordinates
-        ``coords`` at z20^0, 2, 4, 6: the inverse of ``z5_coordinates``."""
+    def from_z5(cls, field: _Field, coords: tuple[int, int, int, int], den: int = 1) -> Scalar:
+        """The element of Q(z5), z = z20^2, with integer coordinates
+        ``coords`` at z20^0, 2, 4, 6 over the positive integer ``den``:
+        at den 1, the inverse of ``z5_coordinates``."""
+        if den != 1:
+            return cls._collect(field, [n for c in coords for n in (c, 0)], den)
         return cls._lowest(field, tuple([(2 * i, n) for i, n in enumerate(coords) if n]), 1)
 
     def z5_coordinates(self) -> tuple[int, int, int, int]:

@@ -13,11 +13,12 @@ from conftest import PARAMETER_THEORIES, random_morse_word, read_fixture, theory
 from fibcat import ALL_THEORIES, Scalar, Theory
 from fibcat import invariants
 from fibcat.category import A, ONE
-from fibcat.invariants import (c_function, continued_fraction_framings,
+from fibcat.invariants import (c_function, chain_linking, chain_tr,
+                               continued_fraction_framings,
                                expand_minus_continued_fraction,
                                hopf_tr_closed_form, lens_space_framed_link,
-                               lens_tr_closed_form, signature, tr_link,
-                               tr_manifold)
+                               lens_tr_closed_form, normalized, signature,
+                               tr_link, tr_manifold)
 from fibcat.tangles import (MAX_OPEN_COMPONENTS, LinkDiagram, LinkEvent,
                             build_hopf_chain, evaluate, evaluate_all_a, parse_link)
 
@@ -759,6 +760,82 @@ def test_lens_closed_form_long_chain(any_theory):
         assert len(framings) == p - 1
         assert lens_tr_closed_form(framings, any_theory) \
             == lens_tr_closed_form(continued_fraction_framings(p, -1), any_theory)
+
+
+def _chain_transfer(framings, sigma, theory):
+    """The chain's colored sum by its Scalar transfer, two partial sums
+    over the subsets that leave out or contain the latest component,
+    times phase(sigma) D^-(k+1)."""
+    e2 = theory.epsilon ** 2
+    outside, inside = theory.one, theory.zero
+    for f in framings:
+        outside, inside = outside + inside, theory.theta(f) * (e2 * outside - inside)
+    return theory.phase(sigma) * theory.big_d_inv ** (len(framings) + 1) * (outside + inside)
+
+
+@pytest.mark.parametrize("theory", PARAMETER_THEORIES, ids=theory_id)
+def test_chain_walk_matches_scalar_transfer(theory):
+    # every chain of up to 4 framings in -3..3, then long seeded ones,
+    # which pass many divisions by D^2 and leave a factor 5 or not
+    for k in range(5):
+        for framings in itertools.product(range(-3, 4), repeat=k):
+            sigma = signature(framings, chain_linking(k))
+            assert chain_tr(framings, sigma, theory) \
+                == _chain_transfer(framings, sigma, theory), framings
+    rng = random.Random(f"chain-walk-{theory_id(theory)}")
+    for _ in range(100):
+        framings = [rng.randint(-40, 40) for _ in range(rng.randint(5, 80))]
+        sigma = rng.randint(-80, 80)
+        assert chain_tr(framings, sigma, theory) \
+            == _chain_transfer(framings, sigma, theory), framings
+
+
+@pytest.mark.parametrize("theory", PARAMETER_THEORIES, ids=theory_id)
+def test_normalized_matches_scalar_formula(theory):
+    rng = random.Random(f"normalized-{theory_id(theory)}")
+    for k in range(42):
+        total = tuple(rng.randint(-50, 50) for _ in range(4))
+        sigma = rng.randint(-k, k)
+        assert normalized(sigma, k, total, theory) == theory.phase(sigma) \
+            * theory.big_d_inv ** (k + 1) * Scalar.from_z5(theory.field, total), k
+    assert normalized(1, 3, (5, 0, -10, 5), theory, fives=2) == theory.phase(1) \
+        * theory.big_d_inv ** 4 * Scalar.from_z5(theory.field, (1, 0, -2, 1)) * Fraction(1, 5)
+
+
+@pytest.mark.parametrize("theory", PARAMETER_THEORIES, ids=theory_id)
+def test_drawn_long_chain_matches_closed_form(theory):
+    # the chain drawn with its kinks, which the sweep folds into weights
+    rng = random.Random(f"drawn-chain-{theory_id(theory)}")
+    for k in (40, 80):
+        framings = tuple(rng.randint(-3, 3) for _ in range(k))
+        assert lens_tr_closed_form(framings, theory) \
+            == tr_manifold(build_hopf_chain(k, framings), theory), framings
+
+
+def test_chain_walk_makes_no_scalar_per_framing(monkeypatch):
+    # the walk runs on integers: a lens value makes the same few scalar
+    # operations, for its one value, on a chain of any length
+    theory = Theory(x=Fraction(2, 3), y=Fraction(-5, 7), z=3)
+    rng = random.Random(2000)
+    lens_tr_closed_form((2, 2), theory)     # the theory's cached constants
+    count = [0]
+
+    def counted(method):
+        def wrapper(*args):
+            count[0] += 1
+            return method(*args)
+        return wrapper
+
+    for name in ("__mul__", "__rmul__", "_sum", "__neg__", "invert"):
+        monkeypatch.setattr(Scalar, name, counted(getattr(Scalar, name)))
+    for short, long in ((2, 2000), (3, 2001)):
+        ops = []
+        for k in (short, long):
+            count[0] = 0
+            assert not lens_tr_closed_form([rng.randint(-9, 9) for _ in range(k)],
+                                           theory).is_zero
+            ops.append(count[0])
+        assert ops[0] == ops[1] <= 2, (short, long, ops)
 
 
 def test_equal_lenses(any_theory):

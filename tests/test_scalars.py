@@ -315,13 +315,6 @@ def shaped_scalars(rng: random.Random, theory: Theory) -> list[Scalar]:
     return values
 
 
-def assert_canonical(x: Scalar) -> None:
-    ps = [p for p, _ in x.terms]
-    assert ps == sorted(set(ps)) and all(0 <= p < 16 for p in ps), x.terms
-    assert all(n for _, n in x.terms), x.terms
-    assert x.den > 0 and gcd(x.den, *(n for _, n in x.terms)) == 1, (x.terms, x.den)
-
-
 def test_table_entries_are_coprime(any_theory):
     # the product of two single terms relies on it: the content of
     # a * b times an entry is a * b
@@ -509,6 +502,18 @@ def test_z5_coordinates_round_trip(any_theory):
                 th.epsilon * th.rational(Fraction(1, 3)), th.rational(Fraction(1, 2))):
         with pytest.raises(ValueError, match="outside Z\\[z5\\]"):
             bad.z5_coordinates()
+
+
+def test_from_z5_over_a_denominator(any_theory):
+    # integer coordinates over den, in lowest terms: the product by 1/den
+    th = any_theory
+    rng = random.Random("z5-den")
+    for _ in range(50):
+        coords = tuple(rng.randint(-30, 30) for _ in range(4))
+        den = rng.choice((1, 2, 5, 6, 25, 125))
+        x = Scalar.from_z5(th.field, coords, den)
+        assert_canonical(x)
+        assert x == Scalar.from_z5(th.field, coords) * Fraction(1, den), (coords, den)
 
 
 # -- pickling: a loaded theory is the local one ---------------------------------
