@@ -8,10 +8,10 @@ eps per A-colored component and normalized by the signature of the
 linking matrix.  The sum is one sweep over the events
 (``tangles.colored_sum``) that branches on a component's color when it
 opens and merges when it closes, so a chain of any length costs time
-linear in its length.  The framings are the diagram's own (declared, or
-else the self-writhes); where a framing differs from the drawn
-self-writhe, the missing kinks enter ``tr_manifold`` as one power of
-beta in the component's A weight, never as events.
+linear in its length.  It reads the framings off the diagram (declared,
+or else the self-writhes): the kinks missing from a drawing enter as a
+power of theta in a component's weight, never as events.  Its four Z[z5]
+integers become one scalar in ``normalized``.
 Closed forms for chains of linked circles (hence for lens spaces) are
 provided as independent oracles; the lens closed form is a walk of O(k)
 steps on small integers for k framings, whose coordinates stay bounded,
@@ -24,10 +24,9 @@ from fractions import Fraction
 from math import gcd
 from typing import Iterable, Sequence
 
-from .scalars import Scalar, Theory
+from .scalars import Scalar, Theory, _Coords, _times
 from .spines import _elimination_order
-from .tangles import (LinkDiagram, _Coords, _times, build_hopf_chain, colored_sum,
-                      evaluate_all_a)
+from .tangles import LinkDiagram, build_hopf_chain, colored_sum, evaluate_all_a
 
 
 def tr_link(diagram: LinkDiagram, theory: Theory) -> Scalar:
@@ -147,21 +146,15 @@ def surgery(diagram: LinkDiagram, theory: Theory) -> tuple[int, Scalar]:
     """The signature sigma of the framed link's linking matrix, and the
     surgery invariant of the closed manifold the link presents.
 
-    The sum over all colorings of the colored evaluation, weighted by
-    eps per A-colored component, taken in one sweep by
-    ``tangles.colored_sum`` (a ``ValueError`` when more than
-    ``tangles.MAX_OPEN_COMPONENTS`` components are open at once).
-    A kink scales an A-colored component by beta^(-2 sign), whether it
-    is drawn or not: ``colored_sum`` folds the drawn kinks of component i
-    into its weight as one power of beta^(-2), and its framing excess
-    f_i - w_i, the kinks beyond those drawn, enters the weight given as
-    another, so that weight is eps beta^(-2 (f_i - w_i)).
+    The sum over all colorings of the colored evaluation, each A-colored
+    component i weighted by eps theta^(f_i - w_i) for its framing f_i and
+    self-writhe w_i, so that a kink twists it by theta whether it is drawn
+    or not, is ``tangles.colored_sum``, in Z[z5] (a ``ValueError`` when
+    more than ``tangles.MAX_OPEN_COMPONENTS`` components are open at
+    once); ``normalized`` makes it the one scalar.
     """
     sigma = signature(diagram.framings(), diagram.linking)
-    excess = [f - w for f, w in zip(diagram.framings(), diagram.writhes)]
-    weight = {d: theory.epsilon * theory.theta(d) for d in set(excess)}
-    total = colored_sum(diagram, [weight[d] for d in excess], theory)
-    return sigma, normalized(sigma, diagram.n_components, total.z5_coordinates(), theory)
+    return sigma, normalized(sigma, diagram.n_components, colored_sum(diagram, theory), theory)
 
 
 def tr_manifold(diagram: LinkDiagram, theory: Theory) -> Scalar:
@@ -274,8 +267,7 @@ def chain_tr(framings: Sequence[int], sigma: int, theory: Theory) -> Scalar:
     e0, e1, e2, e3 = theory.epsilon.z5_coordinates()
     e_squared = (e0 + 1, e1, e2, e3)          # eps^2 = eps + 1
     five_over_d2 = _five_over_d2(theory)
-    thetas = [theory.theta(r).z5_coordinates() for r in range(5)]
-    steps = [(theta, _times(theta, e_squared)) for theta in thetas]
+    steps = [(theta, _times(theta, e_squared)) for theta in theory.theta_coordinates]
     outside, inside = (1, 0, 0, 0), (0, 0, 0, 0)
     fives = 0
     for n, f in enumerate(framings, 1):

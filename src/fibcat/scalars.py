@@ -37,6 +37,21 @@ Rational = Union[int, Fraction]
 # z^8 = z^6 - z^4 + z^2 - 1, coefficients of z^0 .. z^7
 _PHI20_FOLD = (-1, 0, 1, 0, -1, 0, 1, 0)
 
+# An element of Z[z5], for z = z20^2 a primitive 10th root of unity
+# (z^5 = -1): its integer coordinates at 1, z, z^2, z^3 (z20^0, 2, 4, 6).
+_Coords = tuple[int, int, int, int]
+
+
+def _times(a: _Coords, b: _Coords) -> _Coords:
+    """The product in Z[z5], z^4 folded as z^3 - z^2 + z - 1."""
+    a0, a1, a2, a3 = a
+    b0, b1, b2, b3 = b
+    c4 = a1 * b3 + a2 * b2 + a3 * b1
+    c5 = a2 * b3 + a3 * b2
+    c6 = a3 * b3
+    return (a0 * b0 - c4 - c5, a0 * b1 + a1 * b0 + c4 - c6,
+            a0 * b2 + a1 * b1 + a2 * b0 - c4, a0 * b3 + a1 * b2 + a2 * b1 + a3 * b0 + c4)
+
 
 def _zeta_powers() -> list[tuple[int, ...]]:
     """z20^k reduced mod the 20th cyclotomic polynomial, k = 0 .. 19."""
@@ -153,7 +168,7 @@ class Scalar:
         return Scalar._lowest(field, ((0, q.numerator),) if q else (), q.denominator)
 
     @classmethod
-    def from_z5(cls, field: _Field, coords: tuple[int, int, int, int], den: int = 1) -> Scalar:
+    def from_z5(cls, field: _Field, coords: _Coords, den: int = 1) -> Scalar:
         """The element of Q(z5), z = z20^2, with integer coordinates
         ``coords`` at z20^0, 2, 4, 6 over the positive integer ``den``:
         at den 1, the inverse of ``z5_coordinates``."""
@@ -161,7 +176,7 @@ class Scalar:
             return cls._collect(field, [n for c in coords for n in (c, 0)], den)
         return cls._lowest(field, tuple([(2 * i, n) for i, n in enumerate(coords) if n]), 1)
 
-    def z5_coordinates(self) -> tuple[int, int, int, int]:
+    def z5_coordinates(self) -> _Coords:
         """The integer coordinates at z20^0, 2, 4, 6 of an element of
         Z[z5], z = z20^2; any other value, one with a denominator, an odd
         power of z20 or s, is a ``ValueError``."""
@@ -526,7 +541,8 @@ class Theory:
     D^2 = eps + 2: 1/eps = eps - 1, 1/s = s/eps and 1/D = D (3 - eps)/5
     (``epsilon_inv``, ``s_inv``, ``big_d_inv``), and so has the
     associator's A, A, A block (``associator_block``).  Each is computed
-    once per theory and kept on it, so no cache outlives the theory.  The
+    once per theory and kept on it, as are theta's five powers in Z[z5]
+    (``theta_coordinates``), so no cache outlives the theory.  The
     parameters x, y, z are arbitrary nonzero rationals; every invariant is
     provably independent of them, which the test-suite checks rather than
     assumes.
@@ -592,6 +608,12 @@ class Theory:
     def theta(self, n: int) -> Scalar:
         """theta^n, for the ribbon twist theta = beta^-2 on A."""
         return self.zeta(-12 * self._k * n)
+
+    @cached_property
+    def theta_coordinates(self) -> tuple[_Coords, ...]:
+        """The Z[z5] coordinates of theta^r, r = 0 .. 4, so theta^n is
+        entry n mod 5: theta is a fifth root of unity."""
+        return tuple(self.theta(r).z5_coordinates() for r in range(5))
 
     def phase(self, n: int) -> Scalar:
         """(Delta/D)^n, the surgery phase: a 20th root of unity."""

@@ -34,12 +34,12 @@ value lies in Z[z5], for z = z20^2.  A vector entry is four integers,
 the coordinates at z20^0, 2, 4, 6, and an event is integer
 multiply-adds, the Z[z5] product with z^4 folded as z^3 - z^2 + z - 1.
 The sweep starts and ends at the path 1, whose gauge is 1, so the gauge
-changes no result; that becomes a ``Scalar`` once, at the end of the
-sweep.
+changes no result.
 
-One sweep over the events serves a single coloring (``evaluate``) and
-the weighted sum over all colorings (``colored_sum``, the surgery sum of
-``invariants.tr_manifold``).  Its state maps the set of open A-colored
+One sweep over the events serves a single coloring (``evaluate``, one
+``Scalar`` at the end) and the weighted sum over all colorings
+(``colored_sum``, the Z[z5] surgery sum of ``invariants.tr_manifold``,
+weighted by the framings).  Its state maps the set of open A-colored
 components to a vector: a component branches into its colors at its
 first cup and is merged away after its last cap, so the sum costs
 2^(most components open at once) times the vector work, a peak bounded
@@ -51,8 +51,8 @@ numbers, and refuses more than ``MAX_COMPONENTS`` components.
 A diagram carries its framings: ``framing i=f`` lines declare them, and
 the rest default to the self-writhes.  ``build_hopf_chain`` can draw
 framings as kinks, but surgery does not need them drawn:
-``with_framings`` declares them, and ``invariants.tr_manifold`` applies
-them as a scalar.
+``with_framings`` declares them, and ``colored_sum`` reads them as
+powers of theta in the components' weights.
 """
 
 from __future__ import annotations
@@ -63,7 +63,7 @@ from typing import Iterable, Sequence
 
 from . import category as cat
 from .category import A, ONE
-from .scalars import Scalar, Theory
+from .scalars import Scalar, Theory, _Coords, _times
 
 
 # An event's kind is its token in a link file.
@@ -325,10 +325,6 @@ def all_a_coloring(diagram: LinkDiagram) -> Coloring:
     return A * diagram.n_components
 
 
-# A sweep value lies in Z[z5], for z = z20^2 a primitive 10th root of
-# unity (z^5 = -1): it is its integer coordinates at 1, z, z^2, z^3
-# (z20^0, 2, 4, 6).
-_Coords = tuple[int, int, int, int]
 _Vector = dict[str, _Coords]
 # window -> (new window, coordinates) per value
 _Table = dict[str, tuple[tuple[str, _Coords], ...]]
@@ -336,8 +332,9 @@ _UNIT: _Coords = (1, 0, 0, 0)
 
 # The most components a link may have, read or drawn.  Its exact value
 # carries coordinates of about k/5 digits: a fresh ``fibcat hopf 5000``
-# takes 0.8 s and ``hopf 5000 --framings`` 2.2 s, and 20,000 disjoint
-# unknots pass the 4,300 digits Python renders (x86_64, Python 3.11).
+# takes 0.30-0.47 s and ``hopf 5000 --framings`` (seeded, in -9..9)
+# 0.49-0.62 s, and 20,000 disjoint unknots pass the 4,300 digits Python
+# renders (x86_64, Python 3.11).
 MAX_COMPONENTS = 5000
 
 # The most components a colored sum lets hold strands at once; its keys
@@ -348,17 +345,6 @@ MAX_OPEN_COMPONENTS = 16
 # around the pair for a cap or a crossing.  A kink moves no strand; it is a
 # scalar on its component (see ``_sweep``) and has no table.
 _WINDOW = {CUP: 1, CAP: 3, CROSS_POS: 3, CROSS_NEG: 3}
-
-
-def _times(a: _Coords, b: _Coords) -> _Coords:
-    """The product in Z[z5], z^4 folded as z^3 - z^2 + z - 1."""
-    a0, a1, a2, a3 = a
-    b0, b1, b2, b3 = b
-    c4 = a1 * b3 + a2 * b2 + a3 * b1
-    c5 = a2 * b3 + a3 * b2
-    c6 = a3 * b3
-    return (a0 * b0 - c4 - c5, a0 * b1 + a1 * b0 + c4 - c6,
-            a0 * b2 + a1 * b1 + a2 * b0 - c4, a0 * b3 + a1 * b2 + a2 * b1 + a3 * b0 + c4)
 
 
 def _windows(word: cat.Word, c: str) -> list[str]:
@@ -475,7 +461,7 @@ _Branches = Sequence[_Coords | None]
 
 
 def _sweep(diagram: LinkDiagram, branches: Sequence[_Branches],
-           theory: Theory) -> Scalar:
+           theory: Theory) -> _Coords:
     """The sum over the colorings that ``branches`` allows of the weighted
     colored evaluations of the strands, in one pass over the events.
 
@@ -541,7 +527,7 @@ def _sweep(diagram: LinkDiagram, branches: Sequence[_Branches],
             del slots[pos:pos + 2]
         else:
             slots[pos], slots[pos + 1] = slots[pos + 1], slots[pos]
-    return Scalar.from_z5(theory.field, states.get(0, {}).get(ONE, (0, 0, 0, 0)))
+    return states.get(0, {}).get(ONE, (0, 0, 0, 0))
 
 
 def evaluate(diagram: LinkDiagram, coloring: Coloring, theory: Theory) -> Scalar:
@@ -571,20 +557,19 @@ def evaluate(diagram: LinkDiagram, coloring: Coloring, theory: Theory) -> Scalar
     for i, color in enumerate(coloring):
         if color not in (ONE, A):
             raise ValueError(f"coloring letter {i} is {color!r}, not {ONE!r} or {A!r}")
-    return _sweep(diagram, [(theory.theta(twist).z5_coordinates(),) if color == A else (None,)
-                            for color, twist in zip(coloring, diagram.twists)], theory)
+    thetas = theory.theta_coordinates
+    total = _sweep(diagram, [(thetas[twist % 5],) if color == A else (None,)
+                             for color, twist in zip(coloring, diagram.twists)], theory)
+    return Scalar.from_z5(theory.field, total)
 
 
-def colored_sum(diagram: LinkDiagram, weights: Sequence[Scalar],
-                theory: Theory) -> Scalar:
-    """The sum over all 2^k colorings of ``evaluate``, each times the
-    product of ``weights[i]`` over its A-colored components i.
-
-    A weight must lie in Z[z5], the ring of the sweep's integer
-    coordinates; every caller's eps theta^d does.  Another weight, such
-    as an odd power of z20, s or eps/3, is a ``ValueError`` before any
-    sweep.  The twist of component i, theta^k for its net kinks k, is
-    folded into ``weights[i]``.
+def colored_sum(diagram: LinkDiagram, theory: Theory) -> _Coords:
+    """The coordinates in Z[z5] of the surgery sum: the sum over all 2^k
+    colorings of ``evaluate``, each times eps theta^(f_i - w_i) for each
+    A-colored component i of framing f_i and self-writhe w_i.  With the
+    twist by its t_i net kinks that is eps theta^(f_i - s_i), for its s_i
+    signed self-crossings, so drawn kinks cancel: one of five values,
+    formed on integers.
 
     One sweep over the events: each component branches into its two
     colors when it opens and is merged away when it closes, so the cost
@@ -592,15 +577,15 @@ def colored_sum(diagram: LinkDiagram, weights: Sequence[Scalar],
     peak is bounded by ``MAX_OPEN_COMPONENTS`` and checked before any
     branch.
     """
-    if len(weights) != diagram.n_components:
-        raise ValueError(f"expected {diagram.n_components} weights, got {len(weights)}")
     peak = diagram.peak_open()
     if peak > MAX_OPEN_COMPONENTS:
         raise ValueError(f"{peak} components open at once exceeds "
                          f"{MAX_OPEN_COMPONENTS}")
-    branches = [(None, (w * theory.theta(twist)).z5_coordinates())
-                for w, twist in zip(weights, diagram.twists)]
-    return _sweep(diagram, branches, theory)
+    epsilon = theory.epsilon.z5_coordinates()
+    weights = [_times(epsilon, theta) for theta in theory.theta_coordinates]
+    return _sweep(diagram, [(None, weights[(f - w + t) % 5]) for f, w, t
+                            in zip(diagram.framings(), diagram.writhes, diagram.twists)],
+                  theory)
 
 
 def evaluate_all_a(diagram: LinkDiagram, theory: Theory) -> Scalar:

@@ -813,11 +813,14 @@ def test_drawn_long_chain_matches_closed_form(theory):
 
 
 def test_chain_walk_makes_no_scalar_per_framing(monkeypatch):
-    # the walk runs on integers: a lens value makes the same few scalar
-    # operations, for its one value, on a chain of any length
+    # the walk and the surgery sweep run on integers: a lens value, and
+    # tr_manifold of a chain drawn with its framings as kinks, make the
+    # same few scalar operations, for their one value, on a chain of any
+    # length
     theory = Theory(x=Fraction(2, 3), y=Fraction(-5, 7), z=3)
     rng = random.Random(2000)
     lens_tr_closed_form((2, 2), theory)     # the theory's cached constants
+    tr_manifold(build_hopf_chain(2, (1, -1)), theory)     # and the sweep's tables
     count = [0]
 
     def counted(method):
@@ -836,6 +839,13 @@ def test_chain_walk_makes_no_scalar_per_framing(monkeypatch):
                                            theory).is_zero
             ops.append(count[0])
         assert ops[0] == ops[1] <= 2, (short, long, ops)
+    ops = []
+    for k in (20, 2000):
+        chain = build_hopf_chain(k, [rng.randint(-9, 9) for _ in range(k)])
+        count[0] = 0
+        assert not tr_manifold(chain, theory).is_zero
+        ops.append(count[0])
+    assert ops[0] == ops[1] <= 2, ops
 
 
 def test_equal_lenses(any_theory):

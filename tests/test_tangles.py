@@ -446,7 +446,7 @@ def test_kinks_apply_no_event(monkeypatch, th):
     def apply_calls(diagram: LinkDiagram) -> int:
         calls.clear()
         evaluate_all_a(diagram, th)
-        tangles.colored_sum(diagram, [th.epsilon] * diagram.n_components, th)
+        tangles.colored_sum(diagram, th)
         return calls["apply"]
 
     monkeypatch.setattr(tangles, "_apply", counting)
@@ -536,20 +536,12 @@ def _oracle_colored_sum(diagram: LinkDiagram, weights, theory: Theory) -> Scalar
     return total
 
 
-def _z5_element(rng: random.Random, theory: Theory) -> Scalar:
-    """A seeded element of Z[z5]: integer coordinates at z20^0, 2, 4, 6."""
-    coords = [0] * 8
-    for i in (0, 2, 4, 6):
-        coords[i] = rng.randint(-4, 4)
-    return Scalar(theory.field, coords)
-
-
 @pytest.mark.parametrize("theory", PARAMETER_THEORIES, ids=theory_id)
 def test_sweep_matches_scalar_oracle(theory):
     # seeded Morse words and plats with kinks, up to 10 strands:
-    # evaluate at three colorings and colored_sum under eps theta^d
-    # weights and under seeded weights of Z[z5], against the
-    # product-by-product scalar sweep
+    # evaluate at three colorings, and colored_sum under seeded framings f,
+    # whose weights are eps theta^(f - w) for the self-writhes w, against
+    # the product-by-product scalar sweep
     rng = random.Random(f"oracle-{theory_id(theory)}")
     diagrams = [_with_kinks(rng, _random_plat(rng, width, [rng.randrange(width - 1)
                                                            for _ in range(2 * width)]), 5)
@@ -563,25 +555,12 @@ def test_sweep_matches_scalar_oracle(theory):
         for coloring in {A * k, ONE * k, "".join(rng.choice((ONE, A)) for _ in range(k))}:
             assert evaluate(diagram, coloring, theory) \
                 == _oracle_evaluate(diagram, coloring, theory), diagram.render()
-        for weights in ([theory.epsilon * theory.theta(rng.randint(-3, 3)) for _ in range(k)],
-                        [_z5_element(rng, theory) for _ in range(k)]):
-            assert tangles.colored_sum(diagram, weights, theory) \
-                == _oracle_colored_sum(diagram, weights, theory), diagram.render()
-
-
-def test_colored_sum_weights_lie_in_q_z5(monkeypatch, th):
-    # the sweep's integer kernel holds Z[z5]: an odd power of z20, s, or
-    # a value with a denominator as a weight is refused before any sweep
-    def no_sweep(*args):
-        raise AssertionError("a sweep started")
-
-    monkeypatch.setattr(tangles, "_sweep", no_sweep)
-    diagram = build_hopf_chain(3)
-    for bad in (th.zeta(1), th.s, th.epsilon + th.zeta(3),
-                th.epsilon * th.rational(Fraction(1, 3))):
-        weights = [th.epsilon, bad, th.epsilon]
-        with pytest.raises(ValueError, match="outside Z\\[z5\\]"):
-            tangles.colored_sum(diagram, weights, th)
+        framings = [rng.randint(-3, 3) for _ in range(k)]
+        weights = [theory.epsilon * theory.theta(f - w)
+                   for f, w in zip(framings, diagram.writhes)]
+        assert Scalar.from_z5(theory.field,
+                              tangles.colored_sum(diagram.with_framings(framings), theory)) \
+            == _oracle_colored_sum(diagram, weights, theory), diagram.render()
 
 
 def test_evaluate_multiplies_no_scalar_per_entry(monkeypatch, th):
