@@ -156,14 +156,17 @@ def _read(path: str) -> str:
 
 
 def _parse_int_list(text: str) -> tuple[int, ...]:
-    """Comma-separated integers; a blank text is the empty list, and an
-    empty entry is refused."""
+    """Comma-separated integers; a blank text is the empty list.  The
+    first bad (or empty) entry is named by its position and 40 characters."""
     if not text.strip():
         return ()
-    try:
-        return tuple(int(tok) for tok in text.split(","))
-    except ValueError:
-        raise CliError(f"bad integer list {text!r}") from None
+    values = []
+    for i, token in enumerate(text.split(","), 1):
+        try:
+            values.append(int(token))
+        except ValueError:
+            raise CliError(f"bad integer list: entry {i} is {token[:40]!r}") from None
+    return tuple(values)
 
 
 def _parse_framings(text: str) -> tuple[int, ...]:
@@ -244,13 +247,9 @@ def _dispatch(args, theory: Theory) -> int:
             closed = inv.hopf_tr_closed_form(args.k, theory)
             label = "tr (link)"
         else:
-            chain = diagram.with_framings(framings)
-            # the closed form's linking pairs are the chain's, so the
-            # signature of the surgery normalizes both
-            if chain.linking != inv.chain_linking(args.k):
-                raise CliError("diagram linking disagrees with the chain")
-            sigma, value = inv.surgery(chain, theory)
-            closed = inv.chain_tr(framings, sigma, theory)
+            # the sum and the signature, each by two routes
+            value = inv.tr_manifold(diagram.with_framings(framings), theory)
+            closed = inv.lens_tr_closed_form(framings, theory)
             label = "tr (manifold)"
         if value != closed:
             raise CliError("diagram value disagrees with the closed form")

@@ -13,9 +13,9 @@ or else the self-writhes): the kinks missing from a drawing enter as a
 power of theta in a component's weight, never as events.  Its four Z[z5]
 integers become one scalar in ``normalized``.
 Closed forms for chains of linked circles (hence for lens spaces) are
-provided as independent oracles; the lens closed form is a walk of O(k)
-steps on small integers for k framings, whose coordinates stay bounded,
-and makes one scalar at the end.
+provided as independent oracles; the lens closed form is one walk of
+O(k) steps along k framings, which takes the colored sum on bounded
+integers and the signature on the continuants, and makes one scalar.
 """
 
 from __future__ import annotations
@@ -35,13 +35,12 @@ def tr_link(diagram: LinkDiagram, theory: Theory) -> Scalar:
     return theory.theta(-w) * evaluate_all_a(diagram, theory) * theory.epsilon_inv
 
 
-# The most work ``signature`` takes on, in the units of its predicted
-# cost (see there): that of 20,000 fives, the chain ``fibcat lens
-# --framings`` has long admitted.  The floor in the prediction is set by
-# measurement: at this bound, the signatures of chains of 10,690 to
-# 20,000 framings from 4 to 181, and of 1,552 framings of 10^100, took
-# medians of 0.75-0.95 s against the fives' 1.00 s in the same runs
-# (x86_64, Python 3.11).
+# The most work a signature takes on, in the units of its predicted cost
+# (``_check_work``): that of 20,000 fives, the chain ``fibcat lens
+# --framings`` has long admitted.  At the bound ``signature`` took
+# 0.46-0.76 s on chains of 20,000 fives or fours, 16,329 elevens, 10,690
+# framings of 181 and 1,552 of 10^100, and the lens walk, which counts
+# their signatures on the continuants, 0.06-0.15 s (x86_64, Python 3.11).
 MAX_SIGNATURE_WORK = 16 * 10 ** 8
 
 
@@ -73,12 +72,8 @@ def signature(diagonal: Sequence[int],
     thousands of bits long) stay cheap.
 
     Those O(k) steps are on entries that grow, so the work is predicted
-    before any elimination: n rows times the sum over the rows of
-    floor(log2 q), for q = sum_j m_ij^2 a row's squared length.  Half the
-    sum of the log2 q bounds (Hadamard) the bits of every minor, hence
-    of every pivot, and on a matrix that elimination does not fill in,
-    such as a chain, each row meets pivots of that size once.  A matrix
-    predicted past ``MAX_SIGNATURE_WORK`` is a ``ValueError``.
+    from the rows' squared lengths before any elimination
+    (``_check_work``).
     """
     n = len(diagonal)
     live = {i: {i: d} if d else {}    # the rows still to eliminate
@@ -93,11 +88,7 @@ def signature(diagonal: Sequence[int],
         given.add(key)
         if v:
             live[i][j] = live[j][i] = v
-    work = n * sum((sum(v * v for v in row.values()) >> 1).bit_length()
-                   for row in live.values())          # floor(log2 q), 0 at q = 0
-    if work > MAX_SIGNATURE_WORK:
-        raise ValueError(f"signature of this {n}x{n} matrix: predicted work {work} "
-                         f"exceeds {MAX_SIGNATURE_WORK}")
+    _check_work([sum(v * v for v in row.values()) for row in live.values()])
     order, _ = _elimination_order(n, [(i, j) for i, row in live.items() for j in row if i < j])
     sigma = 0
     for r in order:
@@ -117,6 +108,20 @@ def signature(diagonal: Sequence[int],
         else:
             del live[r]
     return sigma
+
+
+def _check_work(squares: Sequence[int]) -> None:
+    """A ``ValueError`` if n rows of squared lengths q (``squares``)
+    predict a signature's work, n times the sum of the floor(log2 q), past
+    ``MAX_SIGNATURE_WORK``.  Half the sum of the log2 q bounds (Hadamard)
+    the bits of every minor: every pivot of an elimination that does not
+    fill in, as on a chain, which each row meets once, and every
+    continuant of the lens walk."""
+    n = len(squares)
+    work = n * sum((q >> 1).bit_length() for q in squares)   # floor(log2 q), 0 at q = 0
+    if work > MAX_SIGNATURE_WORK:
+        raise ValueError(f"signature of this {n}x{n} matrix: predicted work {work} "
+                         f"exceeds {MAX_SIGNATURE_WORK}")
 
 
 def _pivot(live: dict[int, dict[int, int | Fraction]], p: int) -> int:
@@ -217,37 +222,19 @@ def hopf_tr_closed_form(k: int, theory: Theory) -> Scalar:
     return (-theory.epsilon_inv) ** (k - 1)
 
 
-# The most framings a lens chain may have.  The walk of ``chain_tr`` takes
-# about 0.03 s over 20,000 framings, so the signature, bounded by
-# ``MAX_SIGNATURE_WORK`` too, sets the cost of a long chain: in process it
-# takes 0.6-0.8 s of ``lens_tr_closed_form``'s 0.6-0.8 s on 20,000 fives
-# or fours or 16,329 elevens, and 0.3 of 0.3-0.4 s on 20,000 twos.  A
-# fresh ``fibcat lens 20001 20000`` takes 0.33-0.34 s, and the three
-# longer ``--framings`` lists 0.7-0.8 s (x86_64, Python 3.11).
+# The most framings a lens chain may have: ``lens_tr_closed_form`` takes
+# 0.04-0.08 s on 20,000 of them in process.  A fresh ``fibcat lens 20001
+# 20000`` takes 0.13-0.14 s, and ``--framings`` lists of 20,000 fives or
+# fours or 16,329 elevens 0.15-0.22 s (x86_64, Python 3.11).
 MAX_LENS_FRAMINGS = 20000
 
 
-def chain_linking(k: int) -> tuple[tuple[tuple[int, int], int], ...]:
-    """The linking pairs of the chain of k circles: each circle links the
-    next once."""
-    return tuple(((i, i + 1), 1) for i in range(k - 1))
-
-
-def lens_tr_closed_form(framings: tuple[int, ...], theory: Theory) -> Scalar:
-    """Closed form of tr for surgery on a chain of circles with the given
-    framings (i.e. for the lens space the chain presents): ``chain_tr`` at
-    the signature of the chain's linking matrix.  More than
-    ``MAX_LENS_FRAMINGS`` framings are refused.
-    """
-    k = len(framings)
-    if k > MAX_LENS_FRAMINGS:
-        raise ValueError(f"{k} framings exceed {MAX_LENS_FRAMINGS}")
-    return chain_tr(framings, signature(framings, chain_linking(k)), theory)
-
-
-def chain_tr(framings: Sequence[int], sigma: int, theory: Theory) -> Scalar:
-    """tr of surgery on a chain of circles with the given framings, whose
-    linking matrix has signature sigma: the colored sum, ``normalized``.
+def lens_tr_closed_form(framings: Sequence[int], theory: Theory) -> Scalar:
+    """tr of surgery on a chain of circles with the given framings (the
+    lens space it presents): one walk takes the colored sum and the
+    signature sigma of the linking matrix, and ``normalized`` joins them.
+    More than ``MAX_LENS_FRAMINGS`` framings, or work past
+    ``MAX_SIGNATURE_WORK`` (``_check_work``), are refused first.
 
     The sum over subsets S of the chain of eps^|S| c(S) beta^(-2 sum_S f)
     is taken in one pass.  c is a product over the runs of S, where
@@ -263,14 +250,28 @@ def chain_tr(framings: Sequence[int], sigma: int, theory: Theory) -> Scalar:
     is kept for the end.  So the coordinates stay bounded (by 10 over
     random chains of up to 20,000 framings), and the walk is O(k) work on
     small integers.
+
+    The leading minors of the linking matrix are the continuants
+    p_i = f_i p_(i-1) - p_(i-2), p_0 = 1, p_(-1) = 0, and sigma is the sum
+    of sign(p_i) sign(p_(i-1)) (Jacobi).  With 1 beside the diagonal, a
+    zero p_i (i < k) makes p_(i+1) = -p_(i-1): its two steps add 0 for a
+    +1 and a -1 that cancel.  A zero p_k is a zero eigenvalue.
     """
+    k = len(framings)
+    if k > MAX_LENS_FRAMINGS:
+        raise ValueError(f"{k} framings exceed {MAX_LENS_FRAMINGS}")
+    _check_work([f * f + (i > 0) + (i < k - 1) for i, f in enumerate(framings)])
     e0, e1, e2, e3 = theory.epsilon.z5_coordinates()
     e_squared = (e0 + 1, e1, e2, e3)          # eps^2 = eps + 1
     five_over_d2 = _five_over_d2(theory)
     steps = [(theta, _times(theta, e_squared)) for theta in theory.theta_coordinates]
     outside, inside = (1, 0, 0, 0), (0, 0, 0, 0)
-    fives = 0
+    fives = sigma = 0
+    p_prev, p, sign = 0, 1, 1
     for n, f in enumerate(framings, 1):
+        p_prev, p = p, f * p - p_prev
+        sign, last = (p > 0) - (p < 0), sign
+        sigma += sign * last
         theta, theta_e2 = steps[f % 5]
         a0, a1, a2, a3 = _times(theta_e2, outside)
         b0, b1, b2, b3 = _times(theta, inside)
@@ -287,7 +288,7 @@ def chain_tr(framings: Sequence[int], sigma: int, theory: Theory) -> Scalar:
                 inside = tuple([c // 5 for c in inside])
     total = tuple([o + i for o, i in zip(outside, inside)])
     # the divisions took D^(2 floor(k/2)) of D^(k+1) already
-    return normalized(sigma, len(framings) & 1, total, theory, fives)
+    return normalized(sigma, k & 1, total, theory, fives)
 
 
 def continued_fraction_framings(p: int, q: int) -> tuple[int, ...]:

@@ -9,7 +9,7 @@ import pytest
 from fibcat import ALL_THEORIES, Theory
 from fibcat.category import A, ONE
 from fibcat.spines import SPHERE_SPINE, Spine, vertex_triples
-from fibcat.tangles import LinkEvent
+from fibcat.tangles import LinkDiagram, LinkEvent
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -72,6 +72,32 @@ def random_morse_word(rng: random.Random, width: int = 12) -> list[LinkEvent]:
         events.append(LinkEvent(cap, rng.randrange(n - 1)))
         n -= 2
     return events
+
+
+def surface_bundle_events(g: int) -> list[LinkEvent]:
+    """The events of ``surface_bundle_link(g)``: g Borromean rings side
+    by side, each the closure of the 3-braid (s1 s2^-1)^3 on its six
+    strands 6j .. 6j + 5, with the first component of each copy banded to
+    the next copy's by a cap and a cup at the seam."""
+    events = []
+    for j in range(g):
+        events += [LinkEvent("cup", 6 * j + i) for i in range(3)]
+    for j in range(g):
+        events += [LinkEvent("xp", 6 * j), LinkEvent("xn", 6 * j + 1)] * 3
+    for j in range(g - 1):
+        events += [LinkEvent("cap", 6 * j + 5), LinkEvent("cup", 6 * j + 5)]
+    for j in reversed(range(g)):
+        events += [LinkEvent("cap", 6 * j + i) for i in (2, 1, 0)]
+    return events
+
+
+def surface_bundle_link(g: int) -> LinkDiagram:
+    """0-surgery on this link of 2g + 1 components is Sigma_g x S^1, whose
+    tr is Verlinde's dim V(Sigma_g) = D^(2g-2) (1 + eps^(2-2g)); its
+    component 0 is the banded curve K, and K framed n makes it the circle
+    bundle of Euler number n over Sigma_g."""
+    diagram = LinkDiagram(tuple(surface_bundle_events(g)))
+    return diagram.with_framings([0] * diagram.n_components)
 
 
 def random_spine(n_components: int, rng: random.Random) -> Spine:

@@ -94,9 +94,9 @@ def test_lens_framing_limit(capsys, monkeypatch):
     # (n + 1)/n expands to n twos; past the bound the expansion stops, and
     # a framing list is refused before any scalar work
     def refuse(*_):
-        raise AssertionError("signature reached past the framing limit")
+        raise AssertionError("the work bound reached past the framing limit")
 
-    monkeypatch.setattr(inv, "signature", refuse)
+    monkeypatch.setattr(inv, "_check_work", refuse)
     over = inv.MAX_LENS_FRAMINGS + 1
     for argv in (["lens", str(over + 1), str(over)],
                  ["lens", str(10 ** 12 + 1), str(10 ** 12)],
@@ -107,9 +107,9 @@ def test_lens_framing_limit(capsys, monkeypatch):
 
 
 def test_one_signature_per_command(capsys, monkeypatch):
-    # tr-manifold prints the signature its value used; hopf --framings
-    # checks the drawn chain against the closed form, which has the
-    # chain's linking pairs and so the same signature: one each
+    # tr-manifold prints the signature its value used, and hopf
+    # --framings checks the surgery's against the lens walk's count: one
+    # elimination each; lens counts its signature on the continuants
     calls = []
     signature = inv.signature
 
@@ -119,23 +119,22 @@ def test_one_signature_per_command(capsys, monkeypatch):
 
     monkeypatch.setattr(inv, "signature", counted)
     for argv, expected in ((["tr-manifold", link("trefoil_framed1.txt")], 1),
-                           (["lens", "5", "2"], 1), (["lens", "--framings=3,2"], 1),
+                           (["lens", "5", "2"], 0), (["lens", "--framings=3,2"], 0),
                            (["hopf", "2", "--framings=3,2"], 1), (["hopf", "2"], 0)):
         calls.clear()
         code, _, err = invoke(capsys, *argv)
         assert (code, err, len(calls)) == (0, "", expected), argv
 
 
-def test_hopf_checks_the_chain_linking(capsys, monkeypatch):
-    # hopf --framings normalizes the closed form by the surgery's
-    # signature, which holds only while the drawn chain has the closed
-    # form's linking pairs: a chain linked otherwise is refused
-    assert tg.build_hopf_chain(4).linking == inv.chain_linking(4) \
-        == (((0, 1), 1), ((1, 2), 1), ((2, 3), 1))
-    monkeypatch.setattr(inv, "chain_linking", lambda k: (((0, 1), -1),))
-    code, out, err = invoke(capsys, "hopf", "2", "--framings=3,2")
+def test_hopf_checks_the_chain_signature(capsys, monkeypatch):
+    # hopf --framings takes the surgery's signature by elimination and the
+    # closed form's by the continuants, so a wrong one is caught: sigma + 2
+    # turns the phase; L(3, 2) has a nonzero tr, which shows it
+    signature = inv.signature
+    monkeypatch.setattr(inv, "signature", lambda *args: signature(*args) + 2)
+    code, out, err = invoke(capsys, "hopf", "2", "--framings=2,2")
     assert (code, out) == (1, "")
-    assert err == "error: diagram linking disagrees with the chain\n"
+    assert err == "error: diagram value disagrees with the closed form\n"
 
 
 def test_signature_work_bound(capsys, monkeypatch, tmp_path):
@@ -279,7 +278,7 @@ EMPTY_FRAMINGS = [(["hopf", "2", "--framings="], "--framings needs at least one 
                    "lens takes either P Q or --framings, not both"),
                   (["lens", "5", "--framings=1,2"],
                    "lens takes either P Q or --framings, not both"),
-                  (["hopf", "2", "--framings=,,1,"], "bad integer list ',,1,'")]
+                  (["hopf", "2", "--framings=,,1,"], "bad integer list: entry 1 is ''")]
 
 
 @pytest.mark.parametrize("argv, message", EMPTY_FRAMINGS,
@@ -287,6 +286,17 @@ EMPTY_FRAMINGS = [(["hopf", "2", "--framings="], "--framings needs at least one 
                               "lens-p-and-framings", "hopf-empty-entries"])
 def test_empty_framings_refused(capsys, argv, message):
     assert invoke(capsys, *argv) == (1, "", f"error: {message}\n")
+
+
+def test_bad_list_entry_is_named_not_echoed(capsys):
+    # the first bad entry, by position and at most 40 characters, and
+    # not the 40 KB list it came in
+    framings = ",".join(["5"] * 19999 + ["x"])
+    code, out, err = invoke(capsys, "lens", "--framings=" + framings)
+    assert (code, out) == (1, "")
+    assert err == "error: bad integer list: entry 20000 is 'x'\n" and len(err) < 200
+    code, out, err = invoke(capsys, "c-function", "1,2," + "9" * 50 + "y,3")
+    assert (code, out, err) == (1, "", f"error: bad integer list: entry 3 is {'9' * 40!r}\n")
 
 
 # A value that starts with '-' and is not a plain integer must be joined

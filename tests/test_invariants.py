@@ -9,12 +9,12 @@ from math import gcd
 
 import pytest
 
-from conftest import PARAMETER_THEORIES, random_morse_word, read_fixture, theory_id
+from conftest import (PARAMETER_THEORIES, random_morse_word, read_fixture,
+                      surface_bundle_events, surface_bundle_link, theory_id)
 from fibcat import ALL_THEORIES, Scalar, Theory
 from fibcat import invariants
 from fibcat.category import A, ONE
-from fibcat.invariants import (c_function, chain_linking, chain_tr,
-                               continued_fraction_framings,
+from fibcat.invariants import (c_function, continued_fraction_framings,
                                expand_minus_continued_fraction,
                                hopf_tr_closed_form, lens_space_framed_link,
                                lens_tr_closed_form, normalized, signature,
@@ -676,6 +676,51 @@ def test_tr_manifold_open_component_bound(th):
     assert evaluate_all_a(_side_by_side_unknots(17), th) == th.epsilon ** 17
 
 
+# -- Sigma_g x S^1 and circle bundles over Sigma_g: the Verlinde formula ------------
+
+VERLINDE = ((1, 2), (2, 5), (3, 15))   # (g, dim V(Sigma_g))
+
+
+def _circle_bundle_tr(g, n, theory):
+    """tr of the circle bundle of Euler number n over Sigma_g:
+    phase(sign n) D^(2g-2) (1 + eps^(2-2g) theta^n)."""
+    return theory.phase((n > 0) - (n < 0)) * (theory.epsilon + 2) ** (g - 1) \
+        * (theory.one + theory.epsilon_inv ** (2 * g - 2) * theory.theta(n))
+
+
+@pytest.mark.parametrize("theory", PARAMETER_THEORIES, ids=theory_id)
+def test_surface_bundle_tr_is_the_verlinde_dimension(theory):
+    for g, dim in VERLINDE:
+        assert tr_manifold(surface_bundle_link(g), theory) == dim, g
+
+
+@pytest.mark.parametrize("theory", PARAMETER_THEORIES, ids=theory_id)
+def test_circle_bundle_tr(theory):
+    # the banded curve K, component 0, framed n
+    for g in (1, 2):
+        link = surface_bundle_link(g)
+        for n in range(-6, 7):
+            framed = link.with_framings([n] + [0] * (2 * g))
+            assert tr_manifold(framed, theory) == _circle_bundle_tr(g, n, theory), (g, n)
+
+
+@pytest.mark.parametrize("theory", PARAMETER_THEORIES, ids=theory_id)
+def test_surface_bundle_mutants_miss_the_verlinde_dimension(theory):
+    # xp in place of copy 0's first xn, and, for g > 1, the last band
+    # dropped (its cap and cup at the last seam)
+    for g, dim in VERLINDE:
+        events = surface_bundle_events(g)
+        i = events.index(LinkEvent("xn", 1))
+        mutants = [events[:i] + [LinkEvent("xp", 1)] + events[i + 1:]]
+        if g > 1:
+            i = events.index(LinkEvent("cap", 6 * g - 7))
+            mutants.append(events[:i] + events[i + 2:])
+        for mutant in mutants:
+            diagram = LinkDiagram(tuple(mutant))
+            framed = diagram.with_framings([0] * diagram.n_components)
+            assert tr_manifold(framed, theory) != dim, (g, mutant)
+
+
 def test_c_function_examples(th):
     e = th.epsilon
     assert c_function((1, 3), th) == e ** 2
@@ -777,17 +822,56 @@ def _chain_transfer(framings, sigma, theory):
 def test_chain_walk_matches_scalar_transfer(theory):
     # every chain of up to 4 framings in -3..3, then long seeded ones,
     # which pass many divisions by D^2 and leave a factor 5 or not
-    for k in range(5):
-        for framings in itertools.product(range(-3, 4), repeat=k):
-            sigma = signature(framings, chain_linking(k))
-            assert chain_tr(framings, sigma, theory) \
-                == _chain_transfer(framings, sigma, theory), framings
     rng = random.Random(f"chain-walk-{theory_id(theory)}")
+    seeded = []
     for _ in range(100):
-        framings = [rng.randint(-40, 40) for _ in range(rng.randint(5, 80))]
-        sigma = rng.randint(-80, 80)
-        assert chain_tr(framings, sigma, theory) \
+        seeded.append([rng.randint(-40, 40) for _ in range(rng.randint(5, 80))])
+        rng.randint(-80, 80)    # unused, so that the seeded chains stay the same
+    for framings in itertools.chain(*(itertools.product(range(-3, 4), repeat=k)
+                                      for k in range(5)), seeded):
+        sigma = signature(framings, _chain_pairs(len(framings)))
+        assert lens_tr_closed_form(framings, theory) \
             == _chain_transfer(framings, sigma, theory), framings
+
+
+def test_chain_signature_count_matches_elimination(monkeypatch):
+    # the sigma the lens walk counts on the continuants, as it reaches
+    # the normalization, against the elimination: seeded short chains,
+    # then long ones whose minors vanish every second or third step
+    counted = []
+
+    def spy(sigma, *args):
+        counted.append(sigma)
+        return normalized(sigma, *args)
+
+    monkeypatch.setattr(invariants, "normalized", spy)
+    theory = Theory()
+    rng = random.Random("continuants")
+    chains = [[rng.randint(-3, 3) for _ in range(rng.randint(0, 14))] for _ in range(5000)]
+    chains += [[0] * 2001, [1] * 2000, [-1] * 1999, [1, -1] * 700, [0, 1] * 500,
+               [3, -3, 0] * 400]
+    for framings in chains:
+        counted.clear()
+        lens_tr_closed_form(framings, theory)
+        assert counted == [signature(framings, _chain_pairs(len(framings)))], framings
+
+
+def test_lens_work_bound(th, monkeypatch):
+    # the lens walk refuses what the elimination refuses, with its
+    # message, and takes no elimination step either way: 20,000 fives and
+    # 1,552 framings of 10^100 are admitted, one six among the fives and
+    # 1,553 framings of 10^100 are not
+    def refuse(*_):
+        raise AssertionError("the lens walk reached the elimination")
+
+    monkeypatch.setattr(invariants, "_pivot", refuse)
+    for framings in ((5,) * 20000, (10 ** 100,) * 1552):
+        lens_tr_closed_form(framings, th)
+    for framings in ((5,) * 19999 + (6,), (10 ** 100,) * 1553):
+        with pytest.raises(ValueError, match=f"^signature of this {len(framings)}x"
+                                             f"{len(framings)} matrix: predicted work "
+                                             f"\\d+ exceeds {invariants.MAX_SIGNATURE_WORK}$"):
+            lens_tr_closed_form(framings, th)
 
 
 @pytest.mark.parametrize("theory", PARAMETER_THEORIES, ids=theory_id)
