@@ -53,6 +53,15 @@ def parse_word(text: str) -> Word:
     return "".join(out)
 
 
+def parse_int(text: str) -> int:
+    """An integer in ASCII digits with an optional sign, and the spaces
+    around it that ``int`` skips; an underscore or a digit of another
+    script, which ``int`` also reads, is a ``ValueError``."""
+    if not text.isascii() or "_" in text:
+        raise ValueError(f"not an ASCII integer: {text!r}")
+    return int(text)
+
+
 # A (x) Y is Y with each 1 read as A and each A as 1A, its summands with A
 _TIMES_A = str.maketrans({ONE: A, A: ONE + A})
 

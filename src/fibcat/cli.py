@@ -44,12 +44,23 @@ MAX_EXPONENT = 4300
 def _fraction(text: str) -> Fraction:
     _, e, exponent = text.lower().partition("e")
     try:
+        # Fraction, like int, also reads underscores and other scripts' digits
+        if not text.isascii() or "_" in text:
+            raise ValueError(text)
         if e and abs(int(exponent)) > MAX_EXPONENT:
             raise argparse.ArgumentTypeError(
                 f"exponent of {text!r} exceeds {MAX_EXPONENT} in magnitude")
         return Fraction(text)
     except (ValueError, ZeroDivisionError):
         raise argparse.ArgumentTypeError(f"not a rational number: {text!r}")
+
+
+def _int(text: str) -> int:
+    try:
+        return cat.parse_int(text)
+    except ValueError:
+        # the message argparse gives for ``type=int``
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
 
 
 _DEFAULTS = {"epsilon": "pos", "beta": "plus", "x": Fraction(1), "y": Fraction(1),
@@ -77,7 +88,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="pairing parameter (nonzero rational)")
     common.add_argument("--output", choices=("exact", "float", "both"),
                         help="value rendering mode")
-    common.add_argument("--seed", type=int,
+    common.add_argument("--seed", type=_int,
                         help="seed for the randomized checks")
     common.add_argument("--no-euler-check", action="store_true",
                         help="skip spine validation identities")
@@ -110,13 +121,13 @@ def build_parser() -> argparse.ArgumentParser:
     framings_help = "one integer per circle of the chain"
     p = sub.add_parser("hopf", parents=[common],
                        help="chain of k linked circles", epilog=_NEGATIVE_VALUES)
-    p.add_argument("k", type=int)
+    p.add_argument("k", type=_int)
     p.add_argument("--framings", default=None, metavar="F1,F2,..", help=framings_help)
 
     p = sub.add_parser("lens", parents=[common], help="lens space invariant",
                        epilog=_NEGATIVE_VALUES)
-    p.add_argument("p", type=int, nargs="?")
-    p.add_argument("q", type=int, nargs="?")
+    p.add_argument("p", type=_int, nargs="?")
+    p.add_argument("q", type=_int, nargs="?")
     p.add_argument("--framings", default=None, metavar="F1,F2,..", help=framings_help)
 
     p = sub.add_parser("c-function", parents=[common],
@@ -163,7 +174,7 @@ def _parse_int_list(text: str) -> tuple[int, ...]:
     values = []
     for i, token in enumerate(text.split(","), 1):
         try:
-            values.append(int(token))
+            values.append(cat.parse_int(token))
         except ValueError:
             raise CliError(f"bad integer list: entry {i} is {token[:40]!r}") from None
     return tuple(values)

@@ -15,10 +15,9 @@ denominator, in lowest terms.  Each field carries one table of the
 integer coordinates of every product of two basis elements, one of their
 conjugates, and one of their images under three automorphisms of Q(z20),
 with which inversion multiplies down to a rational norm, and the twenty
-roots z20^k and s as shared scalars.  A product takes one route by the
-shape of its operands, tried in this order: two single terms read one
-table entry, rational ones too; else a rational factor scales the
-other's numerators; and any other pair reads the table term by term.
+roots z20^k and s as shared scalars.  A product by exactly 1 returns
+the other operand; otherwise two single terms read one table entry, and
+any other pair reads the table term by term.
 The complex embedding at z20 = exp(i*pi/10) is for display and
 diagnostics only.
 """
@@ -33,6 +32,9 @@ from math import gcd, inf, isqrt, lcm
 from typing import Iterable, Union
 
 Rational = Union[int, Fraction]
+
+# The terms of 1, over the denominator 1.
+_ONE = ((0, 1),)
 
 # z^8 = z^6 - z^4 + z^2 - 1, coefficients of z^0 .. z^7
 _PHI20_FOLD = (-1, 0, 1, 0, -1, 0, 1, 0)
@@ -248,20 +250,17 @@ class Scalar:
                 return NotImplemented
         if self.field is not other.field:
             self._check(other)
-        # One route per shape of the operands, taken in this order: two
-        # single terms read one table entry, also where either is rational
-        # (a product by exactly 1 returns the other operand); a rational
-        # factor, the one term (0, b) over d, scales the other's
-        # numerators (``_scaled``); anything else, zero included,
-        # multiplies term by term.
+        # A product by exactly 1 returns the other operand, whatever its
+        # shape.  Otherwise two single terms read one table entry, and any
+        # other pair, zero included, multiplies term by term.
         terms, other_terms = self.terms, other.terms
+        if other_terms == _ONE and other.den == 1:
+            return self
+        if terms == _ONE and self.den == 1:
+            return other
         if len(terms) == 1 and len(other_terms) == 1:
             (p, a), = terms
             (q, b), = other_terms
-            if not q and b == 1 and other.den == 1:
-                return self
-            if not p and a == 1 and self.den == 1:
-                return other
             # every table entry's coordinates are coprime, so the
             # product's content is a * b
             n, den = a * b, self.den * other.den
@@ -272,10 +271,6 @@ class Scalar:
             return Scalar._lowest(self.field,
                                   tuple([(m, n * c) for m, c in self.field.table[p][q]]),
                                   den)
-        if len(other_terms) == 1 and not other_terms[0][0]:
-            return self._scaled(other_terms[0][1], other.den)
-        if len(terms) == 1 and not terms[0][0]:
-            return other._scaled(terms[0][1], self.den)
         table = self.field.table
         out = [0] * 16
         for p, a in terms:
@@ -285,25 +280,6 @@ class Scalar:
                 for m, c in row[q]:
                     out[m] += ab * c
         return Scalar._collect(self.field, out, self.den * other.den)
-
-    def _scaled(self, b: int, d: int) -> Scalar:
-        """self * b/d, for b/d nonzero and in lowest terms, d > 0: each
-        numerator times b over den times d.  Both operands are in lowest
-        terms, so the cross gcds gcd(den, b) and gcd(d, numerators) are
-        all that cancels, as ``Fraction`` multiplies."""
-        if b == 1 and d == 1:
-            return self
-        terms, den = self.terms, self.den
-        g = gcd(den, b)
-        if g != 1:
-            b //= g
-            den //= g
-        if d != 1:
-            h = gcd(d, *[n for _, n in terms])
-            if h != 1:
-                d //= h
-                terms = [(p, n // h) for p, n in terms]
-        return Scalar._lowest(self.field, tuple([(p, n * b) for p, n in terms]), den * d)
 
     __radd__ = __add__
     __rmul__ = __mul__
@@ -326,20 +302,14 @@ class Scalar:
     def __pow__(self, n: int) -> Scalar:
         if n < 0:
             return self.invert() ** (-n)
-        if n == 0:
-            return Scalar.from_rational(self.field, 1)
-        base = self
-        while not n & 1:
-            base = base * base
-            n >>= 1
-        result = base
-        n >>= 1
-        while n:
-            base = base * base
+        result, base = self.field.roots[0], self
+        while True:
             if n & 1:
                 result = result * base
             n >>= 1
-        return result
+            if not n:
+                return result
+            base = base * base
 
     def _coerce(self, other: Scalar | Rational) -> Scalar:
         if isinstance(other, Scalar):

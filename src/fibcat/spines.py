@@ -368,7 +368,7 @@ def parse_spine(text: str, euler_check: bool = True) -> Spine:
             if len(tokens) != 2 or tokens[0] != "components":
                 raise SpineParseError(f"line {lineno}: expected 'components N'")
             try:
-                n_components = int(tokens[1])
+                n_components = cat.parse_int(tokens[1])
             except ValueError:
                 raise SpineParseError(f"line {lineno}: bad component count") from None
             state = "body"
@@ -395,7 +395,7 @@ def parse_spine(text: str, euler_check: bool = True) -> Spine:
 
 def _spine_int(token: str, lineno: int) -> int:
     try:
-        return int(token)
+        return cat.parse_int(token)
     except ValueError:
         raise SpineParseError(f"line {lineno}: bad integer {token!r}") from None
 

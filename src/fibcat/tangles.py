@@ -296,7 +296,7 @@ def parse_link(text: str) -> LinkDiagram:
             if len(tokens) != 2 or tokens[0] not in KINDS:
                 raise LinkParseError(f"line {lineno}: expected '<event> <pos>' or 'end'")
             try:
-                pos = int(tokens[1])
+                pos = cat.parse_int(tokens[1])
             except ValueError:
                 raise LinkParseError(f"line {lineno}: bad position {tokens[1]!r}") from None
             events.append(LinkEvent(tokens[0], pos))
@@ -305,7 +305,7 @@ def parse_link(text: str) -> LinkDiagram:
                 raise LinkParseError(f"line {lineno}: expected 'framing i=f' after end")
             comp_str, _, f_str = tokens[1].partition("=")
             try:
-                framings.append((int(comp_str), int(f_str)))
+                framings.append((cat.parse_int(comp_str), cat.parse_int(f_str)))
             except ValueError:
                 raise LinkParseError(f"line {lineno}: bad framing {tokens[1]!r}") from None
     if state == "expect_header":

@@ -91,12 +91,29 @@ def surface_bundle_events(g: int) -> list[LinkEvent]:
     return events
 
 
-def surface_bundle_link(g: int) -> LinkDiagram:
+def copy_by_copy_events(g: int) -> list[LinkEvent]:
+    """The same link drawn one copy at a time: copy 0 on strands 0 .. 5
+    leaves K, component 0, open on strands 0 and 1; each further copy is
+    drawn on strands 2 .. 7 and banded to K by a cap and a cup at strand
+    1; K closes last.  At most 8 strands and 3 open components, whatever g."""
+    events = [LinkEvent("cup", i) for i in range(3)]
+    events += [LinkEvent("xp", 0), LinkEvent("xn", 1)] * 3
+    events += [LinkEvent("cap", 2), LinkEvent("cap", 1)]
+    for _ in range(g - 1):
+        events += [LinkEvent("cup", i) for i in (2, 3, 4)]
+        events += [LinkEvent("xp", 2), LinkEvent("xn", 3)] * 3
+        events += [LinkEvent("cap", 1), LinkEvent("cup", 1)]
+        events += [LinkEvent("cap", i) for i in (4, 3, 2)]
+    return events + [LinkEvent("cap", 0)]
+
+
+def surface_bundle_link(g: int, drawing=surface_bundle_events) -> LinkDiagram:
     """0-surgery on this link of 2g + 1 components is Sigma_g x S^1, whose
     tr is Verlinde's dim V(Sigma_g) = D^(2g-2) (1 + eps^(2-2g)); its
     component 0 is the banded curve K, and K framed n makes it the circle
-    bundle of Euler number n over Sigma_g."""
-    diagram = LinkDiagram(tuple(surface_bundle_events(g)))
+    bundle of Euler number n over Sigma_g.  ``drawing`` is
+    ``surface_bundle_events`` or ``copy_by_copy_events``."""
+    diagram = LinkDiagram(tuple(drawing(g)))
     return diagram.with_framings([0] * diagram.n_components)
 
 

@@ -11,6 +11,7 @@ from decimal import Context, Decimal, localcontext
 import pytest
 from conftest import FIXTURES, random_morse_word
 from fibcat import Scalar, Theory
+from fibcat import category as cat
 from fibcat import invariants as inv
 from fibcat import spines as sp
 from fibcat import tangles as tg
@@ -301,6 +302,60 @@ def test_bad_list_entry_is_named_not_echoed(capsys):
 
 # A value that starts with '-' and is not a plain integer must be joined
 # to its option with '='.
+_UNLINK2 = "link\ncup 0\ncap 0\ncup 0\ncap 0\nend\n"
+_SPHERE_SPINE = "spine\ncomponents 2\nedge 0 1 1\nedge 1 1 {}\nvertex 0 1 1 1 1 1\nend\n"
+
+# Every place a number is read: the argv, with "{}" in a file's text or an
+# argument, and the ASCII value there that runs; and the object letters.
+NUMBER_SITES = {
+    "framings-list": (["lens", "--framings={},3"], None, "1"),
+    "c-function": (["c-function", "1,2,{}"], None, "3"),
+    "hopf-k": (["hopf", "{}"], None, "2"),
+    "lens-p": (["lens", "{}", "3"], None, "5"),
+    "lens-q": (["lens", "5", "{}"], None, "2"),
+    "seed": (["hopf", "2", "--seed={}"], None, "1"),
+    "rational": (["hopf", "2", "-x={}/2"], None, "1"),
+    "link-position": (["tr-manifold"], "link\ncup 0\ncup {}\ncap 1\ncap 0\nend\n", "1"),
+    "link-framed-component": (["tr-manifold"], _UNLINK2 + "framing {}=3\n", "1"),
+    "link-framing": (["tr-manifold"], "link\ncup 0\ncap 0\nend\nframing 0=+{}\n", "3"),
+    "spine-count": (["tv-spine", "--no-euler-check"], "spine\ncomponents {}\nend\n", "1"),
+    "spine-slot": (["tv-spine"], _SPHERE_SPINE, "1"),
+    # not a number, but the one refusal of ``parse_word``
+    "colors": (["eval-link", link("hopf.txt"), "--colors=1{}"], None, "A"),
+}
+
+
+def _number_argv(tmp_path, site: str, number: str) -> list[str]:
+    argv, text, _ = NUMBER_SITES[site]
+    if text is None:
+        return [arg.format(number) for arg in argv]
+    path = tmp_path / "input.txt"
+    path.write_text(text.format(number), encoding="utf-8")
+    return argv + [str(path)]
+
+
+@pytest.mark.parametrize("site", NUMBER_SITES)
+def test_numbers_are_ascii(capsys, tmp_path, site):
+    # int and Fraction also read underscores and other scripts' digits;
+    # every site takes only ASCII digits with an optional sign
+    code, out, err = invoke(capsys, *_number_argv(tmp_path, site, NUMBER_SITES[site][2]))
+    assert (code, err) == (0, "") and out
+    for number in ("1_0", "١", "１"):
+        code, out, err = invoke(capsys, *_number_argv(tmp_path, site, number))
+        assert (code, out) == (1, ""), number
+        assert err.splitlines()[-1].startswith("error: ") and "Traceback" not in err
+
+
+def test_ascii_number_spellings(capsys, tmp_path):
+    # a sign, a negative zero and the spaces int skips read as before
+    assert invoke(capsys, "lens", "--framings=+3,-0, 3") \
+        == invoke(capsys, "lens", "--framings=3,0,3")
+    assert invoke(capsys, "hopf", "+3") == invoke(capsys, "hopf", "3")
+    signed = invoke(capsys, *_number_argv(tmp_path, "link-framing", "3"))
+    (tmp_path / "input.txt").write_text("link\ncup 0\ncap 0\nend\nframing 0=3\n")
+    assert signed == invoke(capsys, "tr-manifold", str(tmp_path / "input.txt"))
+
+
 NEGATIVE_VALUES = [(["-y", "-5/7", "hopf", "2"], "argument -y: expected one argument"),
                    (["-y=-5/7", "hopf", "2"], None),
                    (["hopf", "2", "--framings", "-1,2"],
@@ -464,6 +519,27 @@ def test_check_axioms(capsys):
     assert code == 0
     assert "all 11 identities passed" in out
     assert "seed 5" in out
+
+
+def test_check_axioms_reports_failures(capsys, monkeypatch):
+    # the twist with its sign flipped breaks the three identities it
+    # enters; the module swap does not use it
+    twist = cat.twist
+    monkeypatch.setattr(cat, "twist", lambda word, theory, sign=1: twist(word, theory, -sign))
+    code, out, err = invoke(capsys, "check-axioms")
+    assert (code, err) == (2, "")
+    lines = out.splitlines()
+    assert [line.split()[1] for line in lines if line.startswith("  FAIL  ")] \
+        == ["twist-braiding", "duality-twist", "twist-unit-matrix"]
+    assert lines[-2:] == ["3 of 11 identities FAILED",
+                          "module-swap identities passed on 5 triples"]
+    monkeypatch.setattr(cat, "twist", twist)
+    failure = [(("A", "A", "A"), "swap-12")]
+    monkeypatch.setattr(sp, "module_iso_check", lambda theory: sp.ModuleIsoReport(failure, 5))
+    code, out, err = invoke(capsys, "check-axioms")
+    assert (code, err) == (2, "")
+    assert out.splitlines()[-2:] == ["all 11 identities passed (230 cases)",
+                                     f"module-swap identities FAILED: {failure}"]
 
 
 # one call of every subcommand, hopf and lens in both of their forms

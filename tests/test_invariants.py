@@ -9,8 +9,9 @@ from math import gcd
 
 import pytest
 
-from conftest import (PARAMETER_THEORIES, random_morse_word, read_fixture,
-                      surface_bundle_events, surface_bundle_link, theory_id)
+from conftest import (PARAMETER_THEORIES, copy_by_copy_events, random_morse_word,
+                      read_fixture, surface_bundle_events, surface_bundle_link,
+                      theory_id)
 from fibcat import ALL_THEORIES, Scalar, Theory
 from fibcat import invariants
 from fibcat.category import A, ONE
@@ -680,6 +681,12 @@ def test_tr_manifold_open_component_bound(th):
 
 VERLINDE = ((1, 2), (2, 5), (3, 15))   # (g, dim V(Sigma_g))
 
+# each drawing of the surface bundle link, with the largest g of its
+# Verlinde test and of its circle-bundle test; the mutants take g <= 4 of
+# the first.  The side-by-side one holds 6g strands and 2g + 1 components
+# open, the copy-by-copy one 8 and 3
+DRAWINGS = ((surface_bundle_events, 3, 2), (copy_by_copy_events, 12, 4))
+
 
 def _circle_bundle_tr(g, n, theory):
     """tr of the circle bundle of Euler number n over Sigma_g:
@@ -688,37 +695,66 @@ def _circle_bundle_tr(g, n, theory):
         * (theory.one + theory.epsilon_inv ** (2 * g - 2) * theory.theta(n))
 
 
+def _peaks(diagram: LinkDiagram) -> tuple[int, int]:
+    """The most strands, and the most components, open at once."""
+    strands = peak = 0
+    for event in diagram.events:
+        strands += {"cup": 2, "cap": -2}.get(event.kind, 0)
+        peak = max(peak, strands)
+    return peak, diagram.peak_open()
+
+
+def test_surface_bundle_drawings_stay_narrow():
+    for g in range(1, 13):
+        assert _peaks(surface_bundle_link(g)) == (6 * g, 2 * g + 1)
+        copy_by_copy = surface_bundle_link(g, copy_by_copy_events)
+        assert _peaks(copy_by_copy) == (6 if g == 1 else 8, 3), g
+        assert copy_by_copy.n_components == 2 * g + 1
+        assert len(copy_by_copy.events) == 14 * g - 2
+
+
 @pytest.mark.parametrize("theory", PARAMETER_THEORIES, ids=theory_id)
 def test_surface_bundle_tr_is_the_verlinde_dimension(theory):
     for g, dim in VERLINDE:
-        assert tr_manifold(surface_bundle_link(g), theory) == dim, g
+        assert _circle_bundle_tr(g, 0, theory) == dim
+    for drawing, most, _ in DRAWINGS:
+        for g in range(1, most + 1):
+            value = tr_manifold(surface_bundle_link(g, drawing), theory)
+            assert value == _circle_bundle_tr(g, 0, theory), (drawing.__name__, g)
+    assert tr_manifold(surface_bundle_link(12, copy_by_copy_events), theory) == 1390625
 
 
 @pytest.mark.parametrize("theory", PARAMETER_THEORIES, ids=theory_id)
 def test_circle_bundle_tr(theory):
     # the banded curve K, component 0, framed n
-    for g in (1, 2):
-        link = surface_bundle_link(g)
-        for n in range(-6, 7):
-            framed = link.with_framings([n] + [0] * (2 * g))
-            assert tr_manifold(framed, theory) == _circle_bundle_tr(g, n, theory), (g, n)
+    for drawing, _, most in DRAWINGS:
+        for g in range(1, most + 1):
+            link = surface_bundle_link(g, drawing)
+            for n in range(-6, 7):
+                framed = link.with_framings([n] + [0] * (2 * g))
+                assert tr_manifold(framed, theory) == _circle_bundle_tr(g, n, theory), \
+                    (drawing.__name__, g, n)
 
 
 @pytest.mark.parametrize("theory", PARAMETER_THEORIES, ids=theory_id)
 def test_surface_bundle_mutants_miss_the_verlinde_dimension(theory):
     # xp in place of copy 0's first xn, and, for g > 1, the last band
     # dropped (its cap and cup at the last seam)
-    for g, dim in VERLINDE:
-        events = surface_bundle_events(g)
-        i = events.index(LinkEvent("xn", 1))
-        mutants = [events[:i] + [LinkEvent("xp", 1)] + events[i + 1:]]
-        if g > 1:
-            i = events.index(LinkEvent("cap", 6 * g - 7))
-            mutants.append(events[:i] + events[i + 2:])
-        for mutant in mutants:
-            diagram = LinkDiagram(tuple(mutant))
-            framed = diagram.with_framings([0] * diagram.n_components)
-            assert tr_manifold(framed, theory) != dim, (g, mutant)
+    for drawing, most, _ in DRAWINGS:
+        for g in range(1, min(most, 4) + 1):
+            events = drawing(g)
+            i = events.index(LinkEvent("xn", 1))
+            mutants = [events[:i] + [LinkEvent("xp", 1)] + events[i + 1:]]
+            if g > 1:
+                band = LinkEvent("cap", 6 * g - 7 if drawing is surface_bundle_events else 1)
+                i = len(events) - 1 - events[::-1].index(band)
+                assert events[i + 1] == LinkEvent("cup", band.pos)
+                mutants.append(events[:i] + events[i + 2:])
+            for mutant in mutants:
+                diagram = LinkDiagram(tuple(mutant))
+                framed = diagram.with_framings([0] * diagram.n_components)
+                assert tr_manifold(framed, theory) != _circle_bundle_tr(g, 0, theory), \
+                    (drawing.__name__, g, mutant)
 
 
 def test_c_function_examples(th):

@@ -279,7 +279,7 @@ def test_product_matches_polynomial_reference(any_theory):
     for _ in range(40):
         a, b = dense_scalar(rng, any_theory), dense_scalar(rng, any_theory)
         assert (a * b).coeffs == reference_product(any_theory, a, b)
-        # a rational operand, on either side, multiplies the numerators through
+        # a rational operand, and 1, on either side
         r = any_theory.rational(Fraction(rng.randint(-20, 20), rng.randint(1, 9)))
         one = any_theory.one
         for x, y in ((a, r), (r, b), (r, r), (a, one), (one, b), (one, one)):
@@ -342,9 +342,10 @@ def test_product_routes_match_polynomial_reference(any_theory):
 
 
 def test_single_term_products_read_one_entry(any_theory):
-    # two single terms take the table route before the rational one:
-    # rational x rational, rational x z20^i s^j and z20^i s^j x z20^k s^l,
-    # against the Fraction oracle, in canonical form and in either order
+    # two single terms read one table entry: rational x rational,
+    # rational x z20^i s^j and z20^i s^j x z20^k s^l; a rational times a
+    # dense value takes the term loop; each against the Fraction oracle,
+    # in canonical form and in either order
     rng = random.Random(33)
     th = any_theory
 
@@ -358,8 +359,9 @@ def test_single_term_products_read_one_entry(any_theory):
     rationals += [th.rational(-1), th.rational(Fraction(6, 35)), th.rational(Fraction(-35, 6))]
     basis = [single(p, Fraction(1)) for p in range(1, 16)]
     scaled = [single(p, part(3 if p & 1 else 60)) for p in range(1, 16)]
+    dense = [dense_scalar(rng, th), Scalar(th.field, [part(60) for _ in range(16)])]
     pairs = [(x, y) for i, x in enumerate(rationals) for y in rationals[i:]]
-    pairs += [(x, y) for x in rationals for y in basis[::2] + scaled]
+    pairs += [(x, y) for x in rationals for y in basis[::2] + scaled + dense]
     pairs += [(x, y) for x in basis for y in scaled]
     for x, y in pairs:
         product = x * y
