@@ -4,7 +4,14 @@ axioms, and print every invariant in exact and floating form.
 Each global option is declared once, with a SUPPRESS default, on a parent
 parser that the main parser and every subcommand share; each call parses
 into a fresh namespace filled from ``_DEFAULTS``, so an option may come
-before or after the subcommand.  The parser is built once per process."""
+before or after the subcommand.  The parser is built once per process.
+
+A fresh process loads only the modules its command runs.  ``category`` and
+``scalars`` load with this module, as ``_int`` reads integers with
+``category`` while the arguments are parsed.  Each branch of ``_dispatch``
+imports the rest: ``check-axioms``, ``tv-spine`` and ``t-spine`` load
+``spines``, ``eval-link`` loads ``tangles``, and every command that calls
+``invariants`` loads all three, since ``invariants`` imports the other two."""
 
 from __future__ import annotations
 
@@ -14,9 +21,6 @@ import sys
 from fractions import Fraction
 
 from . import category as cat
-from . import invariants as inv
-from . import spines as sp
-from . import tangles as tg
 from .scalars import Scalar, Theory
 
 _EPS_CHOICES = {"pos": "positive", "positive": "positive",
@@ -217,6 +221,7 @@ def _dispatch(args, theory: Theory) -> int:
     mode = args.output
 
     if args.command == "check-axioms":
+        from . import spines as sp
         report = cat.axiom_suite(theory, seed=args.seed)
         iso = sp.module_iso_check(theory)
         print(report.summary())
@@ -227,6 +232,7 @@ def _dispatch(args, theory: Theory) -> int:
         return 0 if report.all_passed and iso.all_identities else 2
 
     if args.command == "eval-link":
+        from . import tangles as tg
         diagram = tg.parse_link(_read(args.file))
         colors = (tg.all_a_coloring(diagram) if args.colors is None
                   else cat.parse_word(args.colors))
@@ -236,6 +242,7 @@ def _dispatch(args, theory: Theory) -> int:
         return 0
 
     if args.command == "tr-link":
+        from . import invariants as inv, tangles as tg
         diagram = tg.parse_link(_read(args.file))
         per = diagram.self_writhes()
         print(f"components: {diagram.n_components}, writhe: {sum(per)} {per}")
@@ -243,6 +250,7 @@ def _dispatch(args, theory: Theory) -> int:
         return 0
 
     if args.command == "tr-manifold":
+        from . import invariants as inv, tangles as tg
         diagram = tg.parse_link(_read(args.file))
         # before any output, since it may refuse the diagram
         sigma, value = inv.surgery(diagram, theory)
@@ -251,6 +259,7 @@ def _dispatch(args, theory: Theory) -> int:
         return 0
 
     if args.command == "hopf":
+        from . import invariants as inv, tangles as tg
         framings = None if args.framings is None else _parse_framings(args.framings)
         diagram = tg.build_hopf_chain(args.k)
         if framings is None:
@@ -268,6 +277,7 @@ def _dispatch(args, theory: Theory) -> int:
         return 0
 
     if args.command == "lens":
+        from . import invariants as inv
         if args.framings is not None:
             if args.p is not None:
                 raise CliError("lens takes either P Q or --framings, not both")
@@ -284,11 +294,13 @@ def _dispatch(args, theory: Theory) -> int:
         return 0
 
     if args.command == "c-function":
+        from . import invariants as inv
         indices = _parse_int_list(args.indices)
         print(f"c{indices}: {_render(inv.c_function(indices, theory), mode)}")
         return 0
 
     if args.command in ("tv-spine", "t-spine"):
+        from . import spines as sp
         spine = sp.parse_spine(_read(args.file),
                                euler_check=not args.no_euler_check)
         if args.command == "tv-spine":
@@ -300,6 +312,7 @@ def _dispatch(args, theory: Theory) -> int:
         return 0
 
     if args.command == "compare-rt-tv":
+        from . import invariants as inv, spines as sp, tangles as tg
         diagram = tg.parse_link(_read(args.link))
         # the spine first: refusing it costs far less than tr_manifold
         spine = sp.parse_spine(_read(args.spine),

@@ -41,7 +41,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
-from math import gcd, lcm, prod
+from math import gcd, lcm
+from operator import mul
 
 from . import category as cat
 from .category import A, ONE, Morphism
@@ -459,7 +460,9 @@ def _state_sum(spine: Spine, theory: Theory, x: Fraction, yz: Fraction,
     one at a time in a greedy order planned from the scopes alone, and
     component i of that order is bit i of every mask.  A factor waits in
     the bucket of its lowest bit, the first of its components to be summed
-    out, and step i joins the factors of bucket i and sums out bit i.  The
+    out, and step i joins the factors of bucket i and sums out bit i.  A
+    step that sums out its last bit leaves a closed constant, and the
+    constants, like the scales, are multiplied pairwise at the end.  The
     cost is exponential in the elimination width (the largest joined
     scope), which is at most ``MAX_ELIMINATION_WIDTH``, over at most
     ``MAX_COMPONENTS`` components."""
@@ -479,11 +482,11 @@ def _state_sum(spine: Spine, theory: Theory, x: Fraction, yz: Fraction,
     scaled: dict = {}
     local = [_local_factor(e, line_weights, bit, scaled) for e in lines]
     local += [_local_factor(v, vertex_weights, bit, scaled) for v in spine.vertices]
-    den = prod(scale for _, _, scale in local)
+    den = _pairwise_product([scale for _, _, scale in local], mul, 1)
     factors = [(b, {0: _ONE, b: (0, 1, 0, 0)}) for b in bit]
     factors += [(scope, table) for scope, table, _ in local]
     buckets: list[list] = [[] for _ in order]
-    total = {0: _ONE}
+    closed = []
     for scope, table in factors:
         buckets[(scope & -scope).bit_length() - 1].append((scope, table))
     for i in range(len(order)):
@@ -497,10 +500,22 @@ def _state_sum(spine: Spine, theory: Theory, x: Fraction, yz: Fraction,
         if scope:
             buckets[(scope & -scope).bit_length() - 1].append((scope, table))
         else:
-            total = _join(0, total, 0, table)[1]
+            closed.append(table)
+    total = _pairwise_product(closed, lambda a, b: _join(0, a, 0, b)[1], {0: _ONE})
     coords = total[0]
     g = gcd(den, *coords)
     return _ring_scalar(tuple(n // g for n in coords), theory) * Fraction(1, den // g)
+
+
+def _pairwise_product(values: list, times, one):
+    """The product of ``values`` under ``times``, multiplied in neighboring
+    pairs, round by round: the operands of each product are about the same
+    size, so factors whose product grows cost about as much as its last
+    multiplication, not once per factor."""
+    while len(values) > 1:
+        pairs = [times(a, b) for a, b in zip(values[::2], values[1::2])]
+        values = pairs + values[len(values) // 2 * 2:]
+    return values[0] if values else one
 
 
 def _weights(x: Fraction, yz: Fraction) -> tuple[dict, dict]:

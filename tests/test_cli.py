@@ -9,7 +9,7 @@ import sys
 from decimal import Context, Decimal, localcontext
 
 import pytest
-from conftest import FIXTURES, random_morse_word
+from conftest import FIXTURES, PARAMETER_THEORIES, random_morse_word, theory_id
 from fibcat import Scalar, Theory
 from fibcat import category as cat
 from fibcat import invariants as inv
@@ -571,6 +571,46 @@ def test_no_command_inverts_a_field_element(any_theory, capsys, monkeypatch):
     for argv in EVERY_COMMAND:
         code, _, err = invoke(capsys, *theory, *argv)
         assert (code, err) == (0, ""), argv
+
+
+# the fibcat modules a fresh process loads to run each command: category
+# and scalars with the cli, then only what the command calls; invariants
+# imports spines and tangles
+SPINE_MODULES = ["fibcat.category", "fibcat.cli", "fibcat.scalars", "fibcat.spines"]
+LINK_MODULES = ["fibcat.category", "fibcat.cli", "fibcat.scalars", "fibcat.tangles"]
+ALL_MODULES = sorted({*SPINE_MODULES, *LINK_MODULES, "fibcat.invariants"})
+LOADS = {"check-axioms": SPINE_MODULES, "tv-spine": SPINE_MODULES,
+         "t-spine": SPINE_MODULES, "eval-link": LINK_MODULES}
+
+RUN_AND_LIST_MODULES = """
+import sys
+from fibcat.cli import run
+code = run(sys.argv[1:])
+sys.stdout.flush()
+print(sorted(m for m in sys.modules if m.startswith("fibcat.")), file=sys.stderr)
+sys.exit(code)
+"""
+
+
+@pytest.mark.parametrize("argv", EVERY_COMMAND, ids=[argv[0] for argv in EVERY_COMMAND])
+def test_command_loads_only_its_modules(capsys, argv):
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    proc = subprocess.run([sys.executable, "-c", RUN_AND_LIST_MODULES, *argv], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == f"{LOADS.get(argv[0], ALL_MODULES)}\n"
+    assert proc.stdout == invoke(capsys, *argv)[1]
+
+
+@pytest.mark.parametrize("theory", PARAMETER_THEORIES, ids=theory_id)
+def test_borromean_fixture_is_the_three_torus(capsys, theory):
+    # 0-surgery on the Borromean rings is T^3, whose tr is dim V(T^2) = 2
+    code, out, err = invoke(capsys, "--epsilon", theory.epsilon_sign,
+                            "--beta", theory.beta_sign, f"-x={theory.x}",
+                            f"-y={theory.y}", f"-z={theory.z}", "--output", "exact",
+                            "tr-manifold", link("borromean0.txt"))
+    assert (code, err) == (0, "")
+    assert out.splitlines() == ["framings: [0, 0, 0], signature: 0", "tr: 2"]
 
 
 def test_unknown_command(capsys):

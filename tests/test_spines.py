@@ -2,7 +2,9 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from functools import reduce
 from itertools import product
+from operator import add, mul
 
 import pytest
 
@@ -346,6 +348,20 @@ def test_sphere_union_gauge_cancels(signs):
                 (Fraction(-13, 11), Fraction(7, 5), Fraction(-9, 2))):
         theory = Theory(signs, "plus", *xyz)
         assert tv(spine, theory) == theory.one
+
+
+def test_pairwise_product_equals_the_sequential_one():
+    # the products of the state sum's scales and closed constants; joined
+    # text checks that each value enters once, in its order
+    rng = random.Random("pairwise")
+    join = lambda a, b: sp._join(0, a, 0, b)[1]
+    for n in (0, 1, 2, 3, 7, 8, 33):
+        ints = [rng.randint(-10 ** 6, 10 ** 6) for _ in range(n)]
+        tables = [{0: tuple(rng.randint(-99, 99) for _ in range(4))} for _ in range(n)]
+        texts = [str(i) for i in range(n)]
+        for values, times, one in ((ints, mul, 1), (tables, join, {0: sp._ONE}),
+                                   (texts, add, "")):
+            assert sp._pairwise_product(values, times, one) == reduce(times, values, one)
 
 
 def test_banded_spine_tv_equals_t():
