@@ -101,7 +101,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact link and 3-manifold invariants from the "
                     "two-simple-object modular category.",
         epilog=_NEGATIVE_VALUES)
-    sub = parser.add_subparsers(dest="command", metavar="COMMAND",
+    sub = parser.add_subparsers(dest="command", metavar="COMMAND", required=True,
                                 parser_class=_Parser)
 
     sub.add_parser("check-axioms", parents=[common],
@@ -197,9 +197,6 @@ _PARSER = build_parser()
 def run(argv: list[str] | None = None) -> int:
     try:
         args = _PARSER.parse_args(argv, argparse.Namespace(**_DEFAULTS))
-        if args.command is None:
-            _PARSER.print_usage()
-            return 1
         # argparse before 3.13 reads the value of "--opt=--" as an empty
         # list, which no type or choice check sees
         for name, value in vars(args).items():

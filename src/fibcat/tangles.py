@@ -49,8 +49,7 @@ A diagram sums its crossings and kinks once, when it is built, into
 per-component writhes and twists (net kinks) and per-pair linking
 numbers, and refuses more than ``MAX_COMPONENTS`` components.
 A diagram carries its framings: ``framing i=f`` lines declare them, and
-the rest default to the self-writhes.  ``build_hopf_chain`` can draw
-framings as kinks, but surgery does not need them drawn:
+the rest default to the self-writhes.  Surgery does not need them drawn:
 ``with_framings`` declares them, and ``colored_sum`` reads them as
 powers of theta in the components' weights.
 """
@@ -596,31 +595,17 @@ def evaluate_all_a(diagram: LinkDiagram, theory: Theory) -> Scalar:
 # builders
 
 
-def build_hopf_chain(k: int, framings: Sequence[int] | None = None) -> LinkDiagram:
-    """The k-component chain of consecutively linked circles; when framings
-    are given, kinks are inserted so component i has self-writhe f_i.
-    A chain of more than ``MAX_COMPONENTS`` circles is refused."""
+def build_hopf_chain(k: int) -> LinkDiagram:
+    """The k-component chain of consecutively linked circles, every
+    self-writhe 0; ``with_framings`` declares its framings.  A chain of
+    more than ``MAX_COMPONENTS`` circles is refused."""
     if k < 1:
         raise ValueError("chain needs at least one component")
     if k > MAX_COMPONENTS:
         raise ValueError(f"chain of {k} components exceeds {MAX_COMPONENTS}")
-    if framings is not None and len(framings) != k:
-        raise ValueError(f"expected {k} framings, got {len(framings)}")
-
-    def kinks(f: int, pos: int) -> list[LinkEvent]:
-        kind = TWIST_POS if f > 0 else TWIST_NEG
-        return [LinkEvent(kind, pos)] * abs(f)
-
-    events: list[LinkEvent] = [LinkEvent(CUP, 0)]
-    if framings is not None:
-        events += kinks(framings[0], 1)
-    for i in range(1, k):
-        events.append(LinkEvent(CUP, 1))
-        if framings is not None:
-            events += kinks(framings[i], 1)
-        events.append(LinkEvent(CROSS_POS, 0))
-        events.append(LinkEvent(CROSS_POS, 2))
-        events.append(LinkEvent(CAP, 1))
+    events = [LinkEvent(CUP, 0)]
+    for _ in range(1, k):
+        events += [LinkEvent(CUP, 1), LinkEvent(CROSS_POS, 0),
+                   LinkEvent(CROSS_POS, 2), LinkEvent(CAP, 1)]
     events.append(LinkEvent(CAP, 0))
-    declared = tuple((i, f) for i, f in enumerate(framings)) if framings is not None else ()
-    return LinkDiagram(tuple(events), declared)
+    return LinkDiagram(tuple(events))

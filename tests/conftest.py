@@ -9,7 +9,7 @@ import pytest
 from fibcat import ALL_THEORIES, Theory
 from fibcat.category import A, ONE
 from fibcat.spines import SPHERE_SPINE, Spine, vertex_triples
-from fibcat.tangles import LinkDiagram, LinkEvent
+from fibcat.tangles import LinkDiagram, LinkEvent, parse_link
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -39,6 +39,36 @@ def expansion_labels(x_word, y_word):
 
 def read_fixture(relpath: str) -> str:
     return (FIXTURES / relpath).read_text(encoding="utf-8")
+
+
+def plat3(braid_word) -> LinkDiagram:
+    """Plat closure of a braid word on strands 1..3 of a 6-strand plat;
+    positive generators are written +i, negative -i."""
+    events = [LinkEvent("cup", 0), LinkEvent("cup", 2),
+              LinkEvent("cup", 4)]
+    for s in braid_word:
+        kind = "xp" if s > 0 else "xn"
+        events.append(LinkEvent(kind, abs(s)))
+    events += [LinkEvent("cap", 1), LinkEvent("cap", 1),
+               LinkEvent("cap", 0)]
+    return LinkDiagram(tuple(events))
+
+
+def drawn_framings(diagram: LinkDiagram, framings) -> LinkDiagram:
+    """``diagram`` with ``framings`` declared and drawn as kinks: after
+    component c's first event, its cup, f_c - w_c kinks of that sign at
+    the cup's position, so each self-writhe equals its framing.  The
+    library declares framings and never draws them; this drawing is the
+    tests' reference for the surgery sum's framing weights."""
+    framed = diagram.with_framings(framings)
+    kinks = {first: f - w for first, f, w
+             in zip(diagram.first_events, framings, diagram.writhes)}
+    events = []
+    for idx, event in enumerate(diagram.events):
+        events.append(event)
+        n = kinks.get(idx, 0)
+        events += [LinkEvent("tp" if n > 0 else "tn", event.pos)] * abs(n)
+    return framed.with_events(events)
 
 
 def random_morse_word(rng: random.Random, width: int = 12) -> list[LinkEvent]:
@@ -164,3 +194,13 @@ def any_theory(request) -> Theory:
 @pytest.fixture
 def fixtures_dir() -> Path:
     return FIXTURES
+
+
+@pytest.fixture
+def trefoil() -> LinkDiagram:
+    return parse_link(read_fixture("links/trefoil.txt"))
+
+
+@pytest.fixture
+def unknot() -> LinkDiagram:
+    return parse_link(read_fixture("links/unknot.txt"))

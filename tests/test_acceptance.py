@@ -12,7 +12,7 @@ from itertools import product
 
 import pytest
 
-from conftest import read_fixture
+from conftest import drawn_framings, plat3, read_fixture
 from fibcat import ALL_THEORIES, Theory
 from fibcat.category import (A, ONE, axiom_suite, s_matrix)
 from fibcat.invariants import (c_function, continued_fraction_framings,
@@ -37,17 +37,6 @@ def report(n: int, text: str) -> None:
 
 def trefoil() -> LinkDiagram:
     return parse_link(read_fixture("links/trefoil.txt"))
-
-
-def plat3(braid_word) -> LinkDiagram:
-    events = [LinkEvent("cup", 0), LinkEvent("cup", 2),
-              LinkEvent("cup", 4)]
-    for s in braid_word:
-        kind = "xp" if s > 0 else "xn"
-        events.append(LinkEvent(kind, abs(s)))
-    events += [LinkEvent("cap", 1), LinkEvent("cap", 1),
-               LinkEvent("cap", 0)]
-    return LinkDiagram(tuple(events))
 
 
 def test_criterion_1_axiom_suite():
@@ -110,7 +99,7 @@ def test_criterion_6_c_function_and_lens_spaces():
     checked = 0
     for k in (1, 2, 3):
         for framings in itertools.product(range(-2, 5), repeat=k):
-            framed = build_hopf_chain(k, framings)
+            framed = drawn_framings(build_hopf_chain(k), framings)
             assert lens_tr_closed_form(framings, theory) \
                 == tr_manifold(framed, theory), framings
             checked += 1

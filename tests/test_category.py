@@ -391,6 +391,8 @@ def test_birth_death_values(th):
     assert b_a.arrows == {(0, 0): y * s}
     assert d_a.arrows == {(0, 0): s / y}
     assert b_a.then(d_a).scalar() == th.epsilon
+    with pytest.raises(ValueError, match="^not a unit-to-unit morphism$"):
+        braiding(A, A, th).scalar()
     b_mixed = birth("1A", th)
     assert b_mixed.cod == parse_word("1AA1A")
     assert b_mixed.arrows == {(0, 0): y, (0, 3): y * s}

@@ -613,10 +613,32 @@ def test_borromean_fixture_is_the_three_torus(capsys, theory):
     assert out.splitlines() == ["framings: [0, 0, 0], signature: 0", "tr: 2"]
 
 
+@pytest.mark.parametrize("theory", PARAMETER_THEORIES, ids=theory_id)
+def test_compare_rt_tv_on_the_three_torus(capsys, theory):
+    # T^3 on both sides of the paper's identity: 0-surgery on the
+    # Borromean rings against the cube's dual spine; S^3 is told apart
+    flags = ["--epsilon", theory.epsilon_sign, "--beta", theory.beta_sign,
+             f"-x={theory.x}", f"-y={theory.y}", f"-z={theory.z}"]
+    for name, expected, verdict in (("borromean0.txt", 0, "match: yes"),
+                                    ("empty.txt", 2, "match: NO")):
+        code, out, err = invoke(capsys, *flags, "compare-rt-tv",
+                                "--link", link(name), "--spine", spine("t3.txt"))
+        assert (code, err) == (expected, ""), name
+        assert out.splitlines()[-1] == verdict, out
+
+
 def test_unknown_command(capsys):
     code, _, err = invoke(capsys, "definitely-not-a-command")
     assert code == 1
     assert "usage" in err
+
+
+@pytest.mark.parametrize("argv", [[], ["--epsilon", "neg"]])
+def test_no_command_is_a_usage_error(capsys, argv):
+    # like every other usage failure: nothing on stdout, the error on stderr
+    code, out, err = invoke(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert "error:" in err and "COMMAND" in err
 
 
 def test_missing_file(capsys):

@@ -45,7 +45,8 @@ def _spines() -> dict[str, str]:
 
 def _cases() -> list[list[str]]:
     """Every argument list, with placeholder paths."""
-    spine_files = ["{spines}/sphere.txt", *(f"{{tmp}}/random{i}.txt" for i in range(6)),
+    spine_files = ["{spines}/sphere.txt", "{spines}/t3.txt",
+                   *(f"{{tmp}}/random{i}.txt" for i in range(6)),
                    "{tmp}/banded48.txt", "{tmp}/spheres4.txt", "{tmp}/isolated30.txt"]
     per_theory = []
     for name in LINKS:
@@ -58,7 +59,9 @@ def _cases() -> list[list[str]]:
                    ["hopf", "3", "--framings=0,3,-1"], ["lens", "7", "2"],
                    ["lens", "30", "29"], ["lens", "--framings=2,-3,4"],
                    *(["compare-rt-tv", f"--link={{links}}/{name}.txt",
-                      "--spine={spines}/sphere.txt"] for name in ("empty", "unknot"))]
+                      "--spine={spines}/sphere.txt"] for name in ("empty", "unknot")),
+                   ["compare-rt-tv", "--link={links}/borromean0.txt",
+                    "--spine={spines}/t3.txt"]]
     once = [["check-axioms"], ["c-function", "1,3,4"],
             ["tv-spine", "--no-euler-check", "{tmp}/spheres2500.txt"],
             ["tv-spine", "--no-euler-check", "{tmp}/clique17.txt"]]

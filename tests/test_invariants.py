@@ -9,9 +9,9 @@ from math import gcd
 
 import pytest
 
-from conftest import (PARAMETER_THEORIES, copy_by_copy_events, random_morse_word,
-                      read_fixture, surface_bundle_events, surface_bundle_link,
-                      theory_id)
+from conftest import (PARAMETER_THEORIES, copy_by_copy_events, drawn_framings,
+                      random_morse_word, read_fixture, surface_bundle_events,
+                      surface_bundle_link, theory_id)
 from fibcat import ALL_THEORIES, Scalar, Theory
 from fibcat import invariants
 from fibcat.category import A, ONE
@@ -27,16 +27,6 @@ from fibcat.tangles import (MAX_OPEN_COMPONENTS, LinkDiagram, LinkEvent,
 @pytest.fixture
 def th():
     return Theory()
-
-
-@pytest.fixture
-def trefoil():
-    return parse_link(read_fixture("links/trefoil.txt"))
-
-
-@pytest.fixture
-def unknot():
-    return parse_link(read_fixture("links/unknot.txt"))
 
 
 # -- tr for links -----------------------------------------------------------------
@@ -197,7 +187,7 @@ def test_huge_framing_is_a_scalar(unknot, any_theory):
 # ``linking`` pairs off it
 
 def test_linking_matrix_hopf():
-    framed = build_hopf_chain(2, (0, 0))
+    framed = drawn_framings(build_hopf_chain(2), (0, 0))
     assert framed.framings() == [0, 0]
     [((i, j), v)] = framed.linking
     assert (i, j) == (0, 1) and abs(v) == 1
@@ -209,7 +199,7 @@ def test_linking_matrix_split_unlink():
 
 
 def test_linking_matrix_chain_tridiagonal():
-    framed = build_hopf_chain(3, (5, -1, 2))
+    framed = drawn_framings(build_hopf_chain(3), (5, -1, 2))
     assert framed.framings() == [5, -1, 2]
     linking = dict(framed.linking)
     assert linking.keys() == {(0, 1), (1, 2)}
@@ -483,7 +473,7 @@ def test_tr_squared_is_real_nonnegative(th, unknot, trefoil):
         unknot.with_framings((1,)),
         unknot.with_framings((4,)),
         trefoil.with_framings((1,)),
-        build_hopf_chain(3, (2, 0, -1)),
+        drawn_framings(build_hopf_chain(3), (2, 0, -1)),
     ]
     for framed in fixtures:
         value = tr_manifold(framed, th)
@@ -778,6 +768,8 @@ def test_hopf_closed_form_matches_evaluation(any_theory):
         assert hopf_tr_closed_form(k, any_theory) == expected
         assert hopf_tr_closed_form(k, any_theory) \
             == tr_link(build_hopf_chain(k), any_theory)
+    with pytest.raises(ValueError, match="^chain needs at least one component$"):
+        hopf_tr_closed_form(0, any_theory)
 
 
 def test_lens_closed_form_examples(th, unknot):
@@ -794,13 +786,13 @@ def test_lens_closed_form_empty_chain(any_theory):
 def test_lens_closed_form_matches_surgery_sum(th):
     for k in (1, 2):
         for framings in itertools.product(range(-2, 5), repeat=k):
-            framed = build_hopf_chain(k, framings)
+            framed = drawn_framings(build_hopf_chain(k), framings)
             assert lens_tr_closed_form(framings, th) == tr_manifold(framed, th), \
                 framings
     rng = random.Random(14)
     for _ in range(10):
         framings = tuple(rng.randint(-2, 4) for _ in range(3))
-        framed = build_hopf_chain(3, framings)
+        framed = drawn_framings(build_hopf_chain(3), framings)
         assert lens_tr_closed_form(framings, th) == tr_manifold(framed, th)
 
 
@@ -929,7 +921,7 @@ def test_drawn_long_chain_matches_closed_form(theory):
     for k in (40, 80):
         framings = tuple(rng.randint(-3, 3) for _ in range(k))
         assert lens_tr_closed_form(framings, theory) \
-            == tr_manifold(build_hopf_chain(k, framings), theory), framings
+            == tr_manifold(drawn_framings(build_hopf_chain(k), framings), theory), framings
 
 
 def test_chain_walk_makes_no_scalar_per_framing(monkeypatch):
@@ -940,7 +932,7 @@ def test_chain_walk_makes_no_scalar_per_framing(monkeypatch):
     theory = Theory(x=Fraction(2, 3), y=Fraction(-5, 7), z=3)
     rng = random.Random(2000)
     lens_tr_closed_form((2, 2), theory)     # the theory's cached constants
-    tr_manifold(build_hopf_chain(2, (1, -1)), theory)     # and the sweep's tables
+    tr_manifold(drawn_framings(build_hopf_chain(2), (1, -1)), theory)     # and the sweep's tables
     count = [0]
 
     def counted(method):
@@ -961,7 +953,7 @@ def test_chain_walk_makes_no_scalar_per_framing(monkeypatch):
         assert ops[0] == ops[1] <= 2, (short, long, ops)
     ops = []
     for k in (20, 2000):
-        chain = build_hopf_chain(k, [rng.randint(-9, 9) for _ in range(k)])
+        chain = drawn_framings(build_hopf_chain(k), [rng.randint(-9, 9) for _ in range(k)])
         count[0] = 0
         assert not tr_manifold(chain, theory).is_zero
         ops.append(count[0])
@@ -1001,6 +993,8 @@ def test_continued_fraction_validation():
         continued_fraction_framings(4, 0)
     with pytest.raises(ValueError):
         continued_fraction_framings(4, 2)
+    with pytest.raises(ValueError, match="^empty framing list$"):
+        expand_minus_continued_fraction(())
 
 
 def test_lens_framing_limit(th, monkeypatch):

@@ -222,6 +222,13 @@ def test_foreign_operand_raises_type_error(theory, op, other):
         op(other, theory.one)
 
 
+def test_scalar_equals_only_exact_numbers(theory):
+    # floats stay in the display layer: a scalar equals an int or a
+    # Fraction of its value, never a float or a string
+    assert theory.one == 1 and theory.rational(Fraction(1, 2)) == Fraction(1, 2)
+    assert not theory.one == 1.0 and not theory.one == "1"
+
+
 def test_render():
     th = Theory()
     assert th.zero.render() == "0"

@@ -3,7 +3,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from functools import reduce
-from itertools import product
+from itertools import combinations, permutations, product
 from operator import add, mul
 
 import pytest
@@ -11,6 +11,7 @@ import pytest
 from conftest import (PARAMETER_THEORIES, banded_spine, random_spine, read_fixture,
                       sphere_union, theory_id)
 from fibcat import ALL_THEORIES, Scalar, Theory
+from fibcat import category as cat
 from fibcat import spines as sp
 from fibcat.category import A, ONE
 from fibcat.spines import (MAX_COMPONENTS, MAX_ELIMINATION_WIDTH, SPHERE_SPINE,
@@ -154,6 +155,19 @@ def test_module_isomorphisms_are_identities(any_theory):
     assert report.all_identities, report.failures
 
 
+def test_module_iso_check_reports_a_wrong_braiding(any_theory, monkeypatch):
+    # the check is an oracle: with every braiding replaced by its inverse
+    # it reports failures of both swaps itself
+    assert module_iso_check(any_theory).all_identities
+    braiding = cat.braiding
+    monkeypatch.setattr(cat, "braiding", lambda x, y, theory, inverse=False:
+                        braiding(x, y, theory, not inverse))
+    report = module_iso_check(any_theory)
+    assert report.checked == 5
+    assert len(report.failures) == 4, report.failures
+    assert {swap for _, swap in report.failures} == {"swap-12", "swap-23"}
+
+
 # -- spine parsing -------------------------------------------------------------------------
 
 def test_parse_sphere_spine():
@@ -228,6 +242,57 @@ def test_tv_real(th):
     value = tv(SPHERE_SPINE, th)
     assert value.conjugate() == value
     assert abs(value.embed().imag) < 1e-12
+
+
+def _cube_spine() -> Spine:
+    """The dual special spine of the Freudenthal-Kuhn triangulation of
+    the cube with opposite faces glued, T^3: the 2-components are the
+    edge classes, the nonzero 0/1 vectors in lexicographic order; each
+    ordered pair (u, v) of disjoint vectors is the triangle of edges u, v
+    and u + v, a triple line; each ordering of the axes is a tetrahedron
+    0 < e_s1 < e_s1 + e_s2 < (1, 1, 1), a vertex with slots (e01, e12,
+    e02 | e23, e03, e13)."""
+    vectors = [v for v in product((0, 1), repeat=3) if any(v)]
+    index = {v: i for i, v in enumerate(vectors)}
+    edges = tuple((index[u], index[v], index[tuple(map(add, u, v))])
+                  for u in vectors for v in vectors if not any(map(mul, u, v)))
+    vertices = []
+    for axes in permutations(range(3)):
+        corners = [(0, 0, 0)]
+        for axis in axes:
+            corners.append(tuple(c + (i == axis) for i, c in enumerate(corners[-1])))
+        edge = lambda i, j: index[tuple(b - a for a, b in zip(corners[i], corners[j]))]
+        vertices.append((edge(0, 1), edge(1, 2), edge(0, 2),
+                         edge(2, 3), edge(0, 3), edge(1, 3)))
+    return Spine(len(vectors), edges, tuple(vertices))
+
+
+def _merged(spine: Spine, i: int, j: int) -> Spine:
+    """``spine`` with component j glued to component i < j."""
+    relabel = lambda slots: tuple(i if c == j else c - (c > j) for c in slots)
+    return Spine(spine.n_components - 1, tuple(map(relabel, spine.edges)),
+                 tuple(map(relabel, spine.vertices)))
+
+
+def test_three_torus_spine_matches_surgery():
+    # the paper's identity |tr|^2 (eps+2) = tv on T^3, whose tr is 2: the
+    # fixture is the cube's dual spine, its tv is 4(eps+2) in every theory,
+    # and swapping x2 and y2 at any one vertex, or merging any two
+    # components, breaks it
+    spine = parse_spine(read_fixture("spines/t3.txt"))
+    assert spine == _cube_spine()
+    spine.validate()
+    mutants = []
+    for k, slots in enumerate(spine.vertices):
+        swapped = slots[:3] + (slots[4], slots[3], slots[5])
+        vertices = spine.vertices[:k] + (swapped,) + spine.vertices[k + 1:]
+        mutants.append(Spine(spine.n_components, spine.edges, vertices))
+    mutants += [_merged(spine, i, j) for i, j in combinations(range(spine.n_components), 2)]
+    assert len(mutants) == 6 + 21
+    for theory in PARAMETER_THEORIES:
+        expected = 4 * (theory.epsilon + 2)
+        assert tv(spine, theory) == t_epsilon(spine, theory) == expected
+        assert [tv(m, theory) != expected for m in mutants] == [True] * len(mutants)
 
 
 def test_non_admissible_coloring_contributes_zero(th):

@@ -7,8 +7,8 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import (PARAMETER_THEORIES, expansion_labels, random_morse_word, read_fixture,
-                      theory_id)
+from conftest import (PARAMETER_THEORIES, drawn_framings, expansion_labels, plat3,
+                      random_morse_word, read_fixture, theory_id)
 from fibcat import ALL_THEORIES, Scalar, Theory
 from fibcat import category as cat
 from fibcat import tangles
@@ -22,29 +22,6 @@ from fibcat.tangles import (LinkDiagram, LinkEvent, LinkParseError,
 @pytest.fixture
 def th():
     return Theory()
-
-
-@pytest.fixture
-def trefoil():
-    return parse_link(read_fixture("links/trefoil.txt"))
-
-
-@pytest.fixture
-def unknot():
-    return parse_link(read_fixture("links/unknot.txt"))
-
-
-def plat3(braid_word) -> LinkDiagram:
-    """Plat closure of a braid word on strands 1..3 of a 6-strand plat;
-    positive generators are written +i, negative -i."""
-    events = [LinkEvent("cup", 0), LinkEvent("cup", 2),
-              LinkEvent("cup", 4)]
-    for s in braid_word:
-        kind = "xp" if s > 0 else "xn"
-        events.append(LinkEvent(kind, abs(s)))
-    events += [LinkEvent("cap", 1), LinkEvent("cap", 1),
-               LinkEvent("cap", 0)]
-    return LinkDiagram(tuple(events))
 
 
 # -- parsing -------------------------------------------------------------------
@@ -217,7 +194,7 @@ def test_self_writhe_orientation_independent(trefoil):
     # change by the product of their flips; and two closed components
     # cross an even number of times
     rng = random.Random("orientation")
-    diagrams = [trefoil, build_hopf_chain(3, (1, -2, 0))]
+    diagrams = [trefoil, drawn_framings(build_hopf_chain(3), (1, -2, 0))]
     for width in (2, 4, 6, 8):
         for _ in range(5):
             plain = _random_plat(rng, width, [rng.randrange(width - 1) for _ in range(width)])
@@ -694,7 +671,7 @@ def test_framed_chain_evaluation_closed_form(th):
     e, b = th.epsilon, th.beta
     for k in (1, 2, 3):
         for framings in itertools.product((-2, 0, 1, 3), repeat=k):
-            value = evaluate_all_a(build_hopf_chain(k, framings), th)
+            value = evaluate_all_a(drawn_framings(build_hopf_chain(k), framings), th)
             expected = (((-th.one) ** (k - 1)) * e ** (2 - k)
                         / b ** (2 * sum(framings)))
             assert value == expected, (k, framings)
@@ -706,19 +683,26 @@ def test_build_hopf_chain_unknot():
     assert (h1.writhes, h1.linking) == ((0,), ())
 
 
-def test_build_hopf_chain_framings():
-    d = build_hopf_chain(3, (0, 0, 0))
+def test_build_hopf_chain_framings(trefoil):
+    # the chain is bare, and the tests' drawing puts each framing on its
+    # component as kinks, on any diagram
+    bare = build_hopf_chain(3)
+    assert (bare.self_writhes(), bare.twists, bare.declared_framings) == ([0, 0, 0], (0, 0, 0), ())
+    d = drawn_framings(bare, (0, 0, 0))
     assert d.self_writhes() == [0, 0, 0]
-    d2 = build_hopf_chain(3, (2, -1, 3))
+    d2 = drawn_framings(bare, (2, -1, 3))
     assert d2.self_writhes() == [2, -1, 3]
     assert d2.framings() == [2, -1, 3]
+    assert d2.linking == bare.linking
+    knot = drawn_framings(trefoil, (1,))
+    assert (knot.self_writhes(), knot.twists, knot.framings()) == ([1], (-2,), [1])
 
 
 def test_build_hopf_chain_validation():
     with pytest.raises(ValueError):
         build_hopf_chain(0)
     with pytest.raises(ValueError):
-        build_hopf_chain(2, (1,))
+        drawn_framings(build_hopf_chain(2), (1,))
 
 
 def test_render_round_trip(trefoil):
