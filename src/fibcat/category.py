@@ -267,58 +267,45 @@ def _associator_plan(x_word: Word, y_word: Word, z_word: Word):
     on the left to letter qs[e] on the right.  An A, A, A triple lists
     A, 1, A on either side, at l0, l1, l1 + 1 on the left and r0, r1,
     r1 + 1 on the right, and keeps the quadruple (l0, l1, r0, r1).
+    Every position is routed by ``_starts``, in X(x)Y and Y(x)Z and
+    then in the two triple products.
     """
     xy, yz = tensor_words(x_word, y_word), tensor_words(y_word, z_word)
-    # the column terms of a 1-letter are the positions themselves
-    xy_rows, (_, xy_shift) = _starts(x_word, y_word)
-    yz_rows, (_, yz_shift) = _starts(y_word, z_word)
-    left_rows, (_, left_shift) = _starts(xy, z_word)
-    right_rows, (_, right_shift) = _starts(x_word, yz)
-    n = len(z_word)
+    xy_rows, xy_cols = _starts(x_word, y_word)
+    yz_rows, yz_cols = _starts(y_word, z_word)
+    left_rows, left_cols = _starts(xy, z_word)
+    right_rows, right_cols = _starts(x_word, yz)
     ps, qs, quads = [], [], []
     for i, x in enumerate(x_word):
-        r_row = right_rows[i]
+        r_row, r_col = right_rows[i], right_cols[x == A]
         for j, y in enumerate(y_word):
-            yz_row = yz_rows[j]
+            yz_row, yz_col = yz_rows[j], yz_cols[y == A]
+            s = xy_rows[i] + xy_cols[x == A][j]
             if x == y == A:
                 # x_i (x) y_j is 1 at s, then A at s + 1, and y_j (x) z_k
                 # is A at u for z_k = 1, and 1, A at u, u + 1 for z_k = A
-                s = xy_rows[i] + xy_shift[j]
-                l_row, la_row = left_rows[s], left_rows[s + 1]
+                l_row, la_row, la_col = left_rows[s], left_rows[s + 1], left_cols[True]
                 for k, z in enumerate(z_word):
-                    u = yz_row + yz_shift[k]
-                    l0, l1, r0 = l_row + k, la_row + left_shift[k], r_row + right_shift[u]
+                    u = yz_row + yz_col[k]
+                    l0, l1, r0 = l_row + k, la_row + la_col[k], r_row + r_col[u]
                     if z == A:
-                        quads.append((l0, l1, r0, r_row + right_shift[u + 1]))
+                        quads.append((l0, l1, r0, r_row + r_col[u + 1]))
                     else:
                         ps += l0, l1
                         qs += r0, r0 + 1
-            elif x == A:
-                # x_i (x) y_j is A, and y_j (x) z_k is z_k: one summand
-                # either side, or two, when z_k is A
-                l_row = left_rows[xy_rows[i] + xy_shift[j]]
-                for k, z in enumerate(z_word):
-                    p, q = l_row + left_shift[k], r_row + right_shift[yz_row + k]
-                    ps.append(p)
-                    qs.append(q)
-                    if z == A:
-                        ps.append(p + 1)
-                        qs.append(q + 1)
-            elif y == A:
-                # the same, with 1 (x) (y_j (x) z_k) = y_j (x) z_k
-                l_row = left_rows[xy_rows[i] + j]
-                for k, z in enumerate(z_word):
-                    p, q = l_row + left_shift[k], r_row + yz_row + yz_shift[k]
-                    ps.append(p)
-                    qs.append(q)
-                    if z == A:
-                        ps.append(p + 1)
-                        qs.append(q + 1)
             else:
-                # 1, 1, z_k: a copy of z on either side
-                l_row, ry_row = left_rows[xy_rows[i] + j], r_row + yz_row
-                ps.extend(range(l_row, l_row + n))
-                qs.extend(range(ry_row, ry_row + n))
+                # x_i (x) y_j is one letter m at s, A when one of x_i, y_j
+                # is; the triple has one summand either side, or two when
+                # m and z_k are both A
+                m = x != y
+                l_row, l_col = left_rows[s], left_cols[m]
+                for k, z in enumerate(z_word):
+                    p, q = l_row + l_col[k], r_row + r_col[yz_row + yz_col[k]]
+                    ps.append(p)
+                    qs.append(q)
+                    if m and z == A:
+                        ps.append(p + 1)
+                        qs.append(q + 1)
     return (tensor_words(xy, z_word), tensor_words(x_word, yz),
             tuple(ps), tuple(qs), tuple(quads))
 

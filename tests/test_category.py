@@ -332,7 +332,8 @@ def routed_braiding(x_word, y_word, th, inverse=False):
 
 def test_plans_match_label_routing(any_theory):
     rng = random.Random(f"plans-{any_theory.epsilon_sign}-{any_theory.beta_sign}")
-    triples = list(itertools.product((ONE, A), repeat=3))
+    words = ("", ONE, A, ONE + ONE, ONE + A, A + ONE, A + A)
+    triples = list(itertools.product(words, repeat=3))
     triples += [tuple(_random_word(rng, 3) for _ in range(3)) for _ in range(200)]
     for params in ({}, {"x": Fraction(-2, 3), "y": Fraction(5, 7), "z": Fraction(3)}):
         th = dataclasses.replace(any_theory, **params)

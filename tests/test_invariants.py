@@ -599,6 +599,36 @@ def test_torus_knot_tr_link_is_the_jones_polynomial(theory):
                 (p, q, kind)
 
 
+# t^(1/2) in each theory, z20^(8 k) for its Galois exponent k: the
+# square root of JONES_T's t that tr_link's writhe correction takes
+JONES_HALF_T = {("positive", "plus"): 8, ("positive", "minus"): 12,
+                ("negative", "plus"): 16, ("negative", "minus"): 4}
+
+
+@pytest.mark.parametrize("theory", PARAMETER_THEORIES, ids=theory_id)
+def test_torus_link_tr_link_is_jones_times_a_linking_factor(theory):
+    # tr_link corrects each component's own writhe, not the crossings
+    # between components, so on a link V_L(t) = t^(3 lk / 2) tr_link(L),
+    # lk the total linking number.  V of T(2, n), the closure of the
+    # 2-strand braid s_1^n, follows Jones's skein relation t^-1 V_+ -
+    # t V_- = (t^(1/2) - t^(-1/2)) V_0 from the 2-component unlink and
+    # the unknot; the mirror takes t^(1/2) to t^(-1/2) inside V, and the
+    # factor keeps the theory's own
+    signs = theory.epsilon_sign, theory.beta_sign
+    half = JONES_HALF_T[signs]
+    assert 2 * half % 20 == JONES_T[signs]
+    for kind, sign in ((XP, 1), (XN, -1)):
+        h = lambda m: theory.zeta(sign * half * m)
+        jones = [-(h(1) + h(-1)), theory.one]
+        for n in range(2, 13):
+            jones.append(h(4) * jones[n - 2] + h(2) * (h(1) - h(-1)) * jones[n - 1])
+        for m in range(1, 7):
+            link = _torus_knot(2, 2 * m, kind)
+            lk = sum(count for _, count in link.linking)
+            assert lk == sign * m
+            assert theory.zeta(3 * half * lk) * tr_link(link, theory) == jones[2 * m], (m, kind)
+
+
 def _jones_fraction(p: int, q: int, kind: str, theory: Theory) -> tuple[Scalar, Scalar]:
     """Jones's V(t) of T(p, q) drawn with ``kind`` as a numerator over
     1 - t^2, at the theory's t (its inverse for ``xn``)."""

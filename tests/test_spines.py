@@ -295,6 +295,36 @@ def test_three_torus_spine_matches_surgery():
         assert [tv(m, theory) != expected for m in mutants] == [True] * len(mutants)
 
 
+def _matveev_t(spine: Spine, theory: Theory) -> Scalar:
+    """Matveev's eps-invariant (Matveev, "Algorithmic Topology and
+    Classification of 3-Manifolds"): the sum over the simple
+    subpolyhedra F of (-1)^V(F) eps^(chi(F) - V(F)).  F is a subset of
+    the components in which every triple line has 0, 2 or 3 wings and no
+    vertex triple has exactly one; chi(F) is the vertices it touches,
+    minus the triple lines it touches, plus its components, and V(F) the
+    vertices with all six slots in it."""
+    total = theory.zero
+    for bits in range(1 << spine.n_components):
+        wings = lambda slots: sum(bits >> c & 1 for c in slots)
+        lines = [wings(e) for e in spine.edges]
+        triples = [wings(t) for v in spine.vertices for t in vertex_triples(v)]
+        if 1 in lines or 1 in triples:
+            continue
+        touched = [wings(v) for v in spine.vertices]
+        chi = sum(map(bool, touched)) - sum(map(bool, lines)) + bits.bit_count()
+        v = touched.count(6)
+        total += (-1) ** v * theory.epsilon ** (chi - v)
+    return total
+
+
+def test_t_epsilon_is_matveevs_invariant(any_theory):
+    # the paper's last claim, that t_eps is Matveev's eps-invariant, on
+    # the spines of S^3 and T^3
+    for name, expected in (("sphere", any_theory.one), ("t3", 4 * (any_theory.epsilon + 2))):
+        spine = parse_spine(read_fixture(f"spines/{name}.txt"))
+        assert _matveev_t(spine, any_theory) == t_epsilon(spine, any_theory) == expected, name
+
+
 def test_non_admissible_coloring_contributes_zero(th):
     # two components, a single triple line winged (0, 1, 1); the coloring
     # (A, 1) makes that edge non-admissible, so only the other three
