@@ -155,11 +155,19 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _render(value: Scalar, mode: str) -> str:
-    if mode == "exact":
-        return value.render()
+    """The value in the output mode.  Each command renders its values
+    before its first print, so a refused rendering prints nothing."""
     if mode == "float":
         return value.render_float()
-    return f"{value.render()}   ~ {value.render_float()}"
+    try:
+        exact = value.render()
+    except ValueError:
+        # str of an int longer than Python's limit; float output needs none
+        raise CliError(f"the exact value has an integer of more than "
+                       f"{sys.get_int_max_str_digits()} digits, Python's limit for "
+                       f"converting an integer to text; --output float prints "
+                       f"the value") from None
+    return exact if mode == "exact" else f"{exact}   ~ {value.render_float()}"
 
 
 def _read(path: str) -> str:
@@ -233,17 +241,18 @@ def _dispatch(args, theory: Theory) -> int:
         diagram = tg.parse_link(_read(args.file))
         colors = (tg.all_a_coloring(diagram) if args.colors is None
                   else cat.parse_word(args.colors))
-        value = tg.evaluate(diagram, colors, theory)
+        value = _render(tg.evaluate(diagram, colors, theory), mode)
         print(f"components: {diagram.n_components}")
-        print(f"evaluation: {_render(value, mode)}")
+        print(f"evaluation: {value}")
         return 0
 
     if args.command == "tr-link":
         from . import invariants as inv, tangles as tg
         diagram = tg.parse_link(_read(args.file))
         per = diagram.self_writhes()
+        value = _render(inv.tr_link(diagram, theory), mode)
         print(f"components: {diagram.n_components}, writhe: {sum(per)} {per}")
-        print(f"tr: {_render(inv.tr_link(diagram, theory), mode)}")
+        print(f"tr: {value}")
         return 0
 
     if args.command == "tr-manifold":
@@ -251,8 +260,9 @@ def _dispatch(args, theory: Theory) -> int:
         diagram = tg.parse_link(_read(args.file))
         # before any output, since it may refuse the diagram
         sigma, value = inv.surgery(diagram, theory)
+        value = _render(value, mode)
         print(f"framings: {diagram.framings()}, signature: {sigma}")
-        print(f"tr: {_render(value, mode)}")
+        print(f"tr: {value}")
         return 0
 
     if args.command == "hopf":
@@ -284,10 +294,10 @@ def _dispatch(args, theory: Theory) -> int:
         else:
             raise CliError("lens needs either P Q or --framings")
         # before any output, since it may refuse the framings
-        value = inv.lens_tr_closed_form(framings, theory)
+        value = _render(inv.lens_tr_closed_form(framings, theory), mode)
         if args.framings is None:
             print(f"framings: {list(framings)}")
-        print(f"tr: {_render(value, mode)}")
+        print(f"tr: {value}")
         return 0
 
     if args.command == "c-function":
@@ -317,8 +327,9 @@ def _dispatch(args, theory: Theory) -> int:
         tv_value = sp.tv(spine, theory)
         tr = inv.tr_manifold(diagram, theory)
         squared = tr.conjugate() * tr * (theory.epsilon + 2)
-        print(f"|tr|^2 (eps+2): {_render(squared, mode)}")
-        print(f"tv:             {_render(tv_value, mode)}")
+        squared_text, tv_text = _render(squared, mode), _render(tv_value, mode)
+        print(f"|tr|^2 (eps+2): {squared_text}")
+        print(f"tv:             {tv_text}")
         if squared == tv_value:
             print("match: yes")
             return 0

@@ -28,10 +28,15 @@ The engine runs on integers.  Every weight lies in Q(s), s^2 = eps: a unit
 6j-symbol is an element of Z[eps][s] times a rational x^i (yz)^j, and a
 reciprocal pairing is a rational.  A table entry is the four integer
 coordinates (a, b, c, d) of a + b eps + (c + d eps) s, whose product needs
-only eps^2 = eps + 1, true for either sign of eps.  Each factor's weights
-are scaled to integers by the lcm of their denominators.  A coloring takes
-one entry from every factor, so the sum is divided by the product of the
-scales once, at the end, where the one ``Scalar`` of the result is made.
+only eps^2 = eps + 1, true for either sign of eps.  One integer scale per
+kind of weight clears every denominator: a vertex weight is a unit
+6j-symbol times x^i (yz)^j with i <= 2 and j <= 6, and a triple-line
+weight is x^-i (yz)^-j with i <= 1 and j <= 3, so every vertex weight is
+scaled by V = den(x)^2 den(yz)^6 and every triple-line weight by
+L = num(x) num(yz)^3.  A coloring takes one entry from every factor, so
+the sum is divided once, at the end, by V to the number of vertices times
+L to the number of triple lines, where the one ``Scalar`` of the result
+is made.
 """
 
 from __future__ import annotations
@@ -41,8 +46,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
-from math import gcd, lcm
-from operator import mul
 
 from . import category as cat
 from .category import A, ONE, Morphism
@@ -324,12 +327,12 @@ class Spine:
         if self.n_components < 0:
             raise SpineParseError(
                 f"component count must be non-negative, got {self.n_components}")
-        for e in self.edges:
-            if len(e) != 3 or any(not 0 <= c < self.n_components for c in e):
-                raise SpineParseError(f"edge {e} references unknown components")
-        for v in self.vertices:
-            if len(v) != 6 or any(not 0 <= c < self.n_components for c in v):
-                raise SpineParseError(f"vertex {v} references unknown components")
+        for kind, items, n in (("edge", self.edges, 3), ("vertex", self.vertices, 6)):
+            for slots in items:
+                if len(slots) != n:
+                    raise SpineParseError(f"{kind} {slots} has {len(slots)} slots, not {n}")
+                if any(not 0 <= c < self.n_components for c in slots):
+                    raise SpineParseError(f"{kind} {slots} references unknown components")
 
     def render(self) -> str:
         """The spine in the file format that ``parse_spine`` reads."""
@@ -410,15 +413,15 @@ def tv(spine: Spine, theory: Theory) -> Scalar:
     6j-symbols and reciprocal triple-line pairings, by variable
     elimination: the cost is exponential in the elimination width, not in
     the number of components.  It runs on the integer coordinates of
-    Z[eps][s], each factor scaled to integers by the lcm of its weights'
-    denominators, and makes one ``Scalar`` at the end (``_state_sum``)."""
+    Z[eps][s], each weight scaled to integers by the one scale of its kind,
+    vertex or triple line, and makes one ``Scalar`` at the end
+    (``_state_sum``)."""
     return _state_sum(spine, theory, theory.x, theory.y * theory.z, spine.edges)
 
 
 def t_epsilon(spine: Spine, theory: Theory) -> Scalar:
     """The golden-ratio state sum: the ``tv`` sum with x = y = z = 1 and
-    no edge factors, by the same elimination, whose integer weights then
-    need no scaling."""
+    no edge factors, by the same elimination, whose scales are then 1."""
     return _state_sum(spine, theory, Fraction(1), Fraction(1), ())
 
 
@@ -426,11 +429,12 @@ def t_epsilon(spine: Spine, theory: Theory) -> Scalar:
 # than this many components into one table, which would have 2^width entries.
 MAX_ELIMINATION_WIDTH = 16
 # They also refuse a spine of more components than this.  A component can
-# multiply the sum by a factor such as 1 + eps, so the exact coordinates
-# grow by about 0.42 digits per component: 2,090 digits at this bound, well
-# under the 4,300 that Python converts to text by default.  The integers of
-# the elimination also carry the scales of the factors, but they are
-# reduced to the value's lowest terms before anything is rendered.
+# multiply the sum by a factor such as 1 + eps, so at unit x, y, z the
+# exact coordinates grow by about 0.42 digits per component: 2,090 digits
+# at this bound, under the 4,300 that Python converts to text by default.
+# At other x, y, z each vertex and triple line can add the digits of its
+# weights too, so a value within this bound may still be too long to
+# render exactly; the command line then refuses it before printing.
 MAX_COMPONENTS = 5000
 
 # A factor is (scope, table): scope is the OR of its components' bits, a
@@ -450,11 +454,13 @@ def _state_sum(spine: Spine, theory: Theory, x: Fraction, yz: Fraction,
 
     The sum is a product of factors, one per component, triple line and
     vertex, summed over the colors of their components.  A factor's table
-    holds the integer coordinates in Z[eps][s] of its weights
-    (``_weights``) times its scale, the lcm of their denominators, so the
-    integer sum is the state sum times ``den``, the product of the scales.
-    The elimination needs no theory: the one ``Scalar`` made at the end is
-    that sum over den, in lowest terms, with the theory's eps and s.
+    holds the integer coordinates in Z[eps][s] of its weights times the
+    scale of its kind (``_weights``), V for a vertex and L for a triple
+    line, so the integer sum is the state sum times ``den``, V to the
+    number of vertices times L to the number of triple lines; L, and so
+    den, may be negative.  The elimination needs no theory: the one
+    ``Scalar`` made at the end is that sum over den, with the theory's eps
+    and s.
 
     It is evaluated by bucket elimination: the components are summed out
     one at a time in a greedy order planned from the scopes alone, and
@@ -462,10 +468,9 @@ def _state_sum(spine: Spine, theory: Theory, x: Fraction, yz: Fraction,
     the bucket of its lowest bit, the first of its components to be summed
     out, and step i joins the factors of bucket i and sums out bit i.  A
     step that sums out its last bit leaves a closed constant, and the
-    constants, like the scales, are multiplied pairwise at the end.  The
-    cost is exponential in the elimination width (the largest joined
-    scope), which is at most ``MAX_ELIMINATION_WIDTH``, over at most
-    ``MAX_COMPONENTS`` components."""
+    constants are multiplied pairwise at the end.  The cost is exponential
+    in the elimination width (the largest joined scope), which is at most
+    ``MAX_ELIMINATION_WIDTH``, over at most ``MAX_COMPONENTS`` components."""
     if spine.n_components > MAX_COMPONENTS:
         raise SpineValidationError(
             f"component count {spine.n_components} exceeds {MAX_COMPONENTS}")
@@ -474,17 +479,14 @@ def _state_sum(spine: Spine, theory: Theory, x: Fraction, yz: Fraction,
     if width > MAX_ELIMINATION_WIDTH:
         raise SpineValidationError(
             f"elimination width {width} exceeds {MAX_ELIMINATION_WIDTH}")
-    vertex_weights, line_weights = _weights(x, yz)
+    (vertex_weights, v_scale), (line_weights, l_scale) = _weights(x, yz)
+    den = v_scale ** len(spine.vertices) * l_scale ** len(lines)
     bit = [0] * spine.n_components
     for i, c in enumerate(order):
         bit[c] = 1 << i
-    # a pattern of three slots is a triple line's, of six a vertex's
-    scaled: dict = {}
-    local = [_local_factor(e, line_weights, bit, scaled) for e in lines]
-    local += [_local_factor(v, vertex_weights, bit, scaled) for v in spine.vertices]
-    den = _pairwise_product([scale for _, _, scale in local], mul, 1)
     factors = [(b, {0: _ONE, b: (0, 1, 0, 0)}) for b in bit]
-    factors += [(scope, table) for scope, table, _ in local]
+    factors += [_local_factor(e, line_weights, bit) for e in lines]
+    factors += [_local_factor(v, vertex_weights, bit) for v in spine.vertices]
     buckets: list[list] = [[] for _ in order]
     closed = []
     for scope, table in factors:
@@ -502,58 +504,48 @@ def _state_sum(spine: Spine, theory: Theory, x: Fraction, yz: Fraction,
         else:
             closed.append(table)
     total = _pairwise_product(closed, lambda a, b: _join(0, a, 0, b)[1], {0: _ONE})
-    coords = total[0]
-    g = gcd(den, *coords)
-    return _ring_scalar(tuple(n // g for n in coords), theory) * Fraction(1, den // g)
+    return _ring_scalar(total[0], theory) * Fraction(1, den)
 
 
 def _pairwise_product(values: list, times, one):
     """The product of ``values`` under ``times``, multiplied in neighboring
-    pairs, round by round: the operands of each product are about the same
-    size, so factors whose product grows cost about as much as its last
-    multiplication, not once per factor."""
+    pairs, round by round: the closed constants of the state sum, whose
+    operands in each product are about the same size, so constants whose
+    product grows cost about as much as its last multiplication, not once
+    per constant."""
     while len(values) > 1:
         pairs = [times(a, b) for a, b in zip(values[::2], values[1::2])]
         values = pairs + values[len(values) // 2 * 2:]
     return values[0] if values else one
 
 
-def _weights(x: Fraction, yz: Fraction) -> tuple[dict, dict]:
-    """The weights of the state sum at the parameters x and yz = y z, each
-    (coordinates, rational): a vertex's by profile, the unit 6j-symbol,
-    and a triple line's by A-count, the reciprocal unit pairing."""
-    vertex = {p: (coords, x ** i * yz ** j) for p, (coords, i, j) in _SIXJ_UNIT.items()}
-    line = {n: (_ONE, x ** -i * yz ** -j) for n, (i, j) in _PAIRING_UNIT.items()}
-    return vertex, line
+def _weights(x: Fraction, yz: Fraction) -> tuple[tuple[dict, int], tuple[dict, int]]:
+    """The weights of the state sum at the parameters x and yz = y z as
+    integer coordinates, each kind with its scale: a vertex's by profile,
+    the unit 6j-symbol times V = den(x)^2 den(yz)^6, and a triple line's
+    by A-count, the reciprocal unit pairing times L = num(x) num(yz)^3."""
+    xn, xd, yn, yd = x.numerator, x.denominator, yz.numerator, yz.denominator
+    vertex = {p: tuple(c * xn ** i * xd ** (2 - i) * yn ** j * yd ** (6 - j)
+                       for c in coords)
+              for p, (coords, i, j) in _SIXJ_UNIT.items()}
+    line = {n: (xn ** (1 - i) * xd ** i * yn ** (3 - j) * yd ** j, 0, 0, 0)
+            for n, (i, j) in _PAIRING_UNIT.items()}
+    return (vertex, xd ** 2 * yd ** 6), (line, xn * yn ** 3)
 
 
-def _local_factor(slots: tuple[int, ...], weights: dict, bit: list[int],
-                  scaled: dict) -> tuple[int, dict, int]:
-    """The factor of one triple line or vertex, and its scale: its weights
-    (coordinates, rational) looked up by the keys of ``_pattern_keys`` and
-    made integers by the scale, the lcm of their denominators, each local
-    mask spread onto the slots' component bits.  A component repeated
-    among the slots is one bit read at each of its slots.  ``scaled``
-    keeps each slot pattern's integer entries and scale for the next
-    factor of that pattern."""
+def _local_factor(slots: tuple[int, ...], weights: dict,
+                  bit: list[int]) -> tuple[int, dict]:
+    """The factor of one triple line or vertex: its scaled weights looked
+    up by the keys of ``_pattern_keys``, each local mask spread onto the
+    slots' component bits.  A component repeated among the slots is one
+    bit read at each of its slots."""
     local: dict[int, int] = {}
     pattern = tuple(local.setdefault(c, len(local)) for c in slots)
-    hit = scaled.get(pattern)
-    if hit is None:
-        keys = _pattern_keys(pattern)
-        scale = lcm(*(weights[key][1].denominator for _, key in keys))
-        entries = []
-        for mask, key in keys:
-            coords, q = weights[key]
-            n = q.numerator * (scale // q.denominator)
-            entries.append((mask, tuple(n * c for c in coords)))
-        hit = scaled[pattern] = (entries, scale)
-    entries, scale = hit
     # spread[mask]: the sum of the component bits of the local mask's bits
     spread = [0]
     for c in local:
         spread += [m + bit[c] for m in spread]
-    return spread[-1], {spread[mask]: value for mask, value in entries}, scale
+    return spread[-1], {spread[mask]: weights[key] for mask, key in _pattern_keys(pattern)}
 
 
 @lru_cache(maxsize=4096)

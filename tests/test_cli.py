@@ -504,6 +504,27 @@ def test_compare_rt_tv_refuses_the_spine_before_the_link_work(tmp_path, capsys,
         assert err.startswith("error:"), err
 
 
+def test_values_past_the_digit_limit_are_refused_before_any_output(tmp_path, capsys):
+    # 1,500 components, each with one triple line (c, c, c): at these x, y,
+    # z the exact value's integers pass Python's int-to-text limit, and so
+    # do those of c on 21,000 indices; each command exits 1 with nothing on
+    # stdout, compare-rt-tv too, which prints two values
+    lines = tmp_path / "lines.txt"
+    lines.write_text(sp.Spine(1500, tuple((c, c, c) for c in range(1500)), ()).render())
+    xyz = ["-x=2/3", "-y=-5/7", "-z=3", "--no-euler-check"]
+    message = (f"error: the exact value has an integer of more than "
+               f"{sys.get_int_max_str_digits()} digits, Python's limit for converting "
+               f"an integer to text; --output float prints the value\n")
+    for argv in ([*xyz, "--output", "exact", "tv-spine", str(lines)],
+                 [*xyz, "tv-spine", str(lines)],
+                 ["c-function", ",".join(map(str, range(21000)))],
+                 [*xyz, "compare-rt-tv", "--link", link("empty.txt"), "--spine", str(lines)]):
+        assert invoke(capsys, *argv) == (1, "", message), argv[-1][:40]
+    code, out, err = invoke(capsys, *xyz, "--output", "float", "tv-spine", str(lines))
+    assert (code, err) == (0, ""), err
+    assert out.startswith("tv: (")
+
+
 def test_hopf_framed_matches_lens_closed_form(capsys):
     for framings in ("1,2", "0,-1,3", "4"):
         k = str(framings.count(",") + 1)

@@ -218,6 +218,21 @@ def test_parse_errors():
             parse_spine(text)
 
 
+def test_spine_names_a_wrong_slot_count():
+    # a slot count is named as such, an id out of range as unknown
+    with pytest.raises(SpineParseError, match=r"^edge \(0, 1\) has 2 slots, not 3$"):
+        Spine(2, ((0, 1),), ())
+    with pytest.raises(SpineParseError,
+                       match=r"^vertex \(0, 1, 1, 1, 1\) has 5 slots, not 6$"):
+        Spine(2, (), ((0, 1, 1, 1, 1),))
+    with pytest.raises(SpineParseError,
+                       match=r"^edge \(0, 1, 2\) references unknown components$"):
+        Spine(2, ((0, 1, 2),), ())
+    with pytest.raises(SpineParseError,
+                       match=r"^vertex \(0, 1, 1, 1, 1, -1\) references unknown components$"):
+        Spine(2, (), ((0, 1, 1, 1, 1, -1),))
+
+
 # -- state sums -------------------------------------------------------------------------------
 
 def test_tv_sphere(any_theory):
@@ -393,20 +408,42 @@ def test_state_sums_without_vertices(any_theory):
 
 @pytest.mark.parametrize("theory", PARAMETER_THEORIES, ids=theory_id)
 def test_engine_weights_match_the_category(theory):
-    # each weight of the integer engine, made a scalar as the engine makes
-    # its sum one, is the categorical 6j-symbol or reciprocal pairing
+    # each weight of the integer engine is a tuple of ints, and over its
+    # kind's scale, made a scalar as the engine makes its sum one, it is
+    # the categorical 6j-symbol or reciprocal pairing
     one = theory.one
-    vertex, line = sp._weights(theory.x, theory.y * theory.z)
-    as_scalar = lambda weight: sp._ring_scalar(weight[0], theory) * weight[1]
+    (vertex, v_scale), (line, l_scale) = sp._weights(theory.x, theory.y * theory.z)
+    for weight in (*vertex.values(), *line.values()):
+        assert len(weight) == 4 and all(type(c) is int for c in weight), weight
+    as_scalar = lambda weight, scale: sp._ring_scalar(weight, theory) * Fraction(1, scale)
     for cfg in product((ONE, A), repeat=6):
         profile = sp._profile(cfg)
         if profile is not None:
-            assert as_scalar(vertex[profile]) \
+            assert as_scalar(vertex[profile], v_scale) \
                 == sixj_categorical(cfg, one, one, one, one, theory), cfg
     for triple in product((ONE, A), repeat=3):
         if admissible(*triple):
-            assert as_scalar(line[triple.count(A)]) \
+            assert as_scalar(line[triple.count(A)], l_scale) \
                 == 1 / pairing_categorical(*triple, one, one, theory), triple
+
+
+@pytest.mark.parametrize("xyz", ((Fraction(-2, 3), Fraction(5, 7), 3),
+                                 (Fraction(2, 3), Fraction(-5, 7), 3),
+                                 (Fraction(-13, 11), Fraction(7, 5), Fraction(-9, 2))),
+                         ids=lambda xyz: ",".join(map(str, xyz)))
+def test_triple_line_scale_keeps_its_sign(xyz):
+    # k components, each with one triple line (c, c, c): component c
+    # colored A weighs eps x^-1 (yz)^-3, so tv = (1 + eps x^-1 (yz)^-3)^k;
+    # the first two parameter sets make the triple-line scale
+    # num(x) num(yz)^3 negative, so the engine's denominator is negative
+    # at odd k
+    for base in ALL_THEORIES:
+        theory = Theory(base.epsilon_sign, base.beta_sign, *xyz)
+        yz = theory.y_scalar * theory.z_scalar
+        line = 1 + theory.epsilon / (theory.x_scalar * yz ** 3)
+        for k in (1, 2, 3):
+            spine = Spine(k, tuple((c, c, c) for c in range(k)), ())
+            assert tv(spine, theory) == line ** k, (theory, k)
 
 
 def test_state_sums_make_no_scalar_per_entry(monkeypatch):
@@ -436,8 +473,8 @@ def test_state_sums_make_no_scalar_per_entry(monkeypatch):
 
 @pytest.mark.parametrize("signs", ("positive", "negative"))
 def test_sphere_union_gauge_cancels(signs):
-    # the 2,500-copy union at rational x, y, z: the engine's common
-    # denominator reaches its 2,500th power, and cancels to 1
+    # the 2,500-copy union at rational x, y, z: the engine's denominator,
+    # V^2,500 L^5,000, cancels to 1
     spine = sphere_union(MAX_COMPONENTS // 2)
     for xyz in ((Fraction(2, 3), Fraction(-5, 7), 3),
                 (Fraction(-13, 11), Fraction(7, 5), Fraction(-9, 2))):
@@ -446,8 +483,8 @@ def test_sphere_union_gauge_cancels(signs):
 
 
 def test_pairwise_product_equals_the_sequential_one():
-    # the products of the state sum's scales and closed constants; joined
-    # text checks that each value enters once, in its order
+    # the product of the state sum's closed constants, and of integers;
+    # joined text checks that each value enters once, in its order
     rng = random.Random("pairwise")
     join = lambda a, b: sp._join(0, a, 0, b)[1]
     for n in (0, 1, 2, 3, 7, 8, 33):
